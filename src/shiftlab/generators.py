@@ -329,6 +329,11 @@ def oracle_from_prefix(x: SequencePrefix, horizon: int) -> LanguageOracle:
     Requires ``horizon <= len(x)/4`` so extension queries and the block
     computations downstream are honestly witnessed away from the prefix
     boundary.
+
+    Windows are sliced only at the horizon.  Every shorter window is the
+    one-letter-shorter prefix of the window one longer starting at the
+    same place, except the final one, so level ``n`` is derived from
+    level ``n + 1`` plus ``data[N - n:]``.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -338,11 +343,14 @@ def oracle_from_prefix(x: SequencePrefix, horizon: int) -> LanguageOracle:
             f"need length >= {4 * horizon}"
         )
     data = x.data
-    levels = {}
-    for n in range(1, horizon + 1):
-        levels[n] = frozenset(
-            data[i : i + n] for i in range(len(data) - n + 1)
-        )
+    N = len(data)
+    levels = {
+        horizon: frozenset(data[i : i + horizon] for i in range(N - horizon + 1))
+    }
+    for n in range(horizon - 1, 0, -1):
+        level = {w[:-1] for w in levels[n + 1]}
+        level.add(data[N - n :])
+        levels[n] = frozenset(level)
     return LanguageOracle(
         x.alphabet,
         levels,
@@ -390,6 +398,10 @@ def read_substitution_file(path: str | Path) -> SubstitutionSpec:
     mapping symbol to replacement string or array), seed."""
     obj = json.loads(Path(path).read_text())
     alphabet = Alphabet(tuple(obj["alphabet"]))
+    if not isinstance(obj["rules"], dict):
+        raise ValueError(
+            f"{path}: 'rules' must be an object mapping symbol to replacement"
+        )
     rules = {}
     for tok, rep in obj["rules"].items():
         if isinstance(rep, str):

@@ -8,7 +8,6 @@ lengths the oracle has not seen.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Literal, Mapping
 
@@ -53,6 +52,7 @@ class LanguageOracle:
         self._levels = dict(levels)
         self._left_maps: dict[int, dict[str, frozenset[str]]] = {}
         self._right_maps: dict[int, dict[str, frozenset[str]]] = {}
+        self._extension_counts: dict[tuple[int, Side], dict[str, int]] = {}
         self._special_sets: dict[tuple[int, Side], frozenset[str]] = {}
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
@@ -156,10 +156,35 @@ class LanguageOracle:
         """Complexity: the number of distinct factors of length ``n``."""
         return len(self.factor_strings(n))
 
-    # -- extension maps (bulk, memoized) --------------------------------
+    # -- extension counts and maps (bulk, memoized) ----------------------
+
+    def extension_counts(self, n: int, side: Side) -> dict[str, int]:
+        """For every factor of length ``n``: how many codes extend it on
+        ``side``.
+
+        One pass over the factors of length ``n + 1``, seeded with every
+        factor of length ``n`` so that words without an extension on that
+        side count zero; a longer word whose truncation is not stored is a
+        factor-closure gap and raises.
+        """
+        key = (n, side)
+        if key not in self._extension_counts:
+            self.require_length(n + 1, f"{side} extensions")
+            counts = dict.fromkeys(self._levels[n], 0)
+            cut = slice(1, None) if side == "left" else slice(None, -1)
+            for w1 in self._levels[n + 1]:
+                try:
+                    counts[w1[cut]] += 1
+                except KeyError:
+                    raise InvariantViolation(
+                        f"factor closure fails at length {n + 1}: {w1!r}"
+                    ) from None
+            self._extension_counts[key] = counts
+        return self._extension_counts[key]
 
     def left_extension_map(self, n: int) -> dict[str, frozenset[str]]:
-        """For every factor of length ``n``: the codes extending it on the left."""
+        """For every factor of length ``n``: the codes extending it on the
+        left.  Callers that need only how many read ``extension_counts``."""
         if n not in self._left_maps:
             self.require_length(n + 1, "left extensions")
             acc: dict[str, set[str]] = {w: set() for w in self._levels[n]}
@@ -180,13 +205,8 @@ class LanguageOracle:
     def special_strings(self, n: int, side: Side) -> frozenset[str]:
         key = (n, side)
         if key not in self._special_sets:
-            ext = (
-                self.left_extension_map(n)
-                if side == "left"
-                else self.right_extension_map(n)
-            )
             self._special_sets[key] = frozenset(
-                w for w, exts in ext.items() if len(exts) >= 2
+                w for w, c in self.extension_counts(n, side).items() if c >= 2
             )
         return self._special_sets[key]
 
@@ -401,12 +421,8 @@ def growth_profile(oracle: LanguageOracle) -> GrowthProfile:
     differences = {n: p[n + 1] - p[n] for n in range(1, H)}
     for n in range(1, H - 1):
         for side in SIDES:
-            ext = (
-                oracle.left_extension_map(n)
-                if side == "left"
-                else oracle.right_extension_map(n)
-            )
-            branch_sum = sum(len(e) - 1 for e in ext.values())
+            counts = oracle.extension_counts(n, side)
+            branch_sum = sum(counts.values()) - len(counts)
             if branch_sum != differences[n]:
                 raise InvariantViolation(
                     f"growth-sum identity fails at n={n} side={side}: "
@@ -590,7 +606,3 @@ def analysis_report(oracle: LanguageOracle, n_min: int = 1) -> dict:
     if oracle.horizon - 3 >= n_min:
         report["rbc"] = check_rbc(oracle, n_min).to_json()
     return report
-
-
-def dumps_report(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)

@@ -9,6 +9,7 @@ machinery rewrites.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -70,10 +71,14 @@ def build_rauzy(oracle: LanguageOracle, n: int) -> RauzyGraph:
         oracle.special_strings(n, "right"),
         oracle.alphabet.symbols,
     )
+    in_deg = Counter(e[1:] for e in edges)
+    out_deg = Counter(e[:n] for e in edges)
+    left = oracle.extension_counts(n, "left")
+    right = oracle.extension_counts(n, "right")
     for v in vertices:
-        if g.in_degree(v) != len(oracle.left_extension_map(n)[v]):
+        if in_deg[v] != left[v]:
             raise InvariantViolation(f"in-degree mismatch at {v!r}")
-        if g.out_degree(v) != len(oracle.right_extension_map(n)[v]):
+        if out_deg[v] != right[v]:
             raise InvariantViolation(f"out-degree mismatch at {v!r}")
     return g
 
@@ -196,19 +201,21 @@ def build_special_rauzy(oracle: LanguageOracle, n: int) -> SpecialRauzyGraph:
 def _assert_special_graph_invariants(
     oracle: LanguageOracle, g: SpecialRauzyGraph
 ) -> None:
-    left_map = oracle.left_extension_map(g.n)
-    right_map = oracle.right_extension_map(g.n)
+    in_deg = Counter(e.dst for e in g.edges)
+    out_deg = Counter(e.src for e in g.edges)
+    left = oracle.extension_counts(g.n, "left")
+    right = oracle.extension_counts(g.n, "right")
     for v in g.vertices:
         word, side = v
         if side == "left":
-            if len(g.in_edges(v)) != len(left_map[word]):
+            if in_deg[v] != left[word]:
                 raise InvariantViolation(f"in-degree mismatch at {v}")
-            if len(g.out_edges(v)) != 1:
+            if out_deg[v] != 1:
                 raise InvariantViolation(f"left vertex {v} must have one out-edge")
         else:
-            if len(g.out_edges(v)) != len(right_map[word]):
+            if out_deg[v] != right[word]:
                 raise InvariantViolation(f"out-degree mismatch at {v}")
-            if len(g.in_edges(v)) != 1:
+            if in_deg[v] != 1:
                 raise InvariantViolation(f"right vertex {v} must have one in-edge")
     loops = [e for e in g.edges if e.src == e.dst]
     if loops and not periodicity_check(oracle).periodic_within_horizon:

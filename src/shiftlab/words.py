@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import AlphabetMismatch, HorizonExceeded, InvalidStep, InvariantViolation
@@ -290,7 +289,3 @@ def brute_force_valid_steps(w: Word, oracle: "LanguageOracle") -> list[int]:
             if oracle.contains(Word(w.alphabet, doubled)):
                 out.append(q)
     return out
-
-
-def step_gcd(q1: int, q2: int) -> int:
-    return gcd(q1, q2)

@@ -1,9 +1,14 @@
 """End-to-end command-line runs: reports, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import shiftlab
 from shiftlab.cli import main
 
 FIB_JSON = '{"alphabet": ["a", "b"], "rules": {"a": "ab", "b": "a"}, "seed": "a"}'
@@ -60,6 +65,20 @@ class TestAnalyze:
         bad.write_text("{not json")
         code = main(["analyze", "--substitution", str(bad)])
         assert code == 1
+
+    def test_rules_not_an_object_exits_one_without_traceback(self, tmp_path):
+        bad = tmp_path / "bad_rules.json"
+        bad.write_text('{"alphabet": ["a", "b"], "rules": [], "seed": "a"}')
+        env = dict(os.environ)
+        package_root = str(Path(shiftlab.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "shiftlab.cli", "analyze", "--substitution", str(bad)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert f"error: {bad}: 'rules' must be an object" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_deterministic(self, capsys, fib_spec):
         _, out1 = run(capsys, ["analyze", "--substitution", fib_spec, "--horizon", "24"])

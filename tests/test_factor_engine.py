@@ -1,0 +1,178 @@
+"""The factor-set engine against a naive reference.
+
+``oracle_from_prefix`` slices windows only at the horizon and derives the
+shorter levels; ``extension_counts`` counts extensions in one pass over
+the level above.  The reference here slices every window at every length
+and reads extension counts off ``extensions`` (and, at the top length,
+where ``extensions`` needs a longer horizon, off direct membership).
+"""
+
+import pytest
+from hypothesis import event, given, settings, strategies as st
+
+from shiftlab import rauzy
+from shiftlab.errors import InvariantViolation
+from shiftlab.generators import (
+    SequencePrefix,
+    SubstitutionSpec,
+    fibonacci_prefix,
+    oracle_from_prefix,
+    rotation_coding,
+    substitution_fixed_point,
+)
+from shiftlab.language import SIDES, LanguageOracle, extensions, growth_profile
+from shiftlab.words import Alphabet, Word
+
+
+def naive_levels(data: str, horizon: int) -> dict[int, frozenset[str]]:
+    return {
+        n: frozenset(data[i : i + n] for i in range(len(data) - n + 1))
+        for n in range(1, horizon + 1)
+    }
+
+
+def naive_counts(oracle: LanguageOracle, n: int, side: str) -> dict[str, int]:
+    if n <= oracle.horizon - 2:
+        return {
+            d: len(getattr(extensions(oracle, Word(oracle.alphabet, d)), side))
+            for d in oracle.factor_strings(n)
+        }
+    longer = oracle.factor_strings(n + 1)
+    return {
+        d: sum((a + d if side == "left" else d + a) in longer for a in oracle.alphabet.codes)
+        for d in oracle.factor_strings(n)
+    }
+
+
+def assert_matches_reference(x: SequencePrefix, horizon: int) -> None:
+    levels = naive_levels(x.data, horizon)
+    try:
+        ref = LanguageOracle(x.alphabet, levels, horizon, "reference")
+    except InvariantViolation as exc:
+        event("constructor refuses the windows")
+        # the derived levels must fail the constructor's checks the same way
+        with pytest.raises(InvariantViolation) as got:
+            oracle_from_prefix(x, horizon)
+        assert str(got.value) == str(exc)
+        return
+    oracle = oracle_from_prefix(x, horizon)
+    for n in range(1, horizon + 1):
+        assert oracle.factor_strings(n) == levels[n], n
+    for n in range(1, horizon):
+        for side in SIDES:
+            expected = naive_counts(ref, n, side)
+            assert oracle.extension_counts(n, side) == expected, (n, side)
+            assert oracle.special_strings(n, side) == {
+                d for d, c in expected.items() if c >= 2
+            }, (n, side)
+        assert {d: len(s) for d, s in oracle.left_extension_map(n).items()} == (
+            oracle.extension_counts(n, "left")
+        )
+        assert {d: len(s) for d, s in oracle.right_extension_map(n).items()} == (
+            oracle.extension_counts(n, "right")
+        )
+    if horizon >= 3:
+        assert growth_profile(oracle).p == {n: len(levels[n]) for n in levels}
+
+
+@st.composite
+def horizon_and_length(draw, max_horizon: int = 10):
+    """A horizon and a prefix length; half the time the shortest allowed,
+    ``4 * horizon``, so the final window of every level is near the start."""
+    horizon = draw(st.integers(1, max_horizon))
+    if draw(st.booleans()):
+        return horizon, 4 * horizon
+    return horizon, draw(st.integers(4 * horizon, 4 * horizon + 300))
+
+
+@st.composite
+def raw_prefixes(draw):
+    horizon, length = draw(horizon_and_length(max_horizon=6))
+    symbols = draw(st.sampled_from(["01", "012"]))
+    tokens = draw(st.text(alphabet=symbols, min_size=length, max_size=length))
+    return SequencePrefix.from_tokens(Alphabet(tuple(symbols)), tokens, "raw"), horizon
+
+
+@st.composite
+def substitution_prefixes(draw):
+    alphabet = Alphabet(tuple(draw(st.sampled_from(["ab", "abc"]))))
+    symbols = alphabet.symbols
+    images = st.lists(st.sampled_from(symbols), min_size=1, max_size=4)
+    rules = {s: tuple(draw(images)) for s in symbols}
+    seed = symbols[0]
+    rules[seed] = (seed, *draw(images))
+    horizon, length = draw(horizon_and_length())
+    spec = SubstitutionSpec(alphabet, rules, seed)
+    return substitution_fixed_point(spec, length), horizon
+
+
+@st.composite
+def rotation_prefixes(draw):
+    quotients = draw(st.lists(st.integers(1, 6), min_size=2, max_size=6))
+    horizon, length = draw(horizon_and_length())
+    return rotation_coding(quotients, length), horizon
+
+
+class TestAgainstNaiveReference:
+    @given(raw_prefixes())
+    @settings(max_examples=120, deadline=None)
+    def test_raw_strings(self, case):
+        assert_matches_reference(*case)
+
+    @given(substitution_prefixes())
+    @settings(max_examples=80, deadline=None)
+    def test_substitution_fixed_points(self, case):
+        assert_matches_reference(*case)
+
+    @given(rotation_prefixes())
+    @settings(max_examples=80, deadline=None)
+    def test_rotation_codings(self, case):
+        assert_matches_reference(*case)
+
+    @pytest.mark.parametrize("horizon", [1, 2, 3, 10])
+    def test_shortest_fibonacci_prefix(self, horizon):
+        assert_matches_reference(fibonacci_prefix(4 * horizon), horizon)
+
+
+# -- the checks still fire --------------------------------------------------
+
+
+@pytest.fixture()
+def fib12():
+    return oracle_from_prefix(fibonacci_prefix(2000), 12)
+
+
+def corrupt_counts(monkeypatch, oracle, side):
+    """Make ``extension_counts`` on ``side`` overcount every word by one."""
+    honest = oracle.extension_counts
+
+    def counts(n, s):
+        return {d: c + (s == side) for d, c in honest(n, s).items()}
+
+    monkeypatch.setattr(oracle, "extension_counts", counts)
+
+
+class TestChecksFire:
+    def test_counts_reject_a_closure_gap(self, ab):
+        levels = {1: frozenset({"0", "1"}), 2: frozenset({"00", "01", "10", "21"})}
+        oracle = LanguageOracle(ab, levels, 2, "gap", _skip_checks=True)
+        with pytest.raises(InvariantViolation, match="factor closure"):
+            oracle.extension_counts(1, "right")
+
+    def test_growth_sum_identity(self, monkeypatch, fib12):
+        corrupt_counts(monkeypatch, fib12, "left")
+        with pytest.raises(InvariantViolation, match="growth-sum identity"):
+            growth_profile(fib12)
+
+    @pytest.mark.parametrize("side,what", [("left", "in-degree"), ("right", "out-degree")])
+    def test_rauzy_degrees(self, monkeypatch, fib12, side, what):
+        corrupt_counts(monkeypatch, fib12, side)
+        with pytest.raises(InvariantViolation, match=what):
+            rauzy.build_rauzy(fib12, 5)
+
+    @pytest.mark.parametrize("side,what", [("left", "in-degree"), ("right", "out-degree")])
+    def test_special_graph_degrees(self, monkeypatch, fib12, side, what):
+        g = rauzy.build_special_rauzy(fib12, 5)
+        corrupt_counts(monkeypatch, fib12, side)
+        with pytest.raises(InvariantViolation, match=what):
+            rauzy._assert_special_graph_invariants(fib12, g)
