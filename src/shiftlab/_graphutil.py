@@ -4,6 +4,7 @@ All functions take explicit vertex sequences and successor mappings so
 they work on any of the package's graph representations without
 adapters.  Vertex sequence order drives iteration, so results are
 deterministic whenever the caller passes deterministic orders.
+``arc_index`` is the one adjacency index the graph classes build.
 """
 
 from __future__ import annotations
@@ -11,6 +12,20 @@ from __future__ import annotations
 from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 V = TypeVar("V", bound=Hashable)
+K = TypeVar("K")
+
+
+def arc_index(
+    arcs: Iterable[tuple[K, V, V]],
+) -> tuple[dict[V, list[K]], dict[V, list[K]]]:
+    """Out- and in-lists of arc keys by vertex, from ``(key, src, dst)``
+    triples; each list keeps the order in which the arcs were given."""
+    out: dict[V, list[K]] = {}
+    into: dict[V, list[K]] = {}
+    for key, src, dst in arcs:
+        out.setdefault(src, []).append(key)
+        into.setdefault(dst, []).append(key)
+    return out, into
 
 
 def reachable(start: V, succ: Callable[[V], Iterable[V]]) -> set[V]:

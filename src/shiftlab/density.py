@@ -19,15 +19,6 @@ from .language import LanguageOracle, Side, growth_profile, periodicity_check
 from .words import Word, minimal_step, occurrences
 
 
-def _occurrence_starts(x: SequencePrefix, w: Word) -> list[int]:
-    out = []
-    pos = x.data.find(w.data)
-    while pos != -1:
-        out.append(pos + 1)
-        pos = x.data.find(w.data, pos + 1)
-    return out
-
-
 def block_count(x: SequencePrefix, n: int, K: int) -> int:
     """Number of complete blocks of ``(K+1)n`` start positions whose
     windows fit inside the prefix."""
@@ -50,7 +41,7 @@ class ReturnGaps:
 
 
 def return_gaps(x: SequencePrefix, w: Word) -> ReturnGaps:
-    starts = _occurrence_starts(x, w)
+    starts = occurrences(x, w)[1]
     if len(starts) < 2:
         return ReturnGaps(w, len(starts), None, None, None)
     gaps = [b - a for a, b in zip(starts, starts[1:])]
@@ -115,7 +106,7 @@ def density_estimate(w: Word, x: SequencePrefix, K: int) -> BlockDensity:
         )
     size = (K + 1) * n
     flags = [0] * N
-    for k in _occurrence_starts(x, w):
+    for k in occurrences(x, w)[1]:
         j = (k - 1) // size  # 0-based block of start k ((j)(size) < k <= (j+1)(size))
         if j < N:
             flags[j] = 1
@@ -298,9 +289,9 @@ def interleaving_density_case(
     if any(len(b) != m for b in between):
         raise PreconditionFailure("interleaving words must share one length")
     n = len(w)
-    starts = _occurrence_starts(x, w)
+    starts = occurrences(x, w)[1]
     b_starts = sorted(
-        k for b in between for k in _occurrence_starts(x, b)
+        k for b in between for k in occurrences(x, b)[1]
     )
     import bisect
 

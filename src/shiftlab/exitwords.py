@@ -21,7 +21,14 @@ from .errors import (
 )
 from .generators import SequencePrefix
 from .language import LanguageOracle, check_rbc, growth_profile
-from .words import Word, minimal_step, occurrences, periodic_power, shift_match
+from .words import (
+    Word,
+    minimal_step,
+    occurrences,
+    periodic_letter,
+    periodic_power,
+    shift_match,
+)
 
 
 @dataclass(frozen=True)
@@ -63,13 +70,6 @@ class ExitWord:
         }
 
 
-def _periodic_char(w: Word, q: int, position: int) -> str:
-    """Code char of the two-sided periodic extension of ``w`` (period
-    ``q``) at a 1-based position; position 1 is the first letter of the
-    power, positions <= 0 extend to the left."""
-    return w.data[(position - 1) % q]
-
-
 def is_representation(
     z: Word, w: Word, q: int, p_len: int, r: int, s_len: int
 ) -> bool:
@@ -90,16 +90,16 @@ def is_representation(
     if p_len == 0:
         return False  # the bare power is a suffix of the longer power
     for k in range(2, p_len + 1):
-        if z.data[k - 1] != _periodic_char(w, q, k - p_len):
+        if z.data[k - 1] != periodic_letter(w, q, k - p_len):
             return False
-    if z.data[0] == _periodic_char(w, q, 1 - p_len):
+    if z.data[0] == periodic_letter(w, q, 1 - p_len):
         return False
     if s_len == 0:
         return False  # the bare power is a prefix of the longer power
     for k in range(1, s_len):
-        if z.data[p_len + mid + k - 1] != _periodic_char(w, q, mid + k):
+        if z.data[p_len + mid + k - 1] != periodic_letter(w, q, mid + k):
             return False
-    if z.data[-1] == _periodic_char(w, q, mid + s_len):
+    if z.data[-1] == periodic_letter(w, q, mid + s_len):
         return False
     return True
 
@@ -197,9 +197,9 @@ def enumerate_exit_words(
     found: dict[str, Word] = {}
     partial = False
     for p_len in range(1, q + 1):
-        left_expected = _periodic_char(w, q, 1 - p_len)
+        left_expected = periodic_letter(w, q, 1 - p_len)
         left_tail = "".join(
-            _periodic_char(w, q, k - p_len) for k in range(2, p_len + 1)
+            periodic_letter(w, q, k - p_len) for k in range(2, p_len + 1)
         )
         for a in codes:
             if a == left_expected:
@@ -208,9 +208,9 @@ def enumerate_exit_words(
                 # positions are taken mod q, so neither the continuation
                 # head nor the breaking letter depends on r
                 right_head = "".join(
-                    _periodic_char(w, q, n + k) for k in range(1, s_len)
+                    periodic_letter(w, q, n + k) for k in range(1, s_len)
                 )
-                right_expected = _periodic_char(w, q, n + s_len)
+                right_expected = periodic_letter(w, q, n + s_len)
                 for b in codes:
                     if b == right_expected:
                         continue
@@ -297,7 +297,7 @@ def classify_occurrence(
         raise PreconditionFailure(f"{w} has no valid step")
     # extend the periodic match leftward from the occurrence
     j1 = j
-    while j1 > 1 and x.data[j1 - 2] == _periodic_char(w, q, j1 - j):
+    while j1 > 1 and x.data[j1 - 2] == periodic_letter(w, q, j1 - j):
         j1 -= 1
     if j1 == 1:
         r = ceil((j - 1) / q) + 1
@@ -307,7 +307,7 @@ def classify_occurrence(
         return OccurrenceClassification(j, "suffix-of-power", r=r)
     # extend rightward: find the first break after the occurrence
     t = j + n  # next position to test, 1-based
-    while t <= len(x.data) and x.data[t - 1] == _periodic_char(w, q, t - j + 1):
+    while t <= len(x.data) and x.data[t - 1] == periodic_letter(w, q, t - j + 1):
         t += 1
     if t > len(x.data):
         raise HorizonExceeded(
@@ -363,11 +363,7 @@ def check_overlap_bound(
     if q_min != q:
         raise PreconditionFailure(f"q={q} is not the minimal step ({q_min})")
     n = len(w)
-    starts = []
-    pos = x.data.find(w.data)
-    while pos != -1:
-        starts.append(pos + 1)
-        pos = x.data.find(w.data, pos + 1)
+    _, starts = occurrences(x, w)
     occ_exits: dict[int, ExitWord] = {}
     skipped = []
     for j in starts:

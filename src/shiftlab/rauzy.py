@@ -9,11 +9,11 @@ machinery rewrites.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
-from ._graphutil import find_cycle, is_strongly_connected, is_weakly_connected
+from ._graphutil import arc_index, find_cycle, is_strongly_connected, is_weakly_connected
 from .errors import HorizonExceeded, InvariantViolation, PreconditionFailure
 from .language import (
     LanguageOracle,
@@ -43,17 +43,21 @@ class RauzyGraph:
     right_special: frozenset[str]
     alphabet_symbols: tuple[str, ...]
 
+    @cached_property
+    def _adjacency(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+        return arc_index((e, e[:-1], e[1:]) for e in self.edges)
+
     def successors(self, v: str) -> list[str]:
-        return [e[1:] for e in self.edges if e[: self.n] == v]
+        return [e[1:] for e in self._adjacency[0].get(v, ())]
 
     def predecessors(self, v: str) -> list[str]:
-        return [e[:-1] for e in self.edges if e[1:] == v]
+        return [e[:-1] for e in self._adjacency[1].get(v, ())]
 
     def in_degree(self, v: str) -> int:
-        return sum(1 for e in self.edges if e[1:] == v)
+        return len(self._adjacency[1].get(v, ()))
 
     def out_degree(self, v: str) -> int:
-        return sum(1 for e in self.edges if e[: self.n] == v)
+        return len(self._adjacency[0].get(v, ()))
 
 
 def build_rauzy(oracle: LanguageOracle, n: int) -> RauzyGraph:
@@ -61,26 +65,14 @@ def build_rauzy(oracle: LanguageOracle, n: int) -> RauzyGraph:
         raise HorizonExceeded(
             f"factor graph at length {n} needs horizon {n + 2}", required=n + 2
         )
-    vertices = tuple(sorted(oracle.factor_strings(n)))
-    edges = tuple(sorted(oracle.factor_strings(n + 1)))
-    g = RauzyGraph(
+    return RauzyGraph(
         n,
-        vertices,
-        edges,
+        tuple(sorted(oracle.factor_strings(n))),
+        tuple(sorted(oracle.factor_strings(n + 1))),
         oracle.special_strings(n, "left"),
         oracle.special_strings(n, "right"),
         oracle.alphabet.symbols,
     )
-    in_deg = Counter(e[1:] for e in edges)
-    out_deg = Counter(e[:n] for e in edges)
-    left = oracle.extension_counts(n, "left")
-    right = oracle.extension_counts(n, "right")
-    for v in vertices:
-        if in_deg[v] != left[v]:
-            raise InvariantViolation(f"in-degree mismatch at {v!r}")
-        if out_deg[v] != right[v]:
-            raise InvariantViolation(f"out-degree mismatch at {v!r}")
-    return g
 
 
 SpecialVertex = tuple[str, str]  # (word data, "left" | "right")
@@ -113,17 +105,21 @@ class SpecialRauzyGraph:
     left_special: frozenset[str]
     right_special: frozenset[str]
 
+    @cached_property
+    def _adjacency(self):
+        return arc_index((e, e.src, e.dst) for e in self.edges)
+
     def successors(self, v: SpecialVertex) -> list[SpecialVertex]:
-        return [e.dst for e in self.edges if e.src == v]
+        return [e.dst for e in self._adjacency[0].get(v, ())]
 
     def predecessors(self, v: SpecialVertex) -> list[SpecialVertex]:
-        return [e.src for e in self.edges if e.dst == v]
+        return [e.src for e in self._adjacency[1].get(v, ())]
 
     def in_edges(self, v: SpecialVertex) -> list[SpecialEdge]:
-        return [e for e in self.edges if e.dst == v]
+        return list(self._adjacency[1].get(v, ()))
 
     def out_edges(self, v: SpecialVertex) -> list[SpecialEdge]:
-        return [e for e in self.edges if e.src == v]
+        return list(self._adjacency[0].get(v, ()))
 
     @property
     def vertex_count(self) -> int:
@@ -201,21 +197,20 @@ def build_special_rauzy(oracle: LanguageOracle, n: int) -> SpecialRauzyGraph:
 def _assert_special_graph_invariants(
     oracle: LanguageOracle, g: SpecialRauzyGraph
 ) -> None:
-    in_deg = Counter(e.dst for e in g.edges)
-    out_deg = Counter(e.src for e in g.edges)
     left = oracle.extension_counts(g.n, "left")
     right = oracle.extension_counts(g.n, "right")
     for v in g.vertices:
         word, side = v
+        in_deg, out_deg = len(g.in_edges(v)), len(g.out_edges(v))
         if side == "left":
-            if in_deg[v] != left[word]:
+            if in_deg != left[word]:
                 raise InvariantViolation(f"in-degree mismatch at {v}")
-            if out_deg[v] != 1:
+            if out_deg != 1:
                 raise InvariantViolation(f"left vertex {v} must have one out-edge")
         else:
-            if out_deg[v] != right[word]:
+            if out_deg != right[word]:
                 raise InvariantViolation(f"out-degree mismatch at {v}")
-            if in_deg[v] != 1:
+            if in_deg != 1:
                 raise InvariantViolation(f"right vertex {v} must have one in-edge")
     loops = [e for e in g.edges if e.src == e.dst]
     if loops and not periodicity_check(oracle).periodic_within_horizon:
@@ -416,9 +411,7 @@ def evolve(oracle: LanguageOracle, n: int) -> EvolutionStep:
     # cross-check: replay the rewrites as abstract moves, both orders
     tilde_graph = build_special_rauzy(oracle, n_tilde)
     ident_to_prime = _identification(oracle, n_tilde, n_prime)
-    target_sig = tuple(
-        sorted((_vertex_name(e.src), _vertex_name(e.dst)) for e in after.edges)
-    )
+    target_sig = sorted((e.src, e.dst) for e in after.edges)
     final_sim = None
     for order in (bis, list(reversed(bis))):
         sim = _to_abstract(tilde_graph)
@@ -427,10 +420,8 @@ def evolve(oracle: LanguageOracle, n: int) -> EvolutionStep:
             verdict = is_regular_bispecial(oracle, w)
             a_hat = oracle.alphabet.code(verdict.left_witness)  # type: ignore[arg-type]
             b_hat = oracle.alphabet.code(verdict.right_witness)  # type: ignore[arg-type]
-            e0 = _vertex_name((data, "left")), _vertex_name((data, "right"))
-            e0_id = next(
-                eid for eid, (s, d) in sim.edges.items() if (s, d) == e0
-            )
+            u, v = _vertex_name((data, "left")), _vertex_name((data, "right"))
+            e0_id = next(eid for eid in sim.out_edges(u) if sim.edges[eid][1] == v)
             chosen_in = next(
                 e.eid
                 for e in tilde_graph.in_edges((data, "left"))
@@ -442,14 +433,9 @@ def evolve(oracle: LanguageOracle, n: int) -> EvolutionStep:
                 if e.path.startswith(data + b_hat)
             )
             sim, _ = apply_rbs(sim, None, e0_id, chosen_in, chosen_out)
-        sim_sig = tuple(
-            sorted(
-                (
-                    _from_name_through(ident_to_prime, s),
-                    _from_name_through(ident_to_prime, d),
-                )
-                for (s, d) in sim.edges.values()
-            )
+        sim_sig = sorted(
+            (ident_to_prime[_name_vertex(s)], ident_to_prime[_name_vertex(d)])
+            for (s, d) in sim.edges.values()
         )
         if sim_sig != target_sig:
             raise InvariantViolation(
@@ -486,15 +472,15 @@ def evolve(oracle: LanguageOracle, n: int) -> EvolutionStep:
 
 def _pair_by_endpoints(
     claimants: list[tuple[str, str, tuple[str, str], tuple[str, str]]],
-    targets: list[SpecialEdge],
+    target: SpecialRauzyGraph,
 ) -> dict[str, str]:
-    """Assign claimants (eid, path, src, dst) to target edges sharing
-    their endpoints, preferring path containment, deterministically."""
+    """Assign claimants (eid, path, src, dst) to edges of ``target``
+    sharing their endpoints, preferring path containment, deterministically."""
     out: dict[str, str] = {}
     taken: set[str] = set()
     for eid, path, src, dst in sorted(claimants, key=lambda t: (t[2], t[3], len(t[1]), t[1])):
         candidates = [
-            f for f in targets if f.src == src and f.dst == dst and f.eid not in taken
+            f for f in target.out_edges(src) if f.dst == dst and f.eid not in taken
         ]
         if not candidates:
             raise InvariantViolation(f"no counterpart for edge {eid} ({path!r})")
@@ -531,18 +517,15 @@ def _match_edges(
         claimants = [
             (e.eid, e.path, ident[e.src], ident[e.dst]) for e in before.edges
         ]
-        before_to_tilde = _pair_by_endpoints(claimants, list(tilde_graph.edges))
+        before_to_tilde = _pair_by_endpoints(claimants, tilde_graph)
     tilde_paths = {e.eid: e.path for e in tilde_graph.edges}
 
-    def renamed(name: str) -> SpecialVertex:
-        side = "left" if name.startswith("L:") else "right"
-        return ident_to_prime[(name[2:], side)]
-
     claimants2 = [
-        (eid, tilde_paths[eid], renamed(s), renamed(d))
+        (eid, tilde_paths[eid], ident_to_prime[_name_vertex(s)],
+         ident_to_prime[_name_vertex(d)])
         for eid, (s, d) in final_sim.edges.items()
     ]
-    tilde_to_after = _pair_by_endpoints(claimants2, list(after.edges))
+    tilde_to_after = _pair_by_endpoints(claimants2, after)
     return {
         eid: tilde_to_after[before_to_tilde[eid]] for eid in before_to_tilde
     }
@@ -552,12 +535,9 @@ def _vertex_name(v: SpecialVertex) -> str:
     return ("L:" if v[1] == "left" else "R:") + v[0]
 
 
-def _from_name_through(
-    ident: dict[SpecialVertex, SpecialVertex], name: str
-) -> str:
-    side = "left" if name.startswith("L:") else "right"
-    mapped = ident[(name[2:], side)]
-    return _vertex_name(mapped)
+def _name_vertex(name: str) -> SpecialVertex:
+    """Inverse of :func:`_vertex_name`."""
+    return name[2:], "left" if name.startswith("L:") else "right"
 
 
 def _to_abstract(g: SpecialRauzyGraph) -> "AbstractGraph":

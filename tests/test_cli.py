@@ -32,6 +32,17 @@ def iet_spec(tmp_path):
     return str(path)
 
 
+def run_subprocess(argv):
+    """Run the CLI in a fresh interpreter, so that a traceback would show."""
+    env = dict(os.environ)
+    package_root = str(Path(shiftlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "shiftlab.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -69,13 +80,7 @@ class TestAnalyze:
     def test_rules_not_an_object_exits_one_without_traceback(self, tmp_path):
         bad = tmp_path / "bad_rules.json"
         bad.write_text('{"alphabet": ["a", "b"], "rules": [], "seed": "a"}')
-        env = dict(os.environ)
-        package_root = str(Path(shiftlab.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "shiftlab.cli", "analyze", "--substitution", str(bad)],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = run_subprocess(["analyze", "--substitution", str(bad)])
         assert proc.returncode == 1
         assert f"error: {bad}: 'rules' must be an object" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -171,6 +176,12 @@ class TestDensity:
         assert report["color"]["threshold"] == 0.3
 
 
+TWO_CYCLE = {
+    "vertices": {"u": "left", "v": "right"},
+    "edges": {"a": ["u", "v"], "b": ["v", "u"]},
+}
+
+
 class TestAbstractAndXi:
     def test_abstract_validate_and_search(self, capsys, tmp_path):
         graph = {
@@ -193,6 +204,30 @@ class TestAbstractAndXi:
         assert report["validation"]["ok"] and report["validation"]["K"] == 3
         assert report["bound"]["xi_connected"] is True
         assert report["search"]["found"] is True
+
+    @pytest.mark.parametrize(
+        "obj,message",
+        [
+            ({"edges": []}, "'vertices' must be an object"),
+            ({"vertices": {}, "edges": []}, "'edges' must be an object"),
+            (
+                {"vertices": {"u": "left"}, "edges": {"a": ["u"]}},
+                "edge 'a' must be a [source, target] pair",
+            ),
+            ({**TWO_CYCLE, "loops": {"1": ["a", "zz"]}}, "loop edge 'zz' is not an edge"),
+            ({**TWO_CYCLE, "loops": ["a", "b"]}, "'loops' must map labels"),
+            ({**TWO_CYCLE, "coloring": []}, "coloring 'vertices' must be an object"),
+        ],
+        ids=["no-vertices", "edge-list", "one-endpoint", "unknown-loop-edge",
+             "loops-list", "coloring-list"],
+    )
+    def test_malformed_graph_file_exits_one_without_traceback(self, tmp_path, obj, message):
+        bad = tmp_path / "bad_graph.json"
+        bad.write_text(json.dumps(obj))
+        proc = run_subprocess(["abstract", "--graph", str(bad)])
+        assert proc.returncode == 1
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_abstract_random(self, capsys):
         code, out = run(capsys, ["abstract", "--random", "--seed", "3"])

@@ -1,0 +1,159 @@
+"""Indexed adjacency queries against a naive edge-scan reference.
+
+Every graph class answers its adjacency queries from one index built on
+the first query.  The reference here rescans all edges per query, as the
+classes once did; each indexed answer must equal it, order included
+(``LoopQuotient.neighbors`` as a multiset), also for unknown vertices.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+
+from shiftlab.abstract_graphs import (
+    AbstractGraph,
+    apply_rbs,
+    build_xi,
+    enumerate_valid_graphs,
+    random_abc_move,
+    random_graph_with_loops,
+    random_twist_shrink_log,
+)
+from shiftlab.generators import SequencePrefix, oracle_from_prefix
+from shiftlab.rauzy import build_rauzy, build_special_rauzy
+from shiftlab.words import Alphabet
+
+
+def scan_abstract(g, v):
+    ids = sorted(g.edges)
+    outs = [e for e in ids if g.edges[e][0] == v]
+    ins = [e for e in ids if g.edges[e][1] == v]
+    return {
+        "out_edges": outs,
+        "in_edges": ins,
+        "successors": [g.edges[e][1] for e in outs],
+        "predecessors": [g.edges[e][0] for e in ins],
+    }
+
+
+def scan_rauzy(g, v):
+    return {
+        "successors": [e[1:] for e in g.edges if e[: g.n] == v],
+        "predecessors": [e[:-1] for e in g.edges if e[1:] == v],
+        "in_degree": sum(1 for e in g.edges if e[1:] == v),
+        "out_degree": sum(1 for e in g.edges if e[: g.n] == v),
+    }
+
+
+def scan_special(g, v):
+    return {
+        "successors": [e.dst for e in g.edges if e.src == v],
+        "predecessors": [e.src for e in g.edges if e.dst == v],
+        "in_edges": [e for e in g.edges if e.dst == v],
+        "out_edges": [e for e in g.edges if e.src == v],
+    }
+
+
+def scan_neighbors(xi, x):
+    out = []
+    for _, a, b in xi.edges:
+        if a == x:
+            out.append(b)
+        elif b == x:
+            out.append(a)
+    return out
+
+
+def assert_matches_scan(graph, vertices, scan):
+    for v in vertices:
+        for name, expected in scan(graph, v).items():
+            got = getattr(graph, name)(v)
+            assert got == expected, (name, v)
+            if isinstance(got, list):
+                got.append(None)  # a caller's edit must not reach the index
+                assert getattr(graph, name)(v) == expected, (name, v)
+
+
+def random_instances(count):
+    rng = random.Random(7)
+    return [random_graph_with_loops(rng) for _ in range(count)]
+
+
+def rewritten_graphs():
+    """Outputs of ``apply_rbs``: one random A/B/C move and a short
+    twist/shrink log per random instance."""
+    rng = random.Random(11)
+    out = []
+    for g, loops in random_instances(30):
+        mv = random_abc_move(rng, g, loops)
+        if mv is not None:
+            out.append(apply_rbs(g, None, mv.e0, mv.chosen_in, mv.chosen_out)[0])
+        current = g
+        for mv in random_twist_shrink_log(rng, g, loops, 3):
+            current, _ = apply_rbs(current, None, mv.e0, mv.chosen_in, mv.chosen_out)
+            out.append(current)
+    return out
+
+
+class TestAbstractGraph:
+    @pytest.mark.parametrize(
+        "source",
+        ["random", "enumerated", "rewritten"],
+    )
+    def test_queries_match_scan(self, source):
+        graphs = {
+            "random": lambda: [g for g, _ in random_instances(40)],
+            "enumerated": lambda: list(enumerate_valid_graphs(2, 4)),
+            "rewritten": rewritten_graphs,
+        }[source]()
+        assert graphs
+        for g in graphs:
+            assert_matches_scan(g, [*g.vertex_list(), "not-a-vertex"], scan_abstract)
+
+    def test_parallel_edges_keep_id_order(self):
+        g = AbstractGraph(
+            {"u": "left", "v": "right"},
+            {"c": ("v", "u"), "a": ("u", "v"), "b": ("v", "u")},
+        )
+        assert g.in_edges("u") == ["b", "c"]
+        assert_matches_scan(g, ["u", "v"], scan_abstract)
+
+
+def random_binary_oracle(seed, length=3000, horizon=10):
+    rng = random.Random(seed)
+    tokens = "".join(rng.choice("01") for _ in range(length))
+    return oracle_from_prefix(SequencePrefix.from_tokens(Alphabet(("0", "1")), tokens), horizon)
+
+
+@pytest.fixture(scope="module")
+def oracles(fib_oracle):
+    return [(fib_oracle, (3, 5, 8)), (random_binary_oracle(1), (2, 4)), (random_binary_oracle(2), (3,))]
+
+
+class TestRauzyGraphs:
+    def test_factor_graph_queries_match_scan(self, oracles):
+        for oracle, lengths in oracles:
+            for n in lengths:
+                g = build_rauzy(oracle, n)
+                assert_matches_scan(g, [*g.vertices, "2" * n], scan_rauzy)
+
+    def test_special_graph_queries_match_scan(self, oracles):
+        for oracle, lengths in oracles:
+            for n in lengths:
+                g = build_special_rauzy(oracle, n)
+                unknown = ("2" * n, "left")
+                assert_matches_scan(g, [*g.vertices, unknown], scan_special)
+
+
+class TestLoopQuotient:
+    def test_neighbors_match_scan(self):
+        rng = random.Random(13)
+        checked = 0
+        for g, loops in random_instances(40):
+            moves = random_twist_shrink_log(rng, g, loops, 3)
+            for xi in (build_xi(g, loops), build_xi(g, loops, moves)):
+                for x in [*xi.vertices, "not-a-vertex"]:
+                    assert Counter(xi.neighbors(x)) == Counter(scan_neighbors(xi, x)), x
+                checked += 1
+        assert checked == 80
