@@ -110,15 +110,6 @@ class AbstractGraph:
             and self.vertices[self.edges[e][1]] == "right"
         ]
 
-    def degree_profile(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        lefts = sorted(
-            len(self.in_edges(v)) for v, k in self.vertices.items() if k == "left"
-        )
-        rights = sorted(
-            len(self.out_edges(v)) for v, k in self.vertices.items() if k == "right"
-        )
-        return tuple(lefts), tuple(rights)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, AbstractGraph)
@@ -198,6 +189,16 @@ def loops_vertex_disjoint(graph: AbstractGraph, loops: Sequence[Loop]) -> bool:
     return True
 
 
+def _check_loops(graph: AbstractGraph, loops: Mapping[str, Loop]) -> None:
+    """Every loop is a self-avoiding circuit of the graph, and the loops
+    are vertex-disjoint."""
+    labels = sorted(loops)
+    for lab in labels:
+        check_loop(graph, loops[lab])
+    if not loops_vertex_disjoint(graph, [loops[lab] for lab in labels]):
+        raise PreconditionFailure("tracked loops must be vertex-disjoint")
+
+
 # ---------------------------------------------------------------------------
 # validation
 
@@ -216,8 +217,6 @@ def validate(graph: AbstractGraph, coloring: Coloring | None = None) -> Validati
     """Check the structural notation items (1-8) and the one-graph
     coloring rules (1-4); violations name the failed item."""
     v: list[str] = []
-    if graph.K_left + graph.K_right != len(graph.vertices):
-        v.append("notation-1: vertex kinds do not partition the vertex set")
     for name, kind in sorted(graph.vertices.items()):
         ins, outs = len(graph.in_edges(name)), len(graph.out_edges(name))
         if kind == "left" and (outs != 1 or ins < 2):
@@ -319,8 +318,10 @@ def apply_rbs(
 
     The bispecial edge ends up reversed; the chosen in-edge follows the
     right vertex, the chosen out-edge follows the left vertex, all other
-    incident edges stay.  Raises when the choice yields a self-loop or a
-    disconnected graph.  Colors are preserved off the two touched
+    incident edges stay, so every vertex keeps its in- and out-degree
+    (``e0`` trades places with ``chosen_in`` at ``v`` and with
+    ``chosen_out`` at ``u``).  Raises when the choice yields a self-loop or
+    a disconnected graph.  Colors are preserved off the two touched
     vertices and the rewired edge; on those three the old colors are kept
     when the result still validates, otherwise they are zeroed (least
     change first, full zeroing as fallback).
@@ -363,8 +364,6 @@ def apply_rbs(
         raise InadmissibleMove(
             f"choice ({chosen_in},{chosen_out}) disconnects the graph"
         )
-    if result.degree_profile() != graph.degree_profile():
-        raise InvariantViolation("rewrite changed the degree profile")
     if coloring is None:
         return result, None
     new_coloring = _complete_colors(result, coloring, u, v, e0)
@@ -431,26 +430,43 @@ def classify_move(graph: AbstractGraph, loop: Loop, move: Move) -> str:
         return COLLAPSE
     if len(loop.edges) == 2:
         raise PreconditionFailure("shrink is never allowed in a 2-loop")
-    if in_on_loop:  # ejects u
-        lefts_on_loop = sum(
-            1 for w in lverts if graph.vertices[w] == "left"
-        )
-        if lefts_on_loop < 2:
-            raise PreconditionFailure(
-                "cannot eject the loop's only left special vertex"
-            )
-        return SHRINK_U
-    rights_on_loop = sum(1 for w in lverts if graph.vertices[w] == "right")
-    if rights_on_loop < 2:
-        raise PreconditionFailure(
-            "cannot eject the loop's only right special vertex"
-        )
-    return SHRINK_V
+    # choosing the loop's in-edge at u ejects u, choosing its out-edge at v ejects v
+    side, kind = ("left", SHRINK_U) if in_on_loop else ("right", SHRINK_V)
+    if sum(1 for w in lverts if graph.vertices[w] == side) < 2:
+        raise PreconditionFailure(f"cannot eject the loop's only {side} special vertex")
+    return kind
 
 
 def shrink_loop(loop: Loop, move: Move) -> Loop:
     """The loop after a shrink: the rewired edge leaves it."""
     return Loop(tuple(e for e in loop.edges if e != move.e0))
+
+
+def _track_move(
+    graph: AbstractGraph, loops: Mapping[str, Loop], move: Move
+) -> tuple[str | None, str, AbstractGraph, Mapping[str, Loop]]:
+    """One step of a move log over vertex-disjoint tracked loops.
+
+    Returns the label of the first loop (in label order) the move touches,
+    or ``None``, the move's kind relative to it, and the graph and loops
+    after the move.  A collapse is not applied: graph and loops come back
+    unchanged, and each caller decides what a collapse means to it.  The
+    rewrite keeps every degree and moves no edge of another loop, so the
+    loops stay disjoint circuits of the new graph.
+    """
+    label, kind = None, OUTSIDE
+    for lab in sorted(loops):
+        kind = classify_move(graph, loops[lab], move)
+        if kind != OUTSIDE:
+            label = lab
+            break
+    if kind == COLLAPSE:
+        return label, kind, graph, loops
+    graph_after, _ = apply_rbs(graph, None, move.e0, move.chosen_in, move.chosen_out)
+    loops_after = dict(loops)
+    if kind in (SHRINK_U, SHRINK_V):
+        loops_after[label] = shrink_loop(loops[label], move)
+    return label, kind, graph_after, loops_after
 
 
 # ---------------------------------------------------------------------------
@@ -495,32 +511,22 @@ def build_xi(
     loops: Mapping[str, Loop],
     moves: Sequence[Move] = (),
 ) -> LoopQuotient:
-    """Apply the twist/shrink moves from the log (ignoring moves that do
-    not touch the tracked loops), delete the surviving loops' edges, and
-    merge each loop's special vertices by side."""
+    """Apply every move of the log, delete the surviving loops' edges, and
+    merge each loop's special vertices by side.
+
+    The log is meant to hold twists and shrinks on the tracked loops, as
+    :meth:`Itinerary.twist_shrink_moves` and :func:`random_twist_shrink_log`
+    produce; a move off the loops is applied like any other rewrite, and a
+    collapse is refused."""
+    _check_loops(graph, loops)
     labels = sorted(loops)
-    current = graph
-    track = {lab: loops[lab] for lab in labels}
-    for lab in labels:
-        check_loop(graph, track[lab])
-    if not loops_vertex_disjoint(graph, list(track.values())):
-        raise PreconditionFailure("tracked loops must be vertex-disjoint")
+    current, track = graph, loops
     for mv in moves:
-        kinds = {lab: classify_move(current, track[lab], mv) for lab in labels}
-        touching = [lab for lab, k in kinds.items() if k != OUTSIDE]
-        if not touching:
-            continue  # moves off the loops do not enter the quotient
-        if len(touching) > 1:
-            raise InvariantViolation("one edge cannot lie on two disjoint loops")
-        lab = touching[0]
-        kind = kinds[lab]
+        lab, kind, current, track = _track_move(current, track, mv)
         if kind == COLLAPSE:
             raise PreconditionFailure(
                 f"move log contains a collapse on tracked loop {lab}"
             )
-        current, _ = apply_rbs(current, None, mv.e0, mv.chosen_in, mv.chosen_out)
-        if kind in (SHRINK_U, SHRINK_V):
-            track[lab] = shrink_loop(track[lab], mv)
     loop_edge_ids = {e for lp in track.values() for e in lp.edges}
     merge: dict[str, str] = {}
     for lab in labels:
@@ -570,7 +576,7 @@ class BoundReport:
 def bound_check(
     graph: AbstractGraph,
     loops: Mapping[str, Loop],
-    moves_or_itinerary: "Sequence[Move] | Itinerary" = (),
+    moves: Sequence[Move] = (),
 ) -> BoundReport:
     """Build the quotient from the twist/shrink log and report whether
     its connectivity yields the loop-count bound.
@@ -580,10 +586,6 @@ def bound_check(
     verdict; for rule-conformant inputs a disconnected quotient means
     some stated rule was violated upstream, and the report says so.
     """
-    if isinstance(moves_or_itinerary, Itinerary):
-        moves = moves_or_itinerary.twist_shrink_moves()
-    else:
-        moves = list(moves_or_itinerary)
     xi = build_xi(graph, loops, moves)
     connected = xi.is_connected()
     K, E = xi.K, xi.E
@@ -622,19 +624,21 @@ class ComponentTags:
 
 def check_conditions_a(graph: AbstractGraph, loops: Mapping[str, Loop]) -> None:
     rep = validate(graph)
-    structural = [x for x in rep.violations if x.startswith("notation")]
-    if structural:
-        raise PreconditionFailure(f"structure violates: {structural[0]}")
-    for lab in sorted(loops):
-        check_loop(graph, loops[lab])
-    if not loops_vertex_disjoint(graph, [loops[lab] for lab in sorted(loops)]):
-        raise PreconditionFailure("circuits must be vertex-disjoint")
+    if not rep.ok:
+        raise PreconditionFailure(f"structure violates: {rep.violations[0]}")
+    _check_loops(graph, loops)
 
 
 def components_and_tags(
     graph: AbstractGraph, loops: Mapping[str, Loop]
 ) -> ComponentTags:
     check_conditions_a(graph, loops)
+    return _tag_components(graph, loops)
+
+
+def _tag_components(
+    graph: AbstractGraph, loops: Mapping[str, Loop]
+) -> ComponentTags:
     labels = tuple(sorted(loops))
     loop_edges = {e for lab in labels for e in loops[lab].edges}
 
@@ -683,27 +687,14 @@ def move_effect(
     endpoints, dropping exactly the ejected vertex from the tags.
     """
     before = components_and_tags(graph, loops)
-    labels = sorted(loops)
-    kinds = {lab: classify_move(graph, loops[lab], move) for lab in labels}
-    touching = [lab for lab in labels if kinds[lab] != OUTSIDE]
-    if len(touching) > 1:
-        raise InvariantViolation("edge on two disjoint loops")
-    if touching and kinds[touching[0]] == COLLAPSE:
+    lab, move_kind, graph2, loops2 = _track_move(graph, loops, move)
+    if move_kind == COLLAPSE:
         raise PreconditionFailure("move not of kind A/B/C: collapse on a circuit")
     u, v = graph.edges[move.e0]
-    graph2, _ = apply_rbs(graph, None, move.e0, move.chosen_in, move.chosen_out)
-    loops2 = {lab: loops[lab] for lab in labels}
-    kind = "C"
-    ejected = None
-    if touching:
-        lab = touching[0]
-        if kinds[lab] == TWIST:
-            kind = "A"
-        else:
-            kind = "B"
-            ejected = u if kinds[lab] == SHRINK_U else v
-            loops2[lab] = shrink_loop(loops[lab], move)
-    after = components_and_tags(graph2, loops2)
+    kind = "C" if lab is None else "A" if move_kind == TWIST else "B"
+    ejected = {SHRINK_U: u, SHRINK_V: v}.get(move_kind)
+    # the rewrite keeps the inputs' checked conditions (see _track_move)
+    after = _tag_components(graph2, loops2)
     merged = None
     if kind in ("A", "C"):
         if before.as_set() != after.as_set():
@@ -775,25 +766,16 @@ class Itinerary:
 
     def twist_shrink_moves(self) -> list[Move]:
         """All moves in order that act on a tracked loop (twists and
-        shrinks; off-loop moves are excluded)."""
+        shrinks; off-loop moves are excluded).  A collapse raises, since
+        :func:`build_xi` refuses it."""
         out = []
         for i in range(self.steps):
-            part = self.partitions[i]
-            current = self.graphs[i]
-            track = dict(part)
+            current, track = self.graphs[i], self.partitions[i]
             for mv in self.move_lists[i]:
-                on_loop = False
-                for lab in sorted(track):
-                    kind = classify_move(current, track[lab], mv)
-                    if kind != OUTSIDE:
-                        on_loop = True
-                        if kind in (SHRINK_U, SHRINK_V):
-                            track[lab] = shrink_loop(track[lab], mv)
-                        break
-                current, _ = apply_rbs(
-                    current, None, mv.e0, mv.chosen_in, mv.chosen_out
-                )
-                if on_loop:
+                lab, kind, current, track = _track_move(current, track, mv)
+                if kind == COLLAPSE:
+                    raise PreconditionFailure(f"collapse on tracked loop {lab} at step {i}")
+                if lab is not None:
                     out.append(mv)
         return out
 
@@ -831,26 +813,19 @@ def itinerary_check(it: Itinerary) -> ItineraryVerdict:
         part = it.partitions[i]
         if not part:
             v.append(f"item-7: empty loop family at step {i} < {M}")
-        g = it.graphs[i]
-        track = dict(part)
+        g, track = it.graphs[i], part
         moves_per_loop: dict[str, list[tuple[int, str]]] = {lab: [] for lab in part}
         for k, mv in enumerate(it.move_lists[i]):
-            for lab in sorted(track):
-                kind = classify_move(g, track[lab], mv)
-                if kind == OUTSIDE:
-                    continue
-                if kind == COLLAPSE:
-                    v.append(f"item-2: collapse on tracked loop {lab} at step {i}")
-                else:
-                    moves_per_loop[lab].append((k, kind))
-                    if kind in (SHRINK_U, SHRINK_V):
-                        track[lab] = shrink_loop(track[lab], mv)
-                break
             try:
-                g, _ = apply_rbs(g, None, mv.e0, mv.chosen_in, mv.chosen_out)
+                lab, kind, g, track = _track_move(g, track, mv)
             except (InadmissibleMove, PreconditionFailure) as exc:
                 v.append(f"item-1: move {k} at step {i} inadmissible: {exc}")
                 return ItineraryVerdict(False, tuple(v))
+            if kind == COLLAPSE:
+                v.append(f"item-2: collapse on tracked loop {lab} at step {i}")
+                return ItineraryVerdict(False, tuple(v))
+            if lab is not None:
+                moves_per_loop[lab].append((k, kind))
         if g != it.graphs[i + 1]:
             v.append(f"item-1: replayed moves do not produce state {i + 1}")
         ev = it.events[i]
@@ -1387,6 +1362,17 @@ def graph_from_json(obj: dict) -> AbstractGraph:
     return AbstractGraph(dict(vertices), {e: (s, d) for e, (s, d) in edges.items()})
 
 
+def loops_from_json(obj, key: str = "loops") -> dict[str, Loop]:
+    """Loops from an object mapping labels to edge-id lists; another shape
+    raises ``ValueError`` naming ``key``."""
+    if not isinstance(obj, dict) or not all(
+        isinstance(edges, list) and all(isinstance(e, str) for e in edges)
+        for edges in obj.values()
+    ):
+        raise ValueError(f"{key!r} must map labels to edge-id lists")
+    return {lab: Loop(tuple(edges)) for lab, edges in obj.items()}
+
+
 def coloring_to_json(c: Coloring) -> dict:
     return {
         "vertices": {k: v for k, v in sorted(c.vertex_colors.items()) if v},
@@ -1426,26 +1412,55 @@ def itinerary_to_json(it: Itinerary) -> dict:
     }
 
 
+def _has_strings(obj, *keys: str) -> bool:
+    return isinstance(obj, dict) and all(isinstance(obj.get(k), str) for k in keys)
+
+
+def _event_from_json(obj) -> Event:
+    if _has_strings(obj, "type") and obj["type"] == "shrink":
+        return Event("shrink")
+    if _has_strings(obj, "type", "in", "out") and obj["type"] == "spread":
+        return Event("spread", obj["in"], obj["out"])
+    raise ValueError(
+        "itinerary 'events' must map labels to {'type': 'shrink'} or "
+        "{'type': 'spread', 'in': edge, 'out': edge}"
+    )
+
+
 def itinerary_from_json(obj: dict) -> Itinerary:
-    graphs = [graph_from_json(g) for g in obj["graphs"]]
-    colorings = [coloring_from_json(c) for c in obj["colorings"]]
-    partitions = [
-        {lab: Loop(tuple(edges)) for lab, edges in p.items()}
-        for p in obj["partitions"]
-    ]
-    move_lists = [
-        [Move(m["e0"], m["in"], m["out"]) for m in ml] for ml in obj["moves"]
-    ]
-    events = []
-    for evs in obj["events"]:
-        step = {}
-        for lab, ev in evs.items():
-            if ev["type"] == "spread":
-                step[lab] = Event("spread", ev["in"], ev["out"])
-            else:
-                step[lab] = Event("shrink")
-        events.append(step)
-    return Itinerary(graphs, colorings, partitions, move_lists, events)
+    """Inverse of :func:`itinerary_to_json`; a malformed shape raises
+    ``ValueError`` naming the offending key."""
+    keys = ("graphs", "colorings", "partitions", "moves", "events")
+    if not isinstance(obj, dict):
+        raise ValueError("an itinerary must be a JSON object")
+    for key in keys:
+        if not isinstance(obj.get(key), list):
+            raise ValueError(f"itinerary {key!r} must be an array")
+    states = len(obj["graphs"])
+    if not states or [len(obj[key]) for key in keys] != [states] * 3 + [states - 1] * 2:
+        raise ValueError(
+            "itinerary 'graphs' must be non-empty, 'colorings' and 'partitions' "
+            "need one entry per graph, 'moves' and 'events' one fewer"
+        )
+    if not all(
+        isinstance(ml, list) and all(_has_strings(m, "e0", "in", "out") for m in ml)
+        for ml in obj["moves"]
+    ):
+        raise ValueError(
+            "itinerary 'moves' must hold lists of objects with string 'e0', 'in' and 'out'"
+        )
+    if not all(isinstance(evs, dict) for evs in obj["events"]):
+        raise ValueError("itinerary 'events' must hold objects")
+    return Itinerary(
+        [graph_from_json(g) for g in obj["graphs"]],
+        [coloring_from_json(c) for c in obj["colorings"]],
+        [loops_from_json(p, "partitions") for p in obj["partitions"]],
+        [[Move(m["e0"], m["in"], m["out"]) for m in ml] for ml in obj["moves"]],
+        [
+            {lab: _event_from_json(ev) for lab, ev in evs.items()}
+            for evs in obj["events"]
+        ],
+    )
 
 
 _PALETTE = (

@@ -22,7 +22,7 @@ from .abstract_graphs import (
     graph_from_json,
     itinerary_check,
     itinerary_from_json,
-    Loop,
+    loops_from_json,
     random_graph_with_loops,
     search_colorings,
     validate,
@@ -30,7 +30,7 @@ from .abstract_graphs import (
     build_xi,
 )
 from .density import special_density_floor, special_window_check, density_estimate
-from .errors import HorizonExceeded, ShiftlabError
+from .errors import HorizonExceeded, InvariantViolation, ShiftlabError
 from .exitwords import decompose, enumerate_exit_words
 from .generators import (
     iet_encode,
@@ -248,7 +248,14 @@ def cmd_density(args: argparse.Namespace) -> int:
         candidates = {"self": prefix}
         for item in args.candidate or ():
             label, _, path = item.partition("=")
-            candidates[label] = read_sequence_file(path)
+            candidate = read_sequence_file(path)
+            if candidate.alphabet != oracle.alphabet:
+                raise ValueError(
+                    f"candidate {label!r} ({path}) uses alphabet "
+                    f"{','.join(candidate.alphabet.symbols)}, the sequence uses "
+                    f"{','.join(oracle.alphabet.symbols)}"
+                )
+            candidates[label] = candidate
         ce = color_estimate(ladder, candidates, K, threshold=args.theta)
         payload["color"] = ce.to_json()
     _emit_json(args, payload, "density.json")
@@ -264,13 +271,7 @@ def cmd_abstract(args: argparse.Namespace) -> int:
         coloring = (
             coloring_from_json(obj["coloring"]) if "coloring" in obj else None
         )
-        loops_obj = obj.get("loops", {})
-        if not isinstance(loops_obj, dict) or not all(
-            isinstance(edges, list) and all(isinstance(e, str) for e in edges)
-            for edges in loops_obj.values()
-        ):
-            raise ValueError(f"{args.graph}: 'loops' must map labels to edge-id lists")
-        loops = {lab: Loop(tuple(edges)) for lab, edges in loops_obj.items()}
+        loops = loops_from_json(obj.get("loops", {}))
     elif args.random:
         rng = random.Random(args.seed)
         g, loops = random_graph_with_loops(rng)
@@ -317,10 +318,11 @@ def cmd_xi(args: argparse.Namespace) -> int:
         "itinerary_valid": verdict.ok,
         "violations": list(verdict.violations),
     }
-    report = bound_check(it.graphs[0], it.partitions[0], it)
+    moves = it.twist_shrink_moves()
+    report = bound_check(it.graphs[0], it.partitions[0], moves)
     payload["bound"] = report.to_json()
     if args.format == "dot":
-        xi = build_xi(it.graphs[0], it.partitions[0], it.twist_shrink_moves())
+        xi = build_xi(it.graphs[0], it.partitions[0], moves)
         _emit(args, xi_dot(xi), "xi.dot")
     else:
         _emit_json(args, payload, "xi.json")
@@ -418,6 +420,9 @@ def main(argv: list[str] | None = None) -> int:
     except HorizonExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantViolation as exc:
+        print(f"internal error (a bug): {exc}", file=sys.stderr)
+        return 3
     except (ShiftlabError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

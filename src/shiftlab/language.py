@@ -51,8 +51,7 @@ class LanguageOracle:
         self.source_label = source_label
         self.recurrent = recurrent
         self._levels = dict(levels)
-        self._left_maps: dict[int, dict[str, frozenset[str]]] = {}
-        self._right_maps: dict[int, dict[str, frozenset[str]]] = {}
+        self._extension_maps: dict[tuple[int, Side], dict[str, frozenset[str]]] = {}
         self._extension_counts: dict[tuple[int, Side], dict[str, int]] = {}
         self._special_sets: dict[tuple[int, Side], frozenset[str]] = {}
         if horizon < 1:
@@ -183,25 +182,18 @@ class LanguageOracle:
             self._extension_counts[key] = counts
         return self._extension_counts[key]
 
-    def left_extension_map(self, n: int) -> dict[str, frozenset[str]]:
-        """For every factor of length ``n``: the codes extending it on the
-        left.  Callers that need only how many read ``extension_counts``."""
-        if n not in self._left_maps:
-            self.require_length(n + 1, "left extensions")
+    def extension_map(self, n: int, side: Side) -> dict[str, frozenset[str]]:
+        """For every factor of length ``n``: the codes extending it on
+        ``side``.  Callers that need only how many read ``extension_counts``."""
+        key = (n, side)
+        if key not in self._extension_maps:
+            self.require_length(n + 1, f"{side} extensions")
+            cut, end = (slice(1, None), 0) if side == "left" else (slice(None, -1), -1)
             acc: dict[str, set[str]] = {w: set() for w in self._levels[n]}
             for w1 in self._levels[n + 1]:
-                acc[w1[1:]].add(w1[0])
-            self._left_maps[n] = {w: frozenset(s) for w, s in acc.items()}
-        return self._left_maps[n]
-
-    def right_extension_map(self, n: int) -> dict[str, frozenset[str]]:
-        if n not in self._right_maps:
-            self.require_length(n + 1, "right extensions")
-            acc: dict[str, set[str]] = {w: set() for w in self._levels[n]}
-            for w1 in self._levels[n + 1]:
-                acc[w1[:-1]].add(w1[-1])
-            self._right_maps[n] = {w: frozenset(s) for w, s in acc.items()}
-        return self._right_maps[n]
+                acc[w1[cut]].add(w1[end])
+            self._extension_maps[key] = {w: frozenset(s) for w, s in acc.items()}
+        return self._extension_maps[key]
 
     def special_strings(self, n: int, side: Side) -> frozenset[str]:
         key = (n, side)

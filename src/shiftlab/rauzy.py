@@ -157,7 +157,7 @@ def build_special_rauzy(oracle: LanguageOracle, n: int) -> SpecialRauzyGraph:
     specials = lefts | rights
     vertices: list[SpecialVertex] = [(w, "left") for w in sorted(lefts)]
     vertices += [(w, "right") for w in sorted(rights)]
-    right_map = oracle.right_extension_map(n)
+    right_map = oracle.extension_map(n, "right")
     raw_edges: list[tuple[SpecialVertex, SpecialVertex, str]] = []
     for w in sorted(specials):
         origin: SpecialVertex = (w, "right") if w in rights else (w, "left")

@@ -277,16 +277,3 @@ def minimal_step(w: Word, oracle: "LanguageOracle") -> int | None:
                 f"minimal step {q0} does not divide valid step {q} for {w}"
             )
     return q0
-
-
-def brute_force_valid_steps(w: Word, oracle: "LanguageOracle") -> list[int]:
-    """Independent O(n^2) rescan of the step definition, for cross-checks."""
-    n = len(w)
-    _require_step_horizon(w, oracle)
-    out = []
-    for q in range(1, n // 2 + 1):
-        if all(w.data[q + i] == w.data[i] for i in range(n - q)):
-            doubled = w.data + w.data[n - q :]
-            if oracle.contains(Word(w.alphabet, doubled)):
-                out.append(q)
-    return out

@@ -15,6 +15,7 @@ from shiftlab.abstract_graphs import (
     apply_rbs,
     bound_check,
     build_xi,
+    check_conditions_a,
     classify_move,
     components_and_tags,
     enumerate_valid_graphs,
@@ -72,6 +73,10 @@ def three_loop_fixture():
     )
     loops = {"1": Loop(("a", "b", "c")), "2": Loop(("d", "e"))}
     return g, coloring, loops
+
+
+def degrees(g):
+    return {v: (len(g.in_edges(v)), len(g.out_edges(v))) for v in g.vertices}
 
 
 class TestValidate:
@@ -133,7 +138,7 @@ class TestApplyRbs:
         g2, _ = apply_rbs(g, None, "a", "h", "j")
         assert g2.edges["a"] == ("v1", "u1") and g2.edges["b"] == ("v1", "u1")
         assert g2.edges["h"] == ("v3", "v1") and g2.edges["j"] == ("u1", "u3")
-        assert g2.degree_profile() == g.degree_profile()
+        assert degrees(g2) == degrees(g)
 
     def test_mixed_choice_inadmissible(self):
         g = k3_shape()
@@ -151,6 +156,25 @@ class TestApplyRbs:
         g = k3_shape()
         g2, _ = apply_rbs(g, None, "a", "h", "j")
         assert set(g2.edges) == set(g.edges)
+
+    def test_every_admissible_move_keeps_each_degree(self):
+        rng = random.Random(31)
+        moves = 0
+        for _ in range(40):
+            g, _ = random_graph_with_loops(rng)
+            for e0 in g.bispecial_edges():
+                u, v = g.edges[e0]
+                for cin in g.in_edges(u):
+                    for cout in g.out_edges(v):
+                        if e0 in (cin, cout):
+                            continue
+                        try:
+                            g2, _ = apply_rbs(g, None, e0, cin, cout)
+                        except InadmissibleMove:
+                            continue
+                        assert degrees(g2) == degrees(g)
+                        moves += 1
+        assert moves > 100
 
     def test_least_change_completion_zeroes_ejected(self):
         g, coloring, loops = three_loop_fixture()
@@ -255,6 +279,12 @@ class TestQuotient:
         assert len(xi.edges) - len(xi.vertices) == g.K - 2 * 2
         assert xi.is_connected()
 
+    def test_move_off_the_loops_is_applied(self):
+        g = k3_shape()
+        loops = {"1": Loop(("a", "b")), "2": Loop(("c", "d"))}
+        g2, _ = apply_rbs(g, None, "g", "j", "h")
+        assert build_xi(g, loops, [Move("g", "j", "h")]) == build_xi(g2, loops)
+
     def test_collapse_in_log_rejected(self):
         g, _, loops = three_loop_fixture()
         with pytest.raises(PreconditionFailure, match="collapse"):
@@ -336,7 +366,9 @@ class TestComponentsAndTags:
             mv = random_abc_move(rng, g, loops)
             if mv is None:
                 continue
-            move_effect(g, loops, mv)  # raises on any disagreement
+            eff = move_effect(g, loops, mv)  # raises on any disagreement
+            # the output is not re-checked inside move_effect
+            check_conditions_a(eff.graph_after, eff.loops_after)
             done += 1
 
     def test_equal_tags_evolve_equally(self):
@@ -396,9 +428,24 @@ class TestItinerary:
             ],
         )
 
+    def collapsing(self):
+        g, coloring, loops = three_loop_fixture()
+        return Itinerary(
+            [g, g], [coloring, coloring], [loops, loops],
+            [[Move("a", "k", "f")]], [{"1": Event("shrink")}],
+        )
+
     def test_valid(self):
         verdict = itinerary_check(self.build())
         assert verdict.ok, verdict.violations
+
+    def test_collapse_reported_as_item_2(self):
+        verdict = itinerary_check(self.collapsing())
+        assert verdict.violations == ("item-2: collapse on tracked loop 1 at step 0",)
+
+    def test_collapse_refused_by_twist_shrink_moves(self):
+        with pytest.raises(PreconditionFailure, match="collapse on tracked loop 1"):
+            self.collapsing().twist_shrink_moves()
 
     def test_trivial_immediate_spread(self):
         # two parallel-edge 2-loops of the same colors: both colors
@@ -423,7 +470,7 @@ class TestItinerary:
         )
         verdict = itinerary_check(it)
         assert verdict.ok, verdict.violations
-        rep = bound_check(g, loops, it)
+        rep = bound_check(g, loops, it.twist_shrink_moves())
         assert rep.xi_connected and rep.bound_satisfied
 
     def test_shrink_and_spread_same_step_rejected(self):
@@ -460,7 +507,7 @@ class TestItinerary:
 
     def test_bound_from_itinerary(self):
         it = self.build()
-        rep = bound_check(it.graphs[0], it.partitions[0], it)
+        rep = bound_check(it.graphs[0], it.partitions[0], it.twist_shrink_moves())
         assert rep.xi_connected
         assert (rep.E, rep.K) == (2, 3)
         assert rep.bound_satisfied

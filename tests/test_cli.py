@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import shiftlab
+from shiftlab import cli
 from shiftlab.cli import main
+from shiftlab.errors import InvariantViolation
 
 FIB_JSON = '{"alphabet": ["a", "b"], "rules": {"a": "ab", "b": "a"}, "seed": "a"}'
 IET3_JSON = (
@@ -84,6 +86,15 @@ class TestAnalyze:
         assert proc.returncode == 1
         assert f"error: {bad}: 'rules' must be an object" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_invariant_violation_exits_three(self, capsys, monkeypatch, fib_spec):
+        def broken(args):
+            raise InvariantViolation("count identity failed")
+
+        monkeypatch.setattr(cli, "cmd_analyze", broken)
+        code = main(["analyze", "--substitution", fib_spec])
+        assert code == 3
+        assert "internal error (a bug): count identity failed" in capsys.readouterr().err
 
     def test_deterministic(self, capsys, fib_spec):
         _, out1 = run(capsys, ["analyze", "--substitution", fib_spec, "--horizon", "24"])
@@ -175,6 +186,23 @@ class TestDensity:
         assert report["color"]["color"] == "self"
         assert report["color"]["threshold"] == 0.3
 
+    def test_candidate_over_another_alphabet_exits_one(self, tmp_path, fib_spec):
+        other = tmp_path / "fib_ba.txt"
+        other.write_text("alphabet: b,a\n" + "a b a a b a b a " * 40 + "\n")
+        proc = run_subprocess(
+            ["density", "--substitution", fib_spec, "--horizon", "16",
+             "--length", "2000", "--n", "4", "--color", "--candidate",
+             f"other={other}"]
+        )
+        assert proc.returncode == 1
+        assert (
+            f"error: candidate 'other' ({other}) uses alphabet b,a, "
+            "the sequence uses a,b"
+        ) in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+ITINERARY_KEYS = ("graphs", "colorings", "partitions", "moves", "events")
 
 TWO_CYCLE = {
     "vertices": {"u": "left", "v": "right"},
@@ -251,6 +279,49 @@ class TestAbstractAndXi:
         assert report["bound"]["E"] == 2 and report["bound"]["K"] == 3
         code, out = run(capsys, ["xi", "--itinerary", str(path), "--format", "dot"])
         assert out.startswith("graph")
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda obj: obj.pop("events"), "itinerary 'events' must be an array"),
+            (
+                lambda obj: obj.update({k: [] for k in ITINERARY_KEYS}),
+                "itinerary 'graphs' must be non-empty",
+            ),
+            (
+                lambda obj: obj["colorings"].pop(),
+                "'colorings' and 'partitions' need one entry per graph",
+            ),
+            (
+                lambda obj: obj["partitions"][0].update({"1": "abc"}),
+                "'partitions' must map labels to edge-id lists",
+            ),
+            (
+                lambda obj: obj["moves"][0].append("a"),
+                "itinerary 'moves' must hold lists of objects with string 'e0'",
+            ),
+            (
+                lambda obj: obj["events"][0].update({"1": {"type": "grow"}}),
+                "itinerary 'events' must map labels to {'type': 'shrink'}",
+            ),
+        ],
+        ids=["no-events", "all-empty", "lengths", "partition-string",
+             "move-string", "event-type"],
+    )
+    def test_malformed_itinerary_exits_one_without_traceback(
+        self, tmp_path, edit, message
+    ):
+        from shiftlab.abstract_graphs import itinerary_to_json
+        from test_abstract_graphs import TestItinerary
+
+        obj = itinerary_to_json(TestItinerary().build())
+        edit(obj)
+        bad = tmp_path / "bad_itinerary.json"
+        bad.write_text(json.dumps(obj))
+        proc = run_subprocess(["xi", "--itinerary", str(bad)])
+        assert proc.returncode == 1
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_output_file(self, capsys, tmp_path, fib_spec):
         target = tmp_path / "report.json"

@@ -73,10 +73,10 @@ def assert_matches_reference(x: SequencePrefix, horizon: int) -> None:
             assert oracle.special_strings(n, side) == {
                 d for d, c in expected.items() if c >= 2
             }, (n, side)
-        assert {d: len(s) for d, s in oracle.left_extension_map(n).items()} == (
+        assert {d: len(s) for d, s in oracle.extension_map(n, "left").items()} == (
             oracle.extension_counts(n, "left")
         )
-        assert {d: len(s) for d, s in oracle.right_extension_map(n).items()} == (
+        assert {d: len(s) for d, s in oracle.extension_map(n, "right").items()} == (
             oracle.extension_counts(n, "right")
         )
     if horizon >= 3:

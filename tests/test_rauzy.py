@@ -62,8 +62,8 @@ class TestFactorGraph:
 
     def test_degrees_match_extensions(self, fib_oracle):
         g = build_rauzy(fib_oracle, 5)
-        left = fib_oracle.left_extension_map(5)
-        right = fib_oracle.right_extension_map(5)
+        left = fib_oracle.extension_map(5, "left")
+        right = fib_oracle.extension_map(5, "right")
         for v in g.vertices:
             assert g.in_degree(v) == len(left[v])
             assert g.out_degree(v) == len(right[v])

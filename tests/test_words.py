@@ -9,7 +9,6 @@ from shiftlab.words import (
     Alphabet,
     StepCertificate,
     Word,
-    brute_force_valid_steps,
     minimal_step,
     occurrences,
     periodic_power,
@@ -152,6 +151,18 @@ class TestMinimalStep:
 
     def test_absent(self, shift2):
         assert minimal_step(AB.word("abaab"), shift2) is None
+
+
+def brute_force_valid_steps(w: Word, oracle) -> list[int]:
+    """Independent O(n^2) rescan of the step definition, for cross-checks."""
+    n = len(w)
+    out = []
+    for q in range(1, n // 2 + 1):
+        if all(w.data[q + i] == w.data[i] for i in range(n - q)):
+            doubled = w.data + w.data[n - q :]
+            if oracle.contains(Word(w.alphabet, doubled)):
+                out.append(q)
+    return out
 
 
 def test_step_scan_exhaustive_small(shift2):
