@@ -411,6 +411,8 @@ def classify_move(graph: AbstractGraph, loop: Loop, move: Move) -> str:
     ``outside`` means the move does not touch the loop at all.
     """
     check_loop(graph, loop)
+    if move.e0 not in graph.edges:
+        raise PreconditionFailure(f"unknown edge {move.e0}")
     u, v = graph.edges[move.e0]
     lverts = set(loop_vertices(graph, loop))
     if move.e0 not in loop.edges:
@@ -767,12 +769,17 @@ class Itinerary:
     def twist_shrink_moves(self) -> list[Move]:
         """All moves in order that act on a tracked loop (twists and
         shrinks; off-loop moves are excluded).  A collapse raises, since
-        :func:`build_xi` refuses it."""
+        :func:`build_xi` refuses it, as does an inadmissible move."""
         out = []
         for i in range(self.steps):
             current, track = self.graphs[i], self.partitions[i]
-            for mv in self.move_lists[i]:
-                lab, kind, current, track = _track_move(current, track, mv)
+            for k, mv in enumerate(self.move_lists[i]):
+                try:
+                    lab, kind, current, track = _track_move(current, track, mv)
+                except (InadmissibleMove, PreconditionFailure) as exc:
+                    raise PreconditionFailure(
+                        f"move {k} at step {i} inadmissible: {exc}"
+                    ) from None
                 if kind == COLLAPSE:
                     raise PreconditionFailure(f"collapse on tracked loop {lab} at step {i}")
                 if lab is not None:
@@ -1238,6 +1245,40 @@ def _try_random_graph(
     return g, loops
 
 
+def _twist_shrink_options(
+    graph: AbstractGraph, track: Mapping[str, Loop]
+) -> list[tuple[str, Move, str]]:
+    """Every twist and shrink candidate on the tracked loops, as
+    ``(label, move, kind)`` with ``kind`` the value of :func:`classify_move`.
+
+    Choosing another in-edge at ``u`` keeps the loop's out-edge at ``v`` and
+    so ejects ``v`` (a shrink-v, which needs a second right vertex on the
+    loop); choosing another out-edge at ``v`` ejects ``u`` (a shrink-u,
+    which needs a second left vertex).
+    """
+    options: list[tuple[str, Move, str]] = []
+    for lab in sorted(track):
+        lp = track[lab]
+        lvs = loop_vertices(graph, lp)
+        lefts_on = sum(1 for w in lvs if graph.vertices[w] == "left")
+        rights_on = len(lvs) - lefts_on
+        for idx, eid in enumerate(lp.edges):
+            u, v = graph.edges[eid]
+            if graph.vertices[u] != "left" or graph.vertices[v] != "right":
+                continue
+            loop_in = lp.edges[idx - 1]
+            loop_out = lp.edges[(idx + 1) % len(lp.edges)]
+            options.append((lab, Move(eid, loop_in, loop_out), TWIST))
+            if len(lp.edges) >= 3:
+                for cin in graph.in_edges(u):
+                    if cin != loop_in and cin != eid and rights_on >= 2:
+                        options.append((lab, Move(eid, cin, loop_out), SHRINK_V))
+                for cout in graph.out_edges(v):
+                    if cout != loop_out and cout != eid and lefts_on >= 2:
+                        options.append((lab, Move(eid, loop_in, cout), SHRINK_U))
+    return options
+
+
 def random_twist_shrink_log(
     rng: random.Random,
     graph: AbstractGraph,
@@ -1249,27 +1290,7 @@ def random_twist_shrink_log(
     track = {lab: loops[lab] for lab in sorted(loops)}
     out: list[Move] = []
     for _ in range(length):
-        options: list[tuple[str, Move, str]] = []
-        for lab in sorted(track):
-            lp = track[lab]
-            for eid in lp.edges:
-                u, v = current.edges[eid]
-                if current.vertices[u] != "left" or current.vertices[v] != "right":
-                    continue
-                idx = lp.edges.index(eid)
-                loop_in = lp.edges[idx - 1]
-                loop_out = lp.edges[(idx + 1) % len(lp.edges)]
-                options.append((lab, Move(eid, loop_in, loop_out), TWIST))
-                if len(lp.edges) >= 3:
-                    lvs = loop_vertices(current, lp)
-                    lefts_on = sum(1 for w in lvs if current.vertices[w] == "left")
-                    rights_on = len(lvs) - lefts_on
-                    for cin in current.in_edges(u):
-                        if cin != loop_in and cin != eid and lefts_on >= 2:
-                            options.append((lab, Move(eid, cin, loop_out), SHRINK_U))
-                    for cout in current.out_edges(v):
-                        if cout != loop_out and cout != eid and rights_on >= 2:
-                            options.append((lab, Move(eid, loop_in, cout), SHRINK_V))
+        options = _twist_shrink_options(current, track)
         rng.shuffle(options)
         done = False
         for lab, mv, kind in options:

@@ -11,6 +11,7 @@ count.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import ceil
 
@@ -295,6 +296,28 @@ def classify_occurrence(
     q = minimal_step(w, oracle)
     if q is None:
         raise PreconditionFailure(f"{w} has no valid step")
+    return _classify_run(x, w, q, j, {})[0]
+
+
+def _classify_run(
+    x: SequencePrefix,
+    w: Word,
+    q: int,
+    j: int,
+    verified: dict[tuple[str, int, int], ExitWord],
+) -> tuple[OccurrenceClassification, int]:
+    """Classify the occurrence of ``w`` at ``j`` with minimal step ``q``.
+
+    Also returns the last start ``s`` of the same periodic run on the same
+    grid (``(s - j) % q == 0``, ``s <= j2``): every such start has the same left
+    break ``j1`` and the same right break, hence the same enclosing exit
+    word.  A suffix-of-power occurrence returns ``j`` itself, since each
+    one is verified against its own power.  A run reaching the end of the
+    prefix raises :class:`HorizonExceeded`, as does every later start on
+    its grid.  ``verified`` maps ``(z data, p_len, r)`` to the exit word
+    already checked against :func:`is_representation` for that key.
+    """
+    n = len(w)
     # extend the periodic match leftward from the occurrence
     j1 = j
     while j1 > 1 and x.data[j1 - 2] == periodic_letter(w, q, j1 - j):
@@ -304,7 +327,7 @@ def classify_occurrence(
         power = periodic_power(w, q, r)
         if not power.data.endswith(x.data[: j + n - 1]):
             raise InvariantViolation("suffix-of-power case failed verification")
-        return OccurrenceClassification(j, "suffix-of-power", r=r)
+        return OccurrenceClassification(j, "suffix-of-power", r=r), j
     # extend rightward: find the first break after the occurrence
     t = j + n  # next position to test, 1-based
     while t <= len(x.data) and x.data[t - 1] == periodic_letter(w, q, t - j + 1):
@@ -318,16 +341,21 @@ def classify_occurrence(
     j2 = t - n  # the largest k with x[j .. k+n-1] inside the periodic word
     grid_first = j - ((j - j1) // q) * q
     r = (j2 - j) // q + (j - j1) // q + 1
-    z = x.word(j1 - 1, j2 + n)
-    p_word = x.word(j1 - 1, grid_first - 1)
-    s_word = x.word(grid_first + n + (r - 1) * q, j2 + n)
-    if not is_representation(z, w, q, len(p_word), r, len(s_word)):
-        raise InvariantViolation("enclosing exit word fails the predicate")
-    rep = Representation(p_word, r, s_word)
-    exit_word = ExitWord(z, w, q, (rep,), canonical=True)
-    return OccurrenceClassification(
+    z_data = x.data[j1 - 2 : j2 + n]
+    p_len = grid_first - j1 + 1
+    key = (z_data, p_len, r)
+    exit_word = verified.get(key)
+    if exit_word is None:
+        z = Word(w.alphabet, z_data)
+        s_len = len(z_data) - p_len - n - (r - 1) * q
+        if not is_representation(z, w, q, p_len, r, s_len):
+            raise InvariantViolation("enclosing exit word fails the predicate")
+        rep = Representation(z.prefix(p_len), r, z.suffix(s_len))
+        exit_word = verified[key] = ExitWord(z, w, q, (rep,), canonical=True)
+    classification = OccurrenceClassification(
         j, "inside-exit-word", exit_word=exit_word, exit_start=j1 - 1
     )
+    return classification, j + ((j2 - j) // q) * q
 
 
 @dataclass(frozen=True)
@@ -356,8 +384,11 @@ def check_overlap_bound(
     """Scan a sequence for consecutive exit-word occurrences and verify
     the separation and occurrence-count bounds between neighbours.
 
-    The bounds hold for every sequence, so a violation record would
-    falsify the implementation, not the input.
+    One occurrence per periodic run and grid is classified; the later
+    starts on its grid inherit its exit word (or its skip, when the run
+    reaches the end of the prefix), and each distinct exit word is checked
+    against the predicate once.  The bounds hold for every sequence, so a
+    violation record would falsify the implementation, not the input.
     """
     q_min = minimal_step(w, oracle)
     if q_min != q:
@@ -365,24 +396,34 @@ def check_overlap_bound(
     n = len(w)
     _, starts = occurrences(x, w)
     occ_exits: dict[int, ExitWord] = {}
+    verified: dict[tuple[str, int, int], ExitWord] = {}
+    # the last start on the grid of the run classified last, and whether
+    # that run reaches the end of the prefix
+    last, skip = 0, False
     skipped = []
     for j in starts:
-        try:
-            cls = classify_occurrence(x, w, j, oracle)
-        except HorizonExceeded:
+        if j > last or (last - j) % q:
+            try:
+                cls, last = _classify_run(x, w, q, j, verified)
+            except HorizonExceeded:
+                # every later start on its grid lies in the run as well
+                last, skip = j + (len(x.data) - j) // q * q, True
+            else:
+                skip = False
+                if cls.case == "inside-exit-word":
+                    assert cls.exit_start is not None and cls.exit_word is not None
+                    occ_exits.setdefault(cls.exit_start, cls.exit_word)
+        if skip:
             skipped.append(j)
-            continue
-        if cls.case == "inside-exit-word":
-            assert cls.exit_start is not None and cls.exit_word is not None
-            occ_exits.setdefault(cls.exit_start, cls.exit_word)
     ordered = sorted(occ_exits)
     pairs = []
     ok = True
     for i, i2 in zip(ordered, ordered[1:]):
         z1, z2 = occ_exits[i], occ_exits[i2]
         gap_ok = i2 >= i + len(z1.z) - n
-        union = x.word(i, i2 + len(z2.z) - 1)
-        count, _ = occurrences(union, w)
+        # occurrences of w inside the union x[i .. end]
+        end = i2 + len(z2.z) - 1
+        count = bisect_right(starts, end - n + 1) - bisect_left(starts, i)
         required = z1.representations[0].r + z2.representations[0].r
         count_ok = count >= required
         ok = ok and gap_ok and count_ok

@@ -375,22 +375,43 @@ def read_sequence_file(path: str | Path) -> SequencePrefix:
     tokens = " ".join(lines[1:]).split()
     if not tokens:
         raise ValueError(f"{path}: no sequence data")
-    data = "".join(alphabet.code(t) for t in tokens)
+    try:
+        data = "".join(alphabet.code(t) for t in tokens)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return SequencePrefix(alphabet, data, f"file {path}", recurrent=None)
+
+
+def _rational(path: str | Path, key: str, value: object) -> Fraction:
+    """An exact rational written as a string, such as ``"1/7"``."""
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(
+        f"{path}: {key!r} needs exact rationals written as 'p/q' strings, "
+        f"got {value!r}"
+    )
 
 
 def read_iet_file(path: str | Path) -> IETSpec:
     """IET spec file: JSON with keys d, lambda (array of 'p/q' strings),
     pi (array of ints), z ('p/q')."""
     obj = json.loads(Path(path).read_text())
-    lengths = tuple(Fraction(s) for s in obj["lambda"])
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: the top level must be an object")
+    if not isinstance(obj.get("lambda"), list):
+        raise ValueError(f"{path}: 'lambda' must be an array of 'p/q' strings")
+    lengths = tuple(_rational(path, "lambda", s) for s in obj["lambda"])
     if "d" in obj and obj["d"] != len(lengths):
-        raise ValueError(f"{path}: d={obj['d']} but {len(lengths)} lengths given")
-    return IETSpec(
-        lengths,
-        tuple(int(v) for v in obj["pi"]),
-        Fraction(obj.get("z", 0)),
-    )
+        raise ValueError(f"{path}: d={obj['d']!r} but {len(lengths)} lengths given")
+    pi = obj.get("pi")
+    if not isinstance(pi, list) or not all(
+        isinstance(v, int) and not isinstance(v, bool) for v in pi
+    ):
+        raise ValueError(f"{path}: 'pi' must be an array of integers")
+    return IETSpec(lengths, tuple(pi), _rational(path, "z", obj.get("z", "0")))
 
 
 def read_substitution_file(path: str | Path) -> SubstitutionSpec:

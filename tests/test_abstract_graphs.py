@@ -6,6 +6,8 @@ import random
 import pytest
 
 from shiftlab.abstract_graphs import (
+    SHRINK_U,
+    SHRINK_V,
     AbstractGraph,
     Coloring,
     Event,
@@ -35,6 +37,7 @@ from shiftlab.abstract_graphs import (
     simple_cycles,
     validate,
 )
+from shiftlab.abstract_graphs import _track_move, _twist_shrink_options
 from shiftlab.errors import InadmissibleMove, PreconditionFailure
 
 
@@ -447,6 +450,16 @@ class TestItinerary:
         with pytest.raises(PreconditionFailure, match="collapse on tracked loop 1"):
             self.collapsing().twist_shrink_moves()
 
+    def test_unknown_move_edge_reported_as_item_1(self):
+        it = self.build()
+        it.move_lists[0][0] = Move("zz", "c", "f")
+        verdict = itinerary_check(it)
+        assert verdict.violations == (
+            "item-1: move 0 at step 0 inadmissible: unknown edge zz",
+        )
+        with pytest.raises(PreconditionFailure, match="move 0 at step 0 .* zz"):
+            it.twist_shrink_moves()
+
     def test_trivial_immediate_spread(self):
         # two parallel-edge 2-loops of the same colors: both colors
         # already pass along outside edges, so everything spreads at once
@@ -562,6 +575,29 @@ class TestRandomInstances:
             rep = bound_check(g, loops, moves)
             if rep.xi_connected:
                 assert rep.bound_satisfied
+
+    def test_twist_shrink_options_carry_their_kind(self):
+        # every option the random log builder offers is labelled with the
+        # kind classify_move gives it, through logs of up to five moves
+        rng = random.Random(17)
+        seen = set()
+        for _ in range(200):
+            g, track = random_graph_with_loops(rng)
+            for _ in range(5):
+                options = _twist_shrink_options(g, track)
+                for lab, mv, kind in options:
+                    assert classify_move(g, track[lab], mv) == kind
+                    seen.add(kind)
+                rng.shuffle(options)
+                for _, mv, _ in options:
+                    try:
+                        _, _, g, track = _track_move(g, track, mv)
+                    except (InadmissibleMove, PreconditionFailure):
+                        continue
+                    break
+                else:
+                    break
+        assert {SHRINK_U, SHRINK_V} <= seen
 
     def test_json_roundtrip(self):
         rng = random.Random(5)

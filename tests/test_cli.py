@@ -87,6 +87,42 @@ class TestAnalyze:
         assert f"error: {bad}: 'rules' must be an object" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('[3, 2, 1]', "the top level must be an object"),
+            ('{"pi": [2, 1], "z": "1/7"}', "'lambda' must be an array"),
+            (
+                '{"lambda": [0.5, 0.5], "pi": [2, 1], "z": "1/7"}',
+                "'lambda' needs exact rationals written as 'p/q' strings",
+            ),
+            (
+                '{"lambda": ["1/2", "1/2"], "pi": ["2", "1"], "z": "1/7"}',
+                "'pi' must be an array of integers",
+            ),
+            (
+                '{"lambda": ["1/2", "1/2"], "pi": [2, 1], "z": 0.25}',
+                "'z' needs exact rationals written as 'p/q' strings",
+            ),
+        ],
+        ids=["top-level-list", "no-lambda", "float-lambda", "string-pi", "float-z"],
+    )
+    def test_malformed_iet_exits_one_without_traceback(self, tmp_path, text, message):
+        bad = tmp_path / "bad_iet.json"
+        bad.write_text(text)
+        proc = run_subprocess(["analyze", "--iet", str(bad), "--length", "400"])
+        assert proc.returncode == 1
+        assert f"error: {bad}: {message}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_unknown_symbol_in_sequence_names_file(self, tmp_path):
+        bad = tmp_path / "bad_seq.txt"
+        bad.write_text("alphabet: 0,1\n0 1 2 0\n")
+        proc = run_subprocess(["analyze", "--seq", str(bad)])
+        assert proc.returncode == 1
+        assert f"error: {bad}: unknown symbol '2'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_invariant_violation_exits_three(self, capsys, monkeypatch, fib_spec):
         def broken(args):
             raise InvariantViolation("count identity failed")
@@ -321,6 +357,19 @@ class TestAbstractAndXi:
         proc = run_subprocess(["xi", "--itinerary", str(bad)])
         assert proc.returncode == 1
         assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_unknown_move_edge_exits_one_naming_edge_and_step(self, tmp_path):
+        from shiftlab.abstract_graphs import itinerary_to_json
+        from test_abstract_graphs import TestItinerary
+
+        obj = itinerary_to_json(TestItinerary().build())
+        obj["moves"][0][0]["e0"] = "zz"
+        bad = tmp_path / "bad_itinerary.json"
+        bad.write_text(json.dumps(obj))
+        proc = run_subprocess(["xi", "--itinerary", str(bad)])
+        assert proc.returncode == 1
+        assert "move 0 at step 0 inadmissible: unknown edge zz" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_output_file(self, capsys, tmp_path, fib_spec):

@@ -2,18 +2,28 @@
 overlap bounds."""
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from shiftlab.errors import HorizonExceeded, PreconditionFailure
 from shiftlab.exitwords import (
+    OverlapRecord,
+    OverlapReport,
     check_overlap_bound,
     classify_occurrence,
     decompose,
     enumerate_exit_words,
     is_representation,
 )
-from shiftlab.generators import SequencePrefix
+from shiftlab.generators import SequencePrefix, oracle_from_prefix, rotation_coding
 from shiftlab.language import LanguageOracle
-from shiftlab.words import Alphabet, Word, occurrences, periodic_power, shift_match
+from shiftlab.words import (
+    Alphabet,
+    Word,
+    minimal_step,
+    occurrences,
+    periodic_power,
+    shift_match,
+)
 
 ZO = Alphabet(("0", "1"))
 
@@ -239,3 +249,137 @@ class TestOverlap:
         w = fib_oracle.alphabet.word("abaaba")
         with pytest.raises(PreconditionFailure):
             check_overlap_bound(fib_prefix, w, 6, fib_oracle)
+
+
+def naive_overlap(x, w, q, oracle):
+    """Reference scan: classify every occurrence on its own and count the
+    occurrences in each pair's union by rescanning the union word."""
+    n = len(w)
+    _, starts = occurrences(x, w)
+    exits = {}
+    skipped = []
+    for j in starts:
+        try:
+            cls = classify_occurrence(x, w, j, oracle)
+        except HorizonExceeded:
+            skipped.append(j)
+            continue
+        if cls.case == "inside-exit-word":
+            exits.setdefault(cls.exit_start, cls.exit_word)
+    ordered = sorted(exits)
+    pairs = []
+    for i, i2 in zip(ordered, ordered[1:]):
+        z1, z2 = exits[i], exits[i2]
+        count, _ = occurrences(x.word(i, i2 + len(z2.z) - 1), w)
+        required = z1.representations[0].r + z2.representations[0].r
+        gap_ok = i2 >= i + len(z1.z) - n
+        pairs.append(
+            OverlapRecord(
+                i, i2, len(z1.z), gap_ok, count, required, count >= required
+            )
+        )
+    ok = all(p.gap_ok and p.count_ok for p in pairs)
+    return OverlapReport(w, q, tuple(pairs), ok, tuple(skipped))
+
+
+@st.composite
+def runs_and_noise(draw):
+    """A binary word with a short period block and a prefix made of runs
+    of that block (at any phase) and short stretches of free letters."""
+    block = draw(st.text("01", min_size=1, max_size=3))
+    n = draw(st.integers(2 * len(block), 13))
+    periodic = block * 40
+    pieces = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.integers(0, 2), st.integers(1, 40)).map(
+                    lambda t: periodic[t[0] : t[0] + t[1]]
+                ),
+                st.text("01", min_size=1, max_size=4),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    return periodic[:n], "".join(pieces)
+
+
+@pytest.fixture(scope="module")
+def rotation_prefix():
+    return rotation_coding([1, 2, 1, 1, 3, 2, 1, 2] * 4, 20000)
+
+
+@pytest.fixture(scope="module")
+def rotation_oracle(rotation_prefix):
+    return oracle_from_prefix(rotation_prefix, 30)
+
+
+def stepped_words(oracle, n):
+    """The factors of length ``n`` with a valid step, with that step."""
+    out = []
+    for data in sorted(oracle.factor_strings(n)):
+        w = Word(oracle.alphabet, data)
+        q = minimal_step(w, oracle)
+        if q is not None:
+            out.append((w, q))
+    return out
+
+
+class TestOverlapScanMatchesNaive:
+    """``check_overlap_bound`` classifies one occurrence per periodic run
+    and verifies each distinct exit word once; the reports must equal the
+    per-occurrence reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(runs_and_noise())
+    def test_raw_runs(self, shift20, case):
+        w_data, data = case
+        x = SequencePrefix(ZO, data, "runs")
+        w = ZO.word(w_data)
+        q = minimal_step(w, shift20)
+        assert check_overlap_bound(x, w, q, shift20) == naive_overlap(
+            x, w, q, shift20
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.booleans(),
+        st.integers(40, 2500),
+        st.integers(2, 20),
+        st.integers(0, 10**6),
+    )
+    def test_sturmian_prefixes(
+        self, fib_prefix, fib_oracle, rotation_prefix, rotation_oracle,
+        fibonacci, length, n, pick,
+    ):
+        prefix, oracle = (
+            (fib_prefix, fib_oracle) if fibonacci
+            else (rotation_prefix, rotation_oracle)
+        )
+        candidates = stepped_words(oracle, n)
+        assume(candidates)
+        w, q = candidates[pick % len(candidates)]
+        x = SequencePrefix(prefix.alphabet, prefix.data[:length], "prefix")
+        assert check_overlap_bound(x, w, q, oracle) == naive_overlap(
+            x, w, q, oracle
+        )
+
+    def test_every_stepped_factor(
+        self, fib_prefix, fib_oracle, iet3_prefix, iet3_oracle,
+        rotation_prefix, rotation_oracle,
+    ):
+        reports = skipped = 0
+        for prefix, oracle in (
+            (fib_prefix, fib_oracle),
+            (iet3_prefix, iet3_oracle),
+            (rotation_prefix, rotation_oracle),
+        ):
+            x = SequencePrefix(prefix.alphabet, prefix.data[:1500], "prefix")
+            # deciding a step at length n needs horizon n + n // 2
+            for n in range(2, 21):
+                for w, q in stepped_words(oracle, n):
+                    report = check_overlap_bound(x, w, q, oracle)
+                    assert report == naive_overlap(x, w, q, oracle), (str(w), q)
+                    reports += 1
+                    skipped += bool(report.skipped_positions)
+        assert reports > 100 and skipped >= 10
