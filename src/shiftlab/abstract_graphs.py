@@ -14,7 +14,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._graphutil import (
     arc_index,
@@ -1056,6 +1056,15 @@ def enumerate_valid_graphs(K: int, max_vertices: int = 8) -> Iterable[AbstractGr
 
     The degree rules force at most ``K`` vertices of each kind, so the
     vertex bound only truncates when ``2K > max_vertices``.
+
+    Left vertices ``u1..`` and right vertices ``v1..`` are named in order.
+    Each choice of left-edge targets ``a0..`` fixes what the ``K + k_r``
+    right edges ``b0..`` still owe each vertex; the right edges are then
+    built as a count matrix meeting those demands (see
+    ``_right_edge_counts``) instead of filtering every multiset.  Graphs
+    come out in the order of ``itertools.combinations_with_replacement``
+    over the right-edge pair types, and only the strongly connected ones
+    are kept.
     """
     for k_l in range(1, K + 1):
         for k_r in range(1, K + 1):
@@ -1065,39 +1074,91 @@ def enumerate_valid_graphs(K: int, max_vertices: int = 8) -> Iterable[AbstractGr
             rights = [f"v{i}" for i in range(1, k_r + 1)]
             verts = {**{u: "left" for u in lefts}, **{v: "right" for v in rights}}
             names = lefts + rights
-            # one out-edge per left vertex
-            left_targets = itertools.product(
-                *[[t for t in names if t != u] for u in lefts]
-            )
-            pair_types = [
-                (v, t) for v in rights for t in names if t != v
-            ]
-            n_right_edges = K + k_r
-            for targets in left_targets:
-                for multiset in itertools.combinations_with_replacement(
-                    pair_types, n_right_edges
-                ):
-                    in_deg = {w: 0 for w in names}
-                    out_right = {v: 0 for v in rights}
-                    for u, t in zip(lefts, targets):
-                        in_deg[t] += 1
-                    for v, t in multiset:
-                        in_deg[t] += 1
-                        out_right[v] += 1
-                    if any(in_deg[v] != 1 for v in rights):
-                        continue
-                    if any(in_deg[u] < 2 for u in lefts):
-                        continue
-                    if any(out_right[v] < 2 for v in rights):
-                        continue
-                    edges: dict[str, tuple[str, str]] = {}
-                    for i, (u, t) in enumerate(zip(lefts, targets)):
-                        edges[f"a{i}"] = (u, t)
-                    for i, (v, t) in enumerate(multiset):
-                        edges[f"b{i}"] = (v, t)
+            n = len(names)
+            pair_types = [(r, t) for r in range(k_l, n) for t in range(n) if t != r]
+            # one out-edge per left vertex, to any other vertex
+            for targets in itertools.product(
+                *[[t for t in range(n) if t != i] for i in range(k_l)]
+            ):
+                # in-edges the right edges still owe: at least this many for
+                # a left vertex, exactly this many for a right vertex
+                owed = [2] * k_l + [1] * k_r
+                for t in targets:
+                    owed[t] -= 1
+                if min(owed[k_l:]) < 0:
+                    continue
+                left_edges = {
+                    f"a{i}": (lefts[i], names[t]) for i, t in enumerate(targets)
+                }
+                for counts in _right_edge_counts(pair_types, k_l, owed, K + k_r):
+                    right_edges = [
+                        (names[r], names[t])
+                        for (r, t), c in zip(pair_types, counts)
+                        for _ in range(c)
+                    ]
+                    edges = {
+                        **left_edges,
+                        **{f"b{i}": e for i, e in enumerate(right_edges)},
+                    }
                     g = AbstractGraph(verts, edges)
                     if g.is_strongly_connected():
                         yield g
+
+
+def _right_edge_counts(
+    pair_types: list[tuple[int, int]], k_l: int, owed: list[int], budget: int
+) -> Iterator[tuple[int, ...]]:
+    """Edge counts per pair type ``(row, target)`` (rows are right
+    vertices, grouped in order) with ``budget`` edges in all, at least two
+    per row, exactly ``owed[t]`` into a right vertex ``t >= k_l`` and at
+    least ``owed[t]`` into a left vertex ``t < k_l``.
+
+    Counts are tried from high to low, pair type by pair type, which is
+    the order in which ``combinations_with_replacement`` lists multisets.
+    """
+    last_row = pair_types[-1][0]
+    cells = []
+    for i, (r, t) in enumerate(pair_types):
+        later = pair_types[i + 1:]
+        cells.append((
+            t,
+            t >= k_l,
+            2 * (last_row - r),  # later rows need two edges each
+            not later or later[0][0] != r,  # the row ends here
+            all(t2 != t for _, t2 in later),  # last chance to pay owed[t]
+            all(t2 >= k_l for _, t2 in later),  # last chance for surplus
+        ))
+    counts = [0] * len(cells)
+    owed = list(owed)
+
+    def fill(i: int, left: int, need: int, row_sum: int) -> Iterator[tuple[int, ...]]:
+        # ``left`` edges remain to place; ``need`` of them are still owed
+        if i == len(cells):
+            if left == 0:
+                yield tuple(counts)
+            return
+        t, exact, reserve, row_end, last_into_t, last_into_left = cells[i]
+        o = owed[t]
+        d = max(o, 0)
+        if exact:
+            hi = min(o, left - reserve)
+            lo = o if last_into_t else 0
+        else:
+            # beyond what it is owed, a left vertex takes at most the surplus
+            hi = min(d + left - need, left - reserve)
+            lo = hi if last_into_left else d if last_into_t else 0
+        if row_end:
+            lo = max(lo, 2 - row_sum)
+        for c in range(hi, lo - 1, -1):
+            counts[i] = c
+            owed[t] = o - c
+            yield from fill(i + 1, left - c, need - min(c, d), 0 if row_end else row_sum + c)
+        owed[t] = o
+        counts[i] = 0
+
+    need = sum(max(o, 0) for o in owed)
+    if need <= budget:
+        yield from fill(0, budget, need, 0)
 
 
 @dataclass(frozen=True)
@@ -1107,30 +1168,39 @@ class ExhaustionCertificate:
     max_vertices: int
     graphs_examined: int
     witnesses: int
+    truncated: int  # graphs whose search hit the cycle cap without a witness
 
     @property
     def impossible(self) -> bool:
-        return self.witnesses == 0
+        return self.witnesses == 0 and self.truncated == 0
 
 
 def exhaustive_bound_probe(
     K: int, e_target: int, max_vertices: int = 8
 ) -> tuple[ExhaustionCertificate, tuple[AbstractGraph, Coloring, dict[str, Loop]] | None]:
     """Search every valid graph of branching constant ``K`` (up to the
-    vertex cap) for ``e_target`` distinctly colorable disjoint loops."""
+    vertex cap) for ``e_target`` distinctly colorable disjoint loops.
+
+    The certificate calls ``e_target`` impossible only when no graph gave
+    a witness and no graph's search stopped at the cycle cap."""
     examined = 0
     witnesses = 0
+    truncated = 0
     first = None
     for g in enumerate_valid_graphs(K, max_vertices):
         examined += 1
         res = search_colorings(g, e_target)
-        if res.found is not None:
+        if res.found is None:
+            truncated += not res.exhausted
+        else:
             witnesses += 1
             if first is None:
                 coloring, loops = res.found
                 first = (g, coloring, loops)
     return (
-        ExhaustionCertificate(K, e_target, max_vertices, examined, witnesses),
+        ExhaustionCertificate(
+            K, e_target, max_vertices, examined, witnesses, truncated
+        ),
         first,
     )
 

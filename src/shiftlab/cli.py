@@ -36,6 +36,7 @@ from .generators import (
     iet_encode,
     oracle_from_prefix,
     read_iet_file,
+    read_json_file,
     read_sequence_file,
     read_substitution_file,
     rotation_coding,
@@ -264,7 +265,7 @@ def cmd_density(args: argparse.Namespace) -> int:
 
 def cmd_abstract(args: argparse.Namespace) -> int:
     if args.graph:
-        obj = json.loads(Path(args.graph).read_text())
+        obj = read_json_file(args.graph, "--graph")
         if not isinstance(obj, dict):
             raise ValueError(f"{args.graph}: expected a JSON object")
         g = graph_from_json(obj.get("graph", obj))
@@ -311,7 +312,7 @@ def cmd_abstract(args: argparse.Namespace) -> int:
 def cmd_xi(args: argparse.Namespace) -> int:
     if not args.itinerary:
         raise ValueError("xi needs --itinerary FILE")
-    obj = json.loads(Path(args.itinerary).read_text())
+    obj = read_json_file(args.itinerary, "--itinerary")
     it = itinerary_from_json(obj)
     verdict = itinerary_check(it)
     payload: dict = {
@@ -423,7 +424,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantViolation as exc:
         print(f"internal error (a bug): {exc}", file=sys.stderr)
         return 3
-    except (ShiftlabError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ShiftlabError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -395,10 +395,20 @@ def _rational(path: str | Path, key: str, value: object) -> Fraction:
     )
 
 
+def read_json_file(path: str | Path, option: str) -> object:
+    """The JSON document in the file given to the command-line ``option``;
+    a syntax error names both."""
+    text = Path(path).read_text()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{option} {path}: not valid JSON: {exc}") from None
+
+
 def read_iet_file(path: str | Path) -> IETSpec:
     """IET spec file: JSON with keys d, lambda (array of 'p/q' strings),
     pi (array of ints), z ('p/q')."""
-    obj = json.loads(Path(path).read_text())
+    obj = read_json_file(path, "--iet")
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: the top level must be an object")
     if not isinstance(obj.get("lambda"), list):
@@ -417,20 +427,26 @@ def read_iet_file(path: str | Path) -> IETSpec:
 def read_substitution_file(path: str | Path) -> SubstitutionSpec:
     """Substitution file: JSON with keys alphabet (array), rules (object
     mapping symbol to replacement string or array), seed."""
-    obj = json.loads(Path(path).read_text())
-    alphabet = Alphabet(tuple(obj["alphabet"]))
-    if not isinstance(obj["rules"], dict):
+    obj = read_json_file(path, "--substitution")
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: the top level must be an object")
+    symbols = obj.get("alphabet")
+    if not isinstance(symbols, list) or not all(isinstance(t, str) for t in symbols):
+        raise ValueError(f"{path}: 'alphabet' must be an array of strings")
+    alphabet = Alphabet(tuple(symbols))
+    if not isinstance(obj.get("rules"), dict) or not all(
+        isinstance(rep, (str, list)) for rep in obj["rules"].values()
+    ):
         raise ValueError(
             f"{path}: 'rules' must be an object mapping symbol to replacement"
         )
+    if "seed" not in obj:
+        raise ValueError(f"{path}: 'seed' is missing")
     rules = {}
     for tok, rep in obj["rules"].items():
-        if isinstance(rep, str):
-            if not alphabet._single_char_tokens:
-                raise ValueError(
-                    f"{path}: string rules are ambiguous for multi-character symbols"
-                )
-            rules[tok] = tuple(rep)
-        else:
-            rules[tok] = tuple(rep)
+        if isinstance(rep, str) and not alphabet._single_char_tokens:
+            raise ValueError(
+                f"{path}: string rules are ambiguous for multi-character symbols"
+            )
+        rules[tok] = tuple(rep)
     return SubstitutionSpec(alphabet, rules, obj["seed"])

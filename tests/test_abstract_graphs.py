@@ -14,6 +14,7 @@ from shiftlab.abstract_graphs import (
     Itinerary,
     Loop,
     Move,
+    SearchResult,
     apply_rbs,
     bound_check,
     build_xi,
@@ -553,7 +554,27 @@ class TestSearch:
     def test_exhaustive_probe_k2(self):
         cert, witness = exhaustive_bound_probe(2, 2, 8)
         assert cert.impossible and witness is None
-        assert cert.graphs_examined == 17
+        assert cert.graphs_examined == 17 and cert.truncated == 0
+
+    def test_exhaustive_probe_k3_attains_two(self):
+        cert, witness = exhaustive_bound_probe(3, 2, 6)
+        assert (cert.graphs_examined, cert.witnesses) == (1558, 286)
+        graph, coloring, loops = witness
+        assert len(loops) == 2 and validate(graph, coloring).ok
+
+    def test_exhaustive_probe_k3_cannot_attain_three(self):
+        cert, witness = exhaustive_bound_probe(3, 3, 6)
+        assert cert.graphs_examined == 1558 and cert.witnesses == 0
+        assert cert.impossible and witness is None
+
+    def test_truncated_search_is_not_impossible(self, monkeypatch):
+        def capped(graph, e_target):
+            return SearchResult(None, False, 0, "cycle cap reached; search incomplete")
+
+        monkeypatch.setattr("shiftlab.abstract_graphs.search_colorings", capped)
+        cert, witness = exhaustive_bound_probe(2, 2, 8)
+        assert (cert.witnesses, cert.truncated) == (0, 17)
+        assert not cert.impossible and witness is None
 
     def test_enumerated_graphs_are_valid(self):
         seen = 0

@@ -90,6 +90,43 @@ class TestAnalyze:
     @pytest.mark.parametrize(
         "text,message",
         [
+            ('["a", "b"]', "the top level must be an object"),
+            ('{"rules": {"a": "ab", "b": "a"}, "seed": "a"}',
+             "'alphabet' must be an array of strings"),
+            ('{"alphabet": ["a", 2], "rules": {"a": "ab", "b": "a"}, "seed": "a"}',
+             "'alphabet' must be an array of strings"),
+            ('{"alphabet": ["a", "b"], "rules": {"a": 5, "b": "a"}, "seed": "a"}',
+             "'rules' must be an object mapping symbol to replacement"),
+            ('{"alphabet": ["a", "b"], "rules": {"a": "ab", "b": "a"}}',
+             "'seed' is missing"),
+        ],
+        ids=["top-level-list", "no-alphabet", "alphabet-int", "rule-int", "no-seed"],
+    )
+    def test_malformed_substitution_exits_one_without_traceback(self, tmp_path, text, message):
+        bad = tmp_path / "bad_sub.json"
+        bad.write_text(text)
+        proc = run_subprocess(["analyze", "--substitution", str(bad)])
+        assert proc.returncode == 1
+        assert f"error: {bad}: {message}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["analyze", "--substitution"], ["analyze", "--iet"],
+         ["abstract", "--graph"], ["xi", "--itinerary"]],
+        ids=["substitution", "iet", "graph", "itinerary"],
+    )
+    def test_json_syntax_error_names_file_and_option(self, tmp_path, argv):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        proc = run_subprocess([*argv, str(bad)])
+        assert proc.returncode == 1
+        assert f"error: {argv[1]} {bad}: not valid JSON: " in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
             ('[3, 2, 1]', "the top level must be an object"),
             ('{"pi": [2, 1], "z": "1/7"}', "'lambda' must be an array"),
             (
