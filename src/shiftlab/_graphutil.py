@@ -4,7 +4,8 @@ All functions take explicit vertex sequences and successor mappings so
 they work on any of the package's graph representations without
 adapters.  Vertex sequence order drives iteration, so results are
 deterministic whenever the caller passes deterministic orders.
-``arc_index`` is the one adjacency index the graph classes build.
+``arc_index`` is the one adjacency index the graph classes build, and
+``dot_quote`` the one DOT identifier quoting their exports share.
 """
 
 from __future__ import annotations
@@ -103,3 +104,8 @@ def find_cycle(vertices: Sequence[V], succ) -> list[V] | None:
                 color[v] = BLACK
                 stack.pop()
     return None
+
+
+def dot_quote(s: str) -> str:
+    """``s`` as a double-quoted DOT identifier."""
+    return '"' + s.replace('"', '\\"') + '"'

@@ -18,6 +18,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._graphutil import (
     arc_index,
+    dot_quote,
     is_strongly_connected,
     is_weakly_connected,
     reachable,
@@ -1039,13 +1040,7 @@ def search_colorings(
                 ecolors[e] = i + 1
             for w in loop_vertices(graph, lp):
                 vcolors[w] = i + 1
-        coloring = Coloring(vcolors, ecolors)
-        rep = validate(graph, coloring)
-        if not rep.ok:
-            raise InvariantViolation(
-                f"canonical loop coloring failed validation: {rep.violations[0]}"
-            )
-        return SearchResult((coloring, loops), exhausted, tried, "found")
+        return SearchResult((Coloring(vcolors, ecolors), loops), exhausted, tried, "found")
     note = "exhausted" if exhausted else "cycle cap reached; search incomplete"
     return SearchResult(None, exhausted, tried, note)
 
@@ -1315,38 +1310,39 @@ def _try_random_graph(
     return g, loops
 
 
-def _twist_shrink_options(
-    graph: AbstractGraph, track: Mapping[str, Loop]
-) -> list[tuple[str, Move, str]]:
-    """Every twist and shrink candidate on the tracked loops, as
-    ``(label, move, kind)`` with ``kind`` the value of :func:`classify_move`.
+def _candidate_moves(
+    graph: AbstractGraph, loops: Mapping[str, Loop]
+) -> list[tuple[str | None, Move]]:
+    """Every rewrite of the graph as ``(label, move)``, ``label`` naming the
+    tracked loop that holds the bispecial edge, or ``None``: bispecial
+    edges ascending, then the in-edges of the edge's left end, then the
+    out-edges of its right end.  :func:`_track_move` decides which apply."""
+    owner = {e: lab for lab, lp in loops.items() for e in lp.edges}
+    return [
+        (owner.get(e0), Move(e0, cin, cout))
+        for e0 in graph.bispecial_edges()
+        for cin in graph.in_edges(graph.edges[e0][0])
+        for cout in graph.out_edges(graph.edges[e0][1])
+    ]
 
-    Choosing another in-edge at ``u`` keeps the loop's out-edge at ``v`` and
-    so ejects ``v`` (a shrink-v, which needs a second right vertex on the
-    loop); choosing another out-edge at ``v`` ejects ``u`` (a shrink-u,
-    which needs a second left vertex).
-    """
-    options: list[tuple[str, Move, str]] = []
-    for lab in sorted(track):
-        lp = track[lab]
-        lvs = loop_vertices(graph, lp)
-        lefts_on = sum(1 for w in lvs if graph.vertices[w] == "left")
-        rights_on = len(lvs) - lefts_on
-        for idx, eid in enumerate(lp.edges):
-            u, v = graph.edges[eid]
-            if graph.vertices[u] != "left" or graph.vertices[v] != "right":
-                continue
-            loop_in = lp.edges[idx - 1]
-            loop_out = lp.edges[(idx + 1) % len(lp.edges)]
-            options.append((lab, Move(eid, loop_in, loop_out), TWIST))
-            if len(lp.edges) >= 3:
-                for cin in graph.in_edges(u):
-                    if cin != loop_in and cin != eid and rights_on >= 2:
-                        options.append((lab, Move(eid, cin, loop_out), SHRINK_V))
-                for cout in graph.out_edges(v):
-                    if cout != loop_out and cout != eid and lefts_on >= 2:
-                        options.append((lab, Move(eid, loop_in, cout), SHRINK_U))
-    return options
+
+def _first_tracked(
+    rng: random.Random,
+    graph: AbstractGraph,
+    loops: Mapping[str, Loop],
+    candidates: list[Move],
+) -> tuple[Move, AbstractGraph, Mapping[str, Loop]] | None:
+    """In random order, the first candidate that :func:`_track_move`
+    applies without a collapse, with the graph and loops after it."""
+    rng.shuffle(candidates)
+    for mv in candidates:
+        try:
+            _, kind, graph_after, loops_after = _track_move(graph, loops, mv)
+        except (InadmissibleMove, PreconditionFailure):
+            continue
+        if kind != COLLAPSE:
+            return mv, graph_after, loops_after
+    return None
 
 
 def random_twist_shrink_log(
@@ -1355,70 +1351,30 @@ def random_twist_shrink_log(
     loops: Mapping[str, Loop],
     length: int,
 ) -> list[Move]:
-    """A random admissible log of twist/shrink moves on the tracked loops."""
-    current = graph
-    track = {lab: loops[lab] for lab in sorted(loops)}
+    """A random admissible log of twist/shrink moves on the tracked loops.
+
+    Each step draws uniformly among the admissible twists and shrinks of
+    the current graph and stops early when there is none."""
+    current, track = graph, loops
     out: list[Move] = []
     for _ in range(length):
-        options = _twist_shrink_options(current, track)
-        rng.shuffle(options)
-        done = False
-        for lab, mv, kind in options:
-            try:
-                nxt, _ = apply_rbs(current, None, mv.e0, mv.chosen_in, mv.chosen_out)
-            except (InadmissibleMove, PreconditionFailure):
-                continue
-            current = nxt
-            if kind in (SHRINK_U, SHRINK_V):
-                track[lab] = shrink_loop(track[lab], mv)
-            out.append(mv)
-            done = True
+        on_loop = [mv for lab, mv in _candidate_moves(current, track) if lab is not None]
+        step = _first_tracked(rng, current, track, on_loop)
+        if step is None:
             break
-        if not done:
-            break
+        mv, current, track = step
+        out.append(mv)
     return out
 
 
 def random_abc_move(
     rng: random.Random, graph: AbstractGraph, loops: Mapping[str, Loop]
 ) -> Move | None:
-    """A random admissible move of kind A, B or C for the instance."""
-    loop_vs = {
-        w for lab in loops for w in loop_vertices(graph, loops[lab])
-    }
-    options: list[Move] = []
-    for e0 in graph.bispecial_edges():
-        u, v = graph.edges[e0]
-        on_loop = u in loop_vs or v in loop_vs
-        lab = None
-        for cand in sorted(loops):
-            if e0 in loops[cand].edges:
-                lab = cand
-        if on_loop and lab is None:
-            continue
-        for cin in graph.in_edges(u):
-            if cin == e0:
-                continue
-            for cout in graph.out_edges(v):
-                if cout == e0:
-                    continue
-                mv = Move(e0, cin, cout)
-                if lab is not None:
-                    try:
-                        kind = classify_move(graph, loops[lab], mv)
-                    except PreconditionFailure:
-                        continue
-                    if kind == COLLAPSE:
-                        continue
-                options.append(mv)
-    rng.shuffle(options)
-    for mv in options:
-        try:
-            apply_rbs(graph, None, mv.e0, mv.chosen_in, mv.chosen_out)
-        except (InadmissibleMove, PreconditionFailure):
-            continue
-        return mv
-    return None
+    """A random admissible move of kind A, B or C for the instance, drawn
+    uniformly, or ``None`` when there is none."""
+    candidates = [mv for _, mv in _candidate_moves(graph, loops)]
+    step = _first_tracked(rng, graph, loops, candidates)
+    return None if step is None else step[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1573,17 +1529,14 @@ def abstract_dot(
     loops: Mapping[str, Loop] | None = None,
     name: str = "branching_graph",
 ) -> str:
-    def q(s: str) -> str:
-        return '"' + s.replace('"', '\\"') + '"'
-
     lines = [f"digraph {name} {{"]
     loop_edge_labels: dict[str, str] = {}
     if loops:
         for lab in sorted(loops):
             lines.append(f"  subgraph cluster_{lab} {{")
-            lines.append(f"    label={q('loop ' + lab)};")
+            lines.append(f"    label={dot_quote('loop ' + lab)};")
             for w in sorted(set(loop_vertices(graph, loops[lab]))):
-                lines.append(f"    {q(w)};")
+                lines.append(f"    {dot_quote(w)};")
             lines.append("  }")
             for e in loops[lab].edges:
                 loop_edge_labels[e] = lab
@@ -1594,25 +1547,22 @@ def abstract_dot(
             attrs.append(
                 f"color={_PALETTE[coloring.vertex(v) % len(_PALETTE)]}"
             )
-        lines.append(f"  {q(v)} [{', '.join(attrs)}];")
+        lines.append(f"  {dot_quote(v)} [{', '.join(attrs)}];")
     for e in graph.edge_list():
         s, d = graph.edges[e]
-        attrs = [f"label={q(e)}"]
+        attrs = [f"label={dot_quote(e)}"]
         if coloring and coloring.edge(e):
             attrs.append(f"color={_PALETTE[coloring.edge(e) % len(_PALETTE)]}")
-        lines.append(f"  {q(s)} -> {q(d)} [{', '.join(attrs)}];")
+        lines.append(f"  {dot_quote(s)} -> {dot_quote(d)} [{', '.join(attrs)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def xi_dot(xi: LoopQuotient, name: str = "loop_quotient") -> str:
-    def q(s: str) -> str:
-        return '"' + s.replace('"', '\\"') + '"'
-
     lines = [f"graph {name} {{"]
     for v in xi.vertices:
-        lines.append(f"  {q(v)};")
+        lines.append(f"  {dot_quote(v)};")
     for eid, a, b in xi.edges:
-        lines.append(f"  {q(a)} -- {q(b)} [label={q(eid)}];")
+        lines.append(f"  {dot_quote(a)} -- {dot_quote(b)} [label={dot_quote(eid)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

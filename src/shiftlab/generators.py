@@ -363,6 +363,14 @@ def oracle_from_prefix(x: SequencePrefix, horizon: int) -> LanguageOracle:
 # -- file ingestion ----------------------------------------------------------
 
 
+def _from_file(path: str | Path, build, *args):
+    """``build(*args)`` for data read from ``path``; a refusal names the file."""
+    try:
+        return build(*args)
+    except (ValueError, PreconditionFailure) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def read_sequence_file(path: str | Path) -> SequencePrefix:
     """Sequence file: line 1 ``alphabet: s1,s2,...``; remaining lines are
     whitespace-separated symbol tokens."""
@@ -371,14 +379,11 @@ def read_sequence_file(path: str | Path) -> SequencePrefix:
     if not lines or not lines[0].lower().startswith("alphabet:"):
         raise ValueError(f"{path}: first line must be 'alphabet: s1,s2,...'")
     symbols = tuple(tok.strip() for tok in lines[0].split(":", 1)[1].split(","))
-    alphabet = Alphabet(symbols)
+    alphabet = _from_file(path, Alphabet, symbols)
     tokens = " ".join(lines[1:]).split()
     if not tokens:
         raise ValueError(f"{path}: no sequence data")
-    try:
-        data = "".join(alphabet.code(t) for t in tokens)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    data = _from_file(path, "".join, map(alphabet.code, tokens))
     return SequencePrefix(alphabet, data, f"file {path}", recurrent=None)
 
 
@@ -421,7 +426,9 @@ def read_iet_file(path: str | Path) -> IETSpec:
         isinstance(v, int) and not isinstance(v, bool) for v in pi
     ):
         raise ValueError(f"{path}: 'pi' must be an array of integers")
-    return IETSpec(lengths, tuple(pi), _rational(path, "z", obj.get("z", "0")))
+    return _from_file(
+        path, IETSpec, lengths, tuple(pi), _rational(path, "z", obj.get("z", "0"))
+    )
 
 
 def read_substitution_file(path: str | Path) -> SubstitutionSpec:
@@ -433,7 +440,7 @@ def read_substitution_file(path: str | Path) -> SubstitutionSpec:
     symbols = obj.get("alphabet")
     if not isinstance(symbols, list) or not all(isinstance(t, str) for t in symbols):
         raise ValueError(f"{path}: 'alphabet' must be an array of strings")
-    alphabet = Alphabet(tuple(symbols))
+    alphabet = _from_file(path, Alphabet, tuple(symbols))
     if not isinstance(obj.get("rules"), dict) or not all(
         isinstance(rep, (str, list)) for rep in obj["rules"].values()
     ):
@@ -449,4 +456,4 @@ def read_substitution_file(path: str | Path) -> SubstitutionSpec:
                 f"{path}: string rules are ambiguous for multi-character symbols"
             )
         rules[tok] = tuple(rep)
-    return SubstitutionSpec(alphabet, rules, obj["seed"])
+    return _from_file(path, SubstitutionSpec, alphabet, rules, obj["seed"])

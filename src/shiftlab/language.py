@@ -228,11 +228,7 @@ class ExtensionRecord:
 def extensions(oracle: LanguageOracle, w: Word) -> ExtensionRecord:
     """Exact extension sets of ``w``, read off the stored factor sets."""
     n = len(w)
-    if n > oracle.horizon - 2:
-        raise HorizonExceeded(
-            f"extension query for length {n} needs horizon {n + 2}",
-            required=n + 2,
-        )
+    oracle.require_length(n + 2, "extension query")
     if not oracle.contains(w):
         raise NotAFactor(f"not a factor: {w}")
     lvl1 = oracle.factor_strings(n + 1)
@@ -254,11 +250,7 @@ def special_words(
     oracle: LanguageOracle, n: int, side: Literal["left", "right", "bi"]
 ) -> set[Word]:
     """Factors of length ``n`` with at least two extensions on the side."""
-    if n > oracle.horizon - 2:
-        raise HorizonExceeded(
-            f"special-word query at length {n} needs horizon {n + 2}",
-            required=n + 2,
-        )
+    oracle.require_length(n + 2, "special-word query")
     if side == "bi":
         strs = oracle.special_strings(n, "left") & oracle.special_strings(n, "right")
     else:
@@ -281,11 +273,7 @@ def is_regular_bispecial(oracle: LanguageOracle, w: Word) -> RegularityVerdict:
     """Test whether exactly one right extension of ``w`` is left special
     and exactly one left extension is right special."""
     n = len(w)
-    if n > oracle.horizon - 3:
-        raise HorizonExceeded(
-            f"regularity test at length {n} needs horizon {n + 3}",
-            required=n + 3,
-        )
+    oracle.require_length(n + 3, "regularity test")
     rec = extensions(oracle, w)
     if not rec.is_bispecial:
         raise PreconditionFailure(f"not bispecial: {w}")

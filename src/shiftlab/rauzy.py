@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from ._graphutil import arc_index, find_cycle, is_strongly_connected, is_weakly_connected
+from ._graphutil import (
+    arc_index, dot_quote, find_cycle, is_strongly_connected, is_weakly_connected
+)
 from .errors import HorizonExceeded, InvariantViolation, PreconditionFailure
 from .language import (
     LanguageOracle,
@@ -61,10 +63,7 @@ class RauzyGraph:
 
 
 def build_rauzy(oracle: LanguageOracle, n: int) -> RauzyGraph:
-    if n > oracle.horizon - 2:
-        raise HorizonExceeded(
-            f"factor graph at length {n} needs horizon {n + 2}", required=n + 2
-        )
+    oracle.require_length(n + 2, "factor graph")
     return RauzyGraph(
         n,
         tuple(sorted(oracle.factor_strings(n))),
@@ -148,10 +147,7 @@ def build_special_rauzy(oracle: LanguageOracle, n: int) -> SpecialRauzyGraph:
     Raises with a partial-result message if a branchless walk escapes the
     horizon before reaching a special word.
     """
-    if n > oracle.horizon - 2:
-        raise HorizonExceeded(
-            f"special graph at length {n} needs horizon {n + 2}", required=n + 2
-        )
+    oracle.require_length(n + 2, "special graph")
     lefts = oracle.special_strings(n, "left")
     rights = oracle.special_strings(n, "right")
     specials = lefts | rights
@@ -378,12 +374,7 @@ def evolve(oracle: LanguageOracle, n: int) -> EvolutionStep:
         raise HorizonExceeded(
             f"no bispecial word of length in [{n}, {top}]", required=oracle.horizon + 1
         )
-    n_prime = n_tilde + 1
-    if n_prime > oracle.horizon - 2:
-        raise HorizonExceeded(
-            f"evolution target {n_prime} needs horizon {n_prime + 2}",
-            required=n_prime + 2,
-        )
+    n_prime = n_tilde + 1  # at most horizon - 2, so the target graph fits
     rbc = check_rbc(oracle, n_min=n, n_max=min(n_prime, oracle.horizon - 3))
     if not rbc.holds_within_horizon:
         raise PreconditionFailure(
@@ -551,21 +542,17 @@ def _to_abstract(g: SpecialRauzyGraph) -> "AbstractGraph":
 # -- DOT export -------------------------------------------------------------
 
 
-def _dot_quote(s: str) -> str:
-    return '"' + s.replace('"', '\\"') + '"'
-
-
 def rauzy_dot(graph: RauzyGraph, oracle: LanguageOracle | None = None, name: str = "factor_graph") -> str:
     tok = (lambda d: d) if oracle is None else (
         lambda d: str(Word(oracle.alphabet, d))
     )
     lines = [f"digraph {name} {{"]
     for v in graph.vertices:
-        lines.append(f"  {_dot_quote(tok(v))};")
+        lines.append(f"  {dot_quote(tok(v))};")
     for e in graph.edges:
         lines.append(
-            f"  {_dot_quote(tok(e[: graph.n]))} -> {_dot_quote(tok(e[1:]))} "
-            f"[label={_dot_quote(tok(e))}];"
+            f"  {dot_quote(tok(e[: graph.n]))} -> {dot_quote(tok(e[1:]))} "
+            f"[label={dot_quote(tok(e))}];"
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -580,11 +567,11 @@ def special_rauzy_dot(
     label = lambda v: f"{tok(v[0])}|{v[1][0]}"
     lines = [f"digraph {name} {{"]
     for v in graph.vertices:
-        lines.append(f"  {_dot_quote(label(v))};")
+        lines.append(f"  {dot_quote(label(v))};")
     for e in graph.edges:
         lines.append(
-            f"  {_dot_quote(label(e.src))} -> {_dot_quote(label(e.dst))} "
-            f"[label={_dot_quote(str(len(e.path)))}];"
+            f"  {dot_quote(label(e.src))} -> {dot_quote(label(e.dst))} "
+            f"[label={dot_quote(str(len(e.path)))}];"
         )
     lines.append("}")
     return "\n".join(lines) + "\n"

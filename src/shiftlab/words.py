@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import AlphabetMismatch, HorizonExceeded, InvalidStep, InvariantViolation
+from .errors import AlphabetMismatch, InvalidStep, InvariantViolation
 
 if TYPE_CHECKING:  # pragma: no cover
     from .language import LanguageOracle
@@ -226,17 +226,6 @@ class StepCertificate:
             raise InvariantViolation(f"unknown certificate kind {self.kind!r}")
 
 
-def _require_step_horizon(w: Word, oracle: "LanguageOracle") -> None:
-    n = len(w)
-    needed = n + n // 2
-    if oracle.horizon < needed:
-        raise HorizonExceeded(
-            f"deciding steps for a word of length {n} needs horizon {needed}, "
-            f"oracle has {oracle.horizon}",
-            required=needed,
-        )
-
-
 def valid_steps(
     w: Word, oracle: "LanguageOracle", include_shift_only: bool = False
 ) -> list[StepCertificate]:
@@ -248,7 +237,7 @@ def valid_steps(
     """
     if w.alphabet != oracle.alphabet:
         raise AlphabetMismatch("word and oracle use different alphabets")
-    _require_step_horizon(w, oracle)
+    oracle.require_length(len(w) + len(w) // 2, "deciding steps")
     out = []
     for q in range(1, len(w) // 2 + 1):
         if not shift_match(w, q):
@@ -263,17 +252,7 @@ def valid_steps(
 def minimal_step(w: Word, oracle: "LanguageOracle") -> int | None:
     """Least valid step of ``w``, or ``None`` when no step is valid.
 
-    Post-check: the minimum must divide every valid step (the gcd of two
-    valid steps is again valid), so a non-dividing minimum indicates a
-    corrupted oracle or an implementation bug.
-    """
-    steps = [c.q for c in valid_steps(w, oracle)]
-    if not steps:
-        return None
-    q0 = steps[0]
-    for q in steps:
-        if q % q0 != 0:
-            raise InvariantViolation(
-                f"minimal step {q0} does not divide valid step {q} for {w}"
-            )
-    return q0
+    It divides every valid step: the gcd of two valid steps is again valid
+    (a period of ``w`` by Fine and Wilf, and its doubled power is a prefix
+    of theirs, so a factor)."""
+    return next((c.q for c in valid_steps(w, oracle)), None)

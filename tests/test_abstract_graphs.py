@@ -6,8 +6,6 @@ import random
 import pytest
 
 from shiftlab.abstract_graphs import (
-    SHRINK_U,
-    SHRINK_V,
     AbstractGraph,
     Coloring,
     Event,
@@ -38,7 +36,6 @@ from shiftlab.abstract_graphs import (
     simple_cycles,
     validate,
 )
-from shiftlab.abstract_graphs import _track_move, _twist_shrink_options
 from shiftlab.errors import InadmissibleMove, PreconditionFailure
 
 
@@ -545,6 +542,21 @@ class TestSearch:
         res = search_colorings(g, 2)
         assert res.found is None and res.exhausted
 
+    def test_found_colorings_pass_validation(self):
+        # the canonical coloring of a found loop family meets the one-graph
+        # rules by construction, so search_colorings does not re-check it
+        rng = random.Random(31)
+        graphs = [g for K in (1, 2, 3) for g in enumerate_valid_graphs(K, 6)]
+        graphs += [random_graph_with_loops(rng)[0] for _ in range(500)]
+        found = 0
+        for g in graphs:
+            for e_target in (1, 2, 3):
+                res = search_colorings(g, e_target)
+                if res.found is not None:
+                    assert validate(g, res.found[0]).ok
+                    found += 1
+        assert found > 2500
+
     def test_cycle_enumeration_counts(self):
         g, _ = sturmian_shape()
         cycles = simple_cycles(g)
@@ -596,29 +608,6 @@ class TestRandomInstances:
             rep = bound_check(g, loops, moves)
             if rep.xi_connected:
                 assert rep.bound_satisfied
-
-    def test_twist_shrink_options_carry_their_kind(self):
-        # every option the random log builder offers is labelled with the
-        # kind classify_move gives it, through logs of up to five moves
-        rng = random.Random(17)
-        seen = set()
-        for _ in range(200):
-            g, track = random_graph_with_loops(rng)
-            for _ in range(5):
-                options = _twist_shrink_options(g, track)
-                for lab, mv, kind in options:
-                    assert classify_move(g, track[lab], mv) == kind
-                    seen.add(kind)
-                rng.shuffle(options)
-                for _, mv, _ in options:
-                    try:
-                        _, _, g, track = _track_move(g, track, mv)
-                    except (InadmissibleMove, PreconditionFailure):
-                        continue
-                    break
-                else:
-                    break
-        assert {SHRINK_U, SHRINK_V} <= seen
 
     def test_json_roundtrip(self):
         rng = random.Random(5)

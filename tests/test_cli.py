@@ -160,6 +160,26 @@ class TestAnalyze:
         assert f"error: {bad}: unknown symbol '2'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "option,text,message",
+        [
+            ("--substitution",
+             '{"alphabet": ["a", "b"], "rules": {"a": "ab", "b": "a"}, "seed": 5}',
+             "seed 5 not in alphabet"),
+            ("--iet", '{"lambda": ["1/2", "1/3"], "pi": [2, 1]}',
+             "interval lengths must sum to 1"),
+            ("--seq", "alphabet: a,a\na a\n", "alphabet symbols must be pairwise distinct"),
+        ],
+        ids=["substitution", "iet", "seq"],
+    )
+    def test_refused_spec_names_file(self, tmp_path, option, text, message):
+        bad = tmp_path / "bad_spec"
+        bad.write_text(text)
+        proc = run_subprocess(["analyze", option, str(bad)])
+        assert proc.returncode == 1
+        assert f"error: {bad}: {message}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_invariant_violation_exits_three(self, capsys, monkeypatch, fib_spec):
         def broken(args):
             raise InvariantViolation("count identity failed")

@@ -22,6 +22,8 @@ from shiftlab.language import (
     special_extension_map,
     special_words,
 )
+from shiftlab.rauzy import build_rauzy, build_special_rauzy
+from shiftlab.words import valid_steps
 
 
 class TestOracleInvariants:
@@ -46,6 +48,26 @@ class TestOracleInvariants:
         }
         with pytest.raises(InvariantViolation, match="extendability"):
             LanguageOracle.from_factor_sets(ab, factors)
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda o: extensions(o, o.alphabet.word("0" * 7)),
+        lambda o: special_words(o, 7, "left"),
+        lambda o: is_regular_bispecial(o, o.alphabet.word("0" * 6)),
+        lambda o: build_rauzy(o, 7),
+        lambda o: build_special_rauzy(o, 7),
+        lambda o: valid_steps(o.alphabet.word("0" * 6), o),
+    ],
+    ids=["extensions", "special_words", "is_regular_bispecial", "build_rauzy",
+         "build_special_rauzy", "valid_steps"],
+)
+def test_horizon_one_too_small_reports_the_horizon_needed(zo, query):
+    # each query needs horizon 9 and the oracle has 8
+    with pytest.raises(HorizonExceeded) as err:
+        query(LanguageOracle.full_shift(zo, 8))
+    assert err.value.required == 9
 
 
 class TestExtensions:

@@ -152,6 +152,22 @@ class TestMinimalStep:
     def test_absent(self, shift2):
         assert minimal_step(AB.word("abaab"), shift2) is None
 
+    @staticmethod
+    def assert_divides_every_valid_step(w, oracle):
+        steps = [c.q for c in valid_steps(w, oracle)]
+        q0 = minimal_step(w, oracle)
+        assert q0 == (steps[0] if steps else None)
+        assert all(q % q0 == 0 for q in steps)
+
+    @given(st.text(alphabet="ab", min_size=1, max_size=4), st.integers(2, 10))
+    def test_divides_every_valid_step_full_shift(self, shift2, block, n):
+        # cut from a periodic word, so that it has several valid steps
+        self.assert_divides_every_valid_step(AB.word((block * 10)[:n]), shift2)
+
+    @given(st.integers(1, 90_000), st.integers(2, 20))
+    def test_divides_every_valid_step_fibonacci(self, fib_prefix, fib_oracle, start, n):
+        self.assert_divides_every_valid_step(fib_prefix.word(start, start + n - 1), fib_oracle)
+
 
 def brute_force_valid_steps(w: Word, oracle) -> list[int]:
     """Independent O(n^2) rescan of the step definition, for cross-checks."""
