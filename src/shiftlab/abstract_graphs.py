@@ -418,7 +418,7 @@ def classify_move(graph: AbstractGraph, loop: Loop, move: Move) -> str:
     lverts = set(loop_vertices(graph, loop))
     if move.e0 not in loop.edges:
         if u in lverts or v in lverts:
-            raise InvariantViolation(
+            raise PreconditionFailure(
                 "a bispecial edge touching a loop vertex must be a loop edge"
             )
         return OUTSIDE
@@ -1275,7 +1275,6 @@ def _try_random_graph(
             targets = [t for t in lefts if t != u] + [
                 t for t in rights if t != u and in_count[t] == 0
             ]
-            targets = [t for t in targets if verts[t] == "left" or in_count[t] == 0]
             if not targets:
                 return None
             add_edge(u, rng.choice(targets))
@@ -1301,11 +1300,6 @@ def _try_random_graph(
     g = AbstractGraph(verts, edges)
     rep = validate(g)
     if any(x.startswith("notation") for x in rep.violations):
-        return None
-    try:
-        for lab in loops:
-            check_loop(g, loops[lab])
-    except PreconditionFailure:
         return None
     return g, loops
 

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 from .errors import PreconditionFailure
 from .generators import SequencePrefix
-from .language import LanguageOracle, Side, growth_profile, periodicity_check
+from .language import SIDES, LanguageOracle, Side, growth_profile, periodicity_check
 from .words import Word, minimal_step, occurrences
 
 
@@ -205,23 +205,26 @@ class WindowCheckReport:
 def special_window_check(
     oracle: LanguageOracle, x: SequencePrefix, n: int, K: int
 ) -> WindowCheckReport:
+    """Window ``j`` holds the words starting at ``j .. j + (K+1)n - 1``, so
+    a gap longer than ``(K+1)n`` after a special start ``s`` (or after 0)
+    means window ``s + 1`` fails."""
     width = (K + 2) * n - 1
     total = len(x) - width + 1
     if total < 1:
         raise PreconditionFailure("prefix shorter than one window")
-    starts_width = (K + 1) * n  # a window covers this many start positions
-    for side in ("left", "right"):
-        specials = oracle.special_strings(n, side)
-        flags = [
-            1 if x.data[i : i + n] in specials else 0
-            for i in range(len(x) - n + 1)
-        ]
-        run = sum(flags[:starts_width])
-        for j in range(total):
-            if j > 0:
-                run += flags[j + starts_width - 1] - flags[j - 1]
-            if run == 0:
-                return WindowCheckReport(n, K, total, False, (side, j + 1))
+    span = (K + 1) * n  # a window covers this many start positions
+    for side in SIDES:
+        starts = sorted(
+            k
+            for d in oracle.special_strings(n, side)
+            for k in occurrences(x, Word(oracle.alphabet, d))[1]
+        )
+        prev = 0
+        # the end sentinel is one past the last window's last start
+        for k in starts + [total + span]:
+            if k - prev > span:
+                return WindowCheckReport(n, K, total, False, (side, prev + 1))
+            prev = k
     return WindowCheckReport(n, K, total, True, None)
 
 

@@ -502,8 +502,16 @@ def _detect_period(oracle: LanguageOracle) -> int:
 
 @dataclass(frozen=True)
 class ExtensionMapResult:
-    mapping: dict[Word, Word] | None
-    failure_witness: tuple[Word, int] | None  # (word, extension count)
+    mapping: dict[Word, Word]
+
+
+def _truncations(
+    oracle: LanguageOracle, side: Side, n1: int, n2: int
+) -> dict[str, str]:
+    """Side-special words of length ``n2`` keyed, in ascending order, by
+    their first (left side) or last (right side) ``n1`` letters."""
+    cut = slice(None, n1) if side == "left" else slice(n2 - n1, None)
+    return dict(sorted((w[cut], w) for w in oracle.special_strings(n2, side)))
 
 
 def special_extension_map(
@@ -513,10 +521,16 @@ def special_extension_map(
     word of length ``n2`` extending it (keeping it as prefix for left
     specials, suffix for right specials).
 
-    Refuses outright when the regular-bispecial condition has not been
-    verified on the covered range; returns a failure witness when some
-    word has zero or several special extensions (which would falsify that
-    precondition).
+    Refuses unless the regular-bispecial condition (RBC) holds on
+    ``[n1, min(n2, horizon - 3)]``; then the map is the inverse of
+    truncation.  Take a left-special ``u`` of length ``k``, ``n1 <= k < n2
+    <= horizon - 2``.  If ``u`` is not right special, its one right
+    extension ``b`` must extend every ``a u`` (extendability holds up to
+    length ``horizon - 2``), so ``u b`` is left special; if ``u`` is
+    bispecial, regularity gives exactly one such ``b``.  So the walk one
+    letter at a time never stalls or branches, and since every prefix of
+    a left-special word is left special, the walk from ``v[:n1]`` ends at
+    ``v``.  The right side is the mirror image, with suffixes.
     """
     if not (1 <= n1 <= n2 <= oracle.horizon - 2):
         raise HorizonExceeded(
@@ -530,30 +544,10 @@ def special_extension_map(
                 "RBC not established on the requested range; first violation "
                 f"at {rbc.violations[0][0]}"
             )
-    mapping: dict[Word, Word] = {}
-    for start in sorted(oracle.special_strings(n1, side)):
-        current = start
-        for n in range(n1, n2):
-            specials_above = oracle.special_strings(n + 1, side)
-            if side == "left":
-                candidates = [
-                    current + b
-                    for b in oracle.alphabet.codes
-                    if current + b in specials_above
-                ]
-            else:
-                candidates = [
-                    a + current
-                    for a in oracle.alphabet.codes
-                    if a + current in specials_above
-                ]
-            if len(candidates) != 1:
-                return ExtensionMapResult(
-                    None, (Word(oracle.alphabet, current), len(candidates))
-                )
-            current = candidates[0]
-        mapping[Word(oracle.alphabet, start)] = Word(oracle.alphabet, current)
-    return ExtensionMapResult(mapping, None)
+    word = lambda d: Word(oracle.alphabet, d)
+    return ExtensionMapResult(
+        {word(w1): word(w2) for w1, w2 in _truncations(oracle, side, n1, n2).items()}
+    )
 
 
 def analysis_report(oracle: LanguageOracle, n_min: int = 1) -> dict:

@@ -18,14 +18,15 @@ from ._graphutil import (
 )
 from .errors import HorizonExceeded, InvariantViolation, PreconditionFailure
 from .language import (
+    SIDES,
     LanguageOracle,
     PeriodicityReport,
     Side,
+    _truncations,
     growth_profile,
     check_rbc,
     is_regular_bispecial,
     periodicity_check,
-    special_extension_map,
 )
 from .words import Word
 
@@ -339,18 +340,14 @@ def _signature(
 def _identification(
     oracle: LanguageOracle, n1: int, n2: int
 ) -> dict[SpecialVertex, SpecialVertex]:
-    """Map special vertices at length n1 to their counterparts at n2."""
-    out: dict[SpecialVertex, SpecialVertex] = {}
-    for side in ("left", "right"):
-        res = special_extension_map(oracle, side, n1, n2)
-        if res.mapping is None:
-            w, k = res.failure_witness  # type: ignore[misc]
-            raise PreconditionFailure(
-                f"no unique {side} extension for {w} ({k} candidates)"
-            )
-        for w1, w2 in res.mapping.items():
-            out[(w1.data, side)] = (w2.data, side)
-    return out
+    """Map special vertices at length n1 to their counterparts at n2: the
+    special words at n2 truncated to n1 letters.  Valid once the RBC holds
+    on ``[n1, min(n2, horizon - 3)]``, which :func:`evolve` checks."""
+    return {
+        (w1, side): (w2, side)
+        for side in SIDES
+        for w1, w2 in _truncations(oracle, side, n1, n2).items()
+    }
 
 
 def evolve(oracle: LanguageOracle, n: int) -> EvolutionStep:
@@ -375,6 +372,7 @@ def evolve(oracle: LanguageOracle, n: int) -> EvolutionStep:
             f"no bispecial word of length in [{n}, {top}]", required=oracle.horizon + 1
         )
     n_prime = n_tilde + 1  # at most horizon - 2, so the target graph fits
+    # every identification below lies inside this one checked range
     rbc = check_rbc(oracle, n_min=n, n_max=min(n_prime, oracle.horizon - 3))
     if not rbc.holds_within_horizon:
         raise PreconditionFailure(
@@ -383,12 +381,12 @@ def evolve(oracle: LanguageOracle, n: int) -> EvolutionStep:
     before = build_special_rauzy(oracle, n)
     after = build_special_rauzy(oracle, n_prime)
     # the graph must not change on the skipped lengths
-    base_sig = _signature(before, {v: v for v in before.vertices})
+    tilde_graph, to_tilde = before, {v: v for v in before.vertices}
+    base_sig = _signature(before, to_tilde)
     for m in range(n + 1, n_tilde + 1):
-        mid = build_special_rauzy(oracle, m)
-        ident = _identification(oracle, n, m)
-        back = {w: v for v, w in ident.items()}
-        if _signature(mid, back) != base_sig:
+        tilde_graph = build_special_rauzy(oracle, m)
+        to_tilde = _identification(oracle, n, m)
+        if _signature(tilde_graph, {w: v for v, w in to_tilde.items()}) != base_sig:
             raise InvariantViolation(
                 f"special graph changed at skipped length {m}"
             )
@@ -399,31 +397,34 @@ def evolve(oracle: LanguageOracle, n: int) -> EvolutionStep:
     )
     rbs_events = [Word(oracle.alphabet, d) for d in bis]
 
+    # the rewrite at a bispecial w reverses its internal edge and keeps the
+    # in-edge through a_hat w and the out-edge through w b_hat, where a_hat
+    # and b_hat are w's regularity witnesses; edge ids survive rewrites
+    moves = []
+    for data in bis:
+        verdict = is_regular_bispecial(oracle, Word(oracle.alphabet, data))
+        a_hat = oracle.alphabet.code(verdict.left_witness)  # type: ignore[arg-type]
+        b_hat = oracle.alphabet.code(verdict.right_witness)  # type: ignore[arg-type]
+        (internal,) = tilde_graph.out_edges((data, "left"))
+        chosen_in = next(
+            e.eid
+            for e in tilde_graph.in_edges((data, "left"))
+            if e.path.endswith(a_hat + data)
+        )
+        chosen_out = next(
+            e.eid
+            for e in tilde_graph.out_edges((data, "right"))
+            if e.path.startswith(data + b_hat)
+        )
+        moves.append((internal.eid, chosen_in, chosen_out))
+
     # cross-check: replay the rewrites as abstract moves, both orders
-    tilde_graph = build_special_rauzy(oracle, n_tilde)
     ident_to_prime = _identification(oracle, n_tilde, n_prime)
     target_sig = sorted((e.src, e.dst) for e in after.edges)
-    final_sim = None
-    for order in (bis, list(reversed(bis))):
+    for order in (moves, moves[::-1]):
         sim = _to_abstract(tilde_graph)
-        for data in order:
-            w = Word(oracle.alphabet, data)
-            verdict = is_regular_bispecial(oracle, w)
-            a_hat = oracle.alphabet.code(verdict.left_witness)  # type: ignore[arg-type]
-            b_hat = oracle.alphabet.code(verdict.right_witness)  # type: ignore[arg-type]
-            u, v = _vertex_name((data, "left")), _vertex_name((data, "right"))
-            e0_id = next(eid for eid in sim.out_edges(u) if sim.edges[eid][1] == v)
-            chosen_in = next(
-                e.eid
-                for e in tilde_graph.in_edges((data, "left"))
-                if e.path.endswith(a_hat + data)
-            )
-            chosen_out = next(
-                e.eid
-                for e in tilde_graph.out_edges((data, "right"))
-                if e.path.startswith(data + b_hat)
-            )
-            sim, _ = apply_rbs(sim, None, e0_id, chosen_in, chosen_out)
+        for move in order:
+            sim, _ = apply_rbs(sim, None, *move)
         sim_sig = sorted(
             (ident_to_prime[_name_vertex(s)], ident_to_prime[_name_vertex(d)])
             for (s, d) in sim.edges.values()
@@ -433,12 +434,8 @@ def evolve(oracle: LanguageOracle, n: int) -> EvolutionStep:
                 "abstract replay of the rewrites disagrees with the directly "
                 "built target graph"
             )
-        final_sim = sim
 
-    assert final_sim is not None
-    edge_map = _match_edges(
-        oracle, before, tilde_graph, after, final_sim, ident_to_prime, n, n_tilde
-    )
+    edge_map = _match_edges(before, tilde_graph, after, sim, to_tilde, ident_to_prime)
     profile_preserved = before.type_profile() == after.type_profile()
     gp = growth_profile(oracle)
     b_from_n = b_from_tilde = None
@@ -484,14 +481,12 @@ def _pair_by_endpoints(
 
 
 def _match_edges(
-    oracle: LanguageOracle,
     before: SpecialRauzyGraph,
     tilde_graph: SpecialRauzyGraph,
     after: SpecialRauzyGraph,
     final_sim: "AbstractGraph",
+    to_tilde: dict[SpecialVertex, SpecialVertex],
     ident_to_prime: dict[SpecialVertex, SpecialVertex],
-    n: int,
-    n_tilde: int,
 ) -> dict[str, str]:
     """Pair every edge with its rewritten counterpart.
 
@@ -501,12 +496,11 @@ def _match_edges(
     every edge id to its final endpoints; those endpoints select the
     counterpart in the directly built target graph.
     """
-    if n == n_tilde:
+    if tilde_graph is before:
         before_to_tilde = {e.eid: e.eid for e in before.edges}
     else:
-        ident = _identification(oracle, n, n_tilde)
         claimants = [
-            (e.eid, e.path, ident[e.src], ident[e.dst]) for e in before.edges
+            (e.eid, e.path, to_tilde[e.src], to_tilde[e.dst]) for e in before.edges
         ]
         before_to_tilde = _pair_by_endpoints(claimants, tilde_graph)
     tilde_paths = {e.eid: e.path for e in tilde_graph.edges}

@@ -429,6 +429,31 @@ class TestAbstractAndXi:
         assert "move 0 at step 0 inadmissible: unknown edge zz" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_move_breaking_degree_rules_exits_one(self, tmp_path):
+        # the left vertex u has two out-edges, and the move rewires the one
+        # off the loop: bad input, not an internal error
+        graph = {
+            "vertices": {"u": "left", "v": "right", "w": "right"},
+            "edges": {"a": ["u", "v"], "b": ["v", "u"], "c": ["v", "u"],
+                      "x": ["u", "w"], "y": ["w", "u"], "z": ["w", "u"]},
+        }
+        obj = {
+            "graphs": [graph, graph],
+            "colorings": [{}, {}],
+            "partitions": [{"1": ["a", "b"]}, {"1": ["a", "b"]}],
+            "moves": [[{"e0": "x", "in": "c", "out": "y"}]],
+            "events": [{}],
+        }
+        bad = tmp_path / "bad_itinerary.json"
+        bad.write_text(json.dumps(obj))
+        proc = run_subprocess(["xi", "--itinerary", str(bad)])
+        assert proc.returncode == 1
+        assert (
+            "move 0 at step 0 inadmissible: a bispecial edge touching a loop "
+            "vertex must be a loop edge" in proc.stderr
+        )
+        assert "Traceback" not in proc.stderr
+
     def test_output_file(self, capsys, tmp_path, fib_spec):
         target = tmp_path / "report.json"
         code = main(

@@ -1,9 +1,12 @@
 """Block densities, the special floor, diagnostics, threshold colors."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from conftest import IET4_SPEC
 
 from shiftlab.density import (
     block_count,
@@ -18,7 +21,13 @@ from shiftlab.density import (
 )
 from shiftlab.errors import PreconditionFailure
 from shiftlab.exitwords import enumerate_exit_words
-from shiftlab.generators import SequencePrefix, oracle_from_prefix, rotation_coding
+from shiftlab.generators import (
+    SequencePrefix,
+    fibonacci_prefix,
+    iet_encode,
+    oracle_from_prefix,
+    rotation_coding,
+)
 from shiftlab.rauzy import build_special_rauzy, representatives
 from shiftlab.words import Alphabet, Word
 
@@ -126,6 +135,60 @@ class TestWindowCheck:
         rep = special_window_check(oracle, x, 2, 1)
         assert not rep.ok
         assert rep.first_failure == ("left", 1)
+
+    @pytest.mark.parametrize("source", ["fibonacci", "iet4"])
+    def test_matches_rolling_reference(self, source):
+        # random strings never fail the check, so half the inputs get a
+        # periodic stretch spliced in; those are also cut at every length
+        # that ends the last window just inside the stretch, so the last
+        # special start before it meets the last window at every offset
+        x = fibonacci_prefix(2000) if source == "fibonacci" else iet_encode(IET4_SPEC, 2000)[0]
+        oracle = oracle_from_prefix(x, 16)
+        rng = random.Random(source)
+        outcomes = set()
+        for _ in range(8):
+            data, stretch = x.data, None
+            if rng.random() < 0.5:
+                p, length = rng.randint(1, 3), rng.randint(5, 200)
+                k = rng.randrange(len(data) - p)
+                period = data[k : k + p]
+                pos = rng.choice([0, len(data) - length, rng.randrange(len(data) - length)])
+                data = data[:pos] + (period * length)[:length] + data[pos + length :]
+                stretch = (pos, pos + length)
+            for n in (2, 4, 6, 8, 12):
+                for K in (1, 2, 3):
+                    cuts = [len(data)]
+                    if stretch is not None:
+                        lo, hi = stretch
+                        cuts += range(max(lo + n, (K + 2) * n), min(lo + (K + 3) * n, hi))
+                    for cut in cuts:
+                        y = SequencePrefix(x.alphabet, data[:cut], "spliced")
+                        rep = special_window_check(oracle, y, n, K)
+                        expected = _rolling_window_check(oracle, y, n, K)
+                        assert (rep.ok, rep.windows, rep.first_failure) == expected
+                        outcomes.add(rep.ok)
+        assert outcomes == {True, False}
+
+
+def _rolling_window_check(oracle, x, n, K):
+    """Reference: slide a window of ``(K+1)n`` start positions along the
+    prefix and count the special starts inside it."""
+    width = (K + 2) * n - 1
+    total = len(x) - width + 1
+    starts_width = (K + 1) * n
+    for side in ("left", "right"):
+        specials = oracle.special_strings(n, side)
+        flags = [
+            1 if x.data[i : i + n] in specials else 0
+            for i in range(len(x) - n + 1)
+        ]
+        run = sum(flags[:starts_width])
+        for j in range(total):
+            if j > 0:
+                run += flags[j + starts_width - 1] - flags[j - 1]
+            if run == 0:
+                return False, total, (side, j + 1)
+    return True, total, None
 
 
 class TestDiagnostics:

@@ -1,15 +1,23 @@
 """Language oracle analyses: extensions, specials, regularity, growth,
 periodicity, unique special extensions."""
 
+import random
+
 import pytest
 
+from conftest import IET4_SPEC
 from shiftlab.errors import (
     HorizonExceeded,
     InvariantViolation,
     NotAFactor,
     PreconditionFailure,
 )
-from shiftlab.generators import SequencePrefix, oracle_from_prefix
+from shiftlab.generators import (
+    SequencePrefix,
+    iet_encode,
+    oracle_from_prefix,
+    rotation_coding,
+)
 from shiftlab.language import (
     LanguageOracle,
     check_rbc,
@@ -22,7 +30,7 @@ from shiftlab.language import (
     special_extension_map,
     special_words,
 )
-from shiftlab.rauzy import build_rauzy, build_special_rauzy
+from shiftlab.rauzy import _identification, build_rauzy, build_special_rauzy
 from shiftlab.words import valid_steps
 
 
@@ -267,6 +275,65 @@ class TestSpecialExtensionMap:
                     assert step.mapping is not None
                     exts.append(extensions(oracle, step.mapping[w0]).left)
                 assert len(set(map(frozenset, exts))) == 1
+
+    @pytest.mark.parametrize("source", ["fibonacci", "iet3", "iet4", "rotation-1", "rotation-2"])
+    def test_truncation_matches_letter_walk(self, source, fib_prefix, iet3_prefix):
+        # every (n1, n2) range and both sides: the map read off by
+        # truncation equals the unique special extension found by walking
+        # one letter at a time, as does evolve's vertex identification
+        if source == "fibonacci":
+            x = fib_prefix
+        elif source == "iet3":
+            x = iet3_prefix
+        elif source == "iet4":
+            x, _ = iet_encode(IET4_SPEC, 20000)
+        else:
+            rng = random.Random(source)
+            x = rotation_coding([rng.randint(1, 3) for _ in range(30)], 20000)
+        oracle = oracle_from_prefix(x, 24)
+        assert check_rbc(oracle).holds_within_horizon
+        top = oracle.horizon - 2
+        for n1 in range(1, top + 1):
+            for n2 in range(n1, top + 1):
+                ident = _identification(oracle, n1, n2)
+                walked_both = {}
+                for side in ("left", "right"):
+                    walked = _walk_extension_map(oracle, side, n1, n2)
+                    res = special_extension_map(oracle, side, n1, n2)
+                    assert {w1.data: w2.data for w1, w2 in res.mapping.items()} == walked
+                    walked_both.update(
+                        ((w1, side), (w2, side)) for w1, w2 in walked.items()
+                    )
+                assert ident == walked_both
+
+
+def _walk_extension_map(
+    oracle: LanguageOracle, side: str, n1: int, n2: int
+) -> dict[str, str]:
+    """Reference: extend each side-special word of length ``n1`` one letter
+    at a time through the side-special words up to length ``n2``,
+    requiring exactly one candidate at every step."""
+    mapping = {}
+    for start in sorted(oracle.special_strings(n1, side)):
+        current = start
+        for n in range(n1, n2):
+            specials_above = oracle.special_strings(n + 1, side)
+            if side == "left":
+                candidates = [
+                    current + b
+                    for b in oracle.alphabet.codes
+                    if current + b in specials_above
+                ]
+            else:
+                candidates = [
+                    a + current
+                    for a in oracle.alphabet.codes
+                    if a + current in specials_above
+                ]
+            assert len(candidates) == 1, (current, candidates)
+            current = candidates[0]
+        mapping[start] = current
+    return mapping
 
 
 def test_report_shape(fib_oracle):
