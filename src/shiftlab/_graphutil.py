@@ -41,6 +41,20 @@ def reachable(start: V, succ: Callable[[V], Iterable[V]]) -> set[V]:
     return seen
 
 
+def reaches(start: V, goal: V, succ: Callable[[V], Iterable[V]]) -> bool:
+    """Whether a path of one or more arcs leads from ``start`` to ``goal``."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in succ(stack.pop()):
+            if w == goal:
+                return True
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return False
+
+
 def is_strongly_connected(vertices: Sequence[V], succ, pred) -> bool:
     if not vertices:
         return True

@@ -21,7 +21,7 @@ from ._graphutil import (
     dot_quote,
     is_strongly_connected,
     is_weakly_connected,
-    reachable,
+    reaches,
     weak_components,
 )
 from .errors import (
@@ -44,8 +44,8 @@ class AbstractGraph:
     ``edges - vertices`` is the branching constant ``K``.
 
     Nothing mutates ``vertices`` or ``edges`` after construction (rewrites
-    build a new graph), so the adjacency index is built once, on the
-    first adjacency query, and serves every later one.
+    build a new graph), so the adjacency index and the strong connectivity
+    verdict are computed once, on first use, and serve every later query.
     """
 
     vertices: dict[str, str]  # name -> "left" | "right"
@@ -97,10 +97,14 @@ class AbstractGraph:
     def K_right(self) -> int:
         return sum(1 for k in self.vertices.values() if k == "right")
 
-    def is_strongly_connected(self) -> bool:
+    @cached_property
+    def _strongly_connected(self) -> bool:
         return is_strongly_connected(
             self.vertex_list(), self.successors, self.predecessors
         )
+
+    def is_strongly_connected(self) -> bool:
+        return self._strongly_connected
 
     def bispecial_edges(self) -> list[str]:
         """Edges from a left vertex to a right vertex."""
@@ -283,12 +287,9 @@ def _on_monochromatic_circuit(
     color = coloring.edge(eid)
     s, d = graph.edges[eid]
     # a directed path d -> s through edges of the same color
-    return s in reachable(
-        d,
-        lambda x: [
-            graph.edges[e][1] for e in graph.out_edges(x) if coloring.edge(e) == color
-        ],
-    )
+    return reaches(d, s, lambda x: [
+        graph.edges[e][1] for e in graph.out_edges(x) if coloring.edge(e) == color
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -326,45 +327,59 @@ def apply_rbs(
     vertices and the rewired edge; on those three the old colors are kept
     when the result still validates, otherwise they are zeroed (least
     change first, full zeroing as fallback).
+
+    A move is refused (:class:`PreconditionFailure`) unless ``e0 = u->v``
+    is ``u``'s only out-edge and ``v``'s only in-edge.  Then the result G'
+    is strongly connected iff G is and ``u`` reaches ``v`` in G', so one
+    search decides before any graph is built, and G' records the verdict.
+    Proof: contract ``{u, v}``; the rewrite only moves edge ends between
+    ``u`` and ``v``, so both quotients have the same edges.  G (entered at
+    ``u``, left from ``v``) is strongly connected iff its quotient is; G'
+    iff its quotient is and ``u`` reaches ``v``, as ``v->u`` is ``e0`` now.
     """
     if e0 not in graph.edges:
         raise PreconditionFailure(f"unknown edge {e0}")
     u, v = graph.edges[e0]
     if graph.vertices[u] != "left" or graph.vertices[v] != "right":
         raise PreconditionFailure(f"edge {e0} is not bispecial")
-    in_ids = set(graph.in_edges(u))
-    out_ids = set(graph.out_edges(v))
-    in_ids.discard(e0)
-    out_ids.discard(e0)
+    outs, ins = graph._adjacency
+    for w, side, ids in ((u, "out", outs[u]), (v, "in", ins[v])):
+        if len(ids) != 1:
+            raise PreconditionFailure(
+                f"{graph.vertices[w]} vertex {w} has {side}-degree {len(ids)}, not 1"
+            )
+    in_ids = ins.get(u, ())
+    out_ids = outs.get(v, ())
     if chosen_in not in in_ids:
         raise PreconditionFailure(f"{chosen_in} does not end at {u}")
     if chosen_out not in out_ids:
         raise PreconditionFailure(f"{chosen_out} does not begin at {v}")
-    new_edges: dict[str, tuple[str, str]] = {}
-    for eid, (s, d) in graph.edges.items():
-        if eid == e0:
-            new_edges[eid] = (v, u)
-        elif eid in in_ids and eid in out_ids:
-            # an edge from v to u; both endpoints may move
-            ns = u if eid == chosen_out else v
-            nd = v if eid == chosen_in else u
-            new_edges[eid] = (ns, nd)
-        elif eid in in_ids:
-            new_edges[eid] = (s, v if eid == chosen_in else u)
-        elif eid in out_ids:
-            new_edges[eid] = (u if eid == chosen_out else v, d)
-        else:
-            new_edges[eid] = (s, d)
-    result = AbstractGraph(dict(graph.vertices), new_edges)
-    for eid, (s, d) in result.edges.items():
+    # new ends of every edge at u or v: e0, the in-edges of u and the
+    # out-edges of v; these include every edge leaving u or v afterwards
+    moved = {e0: (v, u)}
+    for eid in in_ids:
+        moved[eid] = (graph.edges[eid][0], v if eid == chosen_in else u)
+    for eid in out_ids:
+        d = moved.get(eid, graph.edges[eid])[1]
+        moved[eid] = (u if eid == chosen_out else v, d)
+    for eid, ends in graph.edges.items():
+        s, d = moved.get(eid, ends)
         if s == d:
             raise InadmissibleMove(
                 f"choice ({chosen_in},{chosen_out}) creates self-loop {eid}"
             )
-    if not result.is_strongly_connected():
+
+    def successors_after(x: str) -> list[str]:
+        if x == u or x == v:
+            return [d for s, d in moved.values() if s == x]
+        return [moved.get(e, graph.edges[e])[1] for e in outs.get(x, ())]
+
+    if not (graph.is_strongly_connected() and reaches(u, v, successors_after)):
         raise InadmissibleMove(
             f"choice ({chosen_in},{chosen_out}) disconnects the graph"
         )
+    result = AbstractGraph(dict(graph.vertices), {**graph.edges, **moved})
+    object.__setattr__(result, "_strongly_connected", True)
     if coloring is None:
         return result, None
     new_coloring = _complete_colors(result, coloring, u, v, e0)
@@ -1298,8 +1313,9 @@ def _try_random_graph(
             if choices:
                 add_edge(s, rng.choice(choices))
     g = AbstractGraph(verts, edges)
-    rep = validate(g)
-    if any(x.startswith("notation") for x in rep.violations):
+    # the other structural rules hold by construction: one out-edge per
+    # left, one in-edge per right, the while loops fill the rest, no self-loop
+    if not g.is_strongly_connected():
         return None
     return g, loops
 

@@ -2,6 +2,7 @@
 components-and-tags, itineraries, searches."""
 
 import random
+from unittest.mock import patch
 
 import pytest
 
@@ -36,6 +37,7 @@ from shiftlab.abstract_graphs import (
     simple_cycles,
     validate,
 )
+from shiftlab.abstract_graphs import _try_random_graph
 from shiftlab.errors import InadmissibleMove, PreconditionFailure
 
 
@@ -152,6 +154,21 @@ class TestApplyRbs:
         g = k3_shape()
         with pytest.raises(PreconditionFailure):
             apply_rbs(g, None, "b", "a", "a")
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (("u1", "v2"), "left vertex u1 has out-degree 2"),
+            (("u2", "v1"), "right vertex v1 has in-degree 2"),
+        ],
+    )
+    def test_second_edge_at_rewired_end_refused(self, extra, message):
+        # the local connectivity test needs e0 to be u's only out-edge and
+        # v's only in-edge
+        g = k3_shape()
+        g = AbstractGraph(dict(g.vertices), {**g.edges, "z": extra})
+        with pytest.raises(PreconditionFailure, match=message):
+            apply_rbs(g, None, "a", "h", "j")
 
     def test_edge_ids_survive(self):
         g = k3_shape()
@@ -613,3 +630,36 @@ class TestRandomInstances:
         rng = random.Random(5)
         g, _ = random_graph_with_loops(rng)
         assert graph_from_json(graph_to_json(g)) == g
+
+    def test_generator_tail_matches_validate(self):
+        # a try keeps its graph by strong connectivity alone; the reference
+        # keeps it when validate finds no structural (notation) violation
+        built = []
+        original = AbstractGraph.__post_init__
+
+        def recording(graph):
+            built.append(graph)
+            original(graph)
+
+        refused = 0
+        for seed in range(2000):
+            for n_loops in (None, 1, 2, 3):
+                rng, ref_rng = random.Random(seed), random.Random(seed)
+                g, loops = random_graph_with_loops(rng, n_loops)
+                while True:
+                    built.clear()
+                    with patch.object(AbstractGraph, "__post_init__", recording):
+                        got = _try_random_graph(ref_rng, n_loops)
+                    if not built:
+                        assert got is None
+                        continue
+                    rep = validate(built[0])
+                    kept = not any(x.startswith("notation") for x in rep.violations)
+                    assert (got is not None) == kept
+                    if kept:
+                        break
+                    refused += 1
+                assert got[0] is built[0]
+                assert (g, loops) == got and rng.random() == ref_rng.random()
+                assert rep.ok and g.K >= g.K_right
+        assert refused > 3000

@@ -13,6 +13,7 @@ from shiftlab import cli
 from shiftlab.cli import main
 from shiftlab.errors import InvariantViolation
 
+BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
 FIB_JSON = '{"alphabet": ["a", "b"], "rules": {"a": "ab", "b": "a"}, "seed": "a"}'
 IET3_JSON = (
     '{"d": 3, "lambda": ["169/408", "233/610", "25363/124440"],'
@@ -452,6 +453,19 @@ class TestAbstractAndXi:
             "move 0 at step 0 inadmissible: a bispecial edge touching a loop "
             "vertex must be a loop edge" in proc.stderr
         )
+        assert "Traceback" not in proc.stderr
+
+    def test_extra_out_edge_at_rewired_vertex_exits_one(self, tmp_path):
+        # u1 gets a second out-edge, so the logged move on its edge a is
+        # refused instead of bounding a graph that is not a branching graph
+        obj = json.loads((BENCH_INPUTS / "itinerary.json").read_text())
+        obj["graphs"][0]["edges"]["zz"] = ["u1", "x"]
+        bad = tmp_path / "bad_itinerary.json"
+        bad.write_text(json.dumps(obj))
+        proc = run_subprocess(["xi", "--itinerary", str(bad)])
+        assert proc.returncode == 1
+        assert "error: move 0 at step 0 inadmissible: " in proc.stderr
+        assert "left vertex u1 has out-degree 2" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_output_file(self, capsys, tmp_path, fib_spec):

@@ -1,0 +1,190 @@
+"""``apply_rbs`` decides admissibility locally; the reference below
+builds the rewritten graph, scans it for self-loops and runs a forward and
+a backward search over the whole result, as ``apply_rbs`` once did.
+
+Where the bispecial edge is not its left end's only out-edge or its right
+end's only in-edge, ``apply_rbs`` refuses before the reference's checks;
+every other triple must give the same result edges, or the same exception
+class and message.
+"""
+
+import random
+from unittest.mock import patch
+
+import pytest
+
+from shiftlab._graphutil import is_strongly_connected
+from shiftlab.abstract_graphs import (
+    AbstractGraph,
+    apply_rbs,
+    random_graph_with_loops,
+)
+from shiftlab.errors import InadmissibleMove, PreconditionFailure
+
+
+def reference_rbs(graph, e0, chosen_in, chosen_out):
+    if e0 not in graph.edges:
+        raise PreconditionFailure(f"unknown edge {e0}")
+    u, v = graph.edges[e0]
+    if graph.vertices[u] != "left" or graph.vertices[v] != "right":
+        raise PreconditionFailure(f"edge {e0} is not bispecial")
+    in_ids = set(graph.in_edges(u)) - {e0}
+    out_ids = set(graph.out_edges(v)) - {e0}
+    if chosen_in not in in_ids:
+        raise PreconditionFailure(f"{chosen_in} does not end at {u}")
+    if chosen_out not in out_ids:
+        raise PreconditionFailure(f"{chosen_out} does not begin at {v}")
+    new_edges = {}
+    for eid, (s, d) in graph.edges.items():
+        if eid == e0:
+            new_edges[eid] = (v, u)
+        elif eid in in_ids and eid in out_ids:
+            ns = u if eid == chosen_out else v
+            nd = v if eid == chosen_in else u
+            new_edges[eid] = (ns, nd)
+        elif eid in in_ids:
+            new_edges[eid] = (s, v if eid == chosen_in else u)
+        elif eid in out_ids:
+            new_edges[eid] = (u if eid == chosen_out else v, d)
+        else:
+            new_edges[eid] = (s, d)
+    for eid, (s, d) in new_edges.items():
+        if s == d:
+            raise InadmissibleMove(
+                f"choice ({chosen_in},{chosen_out}) creates self-loop {eid}"
+            )
+    vertices = sorted(graph.vertices)
+    succ = {w: [] for w in vertices}
+    pred = {w: [] for w in vertices}
+    for s, d in new_edges.values():
+        succ[s].append(d)
+        pred[d].append(s)
+    if not is_strongly_connected(vertices, succ.__getitem__, pred.__getitem__):
+        raise InadmissibleMove(
+            f"choice ({chosen_in},{chosen_out}) disconnects the graph"
+        )
+    return new_edges
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (InadmissibleMove, PreconditionFailure) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def degree_fault(graph, e0):
+    """The vertex of a bispecial ``e0`` whose degree breaks the rule, or None."""
+    u, v = graph.edges[e0]
+    kinds = (graph.vertices[u], graph.vertices[v])
+    if kinds != ("left", "right"):
+        return None
+    if len(graph.out_edges(u)) != 1:
+        return u
+    if len(graph.in_edges(v)) != 1:
+        return v
+    return None
+
+
+def triples(graph):
+    for e0 in graph.edge_list():
+        s, d = graph.edges[e0]
+        for cin in graph.in_edges(s) + [e0]:
+            for cout in graph.out_edges(d) + [e0]:
+                yield e0, cin, cout
+
+
+def prefixed(graph, tag):
+    return AbstractGraph(
+        {tag + w: k for w, k in graph.vertices.items()},
+        {tag + e: (tag + s, tag + d) for e, (s, d) in graph.edges.items()},
+    )
+
+
+def union(g, h):
+    g, h = prefixed(g, "p"), prefixed(h, "q")
+    return AbstractGraph({**g.vertices, **h.vertices}, {**g.edges, **h.edges})
+
+
+def with_self_loop(graph, w, first):
+    loop = {"zz": (w, w)}
+    edges = {**loop, **graph.edges} if first else {**graph.edges, **loop}
+    return AbstractGraph(dict(graph.vertices), edges)
+
+
+def accepted_chain(rng, graph, steps):
+    chain = [graph]
+    for _ in range(steps):
+        moves = list(triples(chain[-1]))
+        rng.shuffle(moves)
+        for mv in moves:
+            kind, got = outcome(reference_rbs, chain[-1], *mv)
+            if kind == "ok":
+                chain.append(AbstractGraph(dict(graph.vertices), got))
+                break
+    return chain
+
+
+def sample_graphs():
+    rng = random.Random(4242)
+    base = [random_graph_with_loops(rng)[0] for _ in range(200)]
+    out = list(base)
+    for g in base[:50]:
+        out += accepted_chain(rng, g, 3)[1:]
+    out += [union(base[i], base[i + 1]) for i in range(50, 100)]
+    for i, g in enumerate(base[100:]):
+        out.append(with_self_loop(g, rng.choice(g.vertex_list()), first=i % 2 == 0))
+    return out
+
+
+def test_local_admissibility_matches_whole_graph_reference():
+    built = []
+    original = AbstractGraph.__post_init__
+
+    def recording(self):
+        built.append(self)
+        original(self)
+
+    counts = {"ok": 0, "InadmissibleMove": 0, "PreconditionFailure": 0}
+    disconnects = 0
+    for graph in sample_graphs():
+        for e0, cin, cout in triples(graph):
+            built.clear()
+            with patch.object(AbstractGraph, "__post_init__", recording):
+                kind, got = outcome(apply_rbs, graph, None, e0, cin, cout)
+            fault = degree_fault(graph, e0)
+            if fault is not None:
+                assert kind == "PreconditionFailure"
+                assert f"vertex {fault} has" in got
+            else:
+                ref_kind, ref = outcome(reference_rbs, graph, e0, cin, cout)
+                assert kind == ref_kind
+                if kind == "ok":
+                    assert got[0].edges == ref and list(got[0].edges) == list(ref)
+                    assert got[0].is_strongly_connected()
+                else:
+                    assert got == ref
+                    disconnects += got.endswith("disconnects the graph")
+            if kind == "ok":
+                assert built == [got[0]]
+            else:
+                assert built == []
+            counts[kind] += 1
+    assert counts["ok"] > 2000 and counts["InadmissibleMove"] > 4000
+    assert counts["PreconditionFailure"] > 4000 and disconnects > 1500
+
+
+def test_self_loop_named_in_edge_order():
+    # v -> u edge "b" chosen as the in-edge only becomes a self-loop at v;
+    # a self-loop "zz" elsewhere is named instead when it comes first
+    g = AbstractGraph(
+        {"u": "left", "v": "right", "w": "right", "x": "left"},
+        {"a": ("u", "v"), "b": ("v", "u"), "c": ("v", "x"), "d": ("x", "w"),
+         "f": ("w", "u"), "g": ("w", "x")},
+    )
+    with pytest.raises(InadmissibleMove, match="creates self-loop b"):
+        apply_rbs(g, None, "a", "b", "c")
+    for first, named in ((True, "zz"), (False, "b")):
+        looped = with_self_loop(g, "w", first)
+        with pytest.raises(InadmissibleMove, match=f"creates self-loop {named}$"):
+            apply_rbs(looped, None, "a", "b", "c")
