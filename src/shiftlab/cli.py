@@ -92,7 +92,7 @@ def _load_prefix(args: argparse.Namespace):
         raise ValueError(
             "choose exactly one input: --substitution, --iet, --rotation, --seq"
         )
-    length = args.length or max(4 * args.horizon, 2000)
+    length = args.length if args.length is not None else max(4 * args.horizon, 2000)
     kind = chosen[0]
     if kind == "substitution":
         spec = read_substitution_file(args.substitution)
@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         if inputs:
             p.add_argument("--horizon", type=int, default=24)
-            p.add_argument("--length", type=int, help="prefix/orbit length")
+            p.add_argument("--length", type=int, help="prefix/orbit length (>= 1)")
             p.add_argument("--substitution", help="substitution spec JSON file")
             p.add_argument("--iet", help="interval exchange spec JSON file")
             p.add_argument("--rotation", help="rotation number p/q")

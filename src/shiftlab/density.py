@@ -84,8 +84,13 @@ class BlockDensity:
 
     @property
     def estimate(self) -> Fraction:
-        tail_from = (self.blocks + 1) // 2
-        return max(self.averages[tail_from - 1 :])
+        # the largest S_i / (i + 1) over the tail, by integer cross-multiplication
+        hits = self.hits
+        best = (self.blocks + 1) // 2 - 1
+        for i in range(best + 1, len(hits)):
+            if hits[i] * (best + 1) > hits[best] * (i + 1):
+                best = i
+        return Fraction(hits[best], best + 1)
 
     def to_json(self) -> dict:
         return {

@@ -345,7 +345,7 @@ def oracle_from_prefix(x: SequencePrefix, horizon: int) -> LanguageOracle:
     data = x.data
     N = len(data)
     levels = {
-        horizon: frozenset(data[i : i + horizon] for i in range(N - horizon + 1))
+        horizon: frozenset({data[i : i + horizon] for i in range(N - horizon + 1)})
     }
     for n in range(horizon - 1, 0, -1):
         level = {w[:-1] for w in levels[n + 1]}

@@ -169,6 +169,7 @@ class LanguageOracle:
         """
         key = (n, side)
         if key not in self._extension_counts:
+            self.require_length(n, f"{side} extensions")
             self.require_length(n + 1, f"{side} extensions")
             counts = dict.fromkeys(self._levels[n], 0)
             cut = slice(1, None) if side == "left" else slice(None, -1)
@@ -187,6 +188,7 @@ class LanguageOracle:
         ``side``.  Callers that need only how many read ``extension_counts``."""
         key = (n, side)
         if key not in self._extension_maps:
+            self.require_length(n, f"{side} extensions")
             self.require_length(n + 1, f"{side} extensions")
             cut, end = (slice(1, None), 0) if side == "left" else (slice(None, -1), -1)
             acc: dict[str, set[str]] = {w: set() for w in self._levels[n]}
@@ -287,13 +289,18 @@ def is_regular_bispecial(oracle: LanguageOracle, w: Word) -> RegularityVerdict:
     )
     if len(good_b) == 1 and len(good_a) == 1:
         return RegularityVerdict(w, True, good_a[0], good_b[0])
-    reason = (
+    return RegularityVerdict(w, False, None, None, _irregularity(good_b, good_a))
+
+
+def _irregularity(good_b: list[str], good_a: list[str]) -> str:
+    """Why a bispecial is irregular, given the sorted tokens ``b`` with
+    ``wb`` left special and ``a`` with ``aw`` right special."""
+    return (
         f"{len(good_b)} right extensions are left special "
         f"({','.join(good_b) or 'none'}); "
         f"{len(good_a)} left extensions are right special "
         f"({','.join(good_a) or 'none'})"
     )
-    return RegularityVerdict(w, False, None, None, reason)
 
 
 # -- extension graph ----------------------------------------------------
@@ -428,11 +435,29 @@ class RbcReport:
         }
 
 
+def _grouped(strings: frozenset[str], key: slice, letter: int) -> dict[str, list[str]]:
+    """``strings`` grouped by the slice ``key``, each group holding the
+    codes at index ``letter``."""
+    groups: dict[str, list[str]] = {}
+    for v in strings:
+        groups.setdefault(v[key], []).append(v[letter])
+    return groups
+
+
 def check_rbc(
     oracle: LanguageOracle, n_min: int = 1, n_max: int | None = None
 ) -> RbcReport:
     """Test every bispecial factor of length in ``[n_min, horizon-3]``
     (or up to ``n_max``) for regularity.
+
+    Each length is decided at once from the special sets one letter
+    longer.  The letters ``b`` with ``wb`` left special are the last
+    letters of the left-special words of length ``n + 1`` whose first
+    ``n`` letters are ``w``; the letters ``a`` with ``aw`` right special
+    are the first letters of the right-special words whose last ``n``
+    letters are ``w``.  Such ``wb`` and ``aw`` are factors, so these are
+    exactly the extensions :func:`is_regular_bispecial` tests, and ``w``
+    is regular iff both groups have one member.
 
     ``n0_estimate`` is one more than the longest irregular bispecial found
     (a lower-bound witness only, never the true threshold).
@@ -444,16 +469,17 @@ def check_rbc(
         raise PreconditionFailure(
             f"no checkable lengths: n_min={n_min}, top={top}"
         )
+    tokens = lambda codes: sorted(map(oracle.alphabet.token, codes))
     violations: list[tuple[Word, str]] = []
     for n in range(n_min, top + 1):
-        bis = sorted(
-            oracle.special_strings(n, "left") & oracle.special_strings(n, "right")
-        )
-        for data in bis:
-            w = Word(oracle.alphabet, data)
-            verdict = is_regular_bispecial(oracle, w)
-            if not verdict.regular:
-                violations.append((w, verdict.reason or "irregular"))
+        bis = oracle.special_strings(n, "left") & oracle.special_strings(n, "right")
+        good_b = _grouped(oracle.special_strings(n + 1, "left"), slice(None, -1), -1)
+        good_a = _grouped(oracle.special_strings(n + 1, "right"), slice(1, None), 0)
+        for data in sorted(bis):
+            b, a = good_b.get(data, ()), good_a.get(data, ())
+            if len(b) != 1 or len(a) != 1:
+                reason = _irregularity(tokens(b), tokens(a))
+                violations.append((Word(oracle.alphabet, data), reason))
     n0_estimate = n_min
     if violations:
         n0_estimate = 1 + max(len(w) for w, _ in violations)

@@ -57,8 +57,21 @@ class Alphabet:
         return {tok: CODE_CHARS[i] for i, tok in enumerate(self.symbols)}
 
     @cached_property
+    def _code_set(self) -> frozenset[str]:
+        return frozenset(self.codes)
+
+    @cached_property
+    def _code_to_token(self) -> dict[str, str]:
+        return dict(zip(self.codes, self.symbols))
+
+    @cached_property
     def _single_char_tokens(self) -> bool:
         return all(len(tok) == 1 for tok in self.symbols)
+
+    @cached_property
+    def _render_table(self) -> dict[int, int]:
+        """``str.translate`` table from codes to single-character tokens."""
+        return str.maketrans(self.codes, "".join(self.symbols))
 
     def code(self, token: str) -> str:
         try:
@@ -67,7 +80,7 @@ class Alphabet:
             raise ValueError(f"unknown symbol {token!r}") from None
 
     def token(self, code: str) -> str:
-        return self.symbols[CODE_CHARS.index(code)]
+        return self._code_to_token[code]
 
     def word(self, tokens: str | Sequence[str]) -> Word:
         """Build a word from a token string or a sequence of tokens.
@@ -103,24 +116,22 @@ class Word:
     def __post_init__(self):
         if not self.data:
             raise ValueError("the empty word is excluded")
-        if any(c not in self.alphabet.codes for c in self.data):
+        if not self.alphabet._code_set.issuperset(self.data):
             raise ValueError("word contains codes outside its alphabet")
 
     def __len__(self) -> int:
         return len(self.data)
 
     def __str__(self) -> str:
-        toks = self.tokens()
-        return "".join(toks) if self.alphabet._single_char_tokens else " ".join(toks)
+        if self.alphabet._single_char_tokens:
+            return self.data.translate(self.alphabet._render_table)
+        return " ".join(self.tokens())
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r})"
 
     def tokens(self) -> tuple[str, ...]:
-        return tuple(self.alphabet.token(c) for c in self.data)
-
-    def letters(self) -> tuple[int, ...]:
-        return tuple(CODE_CHARS.index(c) for c in self.data)
+        return tuple(map(self.alphabet.token, self.data))
 
     def sub(self, i: int, j: int) -> Word:
         """The subword at 1-based inclusive positions ``[i, j]``."""
@@ -237,12 +248,15 @@ def valid_steps(
     """
     if w.alphabet != oracle.alphabet:
         raise AlphabetMismatch("word and oracle use different alphabets")
-    oracle.require_length(len(w) + len(w) // 2, "deciding steps")
+    d = w.data
+    n = len(d)
+    oracle.require_length(n + n // 2, "deciding steps")
     out = []
-    for q in range(1, len(w) // 2 + 1):
-        if not shift_match(w, q):
+    for q in range(1, n // 2 + 1):
+        if d[q:] != d[: n - q]:
             continue
-        if oracle.contains(periodic_power(w, q, 2)):
+        # the doubled power periodic_power(w, q, 2), built on the code string
+        if (d[:q] * (n // q + 2))[: n + q] in oracle.factor_strings(n + q):
             out.append(StepCertificate(w, q, "language-valid"))
         elif include_shift_only:
             out.append(StepCertificate(w, q, "shift-match-only"))

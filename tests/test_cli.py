@@ -35,13 +35,13 @@ def iet_spec(tmp_path):
     return str(path)
 
 
-def run_subprocess(argv):
+def run_subprocess(argv, module="shiftlab.cli"):
     """Run the CLI in a fresh interpreter, so that a traceback would show."""
     env = dict(os.environ)
     package_root = str(Path(shiftlab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "shiftlab.cli", *argv],
+        [sys.executable, "-m", module, *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
 
@@ -190,6 +190,14 @@ class TestAnalyze:
         assert code == 3
         assert "internal error (a bug): count identity failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("length", ["0", "-5"])
+    def test_nonpositive_length_exits_one(self, capsys, fib_spec, length):
+        code = main(
+            ["analyze", "--substitution", fib_spec, "--horizon", "40", "--length", length]
+        )
+        assert code == 1
+        assert "error: length must be >= 1" in capsys.readouterr().err
+
     def test_deterministic(self, capsys, fib_spec):
         _, out1 = run(capsys, ["analyze", "--substitution", fib_spec, "--horizon", "24"])
         _, out2 = run(capsys, ["analyze", "--substitution", fib_spec, "--horizon", "24"])
@@ -233,6 +241,14 @@ class TestEvolve:
         assert [s["n_prime"] for s in steps] == [4, 7]
         assert [s["rbs_events"] for s in steps] == [["aba"], ["abaaba"]]
         assert all(s["profile_preserved"] for s in steps)
+
+    def test_zero_length_exits_one(self, fib_spec):
+        proc = run_subprocess(
+            ["evolve", "--substitution", fib_spec, "--horizon", "16", "--n", "0"]
+        )
+        assert proc.returncode == 1
+        assert "error: length must be >= 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestExitwords:
@@ -476,3 +492,10 @@ class TestAbstractAndXi:
         )
         assert code == 0
         assert json.loads(target.read_text())["growth"]["K"] == 1
+
+
+def test_python_dash_m_entry_point():
+    """``python -m shiftlab`` runs the CLI from a source checkout."""
+    proc = run_subprocess(["--help"], module="shiftlab")
+    assert proc.returncode == 0
+    assert "usage: shiftlab" in proc.stdout

@@ -112,6 +112,16 @@ class TestSpecialWords:
     def test_full_shift_all_bispecial(self, full_shift_2):
         assert len(special_words(full_shift_2, 2, "bi")) == 4
 
+    @pytest.mark.parametrize("side", ["left", "right", "bi"])
+    def test_length_zero_refused(self, fib_oracle, side):
+        with pytest.raises(ValueError, match="length must be >= 1"):
+            special_words(fib_oracle, 0, side)
+
+    @pytest.mark.parametrize("query", ["extension_counts", "extension_map"])
+    def test_extension_queries_refuse_length_zero(self, fib_oracle, query):
+        with pytest.raises(ValueError, match="length must be >= 1"):
+            getattr(fib_oracle, query)(0, "left")
+
     def test_agrees_with_per_word_extensions(self, fib_oracle):
         # independent recomputation through the per-word extension query
         for n in range(1, 10):
