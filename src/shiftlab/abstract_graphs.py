@@ -427,6 +427,11 @@ def classify_move(graph: AbstractGraph, loop: Loop, move: Move) -> str:
     ``outside`` means the move does not touch the loop at all.
     """
     check_loop(graph, loop)
+    return _classify(graph, loop, move)
+
+
+def _classify(graph: AbstractGraph, loop: Loop, move: Move) -> str:
+    """:func:`classify_move` for a loop already checked against the graph."""
     if move.e0 not in graph.edges:
         raise PreconditionFailure(f"unknown edge {move.e0}")
     u, v = graph.edges[move.e0]
@@ -469,12 +474,13 @@ def _track_move(
     or ``None``, the move's kind relative to it, and the graph and loops
     after the move.  A collapse is not applied: graph and loops come back
     unchanged, and each caller decides what a collapse means to it.  The
-    rewrite keeps every degree and moves no edge of another loop, so the
-    loops stay disjoint circuits of the new graph.
+    caller checks the loops (:func:`_check_loops`) once, before its first
+    move: the rewrite keeps every degree and moves no edge of another loop,
+    so the loops stay disjoint circuits of the new graph.
     """
     label, kind = None, OUTSIDE
     for lab in sorted(loops):
-        kind = classify_move(graph, loops[lab], move)
+        kind = _classify(graph, loops[lab], move)
         if kind != OUTSIDE:
             label = lab
             break
@@ -789,6 +795,10 @@ class Itinerary:
         out = []
         for i in range(self.steps):
             current, track = self.graphs[i], self.partitions[i]
+            try:
+                _check_loops(current, track)
+            except PreconditionFailure as exc:
+                raise PreconditionFailure(f"state {i} loops: {exc}") from None
             for k, mv in enumerate(self.move_lists[i]):
                 try:
                     lab, kind, current, track = _track_move(current, track, mv)
@@ -1032,10 +1042,12 @@ def search_colorings(
     family, and conversely the canonical coloring of such a family always
     satisfies them; so this search decides attainability of ``e_target``
     distinct loop colors on the given graph.
+
+    The graph must be structurally valid (no ``notation`` violation in
+    :func:`validate`); this is not checked again here, since its callers
+    pass graphs that :func:`enumerate_valid_graphs` built valid or that they
+    have validated themselves.
     """
-    structural = validate(graph)
-    if any(x.startswith("notation") for x in structural.violations):
-        raise PreconditionFailure(f"graph invalid: {structural.violations[0]}")
     cycles = simple_cycles(graph, max_cycles=max_cycles)
     exhausted = len(cycles) < max_cycles
     tried = 0
@@ -1219,28 +1231,40 @@ def exhaustive_bound_probe(
 
 
 def random_graph_with_loops(
-    rng: random.Random,
-    n_loops: int | None = None,
-    max_attempts: int = 2000,
+    rng: random.Random, n_loops: int | None = None
 ) -> tuple[AbstractGraph, dict[str, Loop]]:
-    """A random structurally valid graph with a family of vertex-disjoint
-    tracked circuits (loops first, then random completion)."""
-    for _ in range(max_attempts):
-        got = _try_random_graph(rng, n_loops)
-        if got is not None:
-            return got
-    raise InvariantViolation("random instance generation failed to converge")
+    """A random structurally valid graph with ``n_loops >= 1`` (by default
+    one to three) vertex-disjoint tracked circuits, valid by construction.
 
-
-def _try_random_graph(
-    rng: random.Random, n_loops: int | None
-) -> tuple[AbstractGraph, dict[str, Loop]] | None:
+    Loop 1 is the strongly connected core.  Each further loop joins it as
+    an ear: an edge from a core right vertex to one of the loop's left
+    vertices, and one from a loop right vertex to a core left vertex.  The
+    extra vertices join as one path, core right -> w0 -> ... -> core left;
+    a left vertex on it spends its one out-edge there, a right vertex its
+    one in-edge.  Right-to-left edges then give every right vertex two
+    out-edges and every left vertex two in-edges.  So a left vertex gains
+    only in-edges after its first out-edge, a right vertex only out-edges
+    after its first in-edge, no edge joins a vertex to itself, and edges
+    added inside a strongly connected graph keep it strongly connected.
+    """
+    if n_loops is not None and n_loops < 1:
+        raise PreconditionFailure(f"n_loops must be >= 1, got {n_loops}")
     E = n_loops if n_loops is not None else rng.choice([1, 1, 2, 2, 3])
     sizes = [rng.choice([2, 2, 3, 3, 4]) for _ in range(E)]
     verts: dict[str, str] = {}
     edges: dict[str, tuple[str, str]] = {}
-    loops: dict[str, Loop] = {}
     counter = itertools.count()
+
+    def add_path(*path: str) -> tuple[str, ...]:
+        eids = tuple(f"e{next(counter):03d}" for _ in path[1:])
+        edges.update(zip(eids, zip(path, path[1:])))
+        return eids
+
+    def pick(names: list[str], kind: str) -> str:
+        return rng.choice([w for w in names if verts[w] == kind])
+
+    loops: dict[str, Loop] = {}
+    rings: list[list[str]] = []
     for li, size in enumerate(sizes, start=1):
         # a circuit needs at least one vertex of each kind
         kinds = ["left", "right"] + [
@@ -1248,76 +1272,33 @@ def _try_random_graph(
         ]
         rng.shuffle(kinds)
         names = [f"L{li}x{j}" for j in range(size)]
-        for nm, kd in zip(names, kinds):
-            verts[nm] = kd
-        eids = []
-        for j in range(size):
-            eid = f"e{next(counter):03d}"
-            edges[eid] = (names[j], names[(j + 1) % size])
-            eids.append(eid)
-        loops[str(li)] = Loop(tuple(eids))
-    n_extra = rng.choice([0, 1, 1, 2, 2, 3])
-    for j in range(n_extra):
-        verts[f"w{j}"] = rng.choice(["left", "right"])
-    lefts = sorted(v for v, k in verts.items() if k == "left")
-    rights = sorted(v for v, k in verts.items() if k == "right")
-    loop_vs = {w for lp in loops.values() for e in lp.edges for w in edges[e][:1]}
-    loop_vs |= {edges[e][1] for lp in loops.values() for e in lp.edges}
-
-    # remaining out-capacity: lefts off loops need their single out-edge;
-    # every right wants total out >= 2.  Remaining in-capacity: rights off
-    # loops need their single in-edge; every left wants total in >= 2.
+        verts.update(zip(names, kinds))
+        loops[str(li)] = Loop(add_path(*names, names[0]))
+        rings.append(names)
+    extra = [f"w{j}" for j in range(rng.choice([0, 1, 1, 2, 2, 3]))]
+    for w in extra:
+        verts[w] = rng.choice(["left", "right"])
+    core = rings[0]
+    for names in rings[1:]:
+        add_path(pick(core, "right"), pick(names, "left"))
+        add_path(pick(names, "right"), pick(core, "left"))
+        core = core + names
+    if extra:
+        add_path(pick(core, "right"), *extra, pick(core, "left"))
+    lefts = sorted(w for w, k in verts.items() if k == "left")
+    rights = sorted(w for w, k in verts.items() if k == "right")
     out_count = Counter(s for s, _ in edges.values())
+    for v in rights:
+        for _ in range(2 - out_count[v]):
+            add_path(v, rng.choice(lefts))
     in_count = Counter(d for _, d in edges.values())
-
-    def add_edge(s: str, d: str) -> None:
-        edges[f"e{next(counter):03d}"] = (s, d)
-        out_count[s] += 1
-        in_count[d] += 1
-
-    for v in rights:
-        if v not in loop_vs:
-            sources = [
-                s
-                for s in lefts + rights
-                if s != v and (verts[s] == "right" or out_count[s] == 0)
-            ]
-            if not sources:
-                return None
-            add_edge(rng.choice(sources), v)
     for u in lefts:
-        if u not in loop_vs and out_count[u] == 0:
-            targets = [t for t in lefts if t != u] + [
-                t for t in rights if t != u and in_count[t] == 0
-            ]
-            if not targets:
-                return None
-            add_edge(u, rng.choice(targets))
-    for v in rights:
-        while out_count[v] < 2:
-            targets = [t for t in lefts if t != v]
-            if not targets:
-                return None
-            add_edge(v, rng.choice(targets))
-    for u in lefts:
-        while in_count[u] < 2:
-            sources = [s for s in rights if s != u]
-            if not sources:
-                return None
-            add_edge(rng.choice(sources), u)
+        for _ in range(2 - in_count[u]):
+            add_path(rng.choice(rights), u)
     # a few optional extra edges from rights to lefts
     for _ in range(rng.choice([0, 0, 1, 2])):
-        if rights and lefts:
-            s = rng.choice(rights)
-            choices = [t for t in lefts if t != s]
-            if choices:
-                add_edge(s, rng.choice(choices))
-    g = AbstractGraph(verts, edges)
-    # the other structural rules hold by construction: one out-edge per
-    # left, one in-edge per right, the while loops fill the rest, no self-loop
-    if not g.is_strongly_connected():
-        return None
-    return g, loops
+        add_path(rng.choice(rights), rng.choice(lefts))
+    return AbstractGraph(verts, edges), loops
 
 
 def _candidate_moves(
@@ -1365,6 +1346,7 @@ def random_twist_shrink_log(
 
     Each step draws uniformly among the admissible twists and shrinks of
     the current graph and stops early when there is none."""
+    _check_loops(graph, loops)
     current, track = graph, loops
     out: list[Move] = []
     for _ in range(length):
@@ -1382,6 +1364,7 @@ def random_abc_move(
 ) -> Move | None:
     """A random admissible move of kind A, B or C for the instance, drawn
     uniformly, or ``None`` when there is none."""
+    _check_loops(graph, loops)
     candidates = [mv for _, mv in _candidate_moves(graph, loops)]
     step = _first_tracked(rng, graph, loops, candidates)
     return None if step is None else step[0]

@@ -8,6 +8,7 @@ configuration it was produced with; repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -53,7 +54,7 @@ def _envelope(args: argparse.Namespace, payload: dict) -> dict:
     config = {
         k: (str(v) if isinstance(v, Path) else v)
         for k, v in sorted(vars(args).items())
-        if k != "func" and v is not None
+        if v is not None
     }
     return {
         "schema_version": SCHEMA_VERSION,
@@ -116,7 +117,8 @@ def _load_oracle(args: argparse.Namespace):
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     _, oracle = _load_oracle(args)
-    _emit_json(args, analysis_report(oracle, n_min=args.n or 1), "analysis.json")
+    n_min = 1 if args.n is None else args.n
+    _emit_json(args, analysis_report(oracle, n_min=n_min), "analysis.json")
     return 0
 
 
@@ -151,7 +153,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     n = args.n
     if n is None:
         raise ValueError("evolve needs --n")
-    n_max = args.n_max or (oracle.horizon - 4)
+    n_max = oracle.horizon - 4 if args.n_max is None else args.n_max
     steps = []
     dots = []
     while n <= n_max:
@@ -216,7 +218,7 @@ def cmd_density(args: argparse.Namespace) -> int:
     from .language import growth_profile
 
     profile = growth_profile(oracle)
-    K = args.k or profile.K
+    K = profile.K if args.k is None else args.k
     if K is None:
         raise ValueError("growth is not constant within horizon; pass --k")
     payload: dict = {"K": K}
@@ -292,6 +294,14 @@ def cmd_abstract(args: argparse.Namespace) -> int:
     if loops:
         payload["bound"] = bound_check(g, loops).to_json()
     if args.search:
+        # the search's precondition; notation-8 concerns the given coloring,
+        # which the search does not use
+        structural = [
+            x for x in rep.violations
+            if x.startswith("notation") and not x.startswith("notation-8")
+        ]
+        if structural:
+            raise ValueError(f"graph invalid: {structural[0]}")
         res = search_colorings(g, args.search)
         payload["search"] = {
             "target": args.search,
@@ -333,7 +343,9 @@ def cmd_xi(args: argparse.Namespace) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="shiftlab",
         description="Symbolic-dynamics workbench: factor languages, "
@@ -357,18 +369,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="growth / regular-bispecial / periodicity report")
     add_common(p)
     p.add_argument("--n", type=int, help="least length for the bispecial scan")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("rauzy", help="factor graph and its branching skeleton")
     add_common(p)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_rauzy)
 
     p = sub.add_parser("evolve", help="evolve the branching skeleton across lengths")
     add_common(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--n-max", type=int, dest="n_max")
-    p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("exitwords", help="enumerate and decompose exit words")
     add_common(p)
@@ -376,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, help="step (default: minimal step)")
     p.add_argument("--z", help="word to decompose")
     p.add_argument("--cap", type=int, help="length cap for enumeration")
-    p.set_defaults(func=cmd_exitwords)
 
     p = sub.add_parser("density", help="block densities and the special floor")
     add_common(p)
@@ -396,28 +404,25 @@ def build_parser() -> argparse.ArgumentParser:
                    help="threshold color estimate for the special ladder")
     p.add_argument("--candidate", action="append",
                    help="extra candidate sequence as label=path (repeatable)")
-    p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("abstract", help="validate/search abstract branching graphs")
     add_common(p, inputs=False)
     p.add_argument("--graph", help="graph JSON file (graph/coloring/loops)")
     p.add_argument("--random", action="store_true", help="generate a random instance")
     p.add_argument("--search", type=int, help="search for this many disjoint colored loops")
-    p.set_defaults(func=cmd_abstract)
 
     p = sub.add_parser("xi", help="loop-quotient connectivity and the loop bound")
     add_common(p, inputs=False)
     p.add_argument("--itinerary", help="itinerary JSON file")
-    p.set_defaults(func=cmd_xi)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up per call, so a replaced cmd_<name> takes effect
+        return globals()[f"cmd_{args.command}"](args)
     except HorizonExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -37,7 +37,7 @@ from shiftlab.abstract_graphs import (
     simple_cycles,
     validate,
 )
-from shiftlab.abstract_graphs import _try_random_graph
+from shiftlab.abstract_graphs import _check_loops
 from shiftlab.errors import InadmissibleMove, PreconditionFailure
 
 
@@ -461,6 +461,12 @@ class TestItinerary:
         verdict = itinerary_check(self.collapsing())
         assert verdict.violations == ("item-2: collapse on tracked loop 1 at step 0",)
 
+    def test_bad_loops_refused_by_twist_shrink_moves(self):
+        it = self.build()
+        it.partitions[1] = {"1": Loop(("b", "zz"))}
+        with pytest.raises(PreconditionFailure, match="state 1 loops: loop edge 'zz'"):
+            it.twist_shrink_moves()
+
     def test_collapse_refused_by_twist_shrink_moves(self):
         with pytest.raises(PreconditionFailure, match="collapse on tracked loop 1"):
             self.collapsing().twist_shrink_moves()
@@ -631,9 +637,7 @@ class TestRandomInstances:
         g, _ = random_graph_with_loops(rng)
         assert graph_from_json(graph_to_json(g)) == g
 
-    def test_generator_tail_matches_validate(self):
-        # a try keeps its graph by strong connectivity alone; the reference
-        # keeps it when validate finds no structural (notation) violation
+    def test_instances_valid_by_construction(self):
         built = []
         original = AbstractGraph.__post_init__
 
@@ -641,25 +645,31 @@ class TestRandomInstances:
             built.append(graph)
             original(graph)
 
-        refused = 0
         for seed in range(2000):
             for n_loops in (None, 1, 2, 3):
-                rng, ref_rng = random.Random(seed), random.Random(seed)
-                g, loops = random_graph_with_loops(rng, n_loops)
-                while True:
-                    built.clear()
-                    with patch.object(AbstractGraph, "__post_init__", recording):
-                        got = _try_random_graph(ref_rng, n_loops)
-                    if not built:
-                        assert got is None
-                        continue
-                    rep = validate(built[0])
-                    kept = not any(x.startswith("notation") for x in rep.violations)
-                    assert (got is not None) == kept
-                    if kept:
-                        break
-                    refused += 1
-                assert got[0] is built[0]
-                assert (g, loops) == got and rng.random() == ref_rng.random()
-                assert rep.ok and g.K >= g.K_right
-        assert refused > 3000
+                built.clear()
+                with patch.object(AbstractGraph, "__post_init__", recording):
+                    g, loops = random_graph_with_loops(random.Random(seed), n_loops)
+                assert len(built) == 1 and built[0] is g
+                assert validate(g).ok
+                _check_loops(g, loops)
+                assert n_loops is None or len(loops) == n_loops
+                assert g.K >= g.K_right
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda rng, g, loops: random_abc_move(rng, g, loops),
+            lambda rng, g, loops: random_twist_shrink_log(rng, g, loops, 1),
+        ],
+        ids=["abc", "twist-shrink"],
+    )
+    def test_bad_loops_refused(self, draw):
+        g, _ = sturmian_shape()
+        with pytest.raises(PreconditionFailure, match="loop edge 'zz'"):
+            draw(random.Random(1), g, {"1": Loop(("a", "zz"))})
+
+    @pytest.mark.parametrize("n_loops", [0, -1])
+    def test_no_loops_refused(self, n_loops):
+        with pytest.raises(PreconditionFailure, match="n_loops must be >= 1"):
+            random_graph_with_loops(random.Random(1), n_loops)

@@ -242,6 +242,25 @@ class TestEvolve:
         assert [s["rbs_events"] for s in steps] == [["aba"], ["abaaba"]]
         assert all(s["profile_preserved"] for s in steps)
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["analyze", "--n", "0"], "error: length must be >= 1"),
+            (["density", "--n", "3", "--k", "0", "--special"],
+             "error: growth is not constant 0 at length 3"),
+            (["evolve", "--n", "2", "--n-max", "0"], None),
+        ],
+        ids=["analyze-n", "density-k", "evolve-n-max"],
+    )
+    def test_zero_is_not_the_default(self, capsys, fib_spec, argv, message):
+        # the defaults would give n_min=1, K=1 and two evolution steps
+        code = main([*argv, "--substitution", fib_spec, "--horizon", "16"])
+        captured = capsys.readouterr()
+        if message is None:
+            assert code == 0 and json.loads(captured.out)["steps"] == []
+        else:
+            assert code == 1 and message in captured.err
+
     def test_zero_length_exits_one(self, fib_spec):
         proc = run_subprocess(
             ["evolve", "--substitution", fib_spec, "--horizon", "16", "--n", "0"]
@@ -366,6 +385,31 @@ class TestAbstractAndXi:
         assert proc.returncode == 1
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "graph,coloring,refusal",
+        [
+            (TWO_CYCLE, None, "graph invalid: notation-2: left vertex u has in=1"),
+            # the search does not use the given coloring, so notation-8 stays
+            ({**TWO_CYCLE, "edges": {**TWO_CYCLE["edges"], "c": ["v", "u"]}},
+             {"vertices": {"u": 1}, "edges": {"a": 1}}, None),
+        ],
+        ids=["degree", "coloring-only"],
+    )
+    def test_search_refuses_structurally_invalid_graph(
+        self, capsys, tmp_path, graph, coloring, refusal
+    ):
+        obj = {"graph": graph, **({"coloring": coloring} if coloring else {})}
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(obj))
+        code = main(["abstract", "--graph", str(path), "--search", "1"])
+        captured = capsys.readouterr()
+        if refusal is None:
+            report = json.loads(captured.out)
+            assert code == 0 and report["search"]["found"] is True
+            assert report["validation"]["violations"][0].startswith("notation-8")
+        else:
+            assert code == 1 and f"error: {refusal}" in captured.err
 
     def test_abstract_random(self, capsys):
         code, out = run(capsys, ["abstract", "--random", "--seed", "3"])
