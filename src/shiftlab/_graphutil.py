@@ -1,11 +1,12 @@
 """Small digraph helpers shared by the graph modules.
 
-All functions take explicit vertex sequences and successor mappings so
-they work on any of the package's graph representations without
-adapters.  Vertex sequence order drives iteration, so results are
-deterministic whenever the caller passes deterministic orders.
-``arc_index`` is the one adjacency index the graph classes build, and
-``dot_quote`` the one DOT identifier quoting their exports share.
+All functions take explicit vertex sequences, and successor mappings or
+(for weak connectivity) ``(a, b)`` arc iterables, so they work on any of
+the package's graph representations without adapters.  Vertex sequence
+order drives iteration, so results are deterministic whenever the caller
+passes deterministic orders.  ``arc_index`` is the one adjacency index the
+graph classes build, and ``dot_quote`` the one DOT identifier quoting
+their exports share.
 """
 
 from __future__ import annotations
@@ -63,23 +64,32 @@ def is_strongly_connected(vertices: Sequence[V], succ, pred) -> bool:
     return len(reachable(v0, succ)) == n and len(reachable(v0, pred)) == n
 
 
-def weak_components(vertices: Sequence[V], neighbors) -> list[frozenset[V]]:
-    vset = set(vertices)
-    assigned: set[V] = set()
-    comps = []
+def weak_components(
+    vertices: Sequence[V], arcs: Iterable[tuple[V, V]]
+) -> list[frozenset[V]]:
+    """Weak components of ``vertices`` joined by ``arcs``, in the order of
+    their first vertex; an arc with an end outside ``vertices`` is ignored.
+
+    One union-find pass over the arcs."""
+    parent = {v: v for v in vertices}
+
+    def root(x: V) -> V:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in arcs:
+        if a in parent and b in parent:
+            parent[root(b)] = root(a)
+    comps: dict[V, set[V]] = {}
     for v in vertices:
-        if v in assigned:
-            continue
-        comp = reachable(v, lambda u: (w for w in neighbors(u) if w in vset))
-        comps.append(frozenset(comp))
-        assigned |= comp
-    return comps
+        comps.setdefault(root(v), set()).add(v)
+    return [frozenset(c) for c in comps.values()]
 
 
-def is_weakly_connected(vertices: Sequence[V], neighbors) -> bool:
-    if not vertices:
-        return True
-    return len(weak_components(vertices, neighbors)) == 1
+def is_weakly_connected(vertices: Sequence[V], arcs: Iterable[tuple[V, V]]) -> bool:
+    return len(weak_components(vertices, arcs)) <= 1
 
 
 def find_cycle(vertices: Sequence[V], succ) -> list[V] | None:

@@ -80,10 +80,10 @@ class AbstractGraph:
         return list(self._adjacency[0].get(v, ()))
 
     def successors(self, v: str) -> list[str]:
-        return [self.edges[e][1] for e in self.out_edges(v)]
+        return [self.edges[e][1] for e in self._adjacency[0].get(v, ())]
 
     def predecessors(self, v: str) -> list[str]:
-        return [self.edges[e][0] for e in self.in_edges(v)]
+        return [self.edges[e][0] for e in self._adjacency[1].get(v, ())]
 
     @property
     def K(self) -> int:
@@ -222,8 +222,9 @@ def validate(graph: AbstractGraph, coloring: Coloring | None = None) -> Validati
     """Check the structural notation items (1-8) and the one-graph
     coloring rules (1-4); violations name the failed item."""
     v: list[str] = []
+    out_ids, in_ids = graph._adjacency
     for name, kind in sorted(graph.vertices.items()):
-        ins, outs = len(graph.in_edges(name)), len(graph.out_edges(name))
+        ins, outs = len(in_ids.get(name, ())), len(out_ids.get(name, ()))
         if kind == "left" and (outs != 1 or ins < 2):
             v.append(f"notation-2: left vertex {name} has in={ins}, out={outs}")
         if kind == "right" and (ins != 1 or outs < 2):
@@ -336,7 +337,35 @@ def apply_rbs(
     ``u`` and ``v``, so both quotients have the same edges.  G (entered at
     ``u``, left from ``v``) is strongly connected iff its quotient is; G'
     iff its quotient is and ``u`` reaches ``v``, as ``v->u`` is ``e0`` now.
+
+    G' derives its adjacency index from G's.  The edges that move (``e0``,
+    the in-edges of ``u``, the out-edges of ``v``) are all the edges at
+    ``u`` or ``v``, before and after; an in-edge of ``u`` keeps its source
+    and an out-edge of ``v`` its target, so only the lists of ``u`` and
+    ``v`` change.  The chosen out-edge becomes ``u``'s only out-edge, the
+    chosen in-edge ``v``'s only in-edge, and ``e0 = v->u`` takes their
+    places among ``u``'s in-edges and ``v``'s out-edges, sorted again so
+    that every list stays ascending by id.
     """
+    u, v, moved = _rewire(graph, e0, chosen_in, chosen_out)
+    result = AbstractGraph(dict(graph.vertices), {**graph.edges, **moved})
+    outs, ins = (dict(index) for index in graph._adjacency)
+    outs[u], ins[v] = [chosen_out], [chosen_in]
+    ins[u] = sorted([e0, *(e for e in ins[u] if e != chosen_in)])
+    outs[v] = sorted([e0, *(e for e in outs[v] if e != chosen_out)])
+    object.__setattr__(result, "_adjacency", (outs, ins))
+    object.__setattr__(result, "_strongly_connected", True)
+    if coloring is None:
+        return result, None
+    return result, _complete_colors(result, coloring, u, v, e0)
+
+
+def _rewire(
+    graph: AbstractGraph, e0: str, chosen_in: str, chosen_out: str
+) -> tuple[str, str, dict[str, tuple[str, str]]]:
+    """Every refusal of :func:`apply_rbs`, decided without building a
+    graph; returns ``e0``'s ends ``u``, ``v`` and the new ends of every edge
+    at ``u`` or ``v``."""
     if e0 not in graph.edges:
         raise PreconditionFailure(f"unknown edge {e0}")
     u, v = graph.edges[e0]
@@ -378,29 +407,17 @@ def apply_rbs(
         raise InadmissibleMove(
             f"choice ({chosen_in},{chosen_out}) disconnects the graph"
         )
-    result = AbstractGraph(dict(graph.vertices), {**graph.edges, **moved})
-    object.__setattr__(result, "_strongly_connected", True)
-    if coloring is None:
-        return result, None
-    new_coloring = _complete_colors(result, coloring, u, v, e0)
-    return result, new_coloring
+    return u, v, moved
 
 
 def _complete_colors(
     graph: AbstractGraph, coloring: Coloring, u: str, v: str, e0: str
 ) -> Coloring:
-    """Least-change completion of the colors on the rewired spots."""
-    zero_orders = [
-        (),
-        (e0,),
-        (u,),
-        (v,),
-        (e0, u),
-        (e0, v),
-        (u, v),
-        (e0, u, v),
-    ]
-    for zeros in zero_orders:
+    """Least-change completion of the colors on the rewired spots: the
+    fewest of ``e0``, ``u``, ``v`` zeroed, in that order of preference."""
+    for zeros in itertools.chain.from_iterable(
+        itertools.combinations((e0, u, v), r) for r in range(4)
+    ):
         cand = coloring.with_updates(
             vertices={x: 0 for x in zeros if x in (u, v)},
             edges={x: 0 for x in zeros if x == e0},
@@ -435,7 +452,7 @@ def _classify(graph: AbstractGraph, loop: Loop, move: Move) -> str:
     if move.e0 not in graph.edges:
         raise PreconditionFailure(f"unknown edge {move.e0}")
     u, v = graph.edges[move.e0]
-    lverts = set(loop_vertices(graph, loop))
+    lverts = loop_vertices(graph, loop)
     if move.e0 not in loop.edges:
         if u in lverts or v in lverts:
             raise PreconditionFailure(
@@ -524,10 +541,10 @@ class LoopQuotient:
         ]
 
     def is_connected(self) -> bool:
-        return is_weakly_connected(list(self.vertices), self.neighbors)
+        return is_weakly_connected(self.vertices, (e[1:] for e in self.edges))
 
     def components(self) -> list[frozenset[str]]:
-        return weak_components(list(self.vertices), self.neighbors)
+        return weak_components(self.vertices, (e[1:] for e in self.edges))
 
 
 def build_xi(
@@ -603,30 +620,24 @@ def bound_check(
     moves: Sequence[Move] = (),
 ) -> BoundReport:
     """Build the quotient from the twist/shrink log and report whether
-    its connectivity yields the loop-count bound.
+    its connectivity yields the loop-count bound (:func:`bound_report`)."""
+    return bound_report(build_xi(graph, loops, moves))
+
+
+def bound_report(xi: LoopQuotient) -> BoundReport:
+    """Whether a built quotient's connectivity yields the loop-count bound.
 
     The counting inequality (a weakly connected graph on V vertices has
     at least V-1 edges) is evaluated independently of the connectivity
     verdict; for rule-conformant inputs a disconnected quotient means
     some stated rule was violated upstream, and the report says so.
     """
-    xi = build_xi(graph, loops, moves)
-    connected = xi.is_connected()
-    K, E = xi.K, xi.E
+    comps = xi.components()
     slack = len(xi.edges) - (len(xi.vertices) - 1)
     witness = None
-    if not connected:
-        witness = tuple(
-            tuple(sorted(c)) for c in sorted(xi.components(), key=lambda c: sorted(c))
-        )
-    return BoundReport(
-        connected,
-        E,
-        K,
-        2 * E <= K + 1,
-        slack,
-        witness,
-    )
+    if len(comps) > 1:
+        witness = tuple(tuple(sorted(c)) for c in sorted(comps, key=sorted))
+    return BoundReport(len(comps) <= 1, xi.E, xi.K, 2 * xi.E <= xi.K + 1, slack, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -665,27 +676,14 @@ def _tag_components(
 ) -> ComponentTags:
     labels = tuple(sorted(loops))
     loop_edges = {e for lab in labels for e in loops[lab].edges}
-
-    def neighbors(x: str) -> list[str]:
-        # both endpoints of each kept edge at x; x itself is already reached
-        return [
-            w
-            for e in graph.out_edges(x) + graph.in_edges(x)
-            if e not in loop_edges
-            for w in graph.edges[e]
-        ]
-
-    comps = weak_components(graph.vertex_list(), neighbors)
-    comps = sorted(comps, key=lambda c: sorted(c))
-    tags = []
-    for comp in comps:
-        tags.append(
-            tuple(
-                frozenset(set(loop_vertices(graph, loops[lab])) & comp)
-                for lab in labels
-            )
-        )
-    return ComponentTags(labels, tuple(comps), tuple(tags))
+    comps = weak_components(
+        graph.vertex_list(),
+        (ends for e, ends in graph.edges.items() if e not in loop_edges),
+    )
+    comps = tuple(sorted(comps, key=sorted))
+    loop_sets = [frozenset(loop_vertices(graph, loops[lab])) for lab in labels]
+    tags = tuple(tuple(lv & comp for lv in loop_sets) for comp in comps)
+    return ComponentTags(labels, comps, tags)
 
 
 @dataclass(frozen=True)
@@ -817,6 +815,8 @@ class Itinerary:
 class ItineraryVerdict:
     ok: bool
     violations: tuple[str, ...]
+    # twist/shrink log of the check's replay; None unless valid with disjoint loops
+    moves: tuple[Move, ...] | None = None
 
 
 def itinerary_check(it: Itinerary) -> ItineraryVerdict:
@@ -842,6 +842,7 @@ def itinerary_check(it: Itinerary) -> ItineraryVerdict:
                 v.append(f"state {i} loop {lab}: {exc}")
     if v:
         return ItineraryVerdict(False, tuple(v))
+    log: list[Move] = []
     for i in range(M):
         part = it.partitions[i]
         if not part:
@@ -859,6 +860,7 @@ def itinerary_check(it: Itinerary) -> ItineraryVerdict:
                 return ItineraryVerdict(False, tuple(v))
             if lab is not None:
                 moves_per_loop[lab].append((k, kind))
+                log.append(mv)
         if g != it.graphs[i + 1]:
             v.append(f"item-1: replayed moves do not produce state {i + 1}")
         ev = it.events[i]
@@ -935,7 +937,10 @@ def itinerary_check(it: Itinerary) -> ItineraryVerdict:
                     )
     if it.partitions[M]:
         v.append(f"item-7: loop family not empty at final step {M}")
-    return ItineraryVerdict(not v, tuple(v))
+    disjoint = not v and all(
+        loops_vertex_disjoint(g, list(p.values())) for g, p in zip(it.graphs, it.partitions)
+    )
+    return ItineraryVerdict(not v, tuple(v), tuple(log) if disjoint else None)
 
 
 def _ejected_vertices(it: Itinerary, i: int) -> set[str]:
@@ -1303,17 +1308,18 @@ def random_graph_with_loops(
 
 def _candidate_moves(
     graph: AbstractGraph, loops: Mapping[str, Loop]
-) -> list[tuple[str | None, Move]]:
-    """Every rewrite of the graph as ``(label, move)``, ``label`` naming the
-    tracked loop that holds the bispecial edge, or ``None``: bispecial
-    edges ascending, then the in-edges of the edge's left end, then the
-    out-edges of its right end.  :func:`_track_move` decides which apply."""
+) -> list[tuple[str | None, tuple[str, str, str]]]:
+    """Every rewrite as ``(label, (e0, chosen_in, chosen_out))``, ``label``
+    naming the tracked loop that holds ``e0``, or ``None``: bispecial edges
+    ascending, then the in-edges of ``e0``'s left end, then the out-edges of
+    its right end.  A draw builds a :class:`Move` only for those it tries."""
     owner = {e: lab for lab, lp in loops.items() for e in lp.edges}
+    outs, ins = graph._adjacency
     return [
-        (owner.get(e0), Move(e0, cin, cout))
+        (owner.get(e0), (e0, cin, cout))
         for e0 in graph.bispecial_edges()
-        for cin in graph.in_edges(graph.edges[e0][0])
-        for cout in graph.out_edges(graph.edges[e0][1])
+        for cin in ins.get(graph.edges[e0][0], ())
+        for cout in outs.get(graph.edges[e0][1], ())
     ]
 
 
@@ -1321,18 +1327,24 @@ def _first_tracked(
     rng: random.Random,
     graph: AbstractGraph,
     loops: Mapping[str, Loop],
-    candidates: list[Move],
-) -> tuple[Move, AbstractGraph, Mapping[str, Loop]] | None:
-    """In random order, the first candidate that :func:`_track_move`
-    applies without a collapse, with the graph and loops after it."""
+    candidates: list[tuple[str | None, tuple[str, str, str]]],
+) -> Move | None:
+    """In random order, the first candidate that :func:`_track_move` would
+    apply without a collapse, decided without building a graph: by
+    :func:`_rewire` and, on a loop, by classification against that loop
+    alone (the loops are disjoint, and an off-loop ``e0`` at a loop vertex
+    is a second out-edge of a left or in-edge of a right vertex, which
+    :func:`_rewire` refuses as classification would)."""
     rng.shuffle(candidates)
-    for mv in candidates:
+    for lab, ids in candidates:
+        mv = Move(*ids)
         try:
-            _, kind, graph_after, loops_after = _track_move(graph, loops, mv)
+            if lab is not None and _classify(graph, loops[lab], mv) == COLLAPSE:
+                continue
+            _rewire(graph, *ids)
         except (InadmissibleMove, PreconditionFailure):
             continue
-        if kind != COLLAPSE:
-            return mv, graph_after, loops_after
+        return mv
     return None
 
 
@@ -1350,11 +1362,11 @@ def random_twist_shrink_log(
     current, track = graph, loops
     out: list[Move] = []
     for _ in range(length):
-        on_loop = [mv for lab, mv in _candidate_moves(current, track) if lab is not None]
-        step = _first_tracked(rng, current, track, on_loop)
-        if step is None:
+        on_loop = [c for c in _candidate_moves(current, track) if c[0] is not None]
+        mv = _first_tracked(rng, current, track, on_loop)
+        if mv is None:
             break
-        mv, current, track = step
+        _, _, current, track = _track_move(current, track, mv)
         out.append(mv)
     return out
 
@@ -1365,9 +1377,7 @@ def random_abc_move(
     """A random admissible move of kind A, B or C for the instance, drawn
     uniformly, or ``None`` when there is none."""
     _check_loops(graph, loops)
-    candidates = [mv for _, mv in _candidate_moves(graph, loops)]
-    step = _first_tracked(rng, graph, loops, candidates)
-    return None if step is None else step[0]
+    return _first_tracked(rng, graph, loops, _candidate_moves(graph, loops))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from . import __version__
 from .abstract_graphs import (
     abstract_dot,
     bound_check,
+    bound_report,
     coloring_from_json,
     graph_from_json,
     itinerary_check,
@@ -329,11 +330,10 @@ def cmd_xi(args: argparse.Namespace) -> int:
         "itinerary_valid": verdict.ok,
         "violations": list(verdict.violations),
     }
-    moves = it.twist_shrink_moves()
-    report = bound_check(it.graphs[0], it.partitions[0], moves)
-    payload["bound"] = report.to_json()
+    moves = verdict.moves if verdict.moves is not None else it.twist_shrink_moves()
+    xi = build_xi(it.graphs[0], it.partitions[0], moves)
+    payload["bound"] = bound_report(xi).to_json()
     if args.format == "dot":
-        xi = build_xi(it.graphs[0], it.partitions[0], moves)
         _emit(args, xi_dot(xi), "xi.dot")
     else:
         _emit_json(args, payload, "xi.json")

@@ -10,6 +10,7 @@ and behave irrationally at any horizon this package can afford.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -118,28 +119,17 @@ class IntervalExchange:
             before = sum(lens[k] for k in range(d) if spec.permutation[k] < spec.permutation[j])
             self.offsets.append(before - self.breaks[j])
 
-    def interval_of(self, p: int) -> int:
-        """0-based index of the interval containing the scaled point."""
-        lo, hi = 0, self.spec.d - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.breaks[mid] <= p:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+    def interval_of(self, p: int | Fraction) -> int:
+        """0-based index of the interval containing the scaled point: the
+        number of interior breakpoints at or below it."""
+        return bisect_right(self.breaks, p, 1, len(self.breaks) - 1) - 1
 
     def apply(self, p: int) -> int:
         return p + self.offsets[self.interval_of(p)]
 
     def apply_fraction(self, x: Fraction) -> Fraction:
         """Exact image of an arbitrary point of [0, 1)."""
-        scaled = x * self.scale
-        j = 0
-        for j in range(self.spec.d - 1, -1, -1):
-            if self.breaks[j] <= scaled:
-                break
-        return x + Fraction(self.offsets[j], self.scale)
+        return x + Fraction(self.offsets[self.interval_of(x * self.scale)], self.scale)
 
     def inverse_spec(self) -> IETSpec:
         """Spec of the inverse map (image intervals as new domain)."""
@@ -172,18 +162,17 @@ def iet_encode(spec: IETSpec, length: int) -> tuple[SequencePrefix, KeaneDiagnos
         raise ValueError("length must be >= 1")
     iet = IntervalExchange(spec)
     alphabet = Alphabet(tuple(str(j) for j in range(1, spec.d + 1)))
-    interior = set(iet.breaks[1:-1])
     p = int(spec.start * iet.scale)
     letters = []
     diag = KeaneDiagnostic(False)
     for i in range(length):
-        if p in interior and not diag.violated:
-            diag = KeaneDiagnostic(
-                True, i, Fraction(p, iet.scale), iet.breaks.index(p)
-            )
         j = iet.interval_of(p)
+        # p lies in [breaks[j], breaks[j + 1]), so it is an interior
+        # breakpoint iff j > 0 and p == breaks[j]
+        if j and p == iet.breaks[j] and not diag.violated:
+            diag = KeaneDiagnostic(True, i, Fraction(p, iet.scale), j)
         letters.append(alphabet.codes[j])
-        p = iet.apply(p)
+        p += iet.offsets[j]
     prefix = SequencePrefix(
         alphabet,
         "".join(letters),

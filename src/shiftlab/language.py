@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Literal, Mapping
 
-from ._graphutil import arc_index, is_weakly_connected
+from ._graphutil import is_weakly_connected
 from .errors import (
     AlphabetMismatch,
     HorizonExceeded,
@@ -325,16 +325,9 @@ class ExtensionGraph:
         return len(self.edges)
 
     def is_connected(self) -> bool:
-        out, into = arc_index((e, ("L", e[0]), ("R", e[1])) for e in self.edges)
-
-        def neighbors(v: tuple[str, str]) -> list[tuple[str, str]]:
-            return [("R", b) for _, b in out.get(v, ())] + [
-                ("L", a) for a, _ in into.get(v, ())
-            ]
-
         verts = [("L", a) for a in sorted(self.left)]
         verts += [("R", b) for b in sorted(self.right)]
-        return is_weakly_connected(verts, neighbors)
+        return is_weakly_connected(verts, ((("L", a), ("R", b)) for a, b in self.edges))
 
     @property
     def is_tree(self) -> bool:

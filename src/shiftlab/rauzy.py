@@ -228,9 +228,7 @@ def connectivity(graph: RauzyGraph | SpecialRauzyGraph) -> ConnectivityReport:
     succ = graph.successors
     pred = graph.predecessors
     strong = is_strongly_connected(verts, succ, pred)
-    weak = strong or is_weakly_connected(
-        verts, lambda v: list(succ(v)) + list(pred(v))
-    )
+    weak = strong or is_weakly_connected(verts, ((v, w) for v in verts for w in succ(v)))
     return ConnectivityReport(strong, weak)
 
 

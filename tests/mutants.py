@@ -1,0 +1,130 @@
+"""Mutation runner for the differential tests.
+
+Each row of ``MUTANTS`` names a file under ``src/``, an exact text in it,
+the text that replaces it, the test node ids that must kill the mutant,
+and the expected verdict: ``killed``, or ``equivalent`` with the reason.
+For each row the runner copies ``src/`` to a temporary directory, applies
+that one replacement, runs the named tests against the copy with
+``pytest -x -q`` and prints one verdict line.  Before the rows it runs
+every named test once against an unchanged copy, since a test that
+already fails would "kill" every mutant.
+
+    python tests/mutants.py              # every row
+    python tests/mutants.py NAME ...     # the named rows only
+
+It exits non-zero when a mutant expected to be killed survives, when an
+equivalent one is killed, or when an old text does not occur exactly once
+in its file.  Stdlib only; pytest does not collect this file.  A fast path
+adds its mutants here as rows.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # relative to src/
+    old: str
+    new: str
+    tests: tuple[str, ...]
+    expect: str = "killed"  # or "equivalent"
+    reason: str = ""
+
+
+DERIVED_INDEX = "tests/test_rbs_admissibility.py::test_derived_index_matches_fresh_index"
+GRAPHS = "shiftlab/abstract_graphs.py"
+
+MUTANTS = (
+    Mutant(
+        "derived index: u's in-list not sorted",
+        GRAPHS,
+        "    ins[u] = sorted([e0, *(e for e in ins[u] if e != chosen_in)])\n",
+        "    ins[u] = [e0, *(e for e in ins[u] if e != chosen_in)]\n",
+        (DERIVED_INDEX,),
+    ),
+    Mutant(
+        "derived index: v's out-list left stale",
+        GRAPHS,
+        "    outs[v] = sorted([e0, *(e for e in outs[v] if e != chosen_out)])\n",
+        "",
+        (DERIVED_INDEX,),
+    ),
+    Mutant(
+        "union-find: link a vertex instead of its root",
+        "shiftlab/_graphutil.py",
+        "            parent[root(b)] = root(a)\n",
+        "            parent[b] = root(a)\n",
+        ("tests/test_graph_index.py::TestWeakComponents::test_matches_naive_dfs",),
+    ),
+    Mutant(
+        "random moves: a collapse is accepted",
+        GRAPHS,
+        "            if lab is not None and _classify(graph, loops[lab], mv) == COLLAPSE:\n"
+        "                continue\n",
+        "            if lab is not None:\n"
+        "                _classify(graph, loops[lab], mv)\n",
+        ("tests/test_random_moves.py::test_generators_match_old_first_tracked",),
+    ),
+)
+
+
+def run_tests(src: Path, tests: tuple[str, ...]) -> int:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True).returncode
+
+
+def fresh_src(tmp: Path) -> Path:
+    src = tmp / "src"
+    if src.exists():
+        shutil.rmtree(src)
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    return src
+
+
+def main(names: list[str]) -> int:
+    rows = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}")
+        return 2
+    failures = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        all_tests = tuple(dict.fromkeys(t for m in rows for t in m.tests))
+        if run_tests(fresh_src(Path(tmp)), all_tests) != 0:
+            print("baseline: the named tests fail on unchanged src/")
+            return 2
+        for m in rows:
+            src = fresh_src(Path(tmp))
+            path = src / m.file
+            text = path.read_text()
+            if text.count(m.old) != 1:
+                print(f"STALE     {m.name}: old text occurs {text.count(m.old)} times in {m.file}")
+                failures += 1
+                continue
+            path.write_text(text.replace(m.old, m.new))
+            code = run_tests(src, m.tests)
+            if code not in (0, 1):
+                verdict, ok = f"ERROR (pytest exit {code})", False
+            else:
+                verdict = "killed" if code == 1 else "survived"
+                ok = (verdict == "killed") == (m.expect == "killed")
+            note = f" (expected {m.expect}{': ' + m.reason if m.reason else ''})"
+            print(f"{'ok' if ok else 'FAIL':9s} {m.name}: {verdict}{'' if ok else note}")
+            failures += not ok
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

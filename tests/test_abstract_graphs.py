@@ -454,12 +454,15 @@ class TestItinerary:
         )
 
     def test_valid(self):
-        verdict = itinerary_check(self.build())
+        it = self.build()
+        verdict = itinerary_check(it)
         assert verdict.ok, verdict.violations
+        assert verdict.moves == tuple(it.twist_shrink_moves()) == (Move("a", "c", "f"),)
 
     def test_collapse_reported_as_item_2(self):
         verdict = itinerary_check(self.collapsing())
         assert verdict.violations == ("item-2: collapse on tracked loop 1 at step 0",)
+        assert verdict.moves is None
 
     def test_bad_loops_refused_by_twist_shrink_moves(self):
         it = self.build()

@@ -434,6 +434,48 @@ class TestAbstractAndXi:
         code, out = run(capsys, ["xi", "--itinerary", str(path), "--format", "dot"])
         assert out.startswith("graph")
 
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    def test_xi_replays_the_log_at_most_twice(self, capsys, monkeypatch, fmt):
+        # the check's own replay gives the log, and the quotient is built once
+        from shiftlab import abstract_graphs
+
+        calls = []
+        original = abstract_graphs._track_move
+
+        def counting(*args):
+            calls.append(args[2])
+            return original(*args)
+
+        monkeypatch.setattr(abstract_graphs, "_track_move", counting)
+        code, _ = run(capsys, ["xi", "--itinerary", str(BENCH_INPUTS / "itinerary.json"),
+                               "--format", fmt])
+        assert code == 0
+        assert 1 <= len(calls) <= 2
+
+    def test_xi_overlapping_loops_exit_one(self, tmp_path):
+        # the check passes this itinerary (two loops of one color share w
+        # and x), but its loops cannot be tracked, so no bound is reported
+        graph = {
+            "vertices": {"w": "left", "x": "right", "y": "left", "z": "right"},
+            "edges": {"a": ["w", "x"], "b": ["x", "w"], "c": ["x", "y"],
+                      "d": ["y", "z"], "e": ["z", "w"], "f": ["z", "y"]},
+        }
+        coloring = {"vertices": {"w": 1, "x": 1, "y": 1, "z": 1},
+                    "edges": {"a": 1, "b": 1, "c": 1, "d": 1, "e": 1}}
+        obj = {
+            "graphs": [graph, graph],
+            "colorings": [coloring, coloring],
+            "partitions": [{"1": ["a", "b"], "2": ["a", "c", "d", "e"]}, {}],
+            "moves": [[]],
+            "events": [{"1": {"type": "spread", "in": "e", "out": "c"},
+                        "2": {"type": "spread", "in": "b", "out": "b"}}],
+        }
+        bad = tmp_path / "overlap.json"
+        bad.write_text(json.dumps(obj))
+        proc = run_subprocess(["xi", "--itinerary", str(bad)])
+        assert proc.returncode == 1
+        assert "error: state 0 loops: tracked loops must be vertex-disjoint" in proc.stderr
+
     @pytest.mark.parametrize(
         "edit,message",
         [

@@ -4,6 +4,8 @@ Every graph class answers its adjacency queries from one index built on
 the first query.  The reference here rescans all edges per query, as the
 classes once did; each indexed answer must equal it, order included
 (``LoopQuotient.neighbors`` as a multiset), also for unknown vertices.
+The union-find ``weak_components`` is checked against a depth-first
+search over per-vertex neighbour lists, as it once ran.
 """
 
 import random
@@ -11,6 +13,7 @@ from collections import Counter
 
 import pytest
 
+from shiftlab._graphutil import is_weakly_connected, weak_components
 from shiftlab.abstract_graphs import (
     AbstractGraph,
     apply_rbs,
@@ -157,3 +160,47 @@ class TestLoopQuotient:
                     assert Counter(xi.neighbors(x)) == Counter(scan_neighbors(xi, x)), x
                 checked += 1
         assert checked == 80
+
+
+def naive_weak_components(vertices, arcs):
+    vset = set(vertices)
+    nbrs = {v: [] for v in vset}
+    for a, b in arcs:
+        if a in vset and b in vset:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+    comps, seen = [], set()
+    for v in vertices:
+        if v in seen:
+            continue
+        comp, stack = {v}, [v]
+        while stack:
+            for w in nbrs[stack.pop()]:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        comps.append(frozenset(comp))
+    return comps
+
+
+class TestWeakComponents:
+    def test_matches_naive_dfs(self):
+        # vertex lists with duplicates, arcs with an end outside them
+        rng = random.Random(29)
+        sizes = set()
+        for _ in range(2000):
+            names = [f"x{i}" for i in range(rng.randint(0, 9))]
+            vertices = [rng.choice(names) for _ in range(rng.randint(0, 12))] if names else []
+            pool = names + ["out1", "out2"]
+            arcs = [(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randint(0, 10))]
+            expected = naive_weak_components(vertices, arcs)
+            assert weak_components(vertices, iter(arcs)) == expected
+            assert is_weakly_connected(vertices, iter(arcs)) == (len(expected) <= 1)
+            sizes.add(len(expected))
+        assert {0, 1, 2, 3} <= sizes
+
+    def test_empty_input(self):
+        assert weak_components([], [("a", "b")]) == []
+        assert is_weakly_connected([], [])
+        assert weak_components(["a", "b", "a"], []) == [frozenset("a"), frozenset("b")]

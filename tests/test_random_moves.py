@@ -1,13 +1,18 @@
 """Random rewrite moves against hand-written references.
 
 ``random_twist_shrink_log`` and ``random_abc_move`` draw from the
-candidates of ``_candidate_moves`` and let ``_track_move`` classify and
-apply them.  The references below list the same moves another way: the
+candidates of ``_candidate_moves`` the moves that ``_track_move`` would
+apply.  The references below list the same moves another way: the
 twists and shrinks from each loop's own structure (another in-edge at
 ``u`` ejects ``v``, another out-edge at ``v`` ejects ``u``, and a loop keeps
 at least one vertex of each kind), and the A/B/C moves by classifying
 each on-loop move against its loop.  Each keeps only the moves that
 ``apply_rbs`` accepts.
+
+The generators decide each candidate by classification and ``_rewire``,
+without building a graph; ``old_first_tracked`` keeps the body that
+applied each candidate with ``_track_move``, and the generators must draw
+the same moves as the ones built on it, from the same random stream.
 """
 
 import random
@@ -25,7 +30,7 @@ from shiftlab.abstract_graphs import (
     random_graph_with_loops,
     random_twist_shrink_log,
 )
-from shiftlab.abstract_graphs import _candidate_moves, _track_move
+from shiftlab.abstract_graphs import _candidate_moves, _check_loops, _track_move
 from shiftlab.errors import InadmissibleMove, PreconditionFailure
 
 
@@ -98,7 +103,8 @@ def accepted_candidates(graph, loops):
     """Candidates that ``_track_move`` applies without a collapse, as a
     map from move to its loop label."""
     out = {}
-    for lab, mv in _candidate_moves(graph, loops):
+    for lab, ids in _candidate_moves(graph, loops):
+        mv = Move(*ids)
         try:
             _, kind, _, _ = _track_move(graph, loops, mv)
         except (InadmissibleMove, PreconditionFailure):
@@ -132,3 +138,48 @@ def test_random_moves_match_naive_references():
             kinds.add(kind)
     assert {TWIST, SHRINK_U, SHRINK_V} <= kinds
     assert states > 1200
+
+
+def old_first_tracked(rng, graph, loops, candidates):
+    rng.shuffle(candidates)
+    for mv in candidates:
+        try:
+            _, kind, graph_after, loops_after = _track_move(graph, loops, mv)
+        except (InadmissibleMove, PreconditionFailure):
+            continue
+        if kind != COLLAPSE:
+            return mv, graph_after, loops_after
+    return None
+
+
+def old_random_abc_move(rng, graph, loops):
+    _check_loops(graph, loops)
+    candidates = [Move(*ids) for _, ids in _candidate_moves(graph, loops)]
+    step = old_first_tracked(rng, graph, loops, candidates)
+    return None if step is None else step[0]
+
+
+def old_random_twist_shrink_log(rng, graph, loops, length):
+    _check_loops(graph, loops)
+    current, track = graph, loops
+    out = []
+    for _ in range(length):
+        on_loop = [Move(*ids) for lab, ids in _candidate_moves(current, track) if lab is not None]
+        step = old_first_tracked(rng, current, track, on_loop)
+        if step is None:
+            break
+        mv, current, track = step
+        out.append(mv)
+    return out
+
+
+def test_generators_match_old_first_tracked():
+    instances = random.Random(31)
+    for seed in range(400):
+        graph, loops = random_graph_with_loops(instances)
+        new, old = random.Random(seed), random.Random(seed)
+        assert random_abc_move(new, graph, loops) == old_random_abc_move(old, graph, loops)
+        assert random_twist_shrink_log(new, graph, loops, 6) == old_random_twist_shrink_log(
+            old, graph, loops, 6
+        )
+        assert new.getstate() == old.getstate()

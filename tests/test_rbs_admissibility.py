@@ -13,9 +13,10 @@ from unittest.mock import patch
 
 import pytest
 
-from shiftlab._graphutil import is_strongly_connected
+from shiftlab._graphutil import arc_index, is_strongly_connected
 from shiftlab.abstract_graphs import (
     AbstractGraph,
+    _candidate_moves,
     apply_rbs,
     random_graph_with_loops,
 )
@@ -188,3 +189,28 @@ def test_self_loop_named_in_edge_order():
         looped = with_self_loop(g, "w", first)
         with pytest.raises(InadmissibleMove, match=f"creates self-loop {named}$"):
             apply_rbs(looped, None, "a", "b", "c")
+
+
+def test_derived_index_matches_fresh_index():
+    # every candidate move of random instances, and of the graphs that a
+    # chain of accepted moves derives from them: each result's index,
+    # derived from its parent's, equals one built from all its edges
+    rng = random.Random(2718)
+    rewrites = 0
+    for _ in range(300):
+        graph, loops = random_graph_with_loops(rng)
+        for _ in range(3):
+            accepted = []
+            for _, ids in _candidate_moves(graph, loops):
+                kind, got = outcome(apply_rbs, graph, None, *ids)
+                if kind != "ok":
+                    continue
+                result = got[0]
+                fresh = arc_index((e, *result.edges[e]) for e in sorted(result.edges))
+                assert result._adjacency == fresh, ids
+                rewrites += 1
+                accepted.append(result)
+            if not accepted:
+                break
+            graph = rng.choice(accepted)
+    assert rewrites > 5000
