@@ -1303,7 +1303,9 @@ def random_graph_with_loops(
     # a few optional extra edges from rights to lefts
     for _ in range(rng.choice([0, 0, 1, 2])):
         add_path(rng.choice(rights), rng.choice(lefts))
-    return AbstractGraph(verts, edges), loops
+    graph = AbstractGraph(verts, edges)
+    object.__setattr__(graph, "_strongly_connected", True)
+    return graph, loops
 
 
 def _candidate_moves(

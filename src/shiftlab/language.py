@@ -1,6 +1,6 @@
 """Finite-horizon language oracles and factor-language analyses.
 
-An oracle stores the verified factor sets of a language up to a declared
+An oracle holds the verified factor sets of a language up to a declared
 horizon.  Every verdict produced here is a "within horizon" statement and
 reports carry the horizon they were computed at; nothing is claimed about
 lengths the oracle has not seen.
@@ -8,8 +8,10 @@ lengths the oracle has not seen.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
-from typing import Iterable, Literal, Mapping
+from itertools import product
+from typing import AbstractSet, Iterable, Iterator, Literal, Mapping
 
 from ._graphutil import is_weakly_connected
 from .errors import (
@@ -23,6 +25,24 @@ from .words import Alphabet, Word
 
 Side = Literal["left", "right"]
 SIDES: tuple[Side, Side] = ("left", "right")
+
+
+class _AllWords(Set):
+    """All words of length ``n`` over ``codes``, computed on demand."""
+
+    _from_iterable = frozenset  # so that &, | and == mix with stored levels
+
+    def __init__(self, codes: str, n: int):
+        self.codes, self.n = codes, n
+
+    def __contains__(self, w: object) -> bool:
+        return isinstance(w, str) and len(w) == self.n and not w.strip(self.codes)
+
+    def __len__(self) -> int:
+        return len(self.codes) ** self.n
+
+    def __iter__(self) -> Iterator[str]:
+        return map("".join, product(self.codes, repeat=self.n))
 
 
 class LanguageOracle:
@@ -40,7 +60,7 @@ class LanguageOracle:
     def __init__(
         self,
         alphabet: Alphabet,
-        levels: Mapping[int, frozenset[str]],
+        levels: Mapping[int, AbstractSet[str]],
         horizon: int,
         source_label: str,
         recurrent: bool | None = None,
@@ -86,18 +106,16 @@ class LanguageOracle:
 
     @classmethod
     def full_shift(cls, alphabet: Alphabet, horizon: int) -> "LanguageOracle":
-        """The language of all words over the alphabet, up to the horizon."""
-        if alphabet.size**horizon > 4_000_000:
-            raise ValueError("full shift of this size would not fit in memory")
-        codes = alphabet.codes
-        levels: dict[int, frozenset[str]] = {}
-        level = [""]
-        for n in range(1, horizon + 1):
-            level = [w + c for w in level for c in codes]
-            levels[n] = frozenset(level)
+        """The language of all words over the alphabet, up to the horizon.
+
+        Levels are computed, not stored: membership is an O(n) code check and
+        ``p(n) = |A|**n`` (while a ``len`` holds it: n <= 62 over two letters).
+        Bulk queries (extensions, specials, RBC, Rauzy graphs) still
+        enumerate ``|A|**(n+1)`` words.
+        """
         return cls(
             alphabet,
-            levels,
+            {n: _AllWords(alphabet.codes, n) for n in range(1, horizon + 1)},
             horizon,
             f"full shift on {','.join(alphabet.symbols)}",
             recurrent=True,
@@ -139,7 +157,7 @@ class LanguageOracle:
         if n < 1:
             raise ValueError("length must be >= 1")
 
-    def factor_strings(self, n: int) -> frozenset[str]:
+    def factor_strings(self, n: int) -> AbstractSet[str]:
         self.require_length(n)
         return self._levels[n]
 
@@ -169,8 +187,8 @@ class LanguageOracle:
         """
         key = (n, side)
         if key not in self._extension_counts:
-            self.require_length(n, f"{side} extensions")
             self.require_length(n + 1, f"{side} extensions")
+            self.require_length(n, f"{side} extensions")
             counts = dict.fromkeys(self._levels[n], 0)
             cut = slice(1, None) if side == "left" else slice(None, -1)
             for w1 in self._levels[n + 1]:
@@ -188,8 +206,8 @@ class LanguageOracle:
         ``side``.  Callers that need only how many read ``extension_counts``."""
         key = (n, side)
         if key not in self._extension_maps:
-            self.require_length(n, f"{side} extensions")
             self.require_length(n + 1, f"{side} extensions")
+            self.require_length(n, f"{side} extensions")
             cut, end = (slice(1, None), 0) if side == "left" else (slice(None, -1), -1)
             acc: dict[str, set[str]] = {w: set() for w in self._levels[n]}
             for w1 in self._levels[n + 1]:

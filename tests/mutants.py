@@ -44,6 +44,8 @@ class Mutant:
 
 DERIVED_INDEX = "tests/test_rbs_admissibility.py::test_derived_index_matches_fresh_index"
 GRAPHS = "shiftlab/abstract_graphs.py"
+LANGUAGE = "shiftlab/language.py"
+FULL_SHIFT = "tests/test_language.py::TestComputedFullShift"
 
 MUTANTS = (
     Mutant(
@@ -75,6 +77,37 @@ MUTANTS = (
         "            if lab is not None:\n"
         "                _classify(graph, loops[lab], mv)\n",
         ("tests/test_random_moves.py::test_generators_match_old_first_tracked",),
+    ),
+    Mutant(
+        "random instances: an ear without its edge back to the core",
+        GRAPHS,
+        "        add_path(pick(names, \"right\"), pick(core, \"left\"))\n",
+        "",
+        ("tests/test_abstract_graphs.py::TestRandomInstances::test_instances_valid_by_construction",),
+    ),
+    Mutant(
+        "full shift: membership ignores the length",
+        LANGUAGE,
+        "isinstance(w, str) and len(w) == self.n and not",
+        "isinstance(w, str) and not",
+        (FULL_SHIFT,),
+    ),
+    Mutant(
+        "full shift: membership strips codes from the left only",
+        LANGUAGE,
+        "not w.strip(self.codes)",
+        "not w.lstrip(self.codes)",
+        (FULL_SHIFT,),
+        expect="equivalent",
+        reason="a string strips to empty from one end iff it does from both: "
+        "every character is a code",
+    ),
+    Mutant(
+        "full shift: p(n) counts one letter short",
+        LANGUAGE,
+        "len(self.codes) ** self.n",
+        "len(self.codes) ** (self.n - 1)",
+        (FULL_SHIFT,),
     ),
 )
 

@@ -622,6 +622,23 @@ class TestSearch:
         assert seen == 17
 
 
+def _reaches_every_vertex(g: AbstractGraph, forward: bool) -> bool:
+    """Whether a search along (or against) the edges from one vertex
+    reaches every vertex, read off the edge list alone."""
+    nbrs: dict[str, list[str]] = {}
+    for src, dst in g.edges.values():
+        a, b = (src, dst) if forward else (dst, src)
+        nbrs.setdefault(a, []).append(b)
+    start = next(iter(g.vertices))
+    seen, stack = {start}, [start]
+    while stack:
+        for w in nbrs.get(stack.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen == set(g.vertices)
+
+
 class TestRandomInstances:
     def test_identity_and_bound_over_many(self):
         rng = random.Random(99)
@@ -654,6 +671,10 @@ class TestRandomInstances:
                 with patch.object(AbstractGraph, "__post_init__", recording):
                     g, loops = random_graph_with_loops(random.Random(seed), n_loops)
                 assert len(built) == 1 and built[0] is g
+                # validate reads the strong connectivity recorded at
+                # construction, so the search here tests it
+                assert _reaches_every_vertex(g, forward=True)
+                assert _reaches_every_vertex(g, forward=False)
                 assert validate(g).ok
                 _check_loops(g, loops)
                 assert n_loops is None or len(loops) == n_loops

@@ -2,11 +2,13 @@
 periodicity, unique special extensions."""
 
 import random
+from itertools import product
 
 import pytest
 
 from conftest import IET4_SPEC
 from shiftlab.errors import (
+    AlphabetMismatch,
     HorizonExceeded,
     InvariantViolation,
     NotAFactor,
@@ -18,7 +20,9 @@ from shiftlab.generators import (
     oracle_from_prefix,
     rotation_coding,
 )
+from shiftlab.exitwords import decompose, enumerate_exit_words
 from shiftlab.language import (
+    SIDES,
     LanguageOracle,
     check_rbc,
     extension_graph,
@@ -31,7 +35,7 @@ from shiftlab.language import (
     special_words,
 )
 from shiftlab.rauzy import _identification, build_rauzy, build_special_rauzy
-from shiftlab.words import valid_steps
+from shiftlab.words import CODE_CHARS, Alphabet, valid_steps
 
 
 class TestOracleInvariants:
@@ -76,6 +80,16 @@ def test_horizon_one_too_small_reports_the_horizon_needed(zo, query):
     with pytest.raises(HorizonExceeded) as err:
         query(LanguageOracle.full_shift(zo, 8))
     assert err.value.required == 9
+
+
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("query", ["extension_counts", "extension_map"])
+def test_extension_queries_report_the_longer_length_needed(zo, query, side):
+    oracle = LanguageOracle.full_shift(zo, 8)
+    for n in (8, 9, 13):
+        with pytest.raises(HorizonExceeded) as err:
+            getattr(oracle, query)(n, side)
+        assert err.value.required == n + 1
 
 
 class TestExtensions:
@@ -354,3 +368,121 @@ def test_report_shape(fib_oracle):
     assert report["rbc"]["holds_within_horizon"] is True
     assert report["periodicity"]["periodic_within_horizon"] is False
     assert len(report["growth"]["p"]) == fib_oracle.horizon
+
+
+# -- computed full-shift levels against stored ones ----------------------
+
+
+def reference_full_shift(alphabet: Alphabet, horizon: int) -> LanguageOracle:
+    """Reference: the full shift with every level stored as a frozenset."""
+    codes = alphabet.codes
+    levels: dict[int, frozenset[str]] = {}
+    level = [""]
+    for n in range(1, horizon + 1):
+        level = [w + c for w in level for c in codes]
+        levels[n] = frozenset(level)
+    return LanguageOracle(
+        alphabet,
+        levels,
+        horizon,
+        f"full shift on {','.join(alphabet.symbols)}",
+        recurrent=True,
+        _skip_checks=True,
+    )
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(("0", "1"), 10), (("b", "a", "c"), 7)],
+    ids=["binary-H10", "ternary-H7"],
+)
+def shift_pair(request):
+    """The computed full shift and its stored reference; the ternary
+    alphabet's tokens are not in code order."""
+    alphabet = Alphabet(request.param[0])
+    horizon = request.param[1]
+    return (
+        LanguageOracle.full_shift(alphabet, horizon),
+        reference_full_shift(alphabet, horizon),
+    )
+
+
+class TestComputedFullShift:
+    def test_levels_match_reference(self, shift_pair):
+        got, ref = shift_pair
+        for n in range(1, ref.horizon + 1):
+            level, stored = got.factor_strings(n), ref.factor_strings(n)
+            assert list(level) == sorted(stored)  # each word once, in code order
+            assert len(level) == len(stored) == got.p(n)
+            assert all(w in level for w in stored)
+            assert got.words(n) == ref.words(n)
+
+    def test_membership_outside_the_level(self, shift_pair):
+        got, ref = shift_pair
+        codes = got.alphabet.codes
+        foreign = CODE_CHARS[len(codes)]
+        for n in range(1, ref.horizon + 1):
+            level, stored = got.factor_strings(n), ref.factor_strings(n)
+            probes = [
+                codes[-1] * (n - 1),
+                codes[0] * (n + 1),
+                codes[-1] * (2 * n),
+                " " * n,
+                None,
+                n,
+                codes[0].encode() * n,
+                tuple(codes[0] * n),
+            ]
+            probes += [codes[0] * i + foreign + codes[-1] * (n - 1 - i) for i in range(n)]
+            assert [x in level for x in probes] == [x in stored for x in probes]
+            assert not any(x in level for x in probes)
+        other = Alphabet(tuple(got.alphabet.symbols) + ("z",))
+        with pytest.raises(AlphabetMismatch):
+            got.contains(other.word_from_codes(codes[0]))
+
+    def test_set_algebra_with_stored_levels(self, shift_pair):
+        got, ref = shift_pair
+        first = got.alphabet.codes[0]
+        for n in range(1, ref.horizon + 1):
+            level, stored = got.factor_strings(n), ref.factor_strings(n)
+            longer = first * (n + 1)
+            some = frozenset(w for w in stored if w.endswith(first)) | {longer}
+            assert level == stored and stored == level
+            assert level != some and some != level
+            assert level & stored == stored == stored & level
+            assert level & some == some - {longer} == some & level
+            assert type(level & some) is type(some & level) is frozenset
+
+    def test_queries_match_reference(self, shift_pair):
+        got, ref = shift_pair
+        H = ref.horizon
+        assert growth_profile(got) == growth_profile(ref)
+        for n in range(1, H):
+            for side in SIDES:
+                assert got.extension_counts(n, side) == ref.extension_counts(n, side)
+                assert got.extension_map(n, side) == ref.extension_map(n, side)
+                assert got.special_strings(n, side) == ref.special_strings(n, side)
+        for n_min in range(1, H - 2):
+            assert check_rbc(got, n_min).to_json() == check_rbc(ref, n_min).to_json()
+        for n in range(1, H - 1):
+            assert build_rauzy(got, n) == build_rauzy(ref, n)
+
+    def test_steps_and_exit_words_match_reference(self, shift_pair):
+        got, ref = shift_pair
+        alphabet = got.alphabet
+        exit_words = 0
+        # valid_steps needs the horizon to reach n + n // 2
+        for n in range(2, ref.horizon + 1):
+            if n + n // 2 > ref.horizon:
+                break
+            for data in map("".join, product(alphabet.codes, repeat=n)):
+                w = alphabet.word_from_codes(data)
+                steps = valid_steps(w, got, True)
+                assert steps == valid_steps(w, ref, True)
+                for q in (c.q for c in steps):
+                    report = enumerate_exit_words(w, q, got)
+                    assert report == enumerate_exit_words(w, q, ref)
+                    exit_words += len(report.exit_words)
+                    for e in report.exit_words:
+                        assert decompose(e.z, w, q, got) == decompose(e.z, w, q, ref)
+        assert exit_words
