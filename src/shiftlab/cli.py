@@ -104,7 +104,13 @@ def _load_prefix(args: argparse.Namespace):
         prefix, _ = iet_encode(spec, length)
         return prefix
     if kind == "rotation":
-        return rotation_coding(Fraction(args.rotation), length)
+        try:
+            alpha = Fraction(args.rotation)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(
+                f"--rotation needs a rational number p/q, got {args.rotation!r}"
+            ) from None
+        return rotation_coding(alpha, length)
     return read_sequence_file(args.seq)
 
 
@@ -126,8 +132,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_rauzy(args: argparse.Namespace) -> int:
     _, oracle = _load_oracle(args)
     n = args.n
-    if n is None:
-        raise ValueError("rauzy needs --n")
     g = build_rauzy(oracle, n)
     sg = build_special_rauzy(oracle, n)
     if args.format == "json":
@@ -152,8 +156,6 @@ def cmd_rauzy(args: argparse.Namespace) -> int:
 def cmd_evolve(args: argparse.Namespace) -> int:
     _, oracle = _load_oracle(args)
     n = args.n
-    if n is None:
-        raise ValueError("evolve needs --n")
     n_max = oracle.horizon - 4 if args.n_max is None else args.n_max
     steps = []
     dots = []
@@ -214,8 +216,6 @@ def cmd_exitwords(args: argparse.Namespace) -> int:
 
 def cmd_density(args: argparse.Namespace) -> int:
     prefix, oracle = _load_oracle(args)
-    if args.n is None:
-        raise ValueError("density needs --n")
     from .language import growth_profile
 
     profile = growth_profile(oracle)

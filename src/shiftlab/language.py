@@ -71,7 +71,6 @@ class LanguageOracle:
         self.source_label = source_label
         self.recurrent = recurrent
         self._levels = dict(levels)
-        self._extension_maps: dict[tuple[int, Side], dict[str, frozenset[str]]] = {}
         self._extension_counts: dict[tuple[int, Side], dict[str, int]] = {}
         self._special_sets: dict[tuple[int, Side], frozenset[str]] = {}
         if horizon < 1:
@@ -174,7 +173,7 @@ class LanguageOracle:
         """Complexity: the number of distinct factors of length ``n``."""
         return len(self.factor_strings(n))
 
-    # -- extension counts and maps (bulk, memoized) ----------------------
+    # -- extension counts (bulk, memoized) -------------------------------
 
     def extension_counts(self, n: int, side: Side) -> dict[str, int]:
         """For every factor of length ``n``: how many codes extend it on
@@ -200,20 +199,6 @@ class LanguageOracle:
                     ) from None
             self._extension_counts[key] = counts
         return self._extension_counts[key]
-
-    def extension_map(self, n: int, side: Side) -> dict[str, frozenset[str]]:
-        """For every factor of length ``n``: the codes extending it on
-        ``side``.  Callers that need only how many read ``extension_counts``."""
-        key = (n, side)
-        if key not in self._extension_maps:
-            self.require_length(n + 1, f"{side} extensions")
-            self.require_length(n, f"{side} extensions")
-            cut, end = (slice(1, None), 0) if side == "left" else (slice(None, -1), -1)
-            acc: dict[str, set[str]] = {w: set() for w in self._levels[n]}
-            for w1 in self._levels[n + 1]:
-                acc[w1[cut]].add(w1[end])
-            self._extension_maps[key] = {w: frozenset(s) for w, s in acc.items()}
-        return self._extension_maps[key]
 
     def special_strings(self, n: int, side: Side) -> frozenset[str]:
         key = (n, side)
@@ -455,6 +440,17 @@ def _grouped(strings: frozenset[str], key: slice, letter: int) -> dict[str, list
     return groups
 
 
+def _witness_letters(
+    oracle: LanguageOracle, n: int
+) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+    """For the words ``w`` of length ``n``: the codes ``b`` with ``wb`` left
+    special, and the codes ``a`` with ``aw`` right special."""
+    return (
+        _grouped(oracle.special_strings(n + 1, "left"), slice(None, -1), -1),
+        _grouped(oracle.special_strings(n + 1, "right"), slice(1, None), 0),
+    )
+
+
 def check_rbc(
     oracle: LanguageOracle, n_min: int = 1, n_max: int | None = None
 ) -> RbcReport:
@@ -484,8 +480,7 @@ def check_rbc(
     violations: list[tuple[Word, str]] = []
     for n in range(n_min, top + 1):
         bis = oracle.special_strings(n, "left") & oracle.special_strings(n, "right")
-        good_b = _grouped(oracle.special_strings(n + 1, "left"), slice(None, -1), -1)
-        good_a = _grouped(oracle.special_strings(n + 1, "right"), slice(1, None), 0)
+        good_b, good_a = _witness_letters(oracle, n)
         for data in sorted(bis):
             b, a = good_b.get(data, ()), good_a.get(data, ())
             if len(b) != 1 or len(a) != 1:
@@ -569,11 +564,9 @@ def special_extension_map(
     a left-special word is left special, the walk from ``v[:n1]`` ends at
     ``v``.  The right side is the mirror image, with suffixes.
     """
-    if not (1 <= n1 <= n2 <= oracle.horizon - 2):
-        raise HorizonExceeded(
-            f"extension map needs n1 <= n2 <= {oracle.horizon - 2}",
-            required=n2 + 2,
-        )
+    if not 1 <= n1 <= n2:
+        raise PreconditionFailure(f"extension map needs 1 <= n1 <= n2, got {n1}, {n2}")
+    oracle.require_length(n2 + 2, "extension map")
     if n2 > n1:
         rbc = check_rbc(oracle, n_min=n1, n_max=min(n2, oracle.horizon - 3))
         if not rbc.holds_within_horizon:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from ._graphutil import (
     arc_index, dot_quote, find_cycle, is_strongly_connected, is_weakly_connected
@@ -23,9 +23,9 @@ from .language import (
     PeriodicityReport,
     Side,
     _truncations,
+    _witness_letters,
     growth_profile,
     check_rbc,
-    is_regular_bispecial,
     periodicity_check,
 )
 from .words import Word
@@ -145,6 +145,12 @@ def build_special_rauzy(oracle: LanguageOracle, n: int) -> SpecialRauzyGraph:
     """Construct the branching skeleton by walking maximal branchless
     paths between special words.
 
+    Each step of a walk probes which code extends the current word among
+    the factors of length ``n + 1``.  The current word is a suffix of such
+    a factor, so factor closure makes it a factor; it is not special, so
+    extendability (checked at construction) gives it exactly one right
+    extension.
+
     Raises with a partial-result message if a branchless walk escapes the
     horizon before reaching a special word.
     """
@@ -154,27 +160,21 @@ def build_special_rauzy(oracle: LanguageOracle, n: int) -> SpecialRauzyGraph:
     specials = lefts | rights
     vertices: list[SpecialVertex] = [(w, "left") for w in sorted(lefts)]
     vertices += [(w, "right") for w in sorted(rights)]
-    right_map = oracle.extension_map(n, "right")
+    codes = oracle.alphabet.codes
+    longer = oracle.factor_strings(n + 1)
     raw_edges: list[tuple[SpecialVertex, SpecialVertex, str]] = []
     for w in sorted(specials):
         origin: SpecialVertex = (w, "right") if w in rights else (w, "left")
-        for b in sorted(right_map[w]):
-            path = w + b
+        for path in [w + b for b in codes if w + b in longer]:
             cur = path[1:]
             while cur not in specials:
-                nxt = right_map.get(cur)
-                if nxt is None or len(path) + 1 > oracle.horizon:
+                if len(path) + 1 > oracle.horizon:
                     raise HorizonExceeded(
                         f"branchless path from {w!r} escapes horizon "
                         f"{oracle.horizon}; graph would be partial",
                         required=len(path) + 1,
                     )
-                if len(nxt) != 1:
-                    raise InvariantViolation(
-                        f"interior word {cur!r} of a branchless path is special"
-                    )
-                (b2,) = nxt
-                path += b2
+                path += next(b for b in codes if cur + b in longer)
                 cur = path[len(path) - n :]
             dst: SpecialVertex = (cur, "left") if cur in lefts else (cur, "right")
             raw_edges.append((origin, dst, path))
@@ -309,9 +309,10 @@ class EvolutionStep:
 
     ``vertex_map`` sends each special vertex at length ``n`` to its
     unique same-side extension at ``n_prime``; ``edge_map`` sends each
-    edge to the id of its rewritten counterpart (path words only grow,
-    except for the rewritten bispecial edges, which ``rbs_events``
-    lists).
+    edge to the id of its counterpart at ``n_prime``: the edge that leaves
+    the same source by the same letter, where the rewrite at a bispecial
+    ``w`` (listed in ``rbs_events``) moves edges between ``w``'s two
+    vertices and gives the reversed internal edge the letter ``b_hat``.
     """
 
     n: int
@@ -327,14 +328,6 @@ class EvolutionStep:
     length_bound_from_tilde: bool | None  # n' <= K*n_tilde + C
 
 
-def _signature(
-    g: SpecialRauzyGraph, rename: dict[SpecialVertex, SpecialVertex]
-) -> tuple:
-    return tuple(
-        sorted((rename[e.src], rename[e.dst]) for e in g.edges)
-    )
-
-
 def _identification(
     oracle: LanguageOracle, n1: int, n2: int
 ) -> dict[SpecialVertex, SpecialVertex]:
@@ -348,14 +341,48 @@ def _identification(
     }
 
 
+def _follow(
+    claims: Iterable[tuple[str, SpecialVertex, str, SpecialVertex]],
+    target: SpecialRauzyGraph,
+    failure: str,
+) -> dict[str, str]:
+    """Pair each claimed edge ``(eid, src, letter, dst)`` with the edge of
+    ``target`` that leaves ``src``, by ``letter`` when ``src`` is a right
+    vertex (a left vertex has one out-edge).
+
+    Raises ``InvariantViolation(failure)`` when that edge is missing or
+    does not end at ``dst``, or when the claims and ``target`` count
+    different edges.
+    """
+    n = target.n
+    by_key = {
+        (f.src, f.path[n] if f.src[1] == "right" else ""): f for f in target.edges
+    }
+    out: dict[str, str] = {}
+    for eid, src, letter, dst in claims:
+        f = by_key.get((src, letter if src[1] == "right" else ""))
+        if f is None or f.dst != dst:
+            raise InvariantViolation(failure)
+        out[eid] = f.eid
+    if len(out) != len(target.edges):
+        raise InvariantViolation(failure)
+    return out
+
+
 def evolve(oracle: LanguageOracle, n: int) -> EvolutionStep:
     """Jump from the special graph at ``n`` to the next length at which
     it changes (one past the least bispecial length at or after ``n``).
 
-    Verifies along the way that the graph is constant on the skipped
-    lengths under the identification maps, that applying the rewrites as
-    abstract moves reproduces the directly built target graph, and that
-    the result is independent of the order of simultaneous rewrites.
+    An edge is identified by its source vertex and, when the source is a
+    right vertex, the first letter after the source word.  Between
+    bispecial lengths every special word has one special extension with
+    the same extensions, so each edge keeps that identity; ``evolve``
+    checks that it also keeps its target on every skipped length.  The
+    rewrite at a bispecial ``w`` is replayed as abstract moves, in both
+    orders of simultaneous rewrites, and each replayed edge must land on
+    the edge of the directly built target graph with its identity.  The
+    rewrite's witnesses ``a_hat`` and ``b_hat`` come from the grouping
+    :func:`check_rbc` decides regularity with.
     """
     from .abstract_graphs import apply_rbs  # local import; no cycle at module load
 
@@ -367,7 +394,9 @@ def evolve(oracle: LanguageOracle, n: int) -> EvolutionStep:
             break
     if n_tilde is None:
         raise HorizonExceeded(
-            f"no bispecial word of length in [{n}, {top}]", required=oracle.horizon + 1
+            f"start length {n} needs horizon {n + 3}" if n > top
+            else f"no bispecial word of length in [{n}, {top}]",
+            required=max(oracle.horizon + 1, n + 3),
         )
     n_prime = n_tilde + 1  # at most horizon - 2, so the target graph fits
     # every identification below lies inside this one checked range
@@ -379,15 +408,15 @@ def evolve(oracle: LanguageOracle, n: int) -> EvolutionStep:
     before = build_special_rauzy(oracle, n)
     after = build_special_rauzy(oracle, n_prime)
     # the graph must not change on the skipped lengths
-    tilde_graph, to_tilde = before, {v: v for v in before.vertices}
-    base_sig = _signature(before, to_tilde)
+    tilde_graph, before_to_tilde = before, {e.eid: e.eid for e in before.edges}
     for m in range(n + 1, n_tilde + 1):
         tilde_graph = build_special_rauzy(oracle, m)
-        to_tilde = _identification(oracle, n, m)
-        if _signature(tilde_graph, {w: v for v, w in to_tilde.items()}) != base_sig:
-            raise InvariantViolation(
-                f"special graph changed at skipped length {m}"
-            )
+        to_m = _identification(oracle, n, m)
+        before_to_tilde = _follow(
+            ((e.eid, to_m[e.src], e.path[n], to_m[e.dst]) for e in before.edges),
+            tilde_graph,
+            f"special graph changed at skipped length {m}",
+        )
     vertex_map = _identification(oracle, n, n_prime)
     bis = sorted(
         oracle.special_strings(n_tilde, "left")
@@ -398,11 +427,11 @@ def evolve(oracle: LanguageOracle, n: int) -> EvolutionStep:
     # the rewrite at a bispecial w reverses its internal edge and keeps the
     # in-edge through a_hat w and the out-edge through w b_hat, where a_hat
     # and b_hat are w's regularity witnesses; edge ids survive rewrites
+    good_b, good_a = _witness_letters(oracle, n_tilde)
+    letters = {e.eid: e.path[n_tilde : n_tilde + 1] for e in tilde_graph.edges}
     moves = []
     for data in bis:
-        verdict = is_regular_bispecial(oracle, Word(oracle.alphabet, data))
-        a_hat = oracle.alphabet.code(verdict.left_witness)  # type: ignore[arg-type]
-        b_hat = oracle.alphabet.code(verdict.right_witness)  # type: ignore[arg-type]
+        (a_hat,), (b_hat,) = good_a[data], good_b[data]
         (internal,) = tilde_graph.out_edges((data, "left"))
         chosen_in = next(
             e.eid
@@ -415,25 +444,27 @@ def evolve(oracle: LanguageOracle, n: int) -> EvolutionStep:
             if e.path.startswith(data + b_hat)
         )
         moves.append((internal.eid, chosen_in, chosen_out))
+        letters[internal.eid] = b_hat  # reversed, it leaves a_hat w by b_hat
 
-    # cross-check: replay the rewrites as abstract moves, both orders
+    # replay the rewrites as abstract moves, both orders, and follow every
+    # replayed edge into the directly built target graph
     ident_to_prime = _identification(oracle, n_tilde, n_prime)
-    target_sig = sorted((e.src, e.dst) for e in after.edges)
     for order in (moves, moves[::-1]):
         sim = _to_abstract(tilde_graph)
         for move in order:
             sim, _ = apply_rbs(sim, None, *move)
-        sim_sig = sorted(
-            (ident_to_prime[_name_vertex(s)], ident_to_prime[_name_vertex(d)])
-            for (s, d) in sim.edges.values()
+        tilde_to_after = _follow(
+            (
+                (eid, ident_to_prime[_name_vertex(s)], letters[eid],
+                 ident_to_prime[_name_vertex(d)])
+                for eid, (s, d) in sim.edges.items()
+            ),
+            after,
+            "abstract replay of the rewrites disagrees with the directly "
+            "built target graph",
         )
-        if sim_sig != target_sig:
-            raise InvariantViolation(
-                "abstract replay of the rewrites disagrees with the directly "
-                "built target graph"
-            )
 
-    edge_map = _match_edges(before, tilde_graph, after, sim, to_tilde, ident_to_prime)
+    edge_map = {eid: tilde_to_after[t] for eid, t in before_to_tilde.items()}
     profile_preserved = before.type_profile() == after.type_profile()
     gp = growth_profile(oracle)
     b_from_n = b_from_tilde = None
@@ -454,64 +485,6 @@ def evolve(oracle: LanguageOracle, n: int) -> EvolutionStep:
         b_from_n,
         b_from_tilde,
     )
-
-
-def _pair_by_endpoints(
-    claimants: list[tuple[str, str, tuple[str, str], tuple[str, str]]],
-    target: SpecialRauzyGraph,
-) -> dict[str, str]:
-    """Assign claimants (eid, path, src, dst) to edges of ``target``
-    sharing their endpoints, preferring path containment, deterministically."""
-    out: dict[str, str] = {}
-    taken: set[str] = set()
-    for eid, path, src, dst in sorted(claimants, key=lambda t: (t[2], t[3], len(t[1]), t[1])):
-        candidates = [
-            f for f in target.out_edges(src) if f.dst == dst and f.eid not in taken
-        ]
-        if not candidates:
-            raise InvariantViolation(f"no counterpart for edge {eid} ({path!r})")
-        contained = [f for f in candidates if path in f.path]
-        pool = contained or candidates
-        chosen = min(pool, key=lambda f: (len(f.path), f.path, f.eid))
-        taken.add(chosen.eid)
-        out[eid] = chosen.eid
-    return out
-
-
-def _match_edges(
-    before: SpecialRauzyGraph,
-    tilde_graph: SpecialRauzyGraph,
-    after: SpecialRauzyGraph,
-    final_sim: "AbstractGraph",
-    to_tilde: dict[SpecialVertex, SpecialVertex],
-    ident_to_prime: dict[SpecialVertex, SpecialVertex],
-) -> dict[str, str]:
-    """Pair every edge with its rewritten counterpart.
-
-    Up to the bispecial length nothing is rewritten: endpoints follow the
-    identification and path words only grow, so containment pins the
-    match.  Across the rewrite itself the abstract replay already moved
-    every edge id to its final endpoints; those endpoints select the
-    counterpart in the directly built target graph.
-    """
-    if tilde_graph is before:
-        before_to_tilde = {e.eid: e.eid for e in before.edges}
-    else:
-        claimants = [
-            (e.eid, e.path, to_tilde[e.src], to_tilde[e.dst]) for e in before.edges
-        ]
-        before_to_tilde = _pair_by_endpoints(claimants, tilde_graph)
-    tilde_paths = {e.eid: e.path for e in tilde_graph.edges}
-
-    claimants2 = [
-        (eid, tilde_paths[eid], ident_to_prime[_name_vertex(s)],
-         ident_to_prime[_name_vertex(d)])
-        for eid, (s, d) in final_sim.edges.items()
-    ]
-    tilde_to_after = _pair_by_endpoints(claimants2, after)
-    return {
-        eid: tilde_to_after[before_to_tilde[eid]] for eid in before_to_tilde
-    }
 
 
 def _vertex_name(v: SpecialVertex) -> str:

@@ -46,6 +46,8 @@ DERIVED_INDEX = "tests/test_rbs_admissibility.py::test_derived_index_matches_fre
 GRAPHS = "shiftlab/abstract_graphs.py"
 LANGUAGE = "shiftlab/language.py"
 FULL_SHIFT = "tests/test_language.py::TestComputedFullShift"
+RAUZY = "shiftlab/rauzy.py"
+EVOLVE_REFERENCE = "tests/test_rauzy.py::TestEvolveMatchesReference"
 
 MUTANTS = (
     Mutant(
@@ -108,6 +110,46 @@ MUTANTS = (
         "len(self.codes) ** self.n",
         "len(self.codes) ** (self.n - 1)",
         (FULL_SHIFT,),
+    ),
+    Mutant(
+        "follow step: the key reads the letter after the first one",
+        RAUZY,
+        'f.path[n] if f.src[1] == "right"',
+        'f.path[n + 1] if f.src[1] == "right"',
+        (EVOLVE_REFERENCE,),
+    ),
+    Mutant(
+        "follow step: the reversed internal edge keeps its old letter",
+        RAUZY,
+        "        letters[internal.eid] = b_hat",
+        "        pass",
+        (EVOLVE_REFERENCE,),
+    ),
+    Mutant(
+        "follow step: the target is not compared",
+        RAUZY,
+        "if f is None or f.dst != dst:",
+        "if f is None:",
+        ("tests/test_factor_engine.py::TestChecksFire::test_evolve_sees_a_skipped_length_change",),
+    ),
+    Mutant(
+        "witness letters: the two slices swapped",
+        LANGUAGE,
+        '"left"), slice(None, -1), -1),\n'
+        '        _grouped(oracle.special_strings(n + 1, "right"), slice(1, None), 0)',
+        '"left"), slice(1, None), -1),\n'
+        '        _grouped(oracle.special_strings(n + 1, "right"), slice(None, -1), 0)',
+        (EVOLVE_REFERENCE,),
+    ),
+    Mutant(
+        "special graph: the walk probes codes in reverse order",
+        RAUZY,
+        "next(b for b in codes if cur + b in longer)",
+        "next(b for b in reversed(codes) if cur + b in longer)",
+        (EVOLVE_REFERENCE,),
+        expect="equivalent",
+        reason="exactly one code extends a walk word, so the order of the "
+        "probes cannot change which one is found",
     ),
 )
 

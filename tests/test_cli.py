@@ -181,6 +181,14 @@ class TestAnalyze:
         assert f"error: {bad}: {message}" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("value", ["1/0", "abc"])
+    def test_malformed_rotation_names_the_option(self, value):
+        proc = run_subprocess(["analyze", "--rotation", value, "--horizon", "8"])
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            f"error: --rotation needs a rational number p/q, got {value!r}"
+        ]
+
     def test_invariant_violation_exits_three(self, capsys, monkeypatch, fib_spec):
         def broken(args):
             raise InvariantViolation("count identity failed")

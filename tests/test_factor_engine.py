@@ -9,6 +9,8 @@ and reads extension counts off ``extensions`` (and, at the top length,
 where ``extensions`` needs a longer horizon, off direct membership).
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
@@ -73,12 +75,6 @@ def assert_matches_reference(x: SequencePrefix, horizon: int) -> None:
             assert oracle.special_strings(n, side) == {
                 d for d, c in expected.items() if c >= 2
             }, (n, side)
-        assert {d: len(s) for d, s in oracle.extension_map(n, "left").items()} == (
-            oracle.extension_counts(n, "left")
-        )
-        assert {d: len(s) for d, s in oracle.extension_map(n, "right").items()} == (
-            oracle.extension_counts(n, "right")
-        )
     if horizon >= 3:
         assert growth_profile(oracle).p == {n: len(levels[n]) for n in levels}
 
@@ -173,3 +169,23 @@ class TestChecksFire:
         corrupt_counts(monkeypatch, fib12, side)
         with pytest.raises(InvariantViolation, match=what):
             rauzy._assert_special_graph_invariants(fib12, g)
+
+    def test_evolve_sees_a_skipped_length_change(self, monkeypatch, fib12):
+        # evolve(fib12, 4) skips length 5 on its way to the bispecial length
+        # 6; at length 5 two edges trade targets, keeping every degree
+        honest = rauzy.build_special_rauzy
+
+        def swapped(oracle, n):
+            g = honest(oracle, n)
+            if n != 5:
+                return g
+            e1 = g.edges[0]
+            e2 = next(e for e in g.edges if e.src != e1.src and e.dst != e1.dst)
+            trade = {e1.eid: e2.dst, e2.eid: e1.dst}
+            edges = tuple(replace(e, dst=trade.get(e.eid, e.dst)) for e in g.edges)
+            return replace(g, edges=edges)
+
+        assert rauzy.evolve(fib12, 4).n_tilde == 6
+        monkeypatch.setattr(rauzy, "build_special_rauzy", swapped)
+        with pytest.raises(InvariantViolation, match="changed at skipped length 5"):
+            rauzy.evolve(fib12, 4)

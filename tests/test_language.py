@@ -83,7 +83,7 @@ def test_horizon_one_too_small_reports_the_horizon_needed(zo, query):
 
 
 @pytest.mark.parametrize("side", SIDES)
-@pytest.mark.parametrize("query", ["extension_counts", "extension_map"])
+@pytest.mark.parametrize("query", ["extension_counts"])
 def test_extension_queries_report_the_longer_length_needed(zo, query, side):
     oracle = LanguageOracle.full_shift(zo, 8)
     for n in (8, 9, 13):
@@ -131,7 +131,7 @@ class TestSpecialWords:
         with pytest.raises(ValueError, match="length must be >= 1"):
             special_words(fib_oracle, 0, side)
 
-    @pytest.mark.parametrize("query", ["extension_counts", "extension_map"])
+    @pytest.mark.parametrize("query", ["extension_counts"])
     def test_extension_queries_refuse_length_zero(self, fib_oracle, query):
         with pytest.raises(ValueError, match="length must be >= 1"):
             getattr(fib_oracle, query)(0, "left")
@@ -283,6 +283,15 @@ class TestSpecialExtensionMap:
     def test_refuses_without_rbc(self, tm_oracle):
         with pytest.raises(PreconditionFailure, match="RBC not established"):
             special_extension_map(tm_oracle, "left", 1, 6)
+
+    def test_bad_range_is_not_a_horizon_refusal(self, fib_prefix):
+        oracle = oracle_from_prefix(fib_prefix, 20)
+        for n1, n2 in ((5, 3), (0, 3)):
+            with pytest.raises(PreconditionFailure, match="1 <= n1 <= n2"):
+                special_extension_map(oracle, "left", n1, n2)
+        with pytest.raises(HorizonExceeded) as err:
+            special_extension_map(oracle, "left", 3, 19)
+        assert err.value.required == 21
 
     def test_extension_sets_stabilize(self, fib_oracle, iet3_oracle):
         # the one-sided extension sets along the unique-extension ladder
@@ -460,7 +469,6 @@ class TestComputedFullShift:
         for n in range(1, H):
             for side in SIDES:
                 assert got.extension_counts(n, side) == ref.extension_counts(n, side)
-                assert got.extension_map(n, side) == ref.extension_map(n, side)
                 assert got.special_strings(n, side) == ref.special_strings(n, side)
         for n_min in range(1, H - 2):
             assert check_rbc(got, n_min).to_json() == check_rbc(ref, n_min).to_json()

@@ -1,11 +1,37 @@
 """Factor graphs, branching skeletons, circuits, and evolution."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
-from shiftlab.errors import HorizonExceeded, PreconditionFailure
-from shiftlab.generators import SequencePrefix, oracle_from_prefix
-from shiftlab.language import LanguageOracle, growth_profile
+from conftest import IET3_SPEC, IET4_SPEC
+from shiftlab.abstract_graphs import apply_rbs
+from shiftlab.errors import HorizonExceeded, InvariantViolation, PreconditionFailure
+from shiftlab.generators import (
+    IETSpec,
+    SequencePrefix,
+    fibonacci_prefix,
+    iet_encode,
+    oracle_from_prefix,
+    rotation_coding,
+    thue_morse_prefix,
+)
+from shiftlab.language import (
+    LanguageOracle,
+    check_rbc,
+    extensions,
+    growth_profile,
+    is_regular_bispecial,
+)
 from shiftlab.rauzy import (
+    EvolutionStep,
+    SpecialEdge,
+    SpecialRauzyGraph,
+    _assert_special_graph_invariants,
+    _identification,
+    _name_vertex,
+    _to_abstract,
     build_rauzy,
     build_special_rauzy,
     connectivity,
@@ -15,7 +41,7 @@ from shiftlab.rauzy import (
     special_free_circuit,
     special_rauzy_dot,
 )
-from shiftlab.words import Alphabet
+from shiftlab.words import Alphabet, Word
 
 
 @pytest.fixture(scope="module")
@@ -62,11 +88,10 @@ class TestFactorGraph:
 
     def test_degrees_match_extensions(self, fib_oracle):
         g = build_rauzy(fib_oracle, 5)
-        left = fib_oracle.extension_map(5, "left")
-        right = fib_oracle.extension_map(5, "right")
         for v in g.vertices:
-            assert g.in_degree(v) == len(left[v])
-            assert g.out_degree(v) == len(right[v])
+            rec = extensions(fib_oracle, Word(fib_oracle.alphabet, v))
+            assert g.in_degree(v) == len(rec.left)
+            assert g.out_degree(v) == len(rec.right)
 
     def test_full_shift_de_bruijn(self, full_shift_2):
         g = build_rauzy(full_shift_2, 2)
@@ -269,6 +294,16 @@ class TestEvolve:
         with pytest.raises(HorizonExceeded):
             evolve(oracle, 12)
 
+    @pytest.mark.parametrize("n", [13, 14, 20])
+    def test_no_bispecial_reports_the_horizon_needed(self, fib_prefix, n):
+        # at H = 16 the start lengths H - 3, H - 2 and H + 4
+        oracle = oracle_from_prefix(fib_prefix, 16)
+        with pytest.raises(HorizonExceeded) as err:
+            evolve(oracle, n)
+        assert err.value.required == max(17, n + 3)
+        if n > 13:
+            assert f"start length {n} needs horizon {n + 3}" in str(err.value)
+
     def test_refuses_on_irregular(self, tm_oracle):
         with pytest.raises(PreconditionFailure):
             evolve(tm_oracle, 2)
@@ -280,3 +315,250 @@ def test_dot_outputs_are_deterministic(fib_oracle):
     assert rauzy_dot(g, fib_oracle) == rauzy_dot(g, fib_oracle)
     text = special_rauzy_dot(sg, fib_oracle)
     assert text.startswith("digraph") and text.count("->") == 3
+
+
+# -- references: skeletons through a bulk extension map, edges paired by ends --
+
+
+def reference_special_rauzy(oracle, n):
+    """The branching skeleton walked through a bulk right-extension map,
+    with a check at every step of the walk."""
+    oracle.require_length(n + 2, "special graph")
+    lefts = oracle.special_strings(n, "left")
+    rights = oracle.special_strings(n, "right")
+    specials = lefts | rights
+    vertices = [(w, "left") for w in sorted(lefts)]
+    vertices += [(w, "right") for w in sorted(rights)]
+    right_map = {w: set() for w in oracle.factor_strings(n)}
+    for w1 in oracle.factor_strings(n + 1):
+        right_map[w1[:-1]].add(w1[-1])
+    raw_edges = []
+    for w in sorted(specials):
+        origin = (w, "right") if w in rights else (w, "left")
+        for b in sorted(right_map[w]):
+            path = w + b
+            cur = path[1:]
+            while cur not in specials:
+                nxt = right_map.get(cur)
+                if nxt is None or len(path) + 1 > oracle.horizon:
+                    raise HorizonExceeded(
+                        f"branchless path from {w!r} escapes horizon "
+                        f"{oracle.horizon}; graph would be partial",
+                        required=len(path) + 1,
+                    )
+                if len(nxt) != 1:
+                    raise InvariantViolation(
+                        f"interior word {cur!r} of a branchless path is special"
+                    )
+                (b2,) = nxt
+                path += b2
+                cur = path[len(path) - n :]
+            dst = (cur, "left") if cur in lefts else (cur, "right")
+            raw_edges.append((origin, dst, path))
+    for w in sorted(lefts & rights):
+        raw_edges.append(((w, "left"), (w, "right"), w))
+    raw_edges.sort(key=lambda t: (t[0], t[1], t[2]))
+    width = max(2, len(str(len(raw_edges))))
+    edges = tuple(
+        SpecialEdge(f"e{i:0{width}d}", src, dst, path)
+        for i, (src, dst, path) in enumerate(raw_edges)
+    )
+    g = SpecialRauzyGraph(n, tuple(vertices), edges, lefts, rights)
+    _assert_special_graph_invariants(oracle, g)
+    return g
+
+
+def _signature(g, rename):
+    return tuple(sorted((rename[e.src], rename[e.dst]) for e in g.edges))
+
+
+def _pair_by_endpoints(claimants, target):
+    """Assign claimants (eid, path, src, dst) to edges of ``target``
+    sharing their endpoints, preferring path containment, deterministically."""
+    out = {}
+    taken = set()
+    for eid, path, src, dst in sorted(claimants, key=lambda t: (t[2], t[3], len(t[1]), t[1])):
+        candidates = [
+            f for f in target.out_edges(src) if f.dst == dst and f.eid not in taken
+        ]
+        if not candidates:
+            raise InvariantViolation(f"no counterpart for edge {eid} ({path!r})")
+        contained = [f for f in candidates if path in f.path]
+        chosen = min(contained or candidates, key=lambda f: (len(f.path), f.path, f.eid))
+        taken.add(chosen.eid)
+        out[eid] = chosen.eid
+    return out
+
+
+def _match_edges(before, tilde_graph, after, final_sim, to_tilde, ident_to_prime):
+    if tilde_graph is before:
+        before_to_tilde = {e.eid: e.eid for e in before.edges}
+    else:
+        claimants = [
+            (e.eid, e.path, to_tilde[e.src], to_tilde[e.dst]) for e in before.edges
+        ]
+        before_to_tilde = _pair_by_endpoints(claimants, tilde_graph)
+    tilde_paths = {e.eid: e.path for e in tilde_graph.edges}
+    claimants2 = [
+        (eid, tilde_paths[eid], ident_to_prime[_name_vertex(s)],
+         ident_to_prime[_name_vertex(d)])
+        for eid, (s, d) in final_sim.edges.items()
+    ]
+    tilde_to_after = _pair_by_endpoints(claimants2, after)
+    return {eid: tilde_to_after[before_to_tilde[eid]] for eid in before_to_tilde}
+
+
+def reference_evolve(oracle, n):
+    """``evolve`` with skipped lengths compared as endpoint multisets,
+    witnesses from ``is_regular_bispecial`` word by word, and edges paired
+    by endpoints and path containment."""
+    top = oracle.horizon - 3
+    n_tilde = None
+    for m in range(n, top + 1):
+        if oracle.special_strings(m, "left") & oracle.special_strings(m, "right"):
+            n_tilde = m
+            break
+    if n_tilde is None:
+        raise HorizonExceeded(
+            f"no bispecial word of length in [{n}, {top}]", required=oracle.horizon + 1
+        )
+    n_prime = n_tilde + 1
+    rbc = check_rbc(oracle, n_min=n, n_max=min(n_prime, oracle.horizon - 3))
+    if not rbc.holds_within_horizon:
+        raise PreconditionFailure(
+            f"irregular bispecial in range: {rbc.violations[0][0]}"
+        )
+    before = reference_special_rauzy(oracle, n)
+    after = reference_special_rauzy(oracle, n_prime)
+    tilde_graph, to_tilde = before, {v: v for v in before.vertices}
+    base_sig = _signature(before, to_tilde)
+    for m in range(n + 1, n_tilde + 1):
+        tilde_graph = reference_special_rauzy(oracle, m)
+        to_tilde = _identification(oracle, n, m)
+        if _signature(tilde_graph, {w: v for v, w in to_tilde.items()}) != base_sig:
+            raise InvariantViolation(f"special graph changed at skipped length {m}")
+    vertex_map = _identification(oracle, n, n_prime)
+    bis = sorted(
+        oracle.special_strings(n_tilde, "left")
+        & oracle.special_strings(n_tilde, "right")
+    )
+    rbs_events = [Word(oracle.alphabet, d) for d in bis]
+    moves = []
+    for data in bis:
+        verdict = is_regular_bispecial(oracle, Word(oracle.alphabet, data))
+        a_hat = oracle.alphabet.code(verdict.left_witness)
+        b_hat = oracle.alphabet.code(verdict.right_witness)
+        (internal,) = tilde_graph.out_edges((data, "left"))
+        chosen_in = next(
+            e.eid
+            for e in tilde_graph.in_edges((data, "left"))
+            if e.path.endswith(a_hat + data)
+        )
+        chosen_out = next(
+            e.eid
+            for e in tilde_graph.out_edges((data, "right"))
+            if e.path.startswith(data + b_hat)
+        )
+        moves.append((internal.eid, chosen_in, chosen_out))
+    ident_to_prime = _identification(oracle, n_tilde, n_prime)
+    target_sig = sorted((e.src, e.dst) for e in after.edges)
+    for order in (moves, moves[::-1]):
+        sim = _to_abstract(tilde_graph)
+        for move in order:
+            sim, _ = apply_rbs(sim, None, *move)
+        sim_sig = sorted(
+            (ident_to_prime[_name_vertex(s)], ident_to_prime[_name_vertex(d)])
+            for (s, d) in sim.edges.values()
+        )
+        if sim_sig != target_sig:
+            raise InvariantViolation(
+                "abstract replay of the rewrites disagrees with the directly "
+                "built target graph"
+            )
+    edge_map = _match_edges(before, tilde_graph, after, sim, to_tilde, ident_to_prime)
+    gp = growth_profile(oracle)
+    b_from_n = b_from_tilde = None
+    if gp.K is not None and gp.constant_at(n):
+        C = gp.p[oracle.horizon] - gp.K * oracle.horizon
+        b_from_n = n_prime <= gp.K * n + C
+        b_from_tilde = n_prime <= gp.K * n_tilde + C
+    return EvolutionStep(
+        n, n_tilde, n_prime, before, after, vertex_map, edge_map, rbs_events,
+        before.type_profile() == after.type_profile(), b_from_n, b_from_tilde,
+    )
+
+
+def _outcome(call, *args):
+    """The result of ``call``, or the type, message and ``required`` of
+    what it raised."""
+    try:
+        return call(*args)
+    except Exception as exc:  # every refusal is compared
+        return type(exc), str(exc), getattr(exc, "required", None)
+
+
+def _random_iet(seed: int):
+    """A random interval exchange on 3 to 5 intervals with an irreducible
+    permutation: no proper initial block of intervals is mapped to itself."""
+    rng = random.Random(seed)
+    d = rng.randint(3, 5)
+    weights = [rng.randint(1, 1000) for _ in range(d)]
+    permutation = list(range(1, d + 1))
+    while any(max(permutation[:k]) == k for k in range(1, d)):
+        rng.shuffle(permutation)
+    spec = IETSpec(
+        tuple(Fraction(k, sum(weights)) for k in weights),
+        tuple(permutation),
+        Fraction(rng.randrange(1000), 1000),
+    )
+    return iet_encode(spec, 4000)[0]
+
+
+def _quotients(rng):
+    return [rng.randint(1, 3) for _ in range(30)]
+
+
+SEQUENCES = {
+    "fibonacci": lambda: fibonacci_prefix(4000),
+    "thue-morse": lambda: thue_morse_prefix(4000),
+    "iet3": lambda: iet_encode(IET3_SPEC, 4000)[0],
+    "iet4": lambda: iet_encode(IET4_SPEC, 4000)[0],
+    **{
+        f"rotation-{seed}": lambda seed=seed: rotation_coding(
+            _quotients(random.Random(seed)), 4000
+        )
+        for seed in range(6)
+    },
+    **{f"iet-{seed}": lambda seed=seed: _random_iet(seed) for seed in range(6)},
+}
+
+
+def assert_evolve_matches_reference(oracle):
+    """Every skeleton and every step from every start agrees with the
+    references, refusals included; returns how many steps succeeded."""
+    for n in range(1, oracle.horizon - 1):
+        assert _outcome(build_special_rauzy, oracle, n) == _outcome(
+            reference_special_rauzy, oracle, n
+        ), n
+    steps = 0
+    for n in range(1, oracle.horizon - 2):
+        got = _outcome(evolve, oracle, n)
+        assert got == _outcome(reference_evolve, oracle, n), n
+        steps += isinstance(got, EvolutionStep)
+    return steps
+
+
+class TestEvolveMatchesReference:
+    @pytest.mark.parametrize("source", SEQUENCES)
+    def test_sequences(self, source):
+        x = SEQUENCES[source]()
+        steps = 0
+        for horizon in (16, 24, 32, 48):
+            oracle = _outcome(oracle_from_prefix, x, horizon)
+            if isinstance(oracle, LanguageOracle):
+                steps += assert_evolve_matches_reference(oracle)
+        assert steps or source == "thue-morse"
+
+    def test_explicit_oracles(self, one_ones_oracle, split_union_oracle, zo):
+        for oracle in (one_ones_oracle, split_union_oracle, LanguageOracle.full_shift(zo, 8)):
+            assert_evolve_matches_reference(oracle)
