@@ -998,17 +998,21 @@ def restrict_itinerary(it: Itinerary, keep: Iterable[str]) -> Itinerary:
 # searches and random instances
 
 
-def simple_cycles(graph: AbstractGraph, max_cycles: int = 200000) -> list[Loop]:
+#: Cycles :func:`simple_cycles` lists before it stops.
+MAX_CYCLES = 200000
+
+
+def simple_cycles(graph: AbstractGraph) -> list[Loop]:
     """All vertex self-avoiding directed circuits with >= 2 edges, as
     edge-id loops; parallel edges give distinct circuits.
 
     Each circuit is reported once, rooted at its lexicographically least
-    edge id.
+    edge id.  Extension stops once :data:`MAX_CYCLES` circuits are listed.
     """
     out: list[Loop] = []
 
     def extend(path: list[str], visited: set[str], root_edge: str) -> None:
-        if len(out) >= max_cycles:
+        if len(out) >= MAX_CYCLES:
             return
         last_dst = graph.edges[path[-1]][1]
         root_src = graph.edges[root_edge][0]
@@ -1036,9 +1040,7 @@ class SearchResult:
     note: str
 
 
-def search_colorings(
-    graph: AbstractGraph, e_target: int, max_cycles: int = 200000
-) -> SearchResult:
+def search_colorings(graph: AbstractGraph, e_target: int) -> SearchResult:
     """Look for ``e_target`` vertex-disjoint loops that do not disconnect
     the loop-deleted quotient, together with the canonical coloring that
     assigns each loop its own color.
@@ -1053,8 +1055,8 @@ def search_colorings(
     pass graphs that :func:`enumerate_valid_graphs` built valid or that they
     have validated themselves.
     """
-    cycles = simple_cycles(graph, max_cycles=max_cycles)
-    exhausted = len(cycles) < max_cycles
+    cycles = simple_cycles(graph)
+    exhausted = len(cycles) < MAX_CYCLES
     tried = 0
     for combo in itertools.combinations(range(len(cycles)), e_target):
         family = [cycles[i] for i in combo]

@@ -110,6 +110,8 @@ def _load_prefix(args: argparse.Namespace):
             raise ValueError(
                 f"--rotation needs a rational number p/q, got {args.rotation!r}"
             ) from None
+        if not 0 < alpha < 1:
+            raise ValueError(f"--rotation must lie in (0, 1), got {args.rotation!r}")
         return rotation_coding(alpha, length)
     return read_sequence_file(args.seq)
 
@@ -191,7 +193,6 @@ def cmd_exitwords(args: argparse.Namespace) -> int:
     if not args.w:
         raise ValueError("exitwords needs --w")
     w = oracle.alphabet.word(args.w)
-    payload: dict = {}
     if args.q is None:
         q = minimal_step(w, oracle)
         if q is None:
@@ -199,16 +200,13 @@ def cmd_exitwords(args: argparse.Namespace) -> int:
     else:
         q = args.q
     report = enumerate_exit_words(w, q, oracle, cap=args.cap)
-    payload["enumeration"] = report.to_json()
+    payload: dict = {"enumeration": report.to_json()}
     if args.z:
         z = oracle.alphabet.word(args.z)
         payload["decomposition"] = {
             "z": args.z,
             "q": q,
-            "representations": [
-                {"p": str(r.p), "r": r.r, "s": str(r.s)}
-                for r in decompose(z, w, q, oracle)
-            ],
+            "representations": [r.to_json() for r in decompose(z, w, q, oracle)],
         }
     _emit_json(args, payload, "exitwords.json")
     return 0
@@ -343,10 +341,17 @@ def cmd_xi(args: argparse.Namespace) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, like other bad input (2 is a horizon)."""
+
+    def error(self, message: str):
+        self.exit(1, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process; parsing does not change it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shiftlab",
         description="Symbolic-dynamics workbench: factor languages, "
         "branching graphs, exit words, block densities, loop bounds.",

@@ -4,9 +4,10 @@ periodic circuit of a word, circles it, and leaves.
 An exit word for ``w`` with step ``q`` decomposes as ``p + power + s``
 where the interior is a stretch of the two-sided periodic extension of
 ``w`` and the first letter of ``p`` and last letter of ``s`` each break
-the periodicity.  With ``q`` minimal the decomposition is unique and the
-number of occurrences of ``w`` in the exit word equals the repetition
-count.
+the periodicity; enumeration builds each word from such layouts and
+records them as its decompositions.  With ``q`` minimal the decomposition
+is unique and the number of occurrences of ``w`` in the exit word equals
+the repetition count.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .words import (
     Word,
     minimal_step,
     occurrences,
-    periodic_letter,
-    periodic_power,
+    periodic_stretch,
+    require_power,
     shift_match,
 )
 
@@ -42,6 +43,9 @@ class Representation:
 
     def as_tuple(self) -> tuple[str, int, str]:
         return str(self.p), self.r, str(self.s)
+
+    def to_json(self) -> dict:
+        return {"p": str(self.p), "r": self.r, "s": str(self.s)}
 
 
 @dataclass(frozen=True)
@@ -64,11 +68,13 @@ class ExitWord:
             "w": str(self.base),
             "q": self.q,
             "canonical": self.canonical,
-            "representations": [
-                {"p": str(rep.p), "r": rep.r, "s": str(rep.s)}
-                for rep in self.representations
-            ],
+            "representations": [rep.to_json() for rep in self.representations],
         }
+
+
+def _representation(z: Word, n: int, q: int, p_len: int, r: int) -> Representation:
+    """``z`` as a ``p_len``-letter prefix, ``r`` repetitions and a suffix."""
+    return Representation(z.sub(1, p_len), r, z.sub(p_len + n + (r - 1) * q + 1, len(z)))
 
 
 def is_representation(
@@ -76,39 +82,28 @@ def is_representation(
 ) -> bool:
     """Independent predicate for the decomposition conditions.
 
-    Checks that the slice layout reproduces ``z``, that the interior is
-    the periodic power, and that exactly the first letter of the prefix
-    and the last letter of the suffix break the periodic extension.
+    Checks that the slice layout reproduces ``z`` with nonempty sides of
+    at most ``q`` letters; then, reading letter ``k`` of ``z`` as letter
+    ``k - p_len`` of the periodic extension of ``w``, that every letter
+    but the first and the last agrees with the extension and that those
+    two break it.
     """
-    n = len(w)
-    mid = n + (r - 1) * q
+    mid = len(w) + (r - 1) * q
     if p_len + mid + s_len != len(z) or not (0 <= p_len <= q and 0 <= s_len <= q):
         return False
-    if z.data[p_len : p_len + mid] != periodic_power(w, q, r).data:
-        return False
-    # prefix: positions p_len .. 1 from the right edge of p map to
-    # periodic positions 0, -1, ...
-    if p_len == 0:
-        return False  # the bare power is a suffix of the longer power
-    for k in range(2, p_len + 1):
-        if z.data[k - 1] != periodic_letter(w, q, k - p_len):
-            return False
-    if z.data[0] == periodic_letter(w, q, 1 - p_len):
-        return False
-    if s_len == 0:
-        return False  # the bare power is a prefix of the longer power
-    for k in range(1, s_len):
-        if z.data[p_len + mid + k - 1] != periodic_letter(w, q, mid + k):
-            return False
-    if z.data[-1] == periodic_letter(w, q, mid + s_len):
-        return False
-    return True
+    require_power(w, q, r)
+    if p_len == 0 or s_len == 0:
+        return False  # the bare power is a prefix or suffix of a longer one
+    ext = periodic_stretch(w, q, 1 - p_len, len(z) - p_len)
+    d = z.data
+    return d[1:-1] == ext[1:-1] and d[0] != ext[0] and d[-1] != ext[-1]
 
 
 def decompose(
     z: Word, w: Word, q: int, oracle: LanguageOracle | None = None
 ) -> list[Representation]:
-    """All decompositions of ``z`` as an exit word of ``w`` with step ``q``.
+    """All decompositions of ``z`` as an exit word of ``w`` with step ``q``,
+    by prefix length; a suffix of 1..q letters fixes the repetition count.
 
     When the interior has a period shorter than ``q`` the power grid can
     slide, so several decompositions may coexist; with ``q`` equal to the
@@ -120,21 +115,10 @@ def decompose(
     if not 1 <= q <= n - 1 or not shift_match(w, q):
         raise PreconditionFailure(f"q={q} is not a step for {w}")
     out = []
-    r = 1
-    while n + (r - 1) * q + 2 <= len(z):
-        mid = n + (r - 1) * q
-        for p_len in range(1, q + 1):
-            s_len = len(z) - mid - p_len
-            if not 1 <= s_len <= q:
-                continue
-            if is_representation(z, w, q, p_len, r, s_len):
-                out.append(
-                    Representation(
-                        z.sub(1, p_len), r, z.sub(p_len + mid + 1, len(z))
-                    )
-                )
-        r += 1
-    out.sort(key=lambda rep: len(rep.p))
+    for p_len in range(1, min(q, len(z) - n - 1) + 1):
+        r = (len(z) - p_len - n - 1) // q + 1
+        if is_representation(z, w, q, p_len, r, len(z) - p_len - n - (r - 1) * q):
+            out.append(_representation(z, n, q, p_len, r))
     if oracle is not None and out:
         q_min = minimal_step(w, oracle)
         if q_min == q:
@@ -186,7 +170,10 @@ def enumerate_exit_words(
     pinned down by where it enters the periodic circuit (prefix length
     plus breaking letter), where it leaves (suffix length plus breaking
     letter) and how often it goes round; only language membership of the
-    assembled word remains to be filtered.
+    assembled word remains to be filtered.  The layouts that build ``z``
+    are exactly its decompositions, in :func:`decompose`'s order: each
+    meets :func:`is_representation` by construction, and each
+    decomposition rebuilds ``z`` within the same cap.
     """
     n = len(w)
     if not 1 <= q <= n - 1 or not shift_match(w, q):
@@ -195,65 +182,37 @@ def enumerate_exit_words(
         raise PreconditionFailure(f"{w} is not a factor")
     cap = oracle.horizon if cap is None else min(cap, oracle.horizon)
     codes = oracle.alphabet.codes
-    found: dict[str, Word] = {}
-    partial = False
+    layouts: dict[str, list[tuple[int, int]]] = {}  # z data -> [(p_len, r)]
     for p_len in range(1, q + 1):
-        left_expected = periodic_letter(w, q, 1 - p_len)
-        left_tail = "".join(
-            periodic_letter(w, q, k - p_len) for k in range(2, p_len + 1)
-        )
-        for a in codes:
-            if a == left_expected:
-                continue
-            for s_len in range(1, q + 1):
-                # positions are taken mod q, so neither the continuation
-                # head nor the breaking letter depends on r
-                right_head = "".join(
-                    periodic_letter(w, q, n + k) for k in range(1, s_len)
-                )
-                right_expected = periodic_letter(w, q, n + s_len)
-                for b in codes:
-                    if b == right_expected:
+        for s_len in range(1, q + 1):
+            r = 1
+            while (size := p_len + n + (r - 1) * q + s_len) <= cap:
+                # z keeps the extension's inner letters and breaks its ends
+                ext = periodic_stretch(w, q, 1 - p_len, size - p_len)
+                factors = oracle.factor_strings(size)
+                for a in codes:
+                    if a == ext[0]:
                         continue
-                    r = 1
-                    found_in_series = False
-                    while p_len + n + (r - 1) * q + s_len <= cap:
-                        data = (
-                            a
-                            + left_tail
-                            + periodic_power(w, q, r).data
-                            + right_head
-                            + b
-                        )
-                        z = Word(w.alphabet, data)
-                        if oracle.contains(z):
-                            found[data] = z
-                            found_in_series = True
-                        r += 1
-                    if found_in_series:
-                        partial = True
-    exit_words = []
+                    for b in codes:
+                        data = a + ext[1:-1] + b
+                        if b != ext[-1] and data in factors:
+                            layouts.setdefault(data, []).append((p_len, r))
+                r += 1
     q_min = minimal_step(w, oracle)
-    for data in sorted(found, key=lambda d: (len(d), d)):
-        z = found[data]
-        # decompose re-checks every representation against the defining
-        # predicate; with the minimal step it additionally asserts
-        # uniqueness and the occurrence count
-        reps = decompose(z, w, q, oracle if q == q_min else None)
-        if not reps:
-            raise InvariantViolation("constructed exit word fails the predicate")
-        exit_words.append(
-            ExitWord(z, w, q, tuple(reps), canonical=(q == q_min))
-        )
+    exit_words = []
+    for data in sorted(layouts, key=lambda d: (len(d), d)):
+        z = Word(w.alphabet, data)
+        reps = tuple(_representation(z, n, q, p, r) for p, r in layouts[data])
+        exit_words.append(ExitWord(z, w, q, reps, canonical=(q == q_min)))
     limit = within = None
     profile = growth_profile(oracle)
     if profile.K is not None and oracle.horizon >= 4:
-        rbc = check_rbc(oracle, n_min=1)
-        if rbc.holds_within_horizon:
+        if check_rbc(oracle, n_min=1).holds_within_horizon:
             limit = 2 * profile.K * profile.K
             within = len(exit_words) <= limit
+    # partial: an exit word was found, whether or not the cap cut a series
     return EnumerationReport(
-        w, q, cap, tuple(exit_words), partial, limit, within
+        w, q, cap, tuple(exit_words), bool(exit_words), limit, within
     )
 
 
@@ -288,10 +247,9 @@ def classify_occurrence(
     sides of ``j`` to find the periodicity breaks; running off either end
     raises (insufficient context, including the eventually periodic case).
     """
-    n = len(w)
     if x.alphabet != w.alphabet:
         raise PreconditionFailure("sequence and word alphabets differ")
-    if x.data[j - 1 : j - 1 + n] != w.data:
+    if x.data[j - 1 : j - 1 + len(w)] != w.data:
         raise PreconditionFailure(f"{w} does not occur at position {j}")
     q = minimal_step(w, oracle)
     if q is None:
@@ -304,54 +262,54 @@ def _classify_run(
     w: Word,
     q: int,
     j: int,
-    verified: dict[tuple[str, int, int], ExitWord],
+    built: dict[tuple[str, int, int], ExitWord],
 ) -> tuple[OccurrenceClassification, int]:
     """Classify the occurrence of ``w`` at ``j`` with minimal step ``q``.
+
+    The run is the longest stretch of ``x`` with period ``q`` around the
+    occurrence.  From position 1 it is a suffix of the power; otherwise
+    the letters just outside it break the periodicity, so with them it is
+    the enclosing exit word.
 
     Also returns the last start ``s`` of the same periodic run on the same
     grid (``(s - j) % q == 0``, ``s <= j2``): every such start has the same left
     break ``j1`` and the same right break, hence the same enclosing exit
-    word.  A suffix-of-power occurrence returns ``j`` itself, since each
-    one is verified against its own power.  A run reaching the end of the
-    prefix raises :class:`HorizonExceeded`, as does every later start on
-    its grid.  ``verified`` maps ``(z data, p_len, r)`` to the exit word
-    already checked against :func:`is_representation` for that key.
+    word.  A suffix-of-power occurrence returns ``j`` itself.  A run
+    reaching the end of the prefix raises :class:`HorizonExceeded`, as
+    does every later start on its grid.  ``built`` caches the exit words
+    of one scan by ``(z data, p_len, r)``.
     """
     n = len(w)
-    # extend the periodic match leftward from the occurrence
+    data = x.data
+    # extend the run leftward; the letter compared lies inside the run,
+    # since q <= n/2
     j1 = j
-    while j1 > 1 and x.data[j1 - 2] == periodic_letter(w, q, j1 - j):
+    while j1 > 1 and data[j1 - 2] == data[j1 - 2 + q]:
         j1 -= 1
     if j1 == 1:
         r = ceil((j - 1) / q) + 1
-        power = periodic_power(w, q, r)
-        if not power.data.endswith(x.data[: j + n - 1]):
-            raise InvariantViolation("suffix-of-power case failed verification")
         return OccurrenceClassification(j, "suffix-of-power", r=r), j
     # extend rightward: find the first break after the occurrence
     t = j + n  # next position to test, 1-based
-    while t <= len(x.data) and x.data[t - 1] == periodic_letter(w, q, t - j + 1):
+    while t <= len(data) and data[t - 1] == data[t - 1 - q]:
         t += 1
-    if t > len(x.data):
+    if t > len(data):
         raise HorizonExceeded(
             f"periodic match from position {j} runs to the end of the "
             "prefix; cannot resolve the enclosing exit word",
-            required=len(x.data) + 1,
+            required=len(data) + 1,
         )
     j2 = t - n  # the largest k with x[j .. k+n-1] inside the periodic word
     grid_first = j - ((j - j1) // q) * q
     r = (j2 - j) // q + (j - j1) // q + 1
-    z_data = x.data[j1 - 2 : j2 + n]
+    z_data = data[j1 - 2 : j2 + n]
     p_len = grid_first - j1 + 1
     key = (z_data, p_len, r)
-    exit_word = verified.get(key)
+    exit_word = built.get(key)
     if exit_word is None:
         z = Word(w.alphabet, z_data)
-        s_len = len(z_data) - p_len - n - (r - 1) * q
-        if not is_representation(z, w, q, p_len, r, s_len):
-            raise InvariantViolation("enclosing exit word fails the predicate")
-        rep = Representation(z.prefix(p_len), r, z.suffix(s_len))
-        exit_word = verified[key] = ExitWord(z, w, q, (rep,), canonical=True)
+        rep = _representation(z, n, q, p_len, r)
+        exit_word = built[key] = ExitWord(z, w, q, (rep,), canonical=True)
     classification = OccurrenceClassification(
         j, "inside-exit-word", exit_word=exit_word, exit_start=j1 - 1
     )
@@ -386,9 +344,9 @@ def check_overlap_bound(
 
     One occurrence per periodic run and grid is classified; the later
     starts on its grid inherit its exit word (or its skip, when the run
-    reaches the end of the prefix), and each distinct exit word is checked
-    against the predicate once.  The bounds hold for every sequence, so a
-    violation record would falsify the implementation, not the input.
+    reaches the end of the prefix), and each distinct exit word is built
+    once.  The bounds hold for every sequence, so a violation record would
+    falsify the implementation, not the input.
     """
     q_min = minimal_step(w, oracle)
     if q_min != q:
@@ -396,7 +354,7 @@ def check_overlap_bound(
     n = len(w)
     _, starts = occurrences(x, w)
     occ_exits: dict[int, ExitWord] = {}
-    verified: dict[tuple[str, int, int], ExitWord] = {}
+    built: dict[tuple[str, int, int], ExitWord] = {}
     # the last start on the grid of the run classified last, and whether
     # that run reaches the end of the prefix
     last, skip = 0, False
@@ -404,7 +362,7 @@ def check_overlap_bound(
     for j in starts:
         if j > last or (last - j) % q:
             try:
-                cls, last = _classify_run(x, w, q, j, verified)
+                cls, last = _classify_run(x, w, q, j, built)
             except HorizonExceeded:
                 # every later start on its grid lies in the run as well
                 last, skip = j + (len(x.data) - j) // q * q, True

@@ -6,7 +6,8 @@ concatenation and substring search run at C speed regardless of how long
 the user-facing symbol tokens are.
 
 All positions in public signatures are 1-based and inclusive, matching
-standard combinatorics-on-words notation ``w[i..j]``.
+standard combinatorics-on-words notation ``w[i..j]``.  Every periodic
+word, from powers to exit-word layouts, is read by :func:`periodic_stretch`.
 """
 
 from __future__ import annotations
@@ -184,14 +185,17 @@ def shift_match(w: Word, q: int) -> bool:
     return w.data[q:] == w.data[: n - q]
 
 
-def periodic_power(w: Word, q: int, r: int) -> Word:
-    """The word of length ``n + (r-1)q`` in which ``w`` starts at
-    positions ``1, q+1, ..., (r-1)q + 1``.
+def periodic_stretch(w: Word, q: int, lo: int, hi: int) -> str:
+    """Code string at 1-based positions ``lo..hi`` of the two-sided
+    periodic extension of ``w[:q]`` (position 1 is ``w``'s first letter,
+    positions ``<= 0`` extend it to the left).  It checks nothing."""
+    start = (lo - 1) % q
+    stop = start + hi - lo + 1
+    return (w.data[:q] * (stop // q + 1))[start:stop]
 
-    Defined whenever the shift-match equation holds for ``(w, q)``;
-    shorter overlaps (``q <= n/2``) are what step certificates require,
-    but the construction itself is valid for any ``1 <= q <= n-1``.
-    """
+
+def require_power(w: Word, q: int, r: int) -> None:
+    """Raise unless ``periodic_power(w, q, r)`` is defined."""
     n = len(w)
     if r < 1:
         raise ValueError("repetition count must be >= 1")
@@ -201,17 +205,18 @@ def periodic_power(w: Word, q: int, r: int) -> Word:
         raise InvalidStep(f"step too large: q={q} for |w|={n}")
     if not shift_match(w, q):
         raise InvalidStep(f"invalid step: q={q} does not satisfy the shift match for {w}")
-    total = n + (r - 1) * q
-    period = w.data[:q]
-    data = (period * (total // q + 1))[:total]
-    return Word(w.alphabet, data)
 
 
-def periodic_letter(w: Word, q: int, position: int) -> str:
-    """Code char at 1-based ``position`` of the two-sided periodic
-    extension of ``w`` with period ``q`` (position 1 = first letter of w;
-    positions <= 0 extend to the left)."""
-    return w.data[(position - 1) % q]
+def periodic_power(w: Word, q: int, r: int) -> Word:
+    """The word of length ``n + (r-1)q`` in which ``w`` starts at
+    positions ``1, q+1, ..., (r-1)q + 1``.
+
+    Defined whenever the shift-match equation holds for ``(w, q)``;
+    shorter overlaps (``q <= n/2``) are what step certificates require,
+    but the construction itself is valid for any ``1 <= q <= n-1``.
+    """
+    require_power(w, q, r)
+    return Word(w.alphabet, periodic_stretch(w, q, 1, len(w) + (r - 1) * q))
 
 
 @dataclass(frozen=True)
@@ -256,7 +261,7 @@ def valid_steps(
         if d[q:] != d[: n - q]:
             continue
         # the doubled power periodic_power(w, q, 2), built on the code string
-        if (d[:q] * (n // q + 2))[: n + q] in oracle.factor_strings(n + q):
+        if periodic_stretch(w, q, 1, n + q) in oracle.factor_strings(n + q):
             out.append(StepCertificate(w, q, "language-valid"))
         elif include_shift_only:
             out.append(StepCertificate(w, q, "shift-match-only"))

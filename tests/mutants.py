@@ -48,6 +48,9 @@ LANGUAGE = "shiftlab/language.py"
 FULL_SHIFT = "tests/test_language.py::TestComputedFullShift"
 RAUZY = "shiftlab/rauzy.py"
 EVOLVE_REFERENCE = "tests/test_rauzy.py::TestEvolveMatchesReference"
+EXITWORDS = "shiftlab/exitwords.py"
+LAYOUTS = "tests/test_exitword_layouts.py"
+OVERLAP_NAIVE = "tests/test_exitwords.py::TestOverlapScanMatchesNaive"
 
 MUTANTS = (
     Mutant(
@@ -150,6 +153,97 @@ MUTANTS = (
         expect="equivalent",
         reason="exactly one code extends a walk word, so the order of the "
         "probes cannot change which one is found",
+    ),
+    Mutant(
+        "periodic stretch: the start one letter late",
+        "shiftlab/words.py",
+        "    start = (lo - 1) % q\n",
+        "    start = lo % q\n",
+        (f"{LAYOUTS}::test_periodic_power_matches_reference",),
+    ),
+    Mutant(
+        "exit-word enumeration: the entering letter may continue the circuit",
+        EXITWORDS,
+        "                    if a == ext[0]:\n                        continue\n",
+        "",
+        (f"{LAYOUTS}::test_enumeration_matches_reference",),
+    ),
+    Mutant(
+        "run scan: the left step compares the letter one period and one further",
+        EXITWORDS,
+        "data[j1 - 2] == data[j1 - 2 + q]",
+        "data[j1 - 2] == data[j1 - 1 + q]",
+        (f"{LAYOUTS}::test_classification_matches_reference",),
+    ),
+    Mutant(
+        "decompose: the repetition count without the - 1",
+        EXITWORDS,
+        "r = (len(z) - p_len - n - 1) // q + 1",
+        "r = (len(z) - p_len - n) // q + 1",
+        (f"{LAYOUTS}::test_decompose_matches_reference",),
+    ),
+    Mutant(
+        "overlap scan: a memo key without the z data",
+        EXITWORDS,
+        "    key = (z_data, p_len, r)\n",
+        "    key = (p_len, r)\n",
+        (OVERLAP_NAIVE,),
+    ),
+    Mutant(
+        "overlap scan: the bisect bounds moved by two",
+        EXITWORDS,
+        "bisect_right(starts, end - n + 1) - bisect_left(starts, i)",
+        "bisect_right(starts, end - n - 1) - bisect_left(starts, i + 2)",
+        (OVERLAP_NAIVE,),
+    ),
+    Mutant(
+        "overlap scan: later starts of an end-reaching run not skipped",
+        EXITWORDS,
+        "                last, skip = j + (len(x.data) - j) // q * q, True\n",
+        "                last, skip = j + (len(x.data) - j) // q * q, False\n"
+        "                skipped.append(j)\n",
+        (OVERLAP_NAIVE,),
+    ),
+    Mutant(
+        "overlap scan: a memo key without p_len",
+        EXITWORDS,
+        "    key = (z_data, p_len, r)\n",
+        "    key = (z_data, r)\n",
+        (OVERLAP_NAIVE,),
+        expect="equivalent",
+        reason="the report holds no prefix length, and with q minimal z and r "
+        "fix it: two grids in one q-periodic run would make a smaller step valid",
+    ),
+    Mutant(
+        "overlap scan: no grid test before reusing a run",
+        EXITWORDS,
+        "        if j > last or (last - j) % q:\n",
+        "        if j > last:\n",
+        (OVERLAP_NAIVE,),
+        expect="equivalent",
+        reason="an occurrence at phase d != 0 in a q-periodic run gives w the "
+        "period gcd(d, q) < q, a smaller valid step than the minimal one",
+    ),
+    *(
+        Mutant(
+            f"overlap scan: union count bound off by one ({label})",
+            EXITWORDS,
+            "bisect_right(starts, end - n + 1) - bisect_left(starts, i)",
+            new,
+            (OVERLAP_NAIVE,),
+            expect="equivalent",
+            reason="no occurrence of w starts at an exit word's first letter or "
+            "the one before, and none ends at its last letter or the one after",
+        )
+        for label, new in (
+            ("last start end - n", "bisect_right(starts, end - n) - bisect_left(starts, i)"),
+            ("last start end - n + 2",
+             "bisect_right(starts, end - n + 2) - bisect_left(starts, i)"),
+            ("first start after i",
+             "bisect_right(starts, end - n + 1) - bisect_right(starts, i)"),
+            ("first start i - 1",
+             "bisect_right(starts, end - n + 1) - bisect_left(starts, i - 1)"),
+        )
     ),
 )
 

@@ -614,6 +614,15 @@ class TestSearch:
         assert (cert.witnesses, cert.truncated) == (0, 17)
         assert not cert.impossible and witness is None
 
+    def test_cycle_cap_reports_incomplete_search(self, monkeypatch):
+        monkeypatch.setattr("shiftlab.abstract_graphs.MAX_CYCLES", 1)
+        res = search_colorings(k3_shape(), 3)
+        assert res.found is None and not res.exhausted
+        assert res.note == "cycle cap reached; search incomplete"
+        cert, witness = exhaustive_bound_probe(2, 2, 8)
+        assert cert.witnesses == 0 and cert.truncated > 0
+        assert not cert.impossible and witness is None
+
     def test_enumerated_graphs_are_valid(self):
         seen = 0
         for g in enumerate_valid_graphs(2, 8):

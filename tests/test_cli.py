@@ -189,6 +189,39 @@ class TestAnalyze:
             f"error: --rotation needs a rational number p/q, got {value!r}"
         ]
 
+    @pytest.mark.parametrize(
+        "argv", [["--rotation", "2"], ["--rotation", "0"], ["--rotation=-1/2"]]
+    )
+    def test_rotation_outside_unit_interval_names_the_option(self, capsys, argv):
+        assert main(["analyze", *argv, "--horizon", "8"]) == 1
+        value = argv[-1].removeprefix("--rotation=")
+        assert capsys.readouterr().err == f"error: --rotation must lie in (0, 1), got {value!r}\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["rauzy", "--substitution", str(BENCH_INPUTS / "fib.json")],
+             "the following arguments are required: --n"),
+            (["analyze", "--substitution", str(BENCH_INPUTS / "fib.json"), "--horizon", "abc"],
+             "argument --horizon: invalid int value: 'abc'"),
+            (["analyze", "--rotation", "-1/2"], "argument --rotation: expected one argument"),
+        ],
+        ids=["rauzy-without-n", "horizon-not-an-int", "rotation-read-as-option"],
+    )
+    def test_usage_error_exits_one(self, capsys, argv, message):
+        # exit 2 means an exceeded horizon
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: shiftlab {argv[0]}") and message in err
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_zero(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
+
     def test_invariant_violation_exits_three(self, capsys, monkeypatch, fib_spec):
         def broken(args):
             raise InvariantViolation("count identity failed")
