@@ -3,104 +3,9 @@
 Factor-language analysis, Rauzy graphs and their evolution, exit-word
 calculus, block-density estimation, and the colored-loop machinery whose
 connectivity check bounds the number of distinctly colored loops.
+
+Each name is imported from its module, e.g.
+``from shiftlab.language import check_rbc``.
 """
 
 __version__ = "0.1.0"
-
-from .words import (
-    Alphabet,
-    Word,
-    minimal_step,
-    occurrences,
-    periodic_power,
-    shift_match,
-    valid_steps,
-)
-from .language import (
-    LanguageOracle,
-    check_rbc,
-    extension_graph,
-    extensions,
-    growth_profile,
-    is_dendric,
-    is_regular_bispecial,
-    periodicity_check,
-    special_extension_map,
-    special_words,
-)
-from .generators import (
-    IETSpec,
-    SequencePrefix,
-    SubstitutionSpec,
-    iet_encode,
-    oracle_from_prefix,
-    rotation_coding,
-    substitution_fixed_point,
-)
-from .rauzy import (
-    build_rauzy,
-    build_special_rauzy,
-    connectivity,
-    evolve,
-    representatives,
-    special_free_circuit,
-)
-from .exitwords import (
-    check_overlap_bound,
-    classify_occurrence,
-    decompose,
-    enumerate_exit_words,
-)
-from .density import (
-    block_indicator,
-    color_estimate,
-    density_estimate,
-    inequality_diagnostics,
-    special_density_floor,
-    special_window_check,
-)
-from .abstract_graphs import (
-    AbstractGraph,
-    Coloring,
-    Itinerary,
-    Loop,
-    Move,
-    apply_rbs,
-    bound_check,
-    build_xi,
-    classify_move,
-    components_and_tags,
-    itinerary_check,
-    move_effect,
-    restrict_itinerary,
-    search_colorings,
-    validate,
-)
-
-__all__ = [
-    "__version__",
-    # words
-    "Alphabet", "Word", "occurrences", "periodic_power", "shift_match",
-    "valid_steps", "minimal_step",
-    # language
-    "LanguageOracle", "extensions", "special_words", "is_regular_bispecial",
-    "extension_graph", "is_dendric", "growth_profile", "check_rbc",
-    "periodicity_check", "special_extension_map",
-    # generators
-    "IETSpec", "SequencePrefix", "SubstitutionSpec", "iet_encode",
-    "oracle_from_prefix", "rotation_coding", "substitution_fixed_point",
-    # factor graphs
-    "build_rauzy", "build_special_rauzy", "connectivity",
-    "special_free_circuit", "evolve", "representatives",
-    # exit words
-    "enumerate_exit_words", "decompose", "classify_occurrence",
-    "check_overlap_bound",
-    # densities
-    "block_indicator", "density_estimate", "special_density_floor",
-    "special_window_check", "inequality_diagnostics", "color_estimate",
-    # abstract graphs
-    "AbstractGraph", "Coloring", "Loop", "Move", "Itinerary", "validate",
-    "apply_rbs", "classify_move", "build_xi", "bound_check",
-    "components_and_tags", "move_effect", "itinerary_check",
-    "restrict_itinerary", "search_colorings",
-]

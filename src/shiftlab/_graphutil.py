@@ -92,44 +92,6 @@ def is_weakly_connected(vertices: Sequence[V], arcs: Iterable[tuple[V, V]]) -> b
     return len(weak_components(vertices, arcs)) <= 1
 
 
-def find_cycle(vertices: Sequence[V], succ) -> list[V] | None:
-    """Some directed cycle, as a vertex list (entry point first), or None.
-
-    Iterative DFS with the standard white/grey/black coloring; only
-    vertices from the given sequence participate.
-    """
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in vertices}
-    parent: dict[V, V] = {}
-    for root in vertices:
-        if color[root] != WHITE:
-            continue
-        stack: list[tuple[V, Iterable[V]]] = [(root, iter(succ(root)))]
-        color[root] = GREY
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w not in color:
-                    continue
-                if color[w] == WHITE:
-                    color[w] = GREY
-                    parent[w] = v
-                    stack.append((w, iter(succ(w))))
-                    advanced = True
-                    break
-                if color[w] == GREY:
-                    cycle = [v]
-                    while cycle[-1] != w:
-                        cycle.append(parent[cycle[-1]])
-                    cycle.reverse()
-                    return cycle
-            if not advanced:
-                color[v] = BLACK
-                stack.pop()
-    return None
-
-
 def dot_quote(s: str) -> str:
     """``s`` as a double-quoted DOT identifier."""
     return '"' + s.replace('"', '\\"') + '"'

@@ -140,15 +140,6 @@ class Coloring:
         used = list(self.vertex_colors.values()) + list(self.edge_colors.values())
         return max(used, default=0)
 
-    def with_updates(
-        self, vertices: Mapping[str, int] = (), edges: Mapping[str, int] = ()
-    ) -> "Coloring":
-        vc = dict(self.vertex_colors)
-        vc.update(vertices)
-        ec = dict(self.edge_colors)
-        ec.update(edges)
-        return Coloring(vc, ec)
-
     def same_on(self, other: "Coloring", vertices: Iterable[str], edges: Iterable[str]) -> bool:
         return all(self.vertex(v) == other.vertex(v) for v in vertices) and all(
             self.edge(e) == other.edge(e) for e in edges
@@ -311,12 +302,8 @@ class Move:
 
 
 def apply_rbs(
-    graph: AbstractGraph,
-    coloring: Coloring | None,
-    e0: str,
-    chosen_in: str,
-    chosen_out: str,
-) -> tuple[AbstractGraph, Coloring | None]:
+    graph: AbstractGraph, e0: str, chosen_in: str, chosen_out: str
+) -> AbstractGraph:
     """Rewire around a bispecial edge.
 
     The bispecial edge ends up reversed; the chosen in-edge follows the
@@ -324,10 +311,7 @@ def apply_rbs(
     incident edges stay, so every vertex keeps its in- and out-degree
     (``e0`` trades places with ``chosen_in`` at ``v`` and with
     ``chosen_out`` at ``u``).  Raises when the choice yields a self-loop or
-    a disconnected graph.  Colors are preserved off the two touched
-    vertices and the rewired edge; on those three the old colors are kept
-    when the result still validates, otherwise they are zeroed (least
-    change first, full zeroing as fallback).
+    a disconnected graph.
 
     A move is refused (:class:`PreconditionFailure`) unless ``e0 = u->v``
     is ``u``'s only out-edge and ``v``'s only in-edge.  Then the result G'
@@ -355,9 +339,7 @@ def apply_rbs(
     outs[v] = sorted([e0, *(e for e in outs[v] if e != chosen_out)])
     object.__setattr__(result, "_adjacency", (outs, ins))
     object.__setattr__(result, "_strongly_connected", True)
-    if coloring is None:
-        return result, None
-    return result, _complete_colors(result, coloring, u, v, e0)
+    return result
 
 
 def _rewire(
@@ -410,23 +392,6 @@ def _rewire(
     return u, v, moved
 
 
-def _complete_colors(
-    graph: AbstractGraph, coloring: Coloring, u: str, v: str, e0: str
-) -> Coloring:
-    """Least-change completion of the colors on the rewired spots: the
-    fewest of ``e0``, ``u``, ``v`` zeroed, in that order of preference."""
-    for zeros in itertools.chain.from_iterable(
-        itertools.combinations((e0, u, v), r) for r in range(4)
-    ):
-        cand = coloring.with_updates(
-            vertices={x: 0 for x in zeros if x in (u, v)},
-            edges={x: 0 for x in zeros if x == e0},
-        )
-        if validate(graph, cand).ok:
-            return cand
-    return coloring.with_updates(vertices={u: 0, v: 0}, edges={e0: 0})
-
-
 # -- move classification ----------------------------------------------------
 
 TWIST = "twist"
@@ -437,18 +402,13 @@ OUTSIDE = "outside"
 
 
 def classify_move(graph: AbstractGraph, loop: Loop, move: Move) -> str:
-    """Kind of the move relative to one loop.
+    """Kind of the move relative to one loop, which :func:`check_loop` has
+    accepted for the graph.
 
     ``twist`` keeps the loop, ``shrink-u``/``shrink-v`` eject the left or
     right vertex of the rewired edge, ``collapse`` destroys the loop, and
     ``outside`` means the move does not touch the loop at all.
     """
-    check_loop(graph, loop)
-    return _classify(graph, loop, move)
-
-
-def _classify(graph: AbstractGraph, loop: Loop, move: Move) -> str:
-    """:func:`classify_move` for a loop already checked against the graph."""
     if move.e0 not in graph.edges:
         raise PreconditionFailure(f"unknown edge {move.e0}")
     u, v = graph.edges[move.e0]
@@ -497,13 +457,13 @@ def _track_move(
     """
     label, kind = None, OUTSIDE
     for lab in sorted(loops):
-        kind = _classify(graph, loops[lab], move)
+        kind = classify_move(graph, loops[lab], move)
         if kind != OUTSIDE:
             label = lab
             break
     if kind == COLLAPSE:
         return label, kind, graph, loops
-    graph_after, _ = apply_rbs(graph, None, move.e0, move.chosen_in, move.chosen_out)
+    graph_after = apply_rbs(graph, move.e0, move.chosen_in, move.chosen_out)
     loops_after = dict(loops)
     if kind in (SHRINK_U, SHRINK_V):
         loops_after[label] = shrink_loop(loops[label], move)
@@ -955,45 +915,6 @@ def _ejected_vertices(it: Itinerary, i: int) -> set[str]:
     return before - after
 
 
-def restrict_itinerary(it: Itinerary, keep: Iterable[str]) -> Itinerary:
-    """Sub-itinerary that follows only the given loops; steps whose
-    events touch none of them are merged into their successors."""
-    keep_set = set(keep)
-    unknown = keep_set - set(it.partitions[0])
-    if unknown:
-        raise PreconditionFailure(f"unknown loop labels: {sorted(unknown)}")
-    kept_steps = [
-        i for i in range(it.steps) if keep_set & set(it.events[i])
-    ]
-    graphs = [it.graphs[0]]
-    colorings = [it.colorings[0]]
-    partitions = [
-        {lab: lp for lab, lp in it.partitions[0].items() if lab in keep_set}
-    ]
-    move_lists: list[list[Move]] = []
-    events: list[dict[str, Event]] = []
-    prev = 0
-    for i in kept_steps:
-        moves: list[Move] = []
-        for j in range(prev, i + 1):
-            moves.extend(it.move_lists[j])
-        move_lists.append(moves)
-        events.append(
-            {lab: ev for lab, ev in it.events[i].items() if lab in keep_set}
-        )
-        graphs.append(it.graphs[i + 1])
-        colorings.append(it.colorings[i + 1])
-        partitions.append(
-            {
-                lab: lp
-                for lab, lp in it.partitions[i + 1].items()
-                if lab in keep_set
-            }
-        )
-        prev = i + 1
-    return Itinerary(graphs, colorings, partitions, move_lists, events)
-
-
 # ---------------------------------------------------------------------------
 # searches and random instances
 
@@ -1343,7 +1264,7 @@ def _first_tracked(
     for lab, ids in candidates:
         mv = Move(*ids)
         try:
-            if lab is not None and _classify(graph, loops[lab], mv) == COLLAPSE:
+            if lab is not None and classify_move(graph, loops[lab], mv) == COLLAPSE:
                 continue
             _rewire(graph, *ids)
         except (InadmissibleMove, PreconditionFailure):

@@ -190,8 +190,6 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 def cmd_exitwords(args: argparse.Namespace) -> int:
     prefix, oracle = _load_oracle(args)
-    if not args.w:
-        raise ValueError("exitwords needs --w")
     w = oracle.alphabet.word(args.w)
     if args.q is None:
         q = minimal_step(w, oracle)

@@ -1,5 +1,5 @@
 """Block densities at finite horizon, the special-word density floor,
-density inequality diagnostics, and the threshold coloring estimator.
+the special-word window check, and the threshold coloring estimator.
 
 The limiting upper density of a word along a sequence is approximated by
 the maximum of the running block averages over the second half of the
@@ -16,52 +16,13 @@ from typing import Mapping, Sequence
 from .errors import PreconditionFailure
 from .generators import SequencePrefix
 from .language import SIDES, LanguageOracle, Side, growth_profile, periodicity_check
-from .words import Word, minimal_step, occurrences
+from .words import Word, occurrences
 
 
 def block_count(x: SequencePrefix, n: int, K: int) -> int:
     """Number of complete blocks of ``(K+1)n`` start positions whose
     windows fit inside the prefix."""
     return (len(x) - n + 1) // ((K + 1) * n)
-
-
-@dataclass(frozen=True)
-class ReturnGaps:
-    """Gap statistics between consecutive occurrences of a word.
-
-    A finite diagnostic for recurrence: bounded maxima across all factors
-    of a length are evidence (never proof) of uniform recurrence.
-    """
-
-    word: Word
-    occurrences: int
-    min_gap: int | None
-    max_gap: int | None
-    mean_gap: float | None
-
-
-def return_gaps(x: SequencePrefix, w: Word) -> ReturnGaps:
-    starts = occurrences(x, w)[1]
-    if len(starts) < 2:
-        return ReturnGaps(w, len(starts), None, None, None)
-    gaps = [b - a for a, b in zip(starts, starts[1:])]
-    return ReturnGaps(
-        w, len(starts), min(gaps), max(gaps), sum(gaps) / len(gaps)
-    )
-
-
-def block_indicator(w: Word, x: SequencePrefix, j: int, K: int) -> int:
-    """1 when ``w`` starts somewhere in the j-th block of ``(K+1)|w|``
-    positions, else 0."""
-    n = len(w)
-    if not 1 <= j <= block_count(x, n, K):
-        raise PreconditionFailure(
-            f"block {j} out of range; prefix supports {block_count(x, n, K)}"
-        )
-    size = (K + 1) * n
-    lo, hi = (j - 1) * size, j * size  # starts k with lo < k <= hi
-    seg = x.data[lo : hi + n - 1]
-    return 1 if seg.find(w.data) != -1 else 0
 
 
 @dataclass(frozen=True)
@@ -231,148 +192,6 @@ def special_window_check(
                 return WindowCheckReport(n, K, total, False, (side, prev + 1))
             prev = k
     return WindowCheckReport(n, K, total, True, None)
-
-
-# -- inequality diagnostics ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CaseReport:
-    name: str
-    hypothesis_ok: bool
-    witness: str | None
-    lhs: float | None
-    rhs: float | None
-    margin: float | None
-    note: str
-
-    def to_json(self) -> dict:
-        return {
-            "case": self.name,
-            "hypothesis_ok": self.hypothesis_ok,
-            "witness": self.witness,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "note": self.note,
-        }
-
-
-def _finite_note(ok: bool) -> str:
-    return "ok" if ok else "finite-size artifact -- rerun with a longer prefix"
-
-
-def subword_density_case(
-    x: SequencePrefix, w: Word, w_sub: Word, K: int
-) -> CaseReport:
-    """A subword's density is at least ``|w'|/(2|w|)`` times the word's."""
-    count, _ = occurrences(w, w_sub)
-    if count == 0:
-        return CaseReport(
-            "subword-density", False, f"{w_sub} not a subword of {w}",
-            None, None, None, "hypothesis rejected",
-        )
-    lhs = density_estimate(w_sub, x, K).estimate
-    rhs = Fraction(len(w_sub), 2 * len(w)) * density_estimate(w, x, K).estimate
-    ok = lhs >= rhs
-    return CaseReport(
-        "subword-density", True, None, float(lhs), float(rhs),
-        float(lhs - rhs), _finite_note(ok),
-    )
-
-
-def interleaving_density_case(
-    x: SequencePrefix, w: Word, between: Sequence[Word], K: int
-) -> CaseReport:
-    """If some member of ``between`` starts between any two occurrences
-    of ``w``, then some member has density at least
-    ``1/(p (1 + 3n/m))`` times the density of ``w``.
-
-    The hypothesis is verified exactly on the prefix (consecutive
-    occurrences suffice) before the bound is evaluated.
-    """
-    if not between:
-        raise PreconditionFailure("need at least one interleaving word")
-    m = len(between[0])
-    if any(len(b) != m for b in between):
-        raise PreconditionFailure("interleaving words must share one length")
-    n = len(w)
-    starts = occurrences(x, w)[1]
-    b_starts = sorted(
-        k for b in between for k in occurrences(x, b)[1]
-    )
-    import bisect
-
-    for j, j2 in zip(starts, starts[1:]):
-        i = bisect.bisect_left(b_starts, j)
-        if i >= len(b_starts) or b_starts[i] >= j2:
-            return CaseReport(
-                "interleaving-density", False,
-                f"no interleaving word starts in [{j},{j2})",
-                None, None, None, "hypothesis rejected",
-            )
-    p = len(between)
-    coeff = Fraction(1, p) / (1 + Fraction(3 * n, m))
-    rhs = coeff * density_estimate(w, x, K).estimate
-    lhs = max(density_estimate(b, x, K).estimate for b in between)
-    ok = lhs >= rhs
-    return CaseReport(
-        "interleaving-density", True, None, float(lhs), float(rhs),
-        float(lhs - rhs), _finite_note(ok),
-    )
-
-
-def exit_density_case(
-    x: SequencePrefix,
-    w: Word,
-    exit_words: Sequence[Word],
-    K: int,
-    oracle: LanguageOracle,
-) -> CaseReport:
-    """Mutual density bounds between a word and its exit words: the word
-    dominates each exit word up to ``1/(3K+9)``, and some exit word
-    carries at least ``1/((2K+3)|X|)`` of the word's density."""
-    if not exit_words:
-        raise PreconditionFailure("need a nonempty exit word family")
-    q = minimal_step(w, oracle)
-    if q is None:
-        raise PreconditionFailure(f"{w} has no valid step")
-    d_w = density_estimate(w, x, K).estimate
-    d_zs = [density_estimate(z, x, K).estimate for z in exit_words]
-    first_ok = all(d_w >= Fraction(1, 3 * K + 9) * dz for dz in d_zs)
-    second_rhs = Fraction(1, (2 * K + 3) * len(exit_words)) * d_w
-    second_ok = max(d_zs) >= second_rhs
-    ok = first_ok and second_ok
-    return CaseReport(
-        "exit-word-density", True, None, float(max(d_zs)), float(second_rhs),
-        float(max(d_zs) - second_rhs),
-        _finite_note(ok),
-    )
-
-
-def inequality_diagnostics(
-    x: SequencePrefix, cases: Sequence[tuple], K: int
-) -> list[CaseReport]:
-    """Run a batch of density-inequality cases.
-
-    Each case is a tagged tuple: ``("subword", w, w_sub)``,
-    ``("interleaving", w, between)`` or ``("exit", w, exit_words, oracle)``.
-    Hypotheses are verified exactly before any bound is evaluated;
-    shortfalls on verified hypotheses are labeled as finite-size
-    artifacts, since the bounds constrain limits the prefix only samples.
-    """
-    out = []
-    for case in cases:
-        tag = case[0]
-        if tag == "subword":
-            out.append(subword_density_case(x, case[1], case[2], K))
-        elif tag == "interleaving":
-            out.append(interleaving_density_case(x, case[1], case[2], K))
-        elif tag == "exit":
-            out.append(exit_density_case(x, case[1], case[2], K, case[3]))
-        else:
-            raise PreconditionFailure(f"unknown diagnostic case {tag!r}")
-    return out
 
 
 # -- threshold coloring -------------------------------------------------------

@@ -119,27 +119,10 @@ class IntervalExchange:
             before = sum(lens[k] for k in range(d) if spec.permutation[k] < spec.permutation[j])
             self.offsets.append(before - self.breaks[j])
 
-    def interval_of(self, p: int | Fraction) -> int:
+    def interval_of(self, p: int) -> int:
         """0-based index of the interval containing the scaled point: the
         number of interior breakpoints at or below it."""
         return bisect_right(self.breaks, p, 1, len(self.breaks) - 1) - 1
-
-    def apply(self, p: int) -> int:
-        return p + self.offsets[self.interval_of(p)]
-
-    def apply_fraction(self, x: Fraction) -> Fraction:
-        """Exact image of an arbitrary point of [0, 1)."""
-        return x + Fraction(self.offsets[self.interval_of(x * self.scale)], self.scale)
-
-    def inverse_spec(self) -> IETSpec:
-        """Spec of the inverse map (image intervals as new domain)."""
-        d = self.spec.d
-        inv = [0] * d
-        for j, pj in enumerate(self.spec.permutation):
-            inv[pj - 1] = j + 1
-        lengths = tuple(self.spec.lengths[inv[p] - 1] for p in range(d))
-        permutation = tuple(inv[p] for p in range(d))
-        return IETSpec(lengths, permutation, Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -181,17 +164,6 @@ def iet_encode(spec: IETSpec, length: int) -> tuple[SequencePrefix, KeaneDiagnos
         recurrent=True,
     )
     return prefix, diag
-
-
-def iet_orbit(spec: IETSpec, length: int) -> list[Fraction]:
-    """The first ``length`` orbit points, as exact fractions."""
-    iet = IntervalExchange(spec)
-    p = int(spec.start * iet.scale)
-    out = []
-    for _ in range(length):
-        out.append(Fraction(p, iet.scale))
-        p = iet.apply(p)
-    return out
 
 
 # -- substitutions ---------------------------------------------------------

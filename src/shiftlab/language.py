@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Set
 from dataclasses import dataclass
 from itertools import product
-from typing import AbstractSet, Iterable, Iterator, Literal, Mapping
+from typing import AbstractSet, Iterator, Literal, Mapping
 
 from ._graphutil import is_weakly_connected
 from .errors import (
@@ -73,6 +73,9 @@ class LanguageOracle:
         self._levels = dict(levels)
         self._extension_counts: dict[tuple[int, Side], dict[str, int]] = {}
         self._special_sets: dict[tuple[int, Side], frozenset[str]] = {}
+        # memos of growth_profile and of check_rbc by checked range
+        self._growth: GrowthProfile | None = None
+        self._rbc: dict[tuple[int, int], RbcReport] = {}
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
         if set(self._levels) != set(range(1, horizon + 1)):
@@ -81,27 +84,6 @@ class LanguageOracle:
             self._check_invariants()
 
     # -- construction -------------------------------------------------
-
-    @classmethod
-    def from_factor_sets(
-        cls,
-        alphabet: Alphabet,
-        factors: Mapping[int, Iterable[Word]],
-        source_label: str = "explicit",
-        recurrent: bool | None = None,
-    ) -> "LanguageOracle":
-        horizon = max(factors)
-        levels = {}
-        for n in range(1, horizon + 1):
-            strs = set()
-            for w in factors.get(n, ()):
-                if w.alphabet != alphabet:
-                    raise AlphabetMismatch("factor uses a different alphabet")
-                if len(w) != n:
-                    raise ValueError(f"word {w} filed under wrong length {n}")
-                strs.add(w.data)
-            levels[n] = frozenset(strs)
-        return cls(alphabet, levels, horizon, source_label, recurrent)
 
     @classmethod
     def full_shift(cls, alphabet: Alphabet, horizon: int) -> "LanguageOracle":
@@ -263,38 +245,6 @@ def special_words(
     return {Word(oracle.alphabet, d) for d in strs}
 
 
-@dataclass(frozen=True)
-class RegularityVerdict:
-    """Outcome of the regular-bispecial test for one word."""
-
-    word: Word
-    regular: bool
-    left_witness: str | None  # the unique a with aw right special
-    right_witness: str | None  # the unique b with wb left special
-    reason: str | None = None
-
-
-def is_regular_bispecial(oracle: LanguageOracle, w: Word) -> RegularityVerdict:
-    """Test whether exactly one right extension of ``w`` is left special
-    and exactly one left extension is right special."""
-    n = len(w)
-    oracle.require_length(n + 3, "regularity test")
-    rec = extensions(oracle, w)
-    if not rec.is_bispecial:
-        raise PreconditionFailure(f"not bispecial: {w}")
-    left_special_above = oracle.special_strings(n + 1, "left")
-    right_special_above = oracle.special_strings(n + 1, "right")
-    good_b = sorted(
-        b for b in rec.right if w.data + oracle.alphabet.code(b) in left_special_above
-    )
-    good_a = sorted(
-        a for a in rec.left if oracle.alphabet.code(a) + w.data in right_special_above
-    )
-    if len(good_b) == 1 and len(good_a) == 1:
-        return RegularityVerdict(w, True, good_a[0], good_b[0])
-    return RegularityVerdict(w, False, None, None, _irregularity(good_b, good_a))
-
-
 def _irregularity(good_b: list[str], good_a: list[str]) -> str:
     """Why a bispecial is irregular, given the sorted tokens ``b`` with
     ``wb`` left special and ``a`` with ``aw`` right special."""
@@ -389,9 +339,13 @@ def growth_profile(oracle: LanguageOracle) -> GrowthProfile:
     extension counts of level ``n`` are tallied over level ``n+1`` and
     seeded with every word of level ``n``, so the identity holds by
     construction (tests assert it against a naive reference).
+
+    Computed once per oracle; every call returns the same report.
     """
     if oracle.horizon < 3:
         raise PreconditionFailure("growth profile needs horizon >= 3")
+    if oracle._growth is not None:
+        return oracle._growth
     H = oracle.horizon
     p = {n: oracle.p(n) for n in range(1, H + 1)}
     differences = {n: p[n + 1] - p[n] for n in range(1, H)}
@@ -403,7 +357,8 @@ def growth_profile(oracle: LanguageOracle) -> GrowthProfile:
     # a single trailing value is not evidence of a constant tail
     if n0 <= H - 2:
         K, N0 = tail_value, n0
-    return GrowthProfile(H, p, differences, K, N0)
+    oracle._growth = GrowthProfile(H, p, differences, K, N0)
+    return oracle._growth
 
 
 # -- regular bispecial condition, periodicity ----------------------------
@@ -462,12 +417,14 @@ def check_rbc(
     letters of the left-special words of length ``n + 1`` whose first
     ``n`` letters are ``w``; the letters ``a`` with ``aw`` right special
     are the first letters of the right-special words whose last ``n``
-    letters are ``w``.  Such ``wb`` and ``aw`` are factors, so these are
-    exactly the extensions :func:`is_regular_bispecial` tests, and ``w``
-    is regular iff both groups have one member.
+    letters are ``w``.  Such ``wb`` and ``aw`` are factors, so ``b`` and
+    ``a`` are extensions of ``w``, and ``w`` is regular (exactly one right
+    extension left special, exactly one left extension right special) iff
+    both groups have one member.
 
     ``n0_estimate`` is one more than the longest irregular bispecial found
-    (a lower-bound witness only, never the true threshold).
+    (a lower-bound witness only, never the true threshold).  Each range is
+    checked once per oracle; every call on it returns the same report.
     """
     top = oracle.horizon - 3
     if n_max is not None:
@@ -476,6 +433,9 @@ def check_rbc(
         raise PreconditionFailure(
             f"no checkable lengths: n_min={n_min}, top={top}"
         )
+    key = (n_min, top)
+    if key in oracle._rbc:
+        return oracle._rbc[key]
     tokens = lambda codes: sorted(map(oracle.alphabet.token, codes))
     violations: list[tuple[Word, str]] = []
     for n in range(n_min, top + 1):
@@ -489,9 +449,10 @@ def check_rbc(
     n0_estimate = n_min
     if violations:
         n0_estimate = 1 + max(len(w) for w, _ in violations)
-    return RbcReport(
+    oracle._rbc[key] = RbcReport(
         not violations, violations, n0_estimate, n_min, top, oracle.horizon
     )
+    return oracle._rbc[key]
 
 
 @dataclass(frozen=True)
@@ -527,57 +488,6 @@ def _detect_period(oracle: LanguageOracle) -> int:
         ):
             return p
     return oracle.horizon  # unreachable for genuinely periodic data
-
-
-# -- unique special extensions -------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExtensionMapResult:
-    mapping: dict[Word, Word]
-
-
-def _truncations(
-    oracle: LanguageOracle, side: Side, n1: int, n2: int
-) -> dict[str, str]:
-    """Side-special words of length ``n2`` keyed, in ascending order, by
-    their first (left side) or last (right side) ``n1`` letters."""
-    cut = slice(None, n1) if side == "left" else slice(n2 - n1, None)
-    return dict(sorted((w[cut], w) for w in oracle.special_strings(n2, side)))
-
-
-def special_extension_map(
-    oracle: LanguageOracle, side: Side, n1: int, n2: int
-) -> ExtensionMapResult:
-    """For each side-special word of length ``n1``, the unique side-special
-    word of length ``n2`` extending it (keeping it as prefix for left
-    specials, suffix for right specials).
-
-    Refuses unless the regular-bispecial condition (RBC) holds on
-    ``[n1, min(n2, horizon - 3)]``; then the map is the inverse of
-    truncation.  Take a left-special ``u`` of length ``k``, ``n1 <= k < n2
-    <= horizon - 2``.  If ``u`` is not right special, its one right
-    extension ``b`` must extend every ``a u`` (extendability holds up to
-    length ``horizon - 2``), so ``u b`` is left special; if ``u`` is
-    bispecial, regularity gives exactly one such ``b``.  So the walk one
-    letter at a time never stalls or branches, and since every prefix of
-    a left-special word is left special, the walk from ``v[:n1]`` ends at
-    ``v``.  The right side is the mirror image, with suffixes.
-    """
-    if not 1 <= n1 <= n2:
-        raise PreconditionFailure(f"extension map needs 1 <= n1 <= n2, got {n1}, {n2}")
-    oracle.require_length(n2 + 2, "extension map")
-    if n2 > n1:
-        rbc = check_rbc(oracle, n_min=n1, n_max=min(n2, oracle.horizon - 3))
-        if not rbc.holds_within_horizon:
-            raise PreconditionFailure(
-                "RBC not established on the requested range; first violation "
-                f"at {rbc.violations[0][0]}"
-            )
-    word = lambda d: Word(oracle.alphabet, d)
-    return ExtensionMapResult(
-        {word(w1): word(w2) for w1, w2 in _truncations(oracle, side, n1, n2).items()}
-    )
 
 
 def analysis_report(oracle: LanguageOracle, n_min: int = 1) -> dict:

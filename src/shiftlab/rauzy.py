@@ -13,16 +13,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
-from ._graphutil import (
-    arc_index, dot_quote, find_cycle, is_strongly_connected, is_weakly_connected
-)
+from ._graphutil import arc_index, dot_quote
 from .errors import HorizonExceeded, InvariantViolation, PreconditionFailure
 from .language import (
     SIDES,
     LanguageOracle,
-    PeriodicityReport,
-    Side,
-    _truncations,
     _witness_letters,
     growth_profile,
     check_rbc,
@@ -45,22 +40,6 @@ class RauzyGraph:
     left_special: frozenset[str]
     right_special: frozenset[str]
     alphabet_symbols: tuple[str, ...]
-
-    @cached_property
-    def _adjacency(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
-        return arc_index((e, e[:-1], e[1:]) for e in self.edges)
-
-    def successors(self, v: str) -> list[str]:
-        return [e[1:] for e in self._adjacency[0].get(v, ())]
-
-    def predecessors(self, v: str) -> list[str]:
-        return [e[:-1] for e in self._adjacency[1].get(v, ())]
-
-    def in_degree(self, v: str) -> int:
-        return len(self._adjacency[1].get(v, ()))
-
-    def out_degree(self, v: str) -> int:
-        return len(self._adjacency[0].get(v, ()))
 
 
 def build_rauzy(oracle: LanguageOracle, n: int) -> RauzyGraph:
@@ -108,12 +87,6 @@ class SpecialRauzyGraph:
     @cached_property
     def _adjacency(self):
         return arc_index((e, e.src, e.dst) for e in self.edges)
-
-    def successors(self, v: SpecialVertex) -> list[SpecialVertex]:
-        return [e.dst for e in self._adjacency[0].get(v, ())]
-
-    def predecessors(self, v: SpecialVertex) -> list[SpecialVertex]:
-        return [e.src for e in self._adjacency[1].get(v, ())]
 
     def in_edges(self, v: SpecialVertex) -> list[SpecialEdge]:
         return list(self._adjacency[1].get(v, ()))
@@ -217,89 +190,6 @@ def _assert_special_graph_invariants(
         )
 
 
-@dataclass(frozen=True)
-class ConnectivityReport:
-    strong: bool
-    weak: bool
-
-
-def connectivity(graph: RauzyGraph | SpecialRauzyGraph) -> ConnectivityReport:
-    verts = list(graph.vertices)
-    succ = graph.successors
-    pred = graph.predecessors
-    strong = is_strongly_connected(verts, succ, pred)
-    weak = strong or is_weakly_connected(verts, ((v, w) for v in verts for w in succ(v)))
-    return ConnectivityReport(strong, weak)
-
-
-@dataclass(frozen=True)
-class CircuitReport:
-    """A simple closed circuit avoiding one side's special vertices.
-
-    When such a circuit exists in the factor graph of a recurrent
-    language, the language is periodic; the report carries the
-    periodicity check run as a cross-check in that case.
-    """
-
-    side: Side
-    circuit: tuple[str, ...] | None
-    oracle_recurrent: bool | None
-    periodicity: PeriodicityReport | None
-
-
-def special_free_circuit(
-    oracle: LanguageOracle, n: int, side: Side
-) -> CircuitReport:
-    g = build_rauzy(oracle, n)
-    avoid = g.left_special if side == "left" else g.right_special
-    allowed = [v for v in g.vertices if v not in avoid]
-    allowed_set = set(allowed)
-    cycle = find_cycle(
-        allowed, lambda v: [w for w in g.successors(v) if w in allowed_set]
-    )
-    if cycle is None:
-        return CircuitReport(side, None, oracle.recurrent, None)
-    per = periodicity_check(oracle) if oracle.recurrent else None
-    if oracle.recurrent and per is not None and not per.periodic_within_horizon:
-        raise InvariantViolation(
-            "special-free circuit found on a recurrent oracle that looks "
-            "aperiodic within horizon; factor data is inconsistent"
-        )
-    return CircuitReport(side, tuple(cycle), oracle.recurrent, per)
-
-
-# -- representatives ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RepresentativeSet:
-    """Length-``n`` windows of an edge's path word that pin down the edge.
-
-    A window is excluded when it could also begin a different branchless
-    path: the first window when the source word is right special, the
-    last when the target word is left special.  For the internal edge of
-    a bispecial word both exclusions apply and the set is empty.
-    """
-
-    edge: SpecialEdge
-    words: tuple[str, ...]
-    empty_internal: bool
-
-
-def representatives(graph: SpecialRauzyGraph, edge: SpecialEdge) -> RepresentativeSet:
-    n = graph.n
-    path = edge.path
-    count = len(path) - n + 1
-    lo = 1
-    hi = count
-    if edge.src[0] in graph.right_special:
-        lo = 2
-    if edge.dst[0] in graph.left_special:
-        hi = count - 1
-    words = tuple(path[j - 1 : j - 1 + n] for j in range(lo, hi + 1))
-    return RepresentativeSet(edge, words, not words and edge.is_internal)
-
-
 # -- evolution -------------------------------------------------------------
 
 
@@ -332,13 +222,21 @@ def _identification(
     oracle: LanguageOracle, n1: int, n2: int
 ) -> dict[SpecialVertex, SpecialVertex]:
     """Map special vertices at length n1 to their counterparts at n2: the
-    special words at n2 truncated to n1 letters.  Valid once the RBC holds
-    on ``[n1, min(n2, horizon - 3)]``, which :func:`evolve` checks."""
-    return {
-        (w1, side): (w2, side)
-        for side in SIDES
-        for w1, w2 in _truncations(oracle, side, n1, n2).items()
-    }
+    side-special words at n2 keyed, in ascending order, by their first
+    (left side) or last (right side) n1 letters.
+
+    Valid once the RBC holds on ``[n1, min(n2, horizon - 3)]``, which
+    :func:`evolve` checks: then a left-special word shorter than
+    ``horizon - 2`` has exactly one left-special extension one letter
+    longer (its one right extension, or the regular one of a bispecial),
+    and every prefix of a left-special word is left special; the right
+    side is the mirror image.
+    """
+    out: dict[SpecialVertex, SpecialVertex] = {}
+    for side in SIDES:
+        cut = slice(None, n1) if side == "left" else slice(n2 - n1, None)
+        out.update(sorted(((w[cut], side), (w, side)) for w in oracle.special_strings(n2, side)))
+    return out
 
 
 def _follow(
@@ -452,7 +350,7 @@ def evolve(oracle: LanguageOracle, n: int) -> EvolutionStep:
     for order in (moves, moves[::-1]):
         sim = _to_abstract(tilde_graph)
         for move in order:
-            sim, _ = apply_rbs(sim, None, *move)
+            sim = apply_rbs(sim, *move)
         tilde_to_after = _follow(
             (
                 (eid, ident_to_prime[_name_vertex(s)], letters[eid],

@@ -77,11 +77,25 @@ MUTANTS = (
     Mutant(
         "random moves: a collapse is accepted",
         GRAPHS,
-        "            if lab is not None and _classify(graph, loops[lab], mv) == COLLAPSE:\n"
+        "            if lab is not None and classify_move(graph, loops[lab], mv) == COLLAPSE:\n"
         "                continue\n",
         "            if lab is not None:\n"
-        "                _classify(graph, loops[lab], mv)\n",
+        "                classify_move(graph, loops[lab], mv)\n",
         ("tests/test_random_moves.py::test_generators_match_old_first_tracked",),
+    ),
+    Mutant(
+        "local admissibility: the search runs from v to u",
+        GRAPHS,
+        "reaches(u, v, successors_after)",
+        "reaches(v, u, successors_after)",
+        ("tests/test_rbs_admissibility.py::test_local_admissibility_matches_whole_graph_reference",),
+    ),
+    Mutant(
+        "graph enumeration: counts tried from low to high",
+        GRAPHS,
+        "        for c in range(hi, lo - 1, -1):\n",
+        "        for c in range(lo, hi + 1):\n",
+        ("tests/test_graph_enumeration.py::test_matches_naive_in_order",),
     ),
     Mutant(
         "random instances: an ear without its edge back to the core",
@@ -143,6 +157,13 @@ MUTANTS = (
         '"left"), slice(1, None), -1),\n'
         '        _grouped(oracle.special_strings(n + 1, "right"), slice(None, -1), 0)',
         (EVOLVE_REFERENCE,),
+    ),
+    Mutant(
+        "witness letters: the left side grouped by v[1:]",
+        LANGUAGE,
+        '"left"), slice(None, -1), -1)',
+        '"left"), slice(1, None), -1)',
+        ("tests/test_code_strings.py::TestCheckRbc",),
     ),
     Mutant(
         "special graph: the walk probes codes in reverse order",

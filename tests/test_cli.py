@@ -332,6 +332,13 @@ class TestExitwords:
         zs = [e["z"] for e in report["enumeration"]["exit_words"]]
         assert z in zs
 
+    def test_empty_word_refused_by_the_alphabet(self, capsys, tmp_path):
+        seq = tmp_path / "seq.txt"
+        seq.write_text("alphabet: 0,1\n" + "0 1 1 " * 40 + "\n")
+        code = main(["exitwords", "--seq", str(seq), "--horizon", "8", "--w", ""])
+        assert code == 1
+        assert capsys.readouterr().err == "error: the empty word is excluded\n"
+
 
 class TestDensity:
     def test_floor_pass(self, capsys, fib_spec):

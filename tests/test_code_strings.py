@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import IET4_SPEC
+from regular_bispecial import is_regular_bispecial
 
 from shiftlab.density import BlockDensity
 from shiftlab.generators import (
@@ -28,7 +29,6 @@ from shiftlab.language import (
     LanguageOracle,
     RbcReport,
     check_rbc,
-    is_regular_bispecial,
 )
 from shiftlab.words import (
     CODE_CHARS,

@@ -1,4 +1,4 @@
-"""Block densities, the special floor, diagnostics, threshold colors."""
+"""Block densities, the special floor, the window check, threshold colors."""
 
 import random
 from fractions import Fraction
@@ -10,17 +10,12 @@ from conftest import IET4_SPEC
 
 from shiftlab.density import (
     block_count,
-    block_indicator,
     color_estimate,
     density_estimate,
-    exit_density_case,
-    interleaving_density_case,
     special_density_floor,
     special_window_check,
-    subword_density_case,
 )
 from shiftlab.errors import PreconditionFailure
-from shiftlab.exitwords import enumerate_exit_words
 from shiftlab.generators import (
     SequencePrefix,
     fibonacci_prefix,
@@ -28,7 +23,6 @@ from shiftlab.generators import (
     oracle_from_prefix,
     rotation_coding,
 )
-from shiftlab.rauzy import build_special_rauzy, representatives
 from shiftlab.words import Alphabet, Word
 
 AB = Alphabet(("a", "b"))
@@ -39,23 +33,29 @@ def alternating():
     return SequencePrefix.from_tokens(AB, "ab" * 64, "(ab)^inf prefix")
 
 
+def block_flags(w, x, K):
+    """The block indicator of ``w``: per block of ``(K+1)|w|`` start
+    positions, 1 when ``w`` starts in it, read off the cumulative hits."""
+    hits = density_estimate(w, x, K).hits
+    return [b - a for a, b in zip((0,) + hits, hits)]
+
+
 class TestBlockIndicator:
     def test_always_hit(self, alternating):
-        for j in (1, 2, 10):
-            assert block_indicator(AB.word("ab"), alternating, j, 1) == 1
+        assert set(block_flags(AB.word("ab"), alternating, 1)) == {1}
 
     def test_never_hit(self, alternating):
-        for j in (1, 2, 10):
-            assert block_indicator(AB.word("aa"), alternating, j, 1) == 0
+        assert set(block_flags(AB.word("aa"), alternating, 1)) == {0}
 
     def test_offset_start(self):
         x = SequencePrefix.from_tokens(AB, "bb" + "ab" * 30, "offset")
-        assert block_indicator(AB.word("ab"), x, 1, 1) == 1
+        assert block_flags(AB.word("ab"), x, 1)[0] == 1
 
-    def test_out_of_range(self, alternating):
-        top = block_count(alternating, 2, 1)
-        with pytest.raises(PreconditionFailure):
-            block_indicator(AB.word("ab"), alternating, top + 1, 1)
+    def test_out_of_range(self):
+        # "ab" starts only at 17, past the 4 complete blocks of starts 1..16
+        x = SequencePrefix.from_tokens(AB, "a" * 17 + "b", "late")
+        assert block_count(x, 2, 1) == 4
+        assert block_flags(AB.word("ab"), x, 1) == [0, 0, 0, 0]
 
     @given(st.integers(0, 120), st.integers(1, 28))
     @settings(max_examples=60)
@@ -70,7 +70,7 @@ class TestBlockIndicator:
         for k in range((j - 1) * size + 1, j * size + 1):
             if fib_prefix.data[k - 1 : k - 1 + n] == w.data:
                 naive = 1
-        assert block_indicator(w, fib_prefix, j, K) == naive
+        assert block_flags(w, fib_prefix, K)[j - 1] == naive
 
 
 class TestDensityEstimate:
@@ -189,79 +189,6 @@ def _rolling_window_check(oracle, x, n, K):
             if run == 0:
                 return False, total, (side, j + 1)
     return True, total, None
-
-
-class TestDiagnostics:
-    def test_subword_case(self, fib_prefix):
-        w = AB.word("abaababa")
-        case = subword_density_case(fib_prefix, w, AB.word("abaa"), 1)
-        assert case.hypothesis_ok and case.margin >= 0 and case.note == "ok"
-
-    def test_subword_case_rejects(self, fib_prefix):
-        case = subword_density_case(fib_prefix, AB.word("abaa"), AB.word("bb"), 1)
-        assert not case.hypothesis_ok
-
-    def test_interleaving_with_edge_representatives(self, fib_prefix, fib_oracle):
-        n = 8
-        sg = build_special_rauzy(fib_oracle, n)
-        v = next(v for v in sg.vertices if v[1] == "left")
-        reps = [
-            Word(fib_oracle.alphabet, representatives(sg, e).words[0])
-            for e in sg.in_edges(v)
-        ]
-        case = interleaving_density_case(
-            fib_prefix, Word(fib_oracle.alphabet, v[0]), reps, 1
-        )
-        assert case.hypothesis_ok and case.note == "ok"
-        # the floor here is 1/(p(1+3n/m)) = 1/(4p) with p = 2 in-edges
-        assert case.rhs == pytest.approx(1 / 8)
-
-    def test_interleaving_rejects_bad_family(self, fib_prefix):
-        case = interleaving_density_case(
-            fib_prefix, AB.word("abaa"), [AB.word("bbbb")], 1
-        )
-        assert not case.hypothesis_ok
-
-    def test_exit_density_case(self, fib_prefix, fib_oracle):
-        w = AB.word("abaaba")
-        report = enumerate_exit_words(w, 3, fib_oracle)
-        zs = [x.z for x in report.exit_words]
-        case = exit_density_case(fib_prefix, w, zs, 1, fib_oracle)
-        assert case.note == "ok" and case.margin >= 0
-
-    def test_batch_dispatcher(self, fib_prefix, fib_oracle):
-        from shiftlab.density import inequality_diagnostics
-
-        w = AB.word("abaaba")
-        zs = [x.z for x in enumerate_exit_words(w, 3, fib_oracle).exit_words]
-        reports = inequality_diagnostics(
-            fib_prefix,
-            [
-                ("subword", AB.word("abaababa"), AB.word("abaa")),
-                ("exit", w, zs, fib_oracle),
-            ],
-            1,
-        )
-        assert [r.name for r in reports] == ["subword-density", "exit-word-density"]
-        assert all(r.note == "ok" for r in reports)
-
-
-class TestReturnGaps:
-    def test_fibonacci_gaps_are_bounded(self, fib_prefix, fib_oracle):
-        from shiftlab.density import return_gaps
-
-        # uniform recurrence diagnostic: every length-6 factor recurs
-        # with a bounded gap
-        for w in fib_oracle.words(6):
-            gaps = return_gaps(fib_prefix, w)
-            assert gaps.occurrences > 100
-            assert gaps.max_gap is not None and gaps.max_gap <= 40
-
-    def test_rare_word(self, fib_prefix):
-        from shiftlab.density import return_gaps
-
-        gaps = return_gaps(fib_prefix, AB.word("bb"))
-        assert gaps.occurrences == 0 and gaps.max_gap is None
 
 
 class TestColorEstimate:

@@ -1,8 +1,12 @@
 """Exit words: decomposition, enumeration, occurrence classification,
 overlap bounds."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+
+from shiftlab import language
 
 from shiftlab.errors import HorizonExceeded, PreconditionFailure
 from shiftlab.exitwords import (
@@ -14,7 +18,12 @@ from shiftlab.exitwords import (
     enumerate_exit_words,
     is_representation,
 )
-from shiftlab.generators import SequencePrefix, oracle_from_prefix, rotation_coding
+from shiftlab.generators import (
+    SequencePrefix,
+    fibonacci_prefix,
+    oracle_from_prefix,
+    rotation_coding,
+)
 from shiftlab.language import LanguageOracle
 from shiftlab.words import (
     Alphabet,
@@ -118,6 +127,32 @@ class TestEnumerate:
         assert report.within_limit
         for x in report.exit_words:
             assert x.canonical  # 3 is the minimal step
+
+    def test_limit_decided_once_per_oracle(self):
+        # the 2K^2 limit depends on the oracle alone: over every stepped
+        # factor, the growth profile (H calls of p) and the RBC check from
+        # length 1 (one grouping per length up to H - 3) run once, and each
+        # report equals the one enumerated on an oracle of its own
+        x = fibonacci_prefix(4000)
+        oracle = oracle_from_prefix(x, 40)
+        stepped = [
+            (w, q)
+            for n in range(2, oracle.horizon // 2 + 1)
+            for w in oracle.words(n)
+            if (q := minimal_step(w, oracle)) is not None
+        ]
+        assert len(stepped) > 10
+        grouping = mock.patch.object(
+            language, "_witness_letters", wraps=language._witness_letters
+        )
+        with mock.patch.object(oracle, "p", wraps=oracle.p) as p, grouping as groups:
+            reports = [enumerate_exit_words(w, q, oracle) for w, q in stepped]
+        assert p.call_count == oracle.horizon
+        assert groups.call_count == oracle.horizon - 3
+        for (w, q), report in zip(stepped, reports):
+            alone = enumerate_exit_words(w, q, oracle_from_prefix(x, 40))
+            assert report.to_json() == alone.to_json()
+            assert report.count_limit == 2
 
     def test_repetition_spread_at_fixed_sides(self, fib_oracle, iet3_oracle):
         # with the regular-bispecial condition, a fixed (prefix, suffix)

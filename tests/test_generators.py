@@ -7,13 +7,11 @@ import pytest
 from shiftlab.errors import PreconditionFailure
 from shiftlab.generators import (
     IETSpec,
-    IntervalExchange,
     SequencePrefix,
     SubstitutionSpec,
     continued_fraction_value,
     fibonacci_prefix,
     iet_encode,
-    iet_orbit,
     oracle_from_prefix,
     read_iet_file,
     read_sequence_file,
@@ -48,14 +46,6 @@ class TestIet:
     def test_growth_differences(self, iet3_oracle):
         profile = growth_profile(iet3_oracle)
         assert profile.K == 2
-
-    def test_reverse_orbit_roundtrip(self):
-        fwd = iet_orbit(IET3_SPEC, 400)
-        inv = IntervalExchange(IntervalExchange(IET3_SPEC).inverse_spec())
-        point = fwd[-1]
-        for expected in reversed(fwd[:-1]):
-            point = inv.apply_fraction(point)
-            assert point == expected
 
     def test_bad_spec(self):
         with pytest.raises(ValueError):

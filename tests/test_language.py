@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from conftest import IET4_SPEC
+from regular_bispecial import is_regular_bispecial
 from shiftlab.errors import (
     AlphabetMismatch,
     HorizonExceeded,
@@ -29,20 +30,24 @@ from shiftlab.language import (
     extensions,
     growth_profile,
     is_dendric,
-    is_regular_bispecial,
     periodicity_check,
-    special_extension_map,
     special_words,
 )
 from shiftlab.rauzy import _identification, build_rauzy, build_special_rauzy
-from shiftlab.words import CODE_CHARS, Alphabet, valid_steps
+from shiftlab.words import CODE_CHARS, Alphabet, Word, valid_steps
+
+
+def explicit_oracle(alphabet, factors):
+    """An oracle on the given factor sets, by length, as token strings."""
+    levels = {n: frozenset(alphabet.word(t).data for t in ws) for n, ws in factors.items()}
+    return LanguageOracle(alphabet, levels, max(levels), "explicit")
 
 
 class TestOracleInvariants:
     def test_factor_closure_violation(self, ab):
-        factors = {1: [ab.word("a"), ab.word("b")], 2: [ab.word("ab")], 3: [ab.word("bab")]}
+        factors = {1: ["a", "b"], 2: ["ab"], 3: ["bab"]}
         with pytest.raises(InvariantViolation, match="closure"):
-            LanguageOracle.from_factor_sets(ab, factors)
+            explicit_oracle(ab, factors)
 
     def test_missing_alphabet_letter(self, ab):
         x = SequencePrefix.from_tokens(ab, "a" * 40, "constant")
@@ -53,13 +58,13 @@ class TestOracleInvariants:
         # level 4 offers no word with middle 'ba', so 'ba' cannot be
         # extended on both sides even though closure holds
         factors = {
-            1: [ab.word("a"), ab.word("b")],
-            2: [ab.word(t) for t in ("aa", "ab", "ba")],
-            3: [ab.word(t) for t in ("aaa", "aab", "aba", "baa")],
-            4: [ab.word(t) for t in ("aaaa", "aaab", "aaba", "baaa")],
+            1: ["a", "b"],
+            2: ["aa", "ab", "ba"],
+            3: ["aaa", "aab", "aba", "baa"],
+            4: ["aaaa", "aaab", "aaba", "baaa"],
         }
         with pytest.raises(InvariantViolation, match="extendability"):
-            LanguageOracle.from_factor_sets(ab, factors)
+            explicit_oracle(ab, factors)
 
 
 @pytest.mark.parametrize(
@@ -268,30 +273,22 @@ class TestPrefixesOfSpecials:
 
 
 class TestSpecialExtensionMap:
+    """The unique special extension of each special word, as ``evolve``
+    identifies special vertices across lengths."""
+
+    def side(self, oracle, side, n1, n2):
+        return {
+            w1: w2 for (w1, s1), (w2, _) in _identification(oracle, n1, n2).items() if s1 == side
+        }
+
     def test_fibonacci_left(self, fib_oracle, ab):
-        res = special_extension_map(fib_oracle, "left", 1, 3)
-        assert res.mapping == {ab.word("a"): ab.word("aba")}
+        assert self.side(fib_oracle, "left", 1, 3) == {ab.word("a").data: ab.word("aba").data}
 
     def test_fibonacci_right(self, fib_oracle, ab):
-        res = special_extension_map(fib_oracle, "right", 1, 3)
-        assert res.mapping == {ab.word("a"): ab.word("aba")}
+        assert self.side(fib_oracle, "right", 1, 3) == {ab.word("a").data: ab.word("aba").data}
 
     def test_identity(self, fib_oracle, ab):
-        res = special_extension_map(fib_oracle, "left", 4, 4)
-        assert res.mapping == {ab.word("abaa"): ab.word("abaa")}
-
-    def test_refuses_without_rbc(self, tm_oracle):
-        with pytest.raises(PreconditionFailure, match="RBC not established"):
-            special_extension_map(tm_oracle, "left", 1, 6)
-
-    def test_bad_range_is_not_a_horizon_refusal(self, fib_prefix):
-        oracle = oracle_from_prefix(fib_prefix, 20)
-        for n1, n2 in ((5, 3), (0, 3)):
-            with pytest.raises(PreconditionFailure, match="1 <= n1 <= n2"):
-                special_extension_map(oracle, "left", n1, n2)
-        with pytest.raises(HorizonExceeded) as err:
-            special_extension_map(oracle, "left", 3, 19)
-        assert err.value.required == 21
+        assert self.side(fib_oracle, "left", 4, 4) == {ab.word("abaa").data: ab.word("abaa").data}
 
     def test_extension_sets_stabilize(self, fib_oracle, iet3_oracle):
         # the one-sided extension sets along the unique-extension ladder
@@ -299,21 +296,18 @@ class TestSpecialExtensionMap:
         for oracle in (fib_oracle, iet3_oracle):
             top = oracle.horizon - 2
             start = top // 2
-            res = special_extension_map(oracle, "left", start, start)
-            assert res.mapping is not None
-            for w0 in res.mapping:
+            for w0 in self.side(oracle, "left", start, start):
                 exts = []
                 for n in range(start, top + 1):
-                    step = special_extension_map(oracle, "left", start, n)
-                    assert step.mapping is not None
-                    exts.append(extensions(oracle, step.mapping[w0]).left)
+                    w = self.side(oracle, "left", start, n)[w0]
+                    exts.append(extensions(oracle, Word(oracle.alphabet, w)).left)
                 assert len(set(map(frozenset, exts))) == 1
 
     @pytest.mark.parametrize("source", ["fibonacci", "iet3", "iet4", "rotation-1", "rotation-2"])
     def test_truncation_matches_letter_walk(self, source, fib_prefix, iet3_prefix):
-        # every (n1, n2) range and both sides: the map read off by
-        # truncation equals the unique special extension found by walking
-        # one letter at a time, as does evolve's vertex identification
+        # every (n1, n2) range and both sides: evolve's vertex
+        # identification, read off by truncation, equals the unique special
+        # extension found by walking one letter at a time
         if source == "fibonacci":
             x = fib_prefix
         elif source == "iet3":
@@ -332,8 +326,6 @@ class TestSpecialExtensionMap:
                 walked_both = {}
                 for side in ("left", "right"):
                     walked = _walk_extension_map(oracle, side, n1, n2)
-                    res = special_extension_map(oracle, side, n1, n2)
-                    assert {w1.data: w2.data for w1, w2 in res.mapping.items()} == walked
                     walked_both.update(
                         ((w1, side), (w2, side)) for w1, w2 in walked.items()
                     )

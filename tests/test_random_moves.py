@@ -38,7 +38,7 @@ def admissible(graph, moves):
     out = set()
     for mv in moves:
         try:
-            apply_rbs(graph, None, mv.e0, mv.chosen_in, mv.chosen_out)
+            apply_rbs(graph, mv.e0, mv.chosen_in, mv.chosen_out)
         except (InadmissibleMove, PreconditionFailure):
             continue
         out.add(mv)

@@ -1,4 +1,4 @@
-"""Factor graphs, branching skeletons, circuits, and evolution."""
+"""Factor graphs, branching skeletons, connectivity, and evolution."""
 
 import random
 from fractions import Fraction
@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import IET3_SPEC, IET4_SPEC
+from regular_bispecial import is_regular_bispecial
+from shiftlab._graphutil import is_strongly_connected, is_weakly_connected
 from shiftlab.abstract_graphs import apply_rbs
 from shiftlab.errors import HorizonExceeded, InvariantViolation, PreconditionFailure
 from shiftlab.generators import (
@@ -22,10 +24,10 @@ from shiftlab.language import (
     check_rbc,
     extensions,
     growth_profile,
-    is_regular_bispecial,
 )
 from shiftlab.rauzy import (
     EvolutionStep,
+    RauzyGraph,
     SpecialEdge,
     SpecialRauzyGraph,
     _assert_special_graph_invariants,
@@ -34,11 +36,8 @@ from shiftlab.rauzy import (
     _to_abstract,
     build_rauzy,
     build_special_rauzy,
-    connectivity,
     evolve,
     rauzy_dot,
-    representatives,
-    special_free_circuit,
     special_rauzy_dot,
 )
 from shiftlab.words import Alphabet, Word
@@ -48,16 +47,13 @@ from shiftlab.words import Alphabet, Word
 def one_ones_oracle(zo):
     """Language of words with at most one '1': strongly connected factor
     graphs at every length, yet not recurrent."""
-    factors = {}
     H = 12
-    for n in range(1, H + 1):
-        words = [zo.word("0" * n)]
-        for k in range(n):
-            words.append(zo.word("0" * k + "1" + "0" * (n - k - 1)))
-        factors[n] = words
-    return LanguageOracle.from_factor_sets(
-        zo, factors, "at most one 1", recurrent=False
-    )
+    levels = {
+        n: frozenset(zo.word("0" * k + "1" + "0" * (n - k - 1)).data for k in range(n))
+        | {zo.word("0" * n).data}
+        for n in range(1, H + 1)
+    }
+    return LanguageOracle(zo, levels, H, "at most one 1", recurrent=False)
 
 
 @pytest.fixture(scope="module")
@@ -70,15 +66,13 @@ def split_union_oracle():
     alphabet = Alphabet(("0", "a", "b"))
     fib = fibonacci_prefix(2000)
     H = 8
-    factors = {}
+    levels = {}
     for n in range(1, H + 1):
-        words = [alphabet.word("0" * n)]
+        words = {alphabet.word("0" * n).data}
         for d in {fib.data[i : i + n] for i in range(len(fib.data) - n + 1)}:
-            words.append(alphabet.word([fib.alphabet.token(c) for c in d]))
-        factors[n] = words
-    return LanguageOracle.from_factor_sets(
-        alphabet, factors, "0^inf + fibonacci", recurrent=False
-    )
+            words.add(alphabet.word([fib.alphabet.token(c) for c in d]).data)
+        levels[n] = frozenset(words)
+    return LanguageOracle(alphabet, levels, H, "0^inf + fibonacci", recurrent=False)
 
 
 class TestFactorGraph:
@@ -90,13 +84,14 @@ class TestFactorGraph:
         g = build_rauzy(fib_oracle, 5)
         for v in g.vertices:
             rec = extensions(fib_oracle, Word(fib_oracle.alphabet, v))
-            assert g.in_degree(v) == len(rec.left)
-            assert g.out_degree(v) == len(rec.right)
+            assert sum(e[1:] == v for e in g.edges) == len(rec.left)
+            assert sum(e[:-1] == v for e in g.edges) == len(rec.right)
 
     def test_full_shift_de_bruijn(self, full_shift_2):
         g = build_rauzy(full_shift_2, 2)
         assert len(g.vertices) == 4 and len(g.edges) == 8
-        assert all(g.in_degree(v) == 2 and g.out_degree(v) == 2 for v in g.vertices)
+        for v in g.vertices:
+            assert sum(e[1:] == v for e in g.edges) == sum(e[:-1] == v for e in g.edges) == 2
 
     def test_horizon(self, fib_oracle):
         with pytest.raises(HorizonExceeded):
@@ -138,107 +133,40 @@ class TestSpecialGraph:
                 assert all(e.src != e.dst for e in sg.edges)
 
 
+def connectivity(graph):
+    """(strongly, weakly) connected, for a factor graph or a skeleton."""
+    if isinstance(graph, RauzyGraph):
+        arcs = [(e[:-1], e[1:]) for e in graph.edges]
+    else:
+        arcs = [(e.src, e.dst) for e in graph.edges]
+    succ = lambda v: [d for s, d in arcs if s == v]
+    pred = lambda v: [s for s, d in arcs if d == v]
+    verts = list(graph.vertices)
+    return is_strongly_connected(verts, succ, pred), is_weakly_connected(verts, arcs)
+
+
 class TestConnectivity:
     def test_fibonacci_strong(self, fib_oracle):
-        assert connectivity(build_rauzy(fib_oracle, 6)).strong
+        assert connectivity(build_rauzy(fib_oracle, 6))[0]
 
     def test_one_ones_language_strong(self, one_ones_oracle):
         for n in range(1, 6):
-            assert connectivity(build_rauzy(one_ones_oracle, n)).strong
+            assert connectivity(build_rauzy(one_ones_oracle, n))[0]
 
     def test_weak_only(self, zo):
         # factors of 1...10...0: 0 cannot reach 1
         x = SequencePrefix.from_tokens(zo, "1" * 20 + "0" * 60, "step")
         g = build_rauzy(oracle_from_prefix(x, 4), 1)
-        rep = connectivity(g)
-        assert rep.weak and not rep.strong
+        assert connectivity(g) == (False, True)
 
     def test_special_graph_matches_factor_graph(
         self, fib_oracle, iet3_oracle, one_ones_oracle
     ):
         for oracle in (fib_oracle, iet3_oracle, one_ones_oracle):
             for n in (3, 5):
-                a = connectivity(build_rauzy(oracle, n))
-                b = connectivity(build_special_rauzy(oracle, n))
-                assert (a.strong, a.weak) == (b.strong, b.weak)
-
-
-class TestSpecialFreeCircuit:
-    def test_periodic_coding_has_circuit(self, periodic01_oracle):
-        rep = special_free_circuit(periodic01_oracle, 2, "left")
-        assert rep.circuit is not None
-        assert rep.periodicity is not None and rep.periodicity.periodic_within_horizon
-
-    def test_fibonacci_has_none(self, fib_oracle):
-        assert special_free_circuit(fib_oracle, 5, "left").circuit is None
-        assert special_free_circuit(fib_oracle, 5, "right").circuit is None
-
-    def test_full_shift_every_vertex_special(self, full_shift_2):
-        # every word of the full shift is special on both sides, so no
-        # circuit can avoid the special vertices
-        for side in ("left", "right"):
-            rep = special_free_circuit(full_shift_2, 2, side)
-            assert rep.circuit is None
-
-    def test_one_ones_language_has_no_circuit(self, one_ones_oracle):
-        # the only cycles pass through 0^n, which is special on both
-        # sides, so nothing is found despite strong connectivity
-        for side in ("left", "right"):
-            assert special_free_circuit(one_ones_oracle, 2, side).circuit is None
-
-    def test_non_recurrent_oracle_allowed(self, split_union_oracle):
-        # the constant circuit avoids all specials, the language is
-        # aperiodic, and no periodicity conclusion is drawn because the
-        # language is not recurrent
-        rep = special_free_circuit(split_union_oracle, 2, "left")
-        assert rep.circuit == ("00",)
-        assert rep.oracle_recurrent is False
-        assert rep.periodicity is None
-
-
-class TestRepresentatives:
-    def test_internal_edge_is_flagged_empty(self, fib_oracle):
-        sg = build_special_rauzy(fib_oracle, 3)
-        internal = next(e for e in sg.edges if e.is_internal)
-        rep = representatives(sg, internal)
-        assert rep.words == () and rep.empty_internal
-
-    def test_left_to_right_edge_keeps_all_windows(self, fib_oracle):
-        sg = build_special_rauzy(fib_oracle, 4)
-        edge = next(e for e in sg.edges if e.src[1] == "left")
-        rep = representatives(sg, edge)
-        assert len(rep.words) == len(edge.path) - 4 + 1
-
-    def test_middle_window_only(self, iet3_oracle):
-        # an edge of length n+2 between word-special endpoints pins the
-        # middle window as its only representative
-        sg = build_special_rauzy(iet3_oracle, 3)
-        edge = next(
-            e
-            for e in sg.edges
-            if len(e.path) == 5
-            and e.src[0] in sg.right_special
-            and e.dst[0] in sg.left_special
-        )
-        rep = representatives(sg, edge)
-        assert len(rep.words) == 1
-        assert rep.words[0] == edge.path[1:4]
-
-    def test_empty_sets_are_characterized(self, fib_oracle, iet3_oracle):
-        # internal edges always flag empty; the only other empty sets
-        # come from short paths whose both end words are special (the
-        # transient shapes right after a rewrite event)
-        for oracle in (fib_oracle, iet3_oracle):
-            for n in range(3, 10):
-                sg = build_special_rauzy(oracle, n)
-                for e in sg.edges:
-                    rep = representatives(sg, e)
-                    if e.is_internal:
-                        assert rep.words == () and rep.empty_internal
-                    elif not rep.words:
-                        assert e.src[0] in sg.right_special
-                        assert e.dst[0] in sg.left_special
-                        assert len(e.path) <= n + 2
+                assert connectivity(build_rauzy(oracle, n)) == connectivity(
+                    build_special_rauzy(oracle, n)
+                )
 
 
 class TestEvolve:
@@ -465,7 +393,7 @@ def reference_evolve(oracle, n):
     for order in (moves, moves[::-1]):
         sim = _to_abstract(tilde_graph)
         for move in order:
-            sim, _ = apply_rbs(sim, None, *move)
+            sim = apply_rbs(sim, *move)
         sim_sig = sorted(
             (ident_to_prime[_name_vertex(s)], ident_to_prime[_name_vertex(d)])
             for (s, d) in sim.edges.values()

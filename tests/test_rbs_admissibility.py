@@ -152,7 +152,7 @@ def test_local_admissibility_matches_whole_graph_reference():
         for e0, cin, cout in triples(graph):
             built.clear()
             with patch.object(AbstractGraph, "__post_init__", recording):
-                kind, got = outcome(apply_rbs, graph, None, e0, cin, cout)
+                kind, got = outcome(apply_rbs, graph, e0, cin, cout)
             fault = degree_fault(graph, e0)
             if fault is not None:
                 assert kind == "PreconditionFailure"
@@ -161,13 +161,13 @@ def test_local_admissibility_matches_whole_graph_reference():
                 ref_kind, ref = outcome(reference_rbs, graph, e0, cin, cout)
                 assert kind == ref_kind
                 if kind == "ok":
-                    assert got[0].edges == ref and list(got[0].edges) == list(ref)
-                    assert got[0].is_strongly_connected()
+                    assert got.edges == ref and list(got.edges) == list(ref)
+                    assert got.is_strongly_connected()
                 else:
                     assert got == ref
                     disconnects += got.endswith("disconnects the graph")
             if kind == "ok":
-                assert built == [got[0]]
+                assert built == [got]
             else:
                 assert built == []
             counts[kind] += 1
@@ -184,11 +184,11 @@ def test_self_loop_named_in_edge_order():
          "f": ("w", "u"), "g": ("w", "x")},
     )
     with pytest.raises(InadmissibleMove, match="creates self-loop b"):
-        apply_rbs(g, None, "a", "b", "c")
+        apply_rbs(g, "a", "b", "c")
     for first, named in ((True, "zz"), (False, "b")):
         looped = with_self_loop(g, "w", first)
         with pytest.raises(InadmissibleMove, match=f"creates self-loop {named}$"):
-            apply_rbs(looped, None, "a", "b", "c")
+            apply_rbs(looped, "a", "b", "c")
 
 
 def test_derived_index_matches_fresh_index():
@@ -202,10 +202,10 @@ def test_derived_index_matches_fresh_index():
         for _ in range(3):
             accepted = []
             for _, ids in _candidate_moves(graph, loops):
-                kind, got = outcome(apply_rbs, graph, None, *ids)
+                kind, got = outcome(apply_rbs, graph, *ids)
                 if kind != "ok":
                     continue
-                result = got[0]
+                result = got
                 fresh = arc_index((e, *result.edges[e]) for e in sorted(result.edges))
                 assert result._adjacency == fresh, ids
                 rewrites += 1
