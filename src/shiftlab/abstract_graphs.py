@@ -489,17 +489,6 @@ class LoopQuotient:
     K: int
     E: int
 
-    @cached_property
-    def _adjacency(self):
-        return arc_index((e, e[1], e[2]) for e in self.edges)
-
-    def neighbors(self, x: str) -> list[str]:
-        """Other endpoints of the edges at ``x``; a self-loop counts once."""
-        out, into = self._adjacency
-        return [b for _, _, b in out.get(x, ())] + [
-            a for _, a, b in into.get(x, ()) if a != b
-        ]
-
     def is_connected(self) -> bool:
         return is_weakly_connected(self.vertices, (e[1:] for e in self.edges))
 

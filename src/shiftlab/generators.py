@@ -29,7 +29,7 @@ class SequencePrefix:
     alphabet: Alphabet
     data: str  # one code char per letter
     provenance: str
-    recurrent: bool | None = None
+    recurrent: bool | None = None  # read by nothing
 
     def __post_init__(self):
         if not self.data:
@@ -47,9 +47,8 @@ class SequencePrefix:
         alphabet: Alphabet,
         tokens: str | Sequence[str],
         provenance: str = "tokens",
-        recurrent: bool | None = None,
     ) -> "SequencePrefix":
-        return cls(alphabet, alphabet.word(tokens).data, provenance, recurrent)
+        return cls(alphabet, alphabet.word(tokens).data, provenance)
 
     def __len__(self) -> int:
         return len(self.data)
@@ -161,7 +160,6 @@ def iet_encode(spec: IETSpec, length: int) -> tuple[SequencePrefix, KeaneDiagnos
         "".join(letters),
         f"iet d={spec.d} lengths={[str(x) for x in spec.lengths]} "
         f"pi={list(spec.permutation)} z={spec.start} N={length}",
-        recurrent=True,
     )
     return prefix, diag
 
@@ -219,7 +217,6 @@ def substitution_fixed_point(spec: SubstitutionSpec, length: int) -> SequencePre
         spec.alphabet,
         s[:length],
         f"substitution {rules_desc} seed={spec.seed} N={length}",
-        recurrent=True,
     )
 
 
@@ -273,12 +270,7 @@ def rotation_coding(
     for _ in range(length):
         letters.append("1" if r >= threshold else "0")
         r = (r + p) % q
-    return SequencePrefix(
-        zo,
-        "".join(letters),
-        f"rotation alpha={alpha} N={length}",
-        recurrent=True,
-    )
+    return SequencePrefix(zo, "".join(letters), f"rotation alpha={alpha} N={length}")
 
 
 # -- prefix -> oracle -------------------------------------------------------
@@ -294,7 +286,16 @@ def oracle_from_prefix(x: SequencePrefix, horizon: int) -> LanguageOracle:
     Windows are sliced only at the horizon.  Every shorter window is the
     one-letter-shorter prefix of the window one longer starting at the
     same place, except the final one, so level ``n`` is derived from
-    level ``n + 1`` plus ``data[N - n:]``.
+    level ``n + 1`` plus ``data[N - n:]``.  Both truncations of a window
+    are windows, so the levels are factor-closed by construction.
+
+    The prefix must hold every alphabet symbol, and each window of length
+    ``m = horizon - 2`` or less must occur with a letter on each side.
+    Only the first and the last window of a length can lack such an
+    occurrence, and when the first (last) window of some length lacks
+    one, so does the first (last) window of every greater length: two
+    searches at length ``m`` decide every length.  A prefix failing either
+    raises :class:`PreconditionFailure` naming its length and the horizon.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -305,6 +306,21 @@ def oracle_from_prefix(x: SequencePrefix, horizon: int) -> LanguageOracle:
         )
     data = x.data
     N = len(data)
+    label = f"prefix N={N} H={horizon} of [{x.provenance}]"
+    for code in x.alphabet.codes:
+        if code not in data:
+            raise PreconditionFailure(
+                f"{label}: symbol {x.alphabet.token(code)!r} never occurs"
+            )
+    m = horizon - 2
+    if m > 0:
+        for end, window in (("first", data[:m]), ("last", data[N - m :])):
+            if data.find(window, 1, N - 1) < 0:
+                raise PreconditionFailure(
+                    f"{label}: the {end} {m} letters never occur with a letter "
+                    f"on each side, so length {m} is not extendable; use a "
+                    "longer prefix or a smaller horizon"
+                )
     levels = {
         horizon: frozenset({data[i : i + horizon] for i in range(N - horizon + 1)})
     }
@@ -312,13 +328,7 @@ def oracle_from_prefix(x: SequencePrefix, horizon: int) -> LanguageOracle:
         level = {w[:-1] for w in levels[n + 1]}
         level.add(data[N - n :])
         levels[n] = frozenset(level)
-    return LanguageOracle(
-        x.alphabet,
-        levels,
-        horizon,
-        f"prefix N={len(x)} H={horizon} of [{x.provenance}]",
-        recurrent=x.recurrent,
-    )
+    return LanguageOracle(x.alphabet, levels, horizon, label)
 
 
 # -- file ingestion ----------------------------------------------------------
@@ -345,7 +355,7 @@ def read_sequence_file(path: str | Path) -> SequencePrefix:
     if not tokens:
         raise ValueError(f"{path}: no sequence data")
     data = _from_file(path, "".join, map(alphabet.code, tokens))
-    return SequencePrefix(alphabet, data, f"file {path}", recurrent=None)
+    return SequencePrefix(alphabet, data, f"file {path}")
 
 
 def _rational(path: str | Path, key: str, value: object) -> Fraction:

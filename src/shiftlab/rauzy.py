@@ -121,8 +121,8 @@ def build_special_rauzy(oracle: LanguageOracle, n: int) -> SpecialRauzyGraph:
     Each step of a walk probes which code extends the current word among
     the factors of length ``n + 1``.  The current word is a suffix of such
     a factor, so factor closure makes it a factor; it is not special, so
-    extendability (checked at construction) gives it exactly one right
-    extension.
+    extendability (guaranteed by the oracle's builder) gives it exactly one
+    right extension.
 
     Raises with a partial-result message if a branchless walk escapes the
     horizon before reaching a special word.

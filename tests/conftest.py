@@ -84,5 +84,5 @@ def iet3_oracle(iet3_prefix):
 def periodic01_oracle(zo):
     from shiftlab.generators import SequencePrefix
 
-    x = SequencePrefix.from_tokens(zo, "01" * 40, "(01)^inf prefix", recurrent=True)
+    x = SequencePrefix.from_tokens(zo, "01" * 40, "(01)^inf prefix")
     return oracle_from_prefix(x, 8)

@@ -51,6 +51,8 @@ EVOLVE_REFERENCE = "tests/test_rauzy.py::TestEvolveMatchesReference"
 EXITWORDS = "shiftlab/exitwords.py"
 LAYOUTS = "tests/test_exitword_layouts.py"
 OVERLAP_NAIVE = "tests/test_exitwords.py::TestOverlapScanMatchesNaive"
+PREFIX = "shiftlab/generators.py"
+PREFIX_REFUSAL = "tests/test_factor_engine.py::TestPrefixRefusal"
 
 MUTANTS = (
     Mutant(
@@ -127,6 +129,34 @@ MUTANTS = (
         "len(self.codes) ** self.n",
         "len(self.codes) ** (self.n - 1)",
         (FULL_SHIFT,),
+    ),
+    Mutant(
+        "prefix extendability: the search starts at the first letter",
+        PREFIX,
+        "data.find(window, 1, N - 1)",
+        "data.find(window, 0, N - 1)",
+        (PREFIX_REFUSAL,),
+    ),
+    Mutant(
+        "prefix extendability: the search may reach the last letter",
+        PREFIX,
+        "data.find(window, 1, N - 1)",
+        "data.find(window, 1, N)",
+        (PREFIX_REFUSAL,),
+    ),
+    Mutant(
+        "prefix extendability: only the first end is checked",
+        PREFIX,
+        '(("first", data[:m]), ("last", data[N - m :]))',
+        '(("first", data[:m]),)',
+        (PREFIX_REFUSAL,),
+    ),
+    Mutant(
+        "prefix extendability: the length checked is horizon - 3",
+        PREFIX,
+        "    m = horizon - 2\n",
+        "    m = horizon - 3\n",
+        (PREFIX_REFUSAL,),
     ),
     Mutant(
         "follow step: the key reads the letter after the first one",

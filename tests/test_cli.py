@@ -222,6 +222,30 @@ class TestAnalyze:
             main([flag])
         assert exc.value.code == 0
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--substitution", "{tmp}/tm.json", "--horizon", "50", "--length", "200"],
+             "error: prefix N=200 H=50 of [substitution 0->01,1->10 seed=0 N=200]: "
+             "the last 48 letters never occur with a letter on each side"),
+            (["--iet", str(BENCH_INPUTS / "iet3.json"), "--horizon", "400"],
+             "error: prefix N=2000 H=400 of [iet d=3 "),
+            (["--seq", "{tmp}/abc.txt", "--horizon", "3"],
+             "error: prefix N=12 H=3 of [file {tmp}/abc.txt]: symbol 'c' never occurs"),
+        ],
+        ids=["thue-morse", "iet3", "unused-symbol"],
+    )
+    def test_prefix_refused_as_bad_input(self, capsys, tmp_path, argv, message):
+        (tmp_path / "tm.json").write_text(
+            '{"alphabet": ["0", "1"], "rules": {"0": "01", "1": "10"}, "seed": "0"}'
+        )
+        (tmp_path / "abc.txt").write_text("alphabet: a,b,c\na b a b b a b a a b a b\n")
+        code = main(["analyze", *(a.format(tmp=tmp_path) for a in argv)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(message.format(tmp=tmp_path)) and err.count("\n") == 1
+        assert "internal error" not in err
+
     def test_invariant_violation_exits_three(self, capsys, monkeypatch, fib_spec):
         def broken(args):
             raise InvariantViolation("count identity failed")

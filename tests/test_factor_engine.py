@@ -1,21 +1,24 @@
 """The factor-set engine against a naive reference.
 
 ``oracle_from_prefix`` slices windows only at the horizon and derives the
-shorter levels; ``extension_counts`` counts extensions in one pass over
-the level above.  The growth-sum identity ``sum(|ext| - 1) == p(n+1) - p(n)``
-is asserted here on both; it holds by construction, so ``growth_profile``
-no longer checks it at run time.  The reference here slices every window at every length
-and reads extension counts off ``extensions`` (and, at the top length,
-where ``extensions`` needs a longer horizon, off direct membership).
+shorter levels, and decides extendability with two string searches;
+``extension_counts`` counts extensions in one pass over the level above.
+The growth-sum identity ``sum(|ext| - 1) == p(n+1) - p(n)`` is asserted
+here on both; it holds by construction, so ``growth_profile`` no longer
+checks it at run time.  The reference here slices every window at every
+length, reads extension counts off ``extensions`` (and, at the top
+length, where ``extensions`` needs a longer horizon, off direct
+membership), and refuses the windows by the check in ``factor_language``.
 """
 
 from dataclasses import replace
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
+from factor_language import check_factor_language
 from shiftlab import rauzy
-from shiftlab.errors import InvariantViolation
+from shiftlab.errors import InvariantViolation, PreconditionFailure
 from shiftlab.generators import (
     SequencePrefix,
     SubstitutionSpec,
@@ -49,15 +52,25 @@ def naive_counts(oracle: LanguageOracle, n: int, side: str) -> dict[str, int]:
 
 
 def assert_matches_reference(x: SequencePrefix, horizon: int) -> None:
+    """``oracle_from_prefix`` refuses exactly when the reference check
+    refuses the windows, for the same reason; otherwise its levels are the
+    windows."""
     levels = naive_levels(x.data, horizon)
+    # windows are factor-closed: both truncations of a window are windows
+    for n in range(2, horizon + 1):
+        assert all(w[1:] in levels[n - 1] and w[:-1] in levels[n - 1] for w in levels[n])
+    ref = LanguageOracle(x.alphabet, levels, horizon, "reference")
     try:
-        ref = LanguageOracle(x.alphabet, levels, horizon, "reference")
+        check_factor_language(ref)
     except InvariantViolation as exc:
-        event("constructor refuses the windows")
-        # the derived levels must fail the constructor's checks the same way
-        with pytest.raises(InvariantViolation) as got:
+        event("the windows are refused")
+        with pytest.raises(PreconditionFailure) as got:
             oracle_from_prefix(x, horizon)
-        assert str(got.value) == str(exc)
+        # a missing symbol is named as the reference names it
+        reason = str(exc).removeprefix("alphabet ").removesuffix(" as a factor")
+        if "never occurs" not in reason:
+            reason = "is not extendable"
+        assert reason in str(got.value)
         return
     oracle = oracle_from_prefix(x, horizon)
     for n in range(1, horizon + 1):
@@ -138,6 +151,38 @@ class TestAgainstNaiveReference:
         assert_matches_reference(fibonacci_prefix(4 * horizon), horizon)
 
 
+@st.composite
+def short_prefixes(draw):
+    """Prefixes at most six letters longer than ``4 * horizon``, whose
+    first or last ``horizon - 2`` letters often do not recur."""
+    horizon = draw(st.integers(3, 8))
+    length = draw(st.integers(4 * horizon, 4 * horizon + 6))
+    symbols = draw(st.sampled_from(["01", "012"]))
+    tokens = draw(st.text(alphabet=symbols, min_size=length, max_size=length))
+    return SequencePrefix.from_tokens(Alphabet(tuple(symbols)), tokens, "raw"), horizon
+
+
+def zo_prefix(tokens: str) -> SequencePrefix:
+    return SequencePrefix.from_tokens(Alphabet(("0", "1")), tokens)
+
+
+class TestPrefixRefusal:
+    """``oracle_from_prefix`` refuses a prefix exactly when the reference
+    check refuses its windows."""
+
+    @given(short_prefixes())
+    # the first letter occurs only at the start; ... and at the very end
+    @example((zo_prefix("100000000000"), 3))
+    @example((zo_prefix("100000000001"), 3))
+    # the last letter occurs only at the end
+    @example((zo_prefix("000000000001"), 3))
+    # length 2 is not extendable, length 1 is
+    @example((zo_prefix("0100000000000000"), 4))
+    @settings(max_examples=300, deadline=None)
+    def test_random_short_prefixes(self, case):
+        assert_matches_reference(*case)
+
+
 # -- the checks still fire --------------------------------------------------
 
 
@@ -157,12 +202,6 @@ def corrupt_counts(monkeypatch, oracle, side):
 
 
 class TestChecksFire:
-    def test_counts_reject_a_closure_gap(self, ab):
-        levels = {1: frozenset({"0", "1"}), 2: frozenset({"00", "01", "10", "21"})}
-        oracle = LanguageOracle(ab, levels, 2, "gap", _skip_checks=True)
-        with pytest.raises(InvariantViolation, match="factor closure"):
-            oracle.extension_counts(1, "right")
-
     @pytest.mark.parametrize("side,what", [("left", "in-degree"), ("right", "out-degree")])
     def test_special_graph_degrees(self, monkeypatch, fib12, side, what):
         g = rauzy.build_special_rauzy(fib12, 5)

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from conftest import IET4_SPEC
+from factor_language import check_factor_language
 from regular_bispecial import is_regular_bispecial
 from shiftlab.errors import (
     AlphabetMismatch,
@@ -38,12 +39,16 @@ from shiftlab.words import CODE_CHARS, Alphabet, Word, valid_steps
 
 
 def explicit_oracle(alphabet, factors):
-    """An oracle on the given factor sets, by length, as token strings."""
+    """An oracle on the given factor sets, by length, as token strings,
+    checked to be a factor language."""
     levels = {n: frozenset(alphabet.word(t).data for t in ws) for n, ws in factors.items()}
-    return LanguageOracle(alphabet, levels, max(levels), "explicit")
+    return check_factor_language(LanguageOracle(alphabet, levels, max(levels), "explicit"))
 
 
 class TestOracleInvariants:
+    """The reference check refuses hand-built levels; a prefix that lacks a
+    symbol is refused by ``oracle_from_prefix`` as bad input."""
+
     def test_factor_closure_violation(self, ab):
         factors = {1: ["a", "b"], 2: ["ab"], 3: ["bab"]}
         with pytest.raises(InvariantViolation, match="closure"):
@@ -51,8 +56,9 @@ class TestOracleInvariants:
 
     def test_missing_alphabet_letter(self, ab):
         x = SequencePrefix.from_tokens(ab, "a" * 40, "constant")
-        with pytest.raises(InvariantViolation, match="never occurs"):
+        with pytest.raises(PreconditionFailure) as err:
             oracle_from_prefix(x, 4)
+        assert str(err.value) == "prefix N=40 H=4 of [constant]: symbol 'b' never occurs"
 
     def test_extendability_violation(self, ab):
         # level 4 offers no word with middle 'ba', so 'ba' cannot be
@@ -382,13 +388,10 @@ def reference_full_shift(alphabet: Alphabet, horizon: int) -> LanguageOracle:
     for n in range(1, horizon + 1):
         level = [w + c for w in level for c in codes]
         levels[n] = frozenset(level)
-    return LanguageOracle(
-        alphabet,
-        levels,
-        horizon,
-        f"full shift on {','.join(alphabet.symbols)}",
-        recurrent=True,
-        _skip_checks=True,
+    return check_factor_language(
+        LanguageOracle(
+            alphabet, levels, horizon, f"full shift on {','.join(alphabet.symbols)}"
+        )
     )
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import IET3_SPEC, IET4_SPEC
+from factor_language import check_factor_language
 from regular_bispecial import is_regular_bispecial
 from shiftlab._graphutil import is_strongly_connected, is_weakly_connected
 from shiftlab.abstract_graphs import apply_rbs
@@ -53,7 +54,7 @@ def one_ones_oracle(zo):
         | {zo.word("0" * n).data}
         for n in range(1, H + 1)
     }
-    return LanguageOracle(zo, levels, H, "at most one 1", recurrent=False)
+    return check_factor_language(LanguageOracle(zo, levels, H, "at most one 1"))
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +73,7 @@ def split_union_oracle():
         for d in {fib.data[i : i + n] for i in range(len(fib.data) - n + 1)}:
             words.add(alphabet.word([fib.alphabet.token(c) for c in d]).data)
         levels[n] = frozenset(words)
-    return LanguageOracle(alphabet, levels, H, "0^inf + fibonacci", recurrent=False)
+    return check_factor_language(LanguageOracle(alphabet, levels, H, "0^inf + fibonacci"))
 
 
 class TestFactorGraph:
