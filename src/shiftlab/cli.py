@@ -247,7 +247,9 @@ def cmd_density(args: argparse.Namespace) -> int:
                 ladder.append(Word(oracle.alphabet, specials[0]))
         candidates = {"self": prefix}
         for item in args.candidate or ():
-            label, _, path = item.partition("=")
+            label, eq, path = item.partition("=")
+            if not (eq and label and path):
+                raise ValueError(f"--candidate {item!r}: expected LABEL=FILE")
             candidate = read_sequence_file(path)
             if candidate.alphabet != oracle.alphabet:
                 raise ValueError(

@@ -125,6 +125,8 @@ def special_density_floor(
 ) -> FloorReport:
     """Check that some side-special word of length ``n`` has block
     density estimate at least ``1/K`` (minus the stated tolerance)."""
+    if n < 1:
+        raise ValueError("length must be >= 1")
     per = periodicity_check(oracle)
     if per.periodic_within_horizon:
         raise PreconditionFailure(

@@ -10,10 +10,13 @@ and behave irrationally at any horizon this package can afford.
 from __future__ import annotations
 
 import json
+import struct
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -276,6 +279,33 @@ def rotation_coding(
 # -- prefix -> oracle -------------------------------------------------------
 
 
+# windows per struct record in _windows: a fixed count keeps the compiled
+# format a few kilobytes long, however long the prefix
+_RECORD = 64
+
+
+def _windows(data: str, n: int) -> frozenset[str]:
+    """The distinct length-``n`` windows of ``data``, whose letters are
+    one ASCII byte each.
+
+    For each start offset ``s < n`` the windows at ``s, s + n, s + 2n,
+    ...`` tile the encoded data, so a struct of ``_RECORD`` fields of
+    ``n`` bytes unpacks them in C, one record at a time; the fewer than
+    ``_RECORD`` left over after the last whole record are sliced.  Each
+    distinct window is decoded once.
+    """
+    raw = data.encode("ascii")
+    view = memoryview(raw)
+    record = struct.Struct(f"{n}s" * _RECORD)
+    found: set[bytes] = set()
+    for s in range(n):
+        count = (len(raw) - s) // n
+        end = s + count // _RECORD * record.size
+        found.update(chain.from_iterable(record.iter_unpack(view[s:end])))
+        found.update([raw[i : i + n] for i in range(end, s + count * n, n)])
+    return frozenset(map(bytes.decode, found))
+
+
 def oracle_from_prefix(x: SequencePrefix, horizon: int) -> LanguageOracle:
     """Oracle whose factor sets are exactly the window contents of ``x``.
 
@@ -283,11 +313,12 @@ def oracle_from_prefix(x: SequencePrefix, horizon: int) -> LanguageOracle:
     computations downstream are honestly witnessed away from the prefix
     boundary.
 
-    Windows are sliced only at the horizon.  Every shorter window is the
-    one-letter-shorter prefix of the window one longer starting at the
-    same place, except the final one, so level ``n`` is derived from
-    level ``n + 1`` plus ``data[N - n:]``.  Both truncations of a window
-    are windows, so the levels are factor-closed by construction.
+    Windows are cut only at the horizon, by :func:`_windows`.  Every
+    shorter window is the one-letter-shorter prefix of the window one
+    longer starting at the same place, except the final one, so level
+    ``n`` is derived from level ``n + 1`` plus ``data[N - n:]``.  Both
+    truncations of a window are windows, so the levels are factor-closed
+    by construction.
 
     The prefix must hold every alphabet symbol, and each window of length
     ``m = horizon - 2`` or less must occur with a letter on each side.
@@ -321,11 +352,10 @@ def oracle_from_prefix(x: SequencePrefix, horizon: int) -> LanguageOracle:
                     f"on each side, so length {m} is not extendable; use a "
                     "longer prefix or a smaller horizon"
                 )
-    levels = {
-        horizon: frozenset({data[i : i + horizon] for i in range(N - horizon + 1)})
-    }
+    levels = {horizon: _windows(data, horizon)}
+    truncate = itemgetter(slice(None, -1))
     for n in range(horizon - 1, 0, -1):
-        level = {w[:-1] for w in levels[n + 1]}
+        level = set(map(truncate, levels[n + 1]))
         level.add(data[N - n :])
         levels[n] = frozenset(level)
     return LanguageOracle(x.alphabet, levels, horizon, label)

@@ -53,6 +53,11 @@ LAYOUTS = "tests/test_exitword_layouts.py"
 OVERLAP_NAIVE = "tests/test_exitwords.py::TestOverlapScanMatchesNaive"
 PREFIX = "shiftlab/generators.py"
 PREFIX_REFUSAL = "tests/test_factor_engine.py::TestPrefixRefusal"
+WINDOWS = (
+    "tests/test_factor_engine.py::TestWindows::test_matches_naive_levels",
+    "tests/test_factor_engine.py::TestAgainstNaiveReference",
+)
+WINDOWS_MEMORY = "tests/test_factor_engine.py::TestWindows::test_compiled_format_not_retained"
 
 MUTANTS = (
     Mutant(
@@ -157,6 +162,36 @@ MUTANTS = (
         "    m = horizon - 2\n",
         "    m = horizon - 3\n",
         (PREFIX_REFUSAL,),
+    ),
+    Mutant(
+        "prefix windows: the last start offset skipped",
+        PREFIX,
+        "    for s in range(n):\n",
+        "    for s in range(n - 1):\n",
+        WINDOWS,
+    ),
+    Mutant(
+        "prefix windows: the windows after the last whole record dropped",
+        PREFIX,
+        "        found.update([raw[i : i + n] for i in range(end, s + count * n, n)])\n",
+        "",
+        WINDOWS,
+    ),
+    Mutant(
+        "prefix windows: end one record short",
+        PREFIX,
+        "end = s + count // _RECORD * record.size",
+        "end = s + (count // _RECORD - 1) * record.size",
+        WINDOWS,
+    ),
+    Mutant(
+        "prefix windows: one format string per offset",
+        PREFIX,
+        "        end = s + count // _RECORD * record.size\n"
+        "        found.update(chain.from_iterable(record.iter_unpack(view[s:end])))\n"
+        "        found.update([raw[i : i + n] for i in range(end, s + count * n, n)])\n",
+        "        found.update(struct.unpack(f\"{n}s\" * count, view[s : s + count * n]))\n",
+        (WINDOWS_MEMORY,),
     ),
     Mutant(
         "follow step: the key reads the letter after the first one",

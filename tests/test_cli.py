@@ -402,6 +402,25 @@ class TestDensity:
         ) in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("value", ["foo", "=seq.txt", "foo="])
+    def test_candidate_without_label_or_path_exits_one(self, capsys, fib_spec, value):
+        code = main(
+            ["density", "--substitution", fib_spec, "--horizon", "16",
+             "--length", "2000", "--n", "4", "--color", "--candidate", value]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: --candidate {value!r}: expected LABEL=FILE\n"
+
+    @pytest.mark.parametrize("section", ["--special", "--window-check", "--color"])
+    def test_zero_length_exits_one(self, capsys, fib_spec, section):
+        code = main(
+            ["density", "--substitution", fib_spec, "--horizon", "16",
+             "--length", "2000", "--n", "0", section]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: length must be >= 1\n"
+
 
 ITINERARY_KEYS = ("graphs", "colorings", "partitions", "moves", "events")
 

@@ -11,6 +11,8 @@ length, where ``extensions`` needs a longer horizon, off direct
 membership), and refuses the windows by the check in ``factor_language``.
 """
 
+import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -20,15 +22,17 @@ from factor_language import check_factor_language
 from shiftlab import rauzy
 from shiftlab.errors import InvariantViolation, PreconditionFailure
 from shiftlab.generators import (
+    _RECORD,
     SequencePrefix,
     SubstitutionSpec,
+    _windows,
     fibonacci_prefix,
     oracle_from_prefix,
     rotation_coding,
     substitution_fixed_point,
 )
 from shiftlab.language import SIDES, LanguageOracle, extensions, growth_profile
-from shiftlab.words import Alphabet, Word
+from shiftlab.words import CODE_CHARS, Alphabet, Word
 
 
 def naive_levels(data: str, horizon: int) -> dict[int, frozenset[str]]:
@@ -149,6 +153,47 @@ class TestAgainstNaiveReference:
     @pytest.mark.parametrize("horizon", [1, 2, 3, 10])
     def test_shortest_fibonacci_prefix(self, horizon):
         assert_matches_reference(fibonacci_prefix(4 * horizon), horizon)
+
+
+@st.composite
+def window_cases(draw):
+    """A window length ``n`` and data of ``n`` to ``3 * _RECORD * n``
+    codes, often at a record boundary, over 1, 2, 3 or all 62 codes."""
+    n = draw(st.integers(1, 12))
+    record = _RECORD * n
+    length = draw(
+        st.one_of(
+            st.sampled_from([record - 1, record, record + n - 1, n]),
+            st.integers(n, 3 * record),
+        )
+    )
+    codes = CODE_CHARS[: draw(st.sampled_from([1, 2, 3, len(CODE_CHARS)]))]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return "".join(rng.choices(codes, k=length)), n
+
+
+class TestWindows:
+    """``_windows`` unpacks fixed-width records of the encoded data."""
+
+    @given(window_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_naive_levels(self, case):
+        data, n = case
+        assert _windows(data, n) == naive_levels(data, n)[n]
+
+    def test_compiled_format_not_retained(self):
+        # a format of one field per window would be compiled and kept by
+        # struct's cache, megabytes for a long prefix at a small horizon
+        x = fibonacci_prefix(200_000)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            oracle = oracle_from_prefix(x, 2)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert oracle.factor_strings(2) == {"00", "01", "10"}
+        assert retained < 1 << 20, retained
 
 
 @st.composite
