@@ -173,6 +173,8 @@ def check_loop(graph: AbstractGraph, loop: Loop) -> None:
     verts = loop_vertices(graph, loop)
     if len(set(verts)) != len(verts):
         raise PreconditionFailure("loop is not vertex self-avoiding")
+    if len({graph.vertices[w] for w in verts}) != 2:
+        raise PreconditionFailure("a loop needs a left and a right vertex")
 
 
 def loops_vertex_disjoint(graph: AbstractGraph, loops: Sequence[Loop]) -> bool:
@@ -480,8 +482,10 @@ class LoopQuotient:
     merging each loop's left (resp. right) vertices into one.
 
     The count identity ``edges - vertices == K - 2E`` holds by
-    construction and is asserted; being connected forces
-    ``E <= (K+1)/2``.
+    construction: a loop has as many edges as vertices and merges into
+    exactly two, once :func:`check_loop` has refused a loop without a left
+    and a right vertex and :func:`build_xi` a vertex that carries a merged
+    name.  Being connected forces ``E <= (K+1)/2``.
     """
 
     vertices: tuple[str, ...]
@@ -523,21 +527,18 @@ def build_xi(
         for w in loop_vertices(current, track[lab]):
             side = "l" if current.vertices[w] == "left" else "r"
             merge[w] = f"{lab}_{side}"
-    vertices = sorted(
-        {merge.get(w, w) for w in current.vertices} | set(merge.values())
-    )
+    clash = sorted(set(merge.values()) & (current.vertices.keys() - merge.keys()))
+    if clash:
+        raise PreconditionFailure(
+            f"vertex {clash[0]!r} has the name of a merged loop vertex"
+        )
+    vertices = sorted({merge.get(w, w) for w in current.vertices})
     edges = tuple(
         (eid, merge.get(s, s), merge.get(d, d))
         for eid, (s, d) in sorted(current.edges.items())
         if eid not in loop_edge_ids
     )
-    xi = LoopQuotient(tuple(vertices), edges, graph.K, len(labels))
-    if len(xi.edges) - len(xi.vertices) != graph.K - 2 * len(labels):
-        raise InvariantViolation(
-            f"count identity failed: {len(xi.edges)} - {len(xi.vertices)} != "
-            f"{graph.K} - 2*{len(labels)}"
-        )
-    return xi
+    return LoopQuotient(tuple(vertices), edges, graph.K, len(labels))
 
 
 @dataclass(frozen=True)

@@ -214,6 +214,8 @@ def cmd_density(args: argparse.Namespace) -> int:
     prefix, oracle = _load_oracle(args)
     from .language import growth_profile
 
+    if args.k is not None and args.k < 1:
+        raise ValueError(f"--k must be >= 1, got {args.k}")
     profile = growth_profile(oracle)
     K = profile.K if args.k is None else args.k
     if K is None:
@@ -240,6 +242,7 @@ def cmd_density(args: argparse.Namespace) -> int:
         from .words import Word
 
         side = args.side or "left"
+        oracle.require_length(args.n + 2, "color ladder")
         ladder = []
         for m in range(args.n, min(args.n + 8, oracle.horizon - 2) + 1):
             specials = sorted(oracle.special_strings(m, side))

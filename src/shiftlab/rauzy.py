@@ -19,9 +19,7 @@ from .language import (
     SIDES,
     LanguageOracle,
     _witness_letters,
-    growth_profile,
     check_rbc,
-    periodicity_check,
 )
 from .words import Word
 
@@ -39,7 +37,6 @@ class RauzyGraph:
     edges: tuple[str, ...]  # sorted code strings, length n+1
     left_special: frozenset[str]
     right_special: frozenset[str]
-    alphabet_symbols: tuple[str, ...]
 
 
 def build_rauzy(oracle: LanguageOracle, n: int) -> RauzyGraph:
@@ -50,7 +47,6 @@ def build_rauzy(oracle: LanguageOracle, n: int) -> RauzyGraph:
         tuple(sorted(oracle.factor_strings(n + 1))),
         oracle.special_strings(n, "left"),
         oracle.special_strings(n, "right"),
-        oracle.alphabet.symbols,
     )
 
 
@@ -122,7 +118,13 @@ def build_special_rauzy(oracle: LanguageOracle, n: int) -> SpecialRauzyGraph:
     the factors of length ``n + 1``.  The current word is a suffix of such
     a factor, so factor closure makes it a factor; it is not special, so
     extendability (guaranteed by the oracle's builder) gives it exactly one
-    right extension.
+    right extension.  Walking back is deterministic in the same way, so each
+    left extension of a left vertex ends one walk, and so does the one left
+    extension of a right-only vertex.  Hence a left vertex has one in-edge
+    per left extension and one out-edge, a right vertex one in-edge and one
+    out-edge per right extension; a bispecial's internal edge is the
+    out-edge of its left vertex and the in-edge of its right one.  A walk
+    may end where it started: a non-recurrent language can have self-loops.
 
     Raises with a partial-result message if a branchless walk escapes the
     horizon before reaching a special word.
@@ -159,35 +161,7 @@ def build_special_rauzy(oracle: LanguageOracle, n: int) -> SpecialRauzyGraph:
         SpecialEdge(f"e{i:0{width}d}", src, dst, path)
         for i, (src, dst, path) in enumerate(raw_edges)
     )
-    g = SpecialRauzyGraph(n, tuple(vertices), edges, lefts, rights)
-    _assert_special_graph_invariants(oracle, g)
-    return g
-
-
-def _assert_special_graph_invariants(
-    oracle: LanguageOracle, g: SpecialRauzyGraph
-) -> None:
-    left = oracle.extension_counts(g.n, "left")
-    right = oracle.extension_counts(g.n, "right")
-    for v in g.vertices:
-        word, side = v
-        in_deg, out_deg = len(g.in_edges(v)), len(g.out_edges(v))
-        if side == "left":
-            if in_deg != left[word]:
-                raise InvariantViolation(f"in-degree mismatch at {v}")
-            if out_deg != 1:
-                raise InvariantViolation(f"left vertex {v} must have one out-edge")
-        else:
-            if out_deg != right[word]:
-                raise InvariantViolation(f"out-degree mismatch at {v}")
-            if in_deg != 1:
-                raise InvariantViolation(f"right vertex {v} must have one in-edge")
-    loops = [e for e in g.edges if e.src == e.dst]
-    if loops and not periodicity_check(oracle).periodic_within_horizon:
-        raise InvariantViolation(
-            f"self-loop {loops[0]} in the special graph of an "
-            "aperiodic-within-horizon oracle"
-        )
+    return SpecialRauzyGraph(n, tuple(vertices), edges, lefts, rights)
 
 
 # -- evolution -------------------------------------------------------------
@@ -214,8 +188,6 @@ class EvolutionStep:
     edge_map: dict[str, str]
     rbs_events: list[Word]
     profile_preserved: bool
-    length_bound_from_n: bool | None  # n' <= K*n + C, using the call's n
-    length_bound_from_tilde: bool | None  # n' <= K*n_tilde + C
 
 
 def _identification(
@@ -274,12 +246,14 @@ def evolve(oracle: LanguageOracle, n: int) -> EvolutionStep:
     An edge is identified by its source vertex and, when the source is a
     right vertex, the first letter after the source word.  Between
     bispecial lengths every special word has one special extension with
-    the same extensions, so each edge keeps that identity; ``evolve``
-    checks that it also keeps its target on every skipped length.  The
-    rewrite at a bispecial ``w`` is replayed as abstract moves, in both
-    orders of simultaneous rewrites, and each replayed edge must land on
-    the edge of the directly built target graph with its identity.  The
-    rewrite's witnesses ``a_hat`` and ``b_hat`` come from the grouping
+    the same extensions, so each edge keeps that identity and its target:
+    ``evolve`` follows the edges from ``n`` straight to ``n_tilde``.  The
+    rewrite at a bispecial ``w`` is replayed as abstract moves, and each
+    replayed edge must land on the edge of the directly built target graph
+    with its identity.  The rewrite at ``w`` moves edge ends only at
+    ``w``'s two vertices, so one replay in ascending order of the
+    bispecials ends where any other order would.
+    The rewrite's witnesses ``a_hat`` and ``b_hat`` come from the grouping
     :func:`check_rbc` decides regularity with.
     """
     from .abstract_graphs import apply_rbs  # local import; no cycle at module load
@@ -305,15 +279,14 @@ def evolve(oracle: LanguageOracle, n: int) -> EvolutionStep:
         )
     before = build_special_rauzy(oracle, n)
     after = build_special_rauzy(oracle, n_prime)
-    # the graph must not change on the skipped lengths
     tilde_graph, before_to_tilde = before, {e.eid: e.eid for e in before.edges}
-    for m in range(n + 1, n_tilde + 1):
-        tilde_graph = build_special_rauzy(oracle, m)
-        to_m = _identification(oracle, n, m)
+    if n_tilde > n:
+        tilde_graph = build_special_rauzy(oracle, n_tilde)
+        to_tilde = _identification(oracle, n, n_tilde)
         before_to_tilde = _follow(
-            ((e.eid, to_m[e.src], e.path[n], to_m[e.dst]) for e in before.edges),
+            ((e.eid, to_tilde[e.src], e.path[n], to_tilde[e.dst]) for e in before.edges),
             tilde_graph,
-            f"special graph changed at skipped length {m}",
+            f"special graph changed between lengths {n} and {n_tilde}",
         )
     vertex_map = _identification(oracle, n, n_prime)
     bis = sorted(
@@ -327,7 +300,7 @@ def evolve(oracle: LanguageOracle, n: int) -> EvolutionStep:
     # and b_hat are w's regularity witnesses; edge ids survive rewrites
     good_b, good_a = _witness_letters(oracle, n_tilde)
     letters = {e.eid: e.path[n_tilde : n_tilde + 1] for e in tilde_graph.edges}
-    moves = []
+    sim = _to_abstract(tilde_graph)
     for data in bis:
         (a_hat,), (b_hat,) = good_a[data], good_b[data]
         (internal,) = tilde_graph.out_edges((data, "left"))
@@ -341,35 +314,23 @@ def evolve(oracle: LanguageOracle, n: int) -> EvolutionStep:
             for e in tilde_graph.out_edges((data, "right"))
             if e.path.startswith(data + b_hat)
         )
-        moves.append((internal.eid, chosen_in, chosen_out))
+        sim = apply_rbs(sim, internal.eid, chosen_in, chosen_out)
         letters[internal.eid] = b_hat  # reversed, it leaves a_hat w by b_hat
 
-    # replay the rewrites as abstract moves, both orders, and follow every
-    # replayed edge into the directly built target graph
+    # follow every replayed edge into the directly built target graph
     ident_to_prime = _identification(oracle, n_tilde, n_prime)
-    for order in (moves, moves[::-1]):
-        sim = _to_abstract(tilde_graph)
-        for move in order:
-            sim = apply_rbs(sim, *move)
-        tilde_to_after = _follow(
-            (
-                (eid, ident_to_prime[_name_vertex(s)], letters[eid],
-                 ident_to_prime[_name_vertex(d)])
-                for eid, (s, d) in sim.edges.items()
-            ),
-            after,
-            "abstract replay of the rewrites disagrees with the directly "
-            "built target graph",
-        )
+    tilde_to_after = _follow(
+        (
+            (eid, ident_to_prime[_name_vertex(s)], letters[eid],
+             ident_to_prime[_name_vertex(d)])
+            for eid, (s, d) in sim.edges.items()
+        ),
+        after,
+        "abstract replay of the rewrites disagrees with the directly "
+        "built target graph",
+    )
 
     edge_map = {eid: tilde_to_after[t] for eid, t in before_to_tilde.items()}
-    profile_preserved = before.type_profile() == after.type_profile()
-    gp = growth_profile(oracle)
-    b_from_n = b_from_tilde = None
-    if gp.K is not None and gp.constant_at(n):
-        C = gp.p[oracle.horizon] - gp.K * oracle.horizon
-        b_from_n = n_prime <= gp.K * n + C
-        b_from_tilde = n_prime <= gp.K * n_tilde + C
     return EvolutionStep(
         n,
         n_tilde,
@@ -379,9 +340,7 @@ def evolve(oracle: LanguageOracle, n: int) -> EvolutionStep:
         vertex_map,
         edge_map,
         rbs_events,
-        profile_preserved,
-        b_from_n,
-        b_from_tilde,
+        before.type_profile() == after.type_profile(),
     )
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import AlphabetMismatch, InvalidStep, InvariantViolation
+from .errors import AlphabetMismatch, InvalidStep
 
 if TYPE_CHECKING:  # pragma: no cover
     from .language import LanguageOracle
@@ -221,36 +221,14 @@ def periodic_power(w: Word, q: int, r: int) -> Word:
 
 @dataclass(frozen=True)
 class StepCertificate:
-    """A verified step for a word.
-
-    ``kind`` is ``"language-valid"`` when the doubled power is a factor,
-    or ``"shift-match-only"`` when only the overlap equation holds (a
-    diagnostic case never returned by :func:`valid_steps` itself).
-    """
+    """A step ``q`` of ``word`` whose doubled power is a factor."""
 
     word: Word
     q: int
-    kind: str
-
-    def __post_init__(self):
-        n = len(self.word)
-        if not (1 <= self.q <= n // 2):
-            raise InvariantViolation(f"certificate step {self.q} outside [1, {n // 2}]")
-        if not shift_match(self.word, self.q):
-            raise InvariantViolation("certificate step fails the shift match")
-        if self.kind not in ("language-valid", "shift-match-only"):
-            raise InvariantViolation(f"unknown certificate kind {self.kind!r}")
 
 
-def valid_steps(
-    w: Word, oracle: "LanguageOracle", include_shift_only: bool = False
-) -> list[StepCertificate]:
-    """All steps ``q`` in ``[1, n//2]`` whose doubled power is a factor.
-
-    With ``include_shift_only`` the result also carries, flagged, the
-    steps that satisfy the overlap equation but whose doubled power is
-    not in the language.
-    """
+def valid_steps(w: Word, oracle: "LanguageOracle") -> list[StepCertificate]:
+    """All steps ``q`` in ``[1, n//2]`` whose doubled power is a factor."""
     if w.alphabet != oracle.alphabet:
         raise AlphabetMismatch("word and oracle use different alphabets")
     d = w.data
@@ -262,9 +240,7 @@ def valid_steps(
             continue
         # the doubled power periodic_power(w, q, 2), built on the code string
         if periodic_stretch(w, q, 1, n + q) in oracle.factor_strings(n + q):
-            out.append(StepCertificate(w, q, "language-valid"))
-        elif include_shift_only:
-            out.append(StepCertificate(w, q, "shift-match-only"))
+            out.append(StepCertificate(w, q))
     return out
 
 

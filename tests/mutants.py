@@ -212,7 +212,32 @@ MUTANTS = (
         RAUZY,
         "if f is None or f.dst != dst:",
         "if f is None:",
-        ("tests/test_factor_engine.py::TestChecksFire::test_evolve_sees_a_skipped_length_change",),
+        ("tests/test_factor_engine.py::TestChecksFire::"
+         "test_evolve_sees_a_target_change_after_the_rewrites",),
+    ),
+    Mutant(
+        "replay: the last rewrite dropped",
+        RAUZY,
+        "        sim = apply_rbs(sim, internal.eid, chosen_in, chosen_out)\n",
+        "        if data != bis[-1]:\n"
+        "            sim = apply_rbs(sim, internal.eid, chosen_in, chosen_out)\n",
+        (EVOLVE_REFERENCE,),
+    ),
+    Mutant(
+        "loops: a loop of one vertex kind accepted",
+        GRAPHS,
+        "    if len({graph.vertices[w] for w in verts}) != 2:\n",
+        "    if not verts:\n",
+        ("tests/test_cli.py::TestAbstractAndXi::"
+         "test_malformed_graph_file_exits_one_without_traceback[one-kind-loop]",),
+    ),
+    Mutant(
+        "quotient: a vertex named like a merged loop vertex accepted",
+        GRAPHS,
+        "    if clash:\n",
+        "    if False:\n",
+        ("tests/test_cli.py::TestAbstractAndXi::"
+         "test_malformed_graph_file_exits_one_without_traceback[merged-name-taken]",),
     ),
     Mutant(
         "witness letters: the two slices swapped",

@@ -293,6 +293,15 @@ class TestRauzy:
         code = main(["rauzy", "--substitution", fib_spec, "--horizon", "6", "--n", "10"])
         assert code == 2
 
+    def test_self_loop_of_a_non_recurrent_prefix(self, capsys, tmp_path):
+        # the right-special 1001 returns to itself by 001, and the tail 1^200
+        # never recurs, so the special graph at n=4 has a self-loop
+        seq = tmp_path / "tail.txt"
+        seq.write_text("alphabet: 0,1\n" + " ".join("001" * 60 + "1" * 200) + "\n")
+        code, out = run(capsys, ["rauzy", "--seq", str(seq), "--horizon", "20", "--n", "4"])
+        assert code == 0
+        assert json.loads(out)["special_graph"] == {"vertices": 2, "edges": 3}
+
 
 class TestEvolve:
     def test_event_lengths(self, capsys, fib_spec):
@@ -312,7 +321,7 @@ class TestEvolve:
         [
             (["analyze", "--n", "0"], "error: length must be >= 1"),
             (["density", "--n", "3", "--k", "0", "--special"],
-             "error: growth is not constant 0 at length 3"),
+             "error: --k must be >= 1, got 0"),
             (["evolve", "--n", "2", "--n-max", "0"], None),
         ],
         ids=["analyze-n", "density-k", "evolve-n-max"],
@@ -412,6 +421,24 @@ class TestDensity:
         assert code == 1
         assert err == f"error: --candidate {value!r}: expected LABEL=FILE\n"
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_nonpositive_k_exits_one(self, capsys, k):
+        code = main(
+            ["density", "--substitution", str(BENCH_INPUTS / "fib.json"), "--horizon", "24",
+             "--length", "5000", "--n", "3", "--window-check", "--k", k]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --k must be >= 1, got {k}\n"
+
+    def test_color_ladder_beyond_the_horizon_exits_two(self, capsys, fib_spec):
+        code = main(
+            ["density", "--substitution", fib_spec, "--horizon", "24", "--n", "30", "--color"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: color ladder needs factors of length 32, horizon is 24\n"
+        )
+
     @pytest.mark.parametrize("section", ["--special", "--window-check", "--color"])
     def test_zero_length_exits_one(self, capsys, fib_spec, section):
         code = main(
@@ -465,9 +492,19 @@ class TestAbstractAndXi:
             ({**TWO_CYCLE, "loops": {"1": ["a", "zz"]}}, "loop edge 'zz' is not an edge"),
             ({**TWO_CYCLE, "loops": ["a", "b"]}, "'loops' must map labels"),
             ({**TWO_CYCLE, "coloring": []}, "coloring 'vertices' must be an object"),
+            (
+                {"vertices": {"u1": "left", "u2": "left"},
+                 "edges": {"a": ["u1", "u2"], "b": ["u2", "u1"]}, "loops": {"1": ["a", "b"]}},
+                "error: a loop needs a left and a right vertex",
+            ),
+            (
+                {**TWO_CYCLE, "vertices": {**TWO_CYCLE["vertices"], "1_l": "right"},
+                 "loops": {"1": ["a", "b"]}},
+                "error: vertex '1_l' has the name of a merged loop vertex",
+            ),
         ],
         ids=["no-vertices", "edge-list", "one-endpoint", "unknown-loop-edge",
-             "loops-list", "coloring-list"],
+             "loops-list", "coloring-list", "one-kind-loop", "merged-name-taken"],
     )
     def test_malformed_graph_file_exits_one_without_traceback(self, tmp_path, obj, message):
         bad = tmp_path / "bad_graph.json"

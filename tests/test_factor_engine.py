@@ -236,40 +236,36 @@ def fib12():
     return oracle_from_prefix(fibonacci_prefix(2000), 12)
 
 
-def corrupt_counts(monkeypatch, oracle, side):
-    """Make ``extension_counts`` on ``side`` overcount every word by one."""
-    honest = oracle.extension_counts
+def trade_targets(monkeypatch, length):
+    """Make ``build_special_rauzy`` at ``length`` trade the targets of two
+    edges with distinct sources and targets, keeping every degree."""
+    honest = rauzy.build_special_rauzy
 
-    def counts(n, s):
-        return {d: c + (s == side) for d, c in honest(n, s).items()}
+    def swapped(oracle, n):
+        g = honest(oracle, n)
+        if n != length:
+            return g
+        e1 = g.edges[0]
+        e2 = next(e for e in g.edges if e.src != e1.src and e.dst != e1.dst)
+        trade = {e1.eid: e2.dst, e2.eid: e1.dst}
+        edges = tuple(replace(e, dst=trade.get(e.eid, e.dst)) for e in g.edges)
+        return replace(g, edges=edges)
 
-    monkeypatch.setattr(oracle, "extension_counts", counts)
+    monkeypatch.setattr(rauzy, "build_special_rauzy", swapped)
 
 
 class TestChecksFire:
-    @pytest.mark.parametrize("side,what", [("left", "in-degree"), ("right", "out-degree")])
-    def test_special_graph_degrees(self, monkeypatch, fib12, side, what):
-        g = rauzy.build_special_rauzy(fib12, 5)
-        corrupt_counts(monkeypatch, fib12, side)
-        with pytest.raises(InvariantViolation, match=what):
-            rauzy._assert_special_graph_invariants(fib12, g)
+    # evolve(fib12, 4) follows the edges from length 4 to the bispecial
+    # length 6, then replays the rewrites into the graph at length 7
 
     def test_evolve_sees_a_skipped_length_change(self, monkeypatch, fib12):
-        # evolve(fib12, 4) skips length 5 on its way to the bispecial length
-        # 6; at length 5 two edges trade targets, keeping every degree
-        honest = rauzy.build_special_rauzy
-
-        def swapped(oracle, n):
-            g = honest(oracle, n)
-            if n != 5:
-                return g
-            e1 = g.edges[0]
-            e2 = next(e for e in g.edges if e.src != e1.src and e.dst != e1.dst)
-            trade = {e1.eid: e2.dst, e2.eid: e1.dst}
-            edges = tuple(replace(e, dst=trade.get(e.eid, e.dst)) for e in g.edges)
-            return replace(g, edges=edges)
-
         assert rauzy.evolve(fib12, 4).n_tilde == 6
-        monkeypatch.setattr(rauzy, "build_special_rauzy", swapped)
-        with pytest.raises(InvariantViolation, match="changed at skipped length 5"):
+        trade_targets(monkeypatch, 6)
+        with pytest.raises(InvariantViolation, match="changed between lengths 4 and 6"):
+            rauzy.evolve(fib12, 4)
+
+    def test_evolve_sees_a_target_change_after_the_rewrites(self, monkeypatch, fib12):
+        assert rauzy.evolve(fib12, 4).n_prime == 7
+        trade_targets(monkeypatch, 7)
+        with pytest.raises(InvariantViolation, match="abstract replay of the rewrites"):
             rauzy.evolve(fib12, 4)

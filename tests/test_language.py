@@ -480,8 +480,8 @@ class TestComputedFullShift:
                 break
             for data in map("".join, product(alphabet.codes, repeat=n)):
                 w = alphabet.word_from_codes(data)
-                steps = valid_steps(w, got, True)
-                assert steps == valid_steps(w, ref, True)
+                steps = valid_steps(w, got)
+                assert steps == valid_steps(w, ref)
                 for q in (c.q for c in steps):
                     report = enumerate_exit_words(w, q, got)
                     assert report == enumerate_exit_words(w, q, ref)

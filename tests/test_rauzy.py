@@ -4,13 +4,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, example, given, settings, strategies as st
 
 from conftest import IET3_SPEC, IET4_SPEC
 from factor_language import check_factor_language
 from regular_bispecial import is_regular_bispecial
 from shiftlab._graphutil import is_strongly_connected, is_weakly_connected
 from shiftlab.abstract_graphs import apply_rbs
-from shiftlab.errors import HorizonExceeded, InvariantViolation, PreconditionFailure
+from shiftlab.errors import (
+    HorizonExceeded,
+    InvariantViolation,
+    PreconditionFailure,
+    ShiftlabError,
+)
 from shiftlab.generators import (
     IETSpec,
     SequencePrefix,
@@ -31,7 +37,6 @@ from shiftlab.rauzy import (
     RauzyGraph,
     SpecialEdge,
     SpecialRauzyGraph,
-    _assert_special_graph_invariants,
     _identification,
     _name_vertex,
     _to_abstract,
@@ -251,7 +256,7 @@ def test_dot_outputs_are_deterministic(fib_oracle):
 
 def reference_special_rauzy(oracle, n):
     """The branching skeleton walked through a bulk right-extension map,
-    with a check at every step of the walk."""
+    with a check at every step of the walk and of every vertex degree."""
     oracle.require_length(n + 2, "special graph")
     lefts = oracle.special_strings(n, "left")
     rights = oracle.special_strings(n, "right")
@@ -293,7 +298,16 @@ def reference_special_rauzy(oracle, n):
         for i, (src, dst, path) in enumerate(raw_edges)
     )
     g = SpecialRauzyGraph(n, tuple(vertices), edges, lefts, rights)
-    _assert_special_graph_invariants(oracle, g)
+    left = oracle.extension_counts(n, "left")
+    right = oracle.extension_counts(n, "right")
+    for v in g.vertices:
+        word, side = v
+        in_deg, out_deg = len(g.in_edges(v)), len(g.out_edges(v))
+        if side == "left":
+            if (in_deg, out_deg) != (left[word], 1):
+                raise InvariantViolation(f"left vertex {v} has degrees {in_deg}, {out_deg}")
+        elif (in_deg, out_deg) != (1, right[word]):
+            raise InvariantViolation(f"right vertex {v} has degrees {in_deg}, {out_deg}")
     return g
 
 
@@ -405,15 +419,9 @@ def reference_evolve(oracle, n):
                 "built target graph"
             )
     edge_map = _match_edges(before, tilde_graph, after, sim, to_tilde, ident_to_prime)
-    gp = growth_profile(oracle)
-    b_from_n = b_from_tilde = None
-    if gp.K is not None and gp.constant_at(n):
-        C = gp.p[oracle.horizon] - gp.K * oracle.horizon
-        b_from_n = n_prime <= gp.K * n + C
-        b_from_tilde = n_prime <= gp.K * n_tilde + C
     return EvolutionStep(
         n, n_tilde, n_prime, before, after, vertex_map, edge_map, rbs_events,
-        before.type_profile() == after.type_profile(), b_from_n, b_from_tilde,
+        before.type_profile() == after.type_profile(),
     )
 
 
@@ -491,3 +499,52 @@ class TestEvolveMatchesReference:
     def test_explicit_oracles(self, one_ones_oracle, split_union_oracle, zo):
         for oracle in (one_ones_oracle, split_union_oracle, LanguageOracle.full_shift(zo, 8)):
             assert_evolve_matches_reference(oracle)
+
+
+# -- the skeleton layer raises InvariantViolation only for a bug ---------------
+
+
+def binary_prefix(tokens: str, provenance: str) -> SequencePrefix:
+    return SequencePrefix.from_tokens(Alphabet(("0", "1")), tokens, provenance)
+
+
+@st.composite
+def fuzz_prefixes(draw):
+    """Short binary prefixes of three families: a periodic run followed by
+    another (``p^a q^b``), random blocks from a small pool, and Bernoulli
+    draws.  Many of them are not recurrent within the horizon."""
+    horizon = draw(st.integers(6, 14))
+    family = draw(st.sampled_from(["periodic-then-periodic", "blocks", "bernoulli"]))
+    word = st.text(alphabet="01", min_size=1, max_size=4)
+    if family == "periodic-then-periodic":
+        p, q = draw(word), draw(word)
+        tokens = p * draw(st.integers(1, 200 // len(p))) + q * draw(st.integers(1, 200 // len(q)))
+    elif family == "blocks":
+        pool = draw(st.lists(st.text(alphabet="01", min_size=1, max_size=6), min_size=2, max_size=3))
+        tokens = "".join(draw(st.lists(st.sampled_from(pool), min_size=20, max_size=80)))
+    else:
+        tokens = draw(st.text(alphabet="01", min_size=4 * horizon, max_size=200))
+    return binary_prefix(tokens, family), horizon
+
+
+@given(fuzz_prefixes())
+# the special graph at n=4 has a self-loop at the right vertex 1001
+@example((binary_prefix("001" * 60 + "1" * 200, "(001)^60 1^200"), 20))
+@settings(max_examples=150, deadline=None)
+def test_accepted_prefix_never_trips_an_invariant(case):
+    """Every skeleton and every step of an accepted prefix is built or
+    refused as bad input (exit 1) or an exceeded horizon (exit 2)."""
+    x, horizon = case
+    try:
+        oracle = oracle_from_prefix(x, horizon)
+    except PreconditionFailure:
+        event("prefix refused")
+        return
+    for n in range(1, horizon - 1):
+        for call in (build_special_rauzy, evolve):
+            try:
+                call(oracle, n)
+                event(f"{call.__name__} built")
+            except ShiftlabError as exc:
+                assert not isinstance(exc, InvariantViolation), exc
+                event(f"{call.__name__} refused: {type(exc).__name__}")
