@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -46,6 +45,10 @@ class AbstractGraph:
     Nothing mutates ``vertices`` or ``edges`` after construction (rewrites
     build a new graph), so the adjacency index and the strong connectivity
     verdict are computed once, on first use, and serve every later query.
+    For the same reason a rewrite's result depends only on the graph and
+    the move, and :func:`apply_rbs` keeps each result in ``_rewrites``,
+    keyed by ``(e0, chosen_in, chosen_out)``: replaying a move costs a
+    lookup.
     """
 
     vertices: dict[str, str]  # name -> "left" | "right"
@@ -70,6 +73,10 @@ class AbstractGraph:
     @cached_property
     def _adjacency(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
         return arc_index((e, *self.edges[e]) for e in self.edge_list())
+
+    @cached_property
+    def _rewrites(self) -> dict[tuple[str, str, str], "AbstractGraph"]:
+        return {}
 
     def in_edges(self, v: str) -> list[str]:
         """Edge ids ending at ``v``, ascending."""
@@ -332,7 +339,15 @@ def apply_rbs(
     chosen in-edge ``v``'s only in-edge, and ``e0 = v->u`` takes their
     places among ``u``'s in-edges and ``v``'s out-edges, sorted again so
     that every list stays ascending by id.
+
+    The result is kept on ``graph`` (see :class:`AbstractGraph`), so the
+    same move on the same graph returns the same object; a refused move is
+    not kept and raises again.
     """
+    rewrites = graph._rewrites
+    key = (e0, chosen_in, chosen_out)
+    if key in rewrites:
+        return rewrites[key]
     u, v, moved = _rewire(graph, e0, chosen_in, chosen_out)
     result = AbstractGraph(dict(graph.vertices), {**graph.edges, **moved})
     outs, ins = (dict(index) for index in graph._adjacency)
@@ -341,6 +356,7 @@ def apply_rbs(
     outs[v] = sorted([e0, *(e for e in outs[v] if e != chosen_out)])
     object.__setattr__(result, "_adjacency", (outs, ins))
     object.__setattr__(result, "_strongly_connected", True)
+    rewrites[key] = result
     return result
 
 
@@ -449,20 +465,29 @@ def _track_move(
 ) -> tuple[str | None, str, AbstractGraph, Mapping[str, Loop]]:
     """One step of a move log over vertex-disjoint tracked loops.
 
-    Returns the label of the first loop (in label order) the move touches,
-    or ``None``, the move's kind relative to it, and the graph and loops
-    after the move.  A collapse is not applied: graph and loops come back
-    unchanged, and each caller decides what a collapse means to it.  The
-    caller checks the loops (:func:`_check_loops`) once, before its first
-    move: the rewrite keeps every degree and moves no edge of another loop,
-    so the loops stay disjoint circuits of the new graph.
+    Returns the label of the first loop (in label order) that holds the
+    move's edge ``e0``, or ``None``, the move's kind relative to it, and the
+    graph and loops after the move.  A collapse is not applied: graph and
+    loops come back unchanged, and each caller decides what a collapse
+    means to it.  The caller checks the loops (:func:`_check_loops`) once,
+    before its first move: the rewrite keeps every degree and moves no
+    edge of another loop, so the loops stay disjoint circuits of the new
+    graph.  As the loops are disjoint, no loop but the owner holds ``e0``'s
+    ends, so the move is classified against the owner alone; a move off
+    every loop is ``outside`` unless it touches a loop vertex.
     """
-    label, kind = None, OUTSIDE
-    for lab in sorted(loops):
-        kind = classify_move(graph, loops[lab], move)
-        if kind != OUTSIDE:
-            label = lab
-            break
+    if move.e0 not in graph.edges:
+        raise PreconditionFailure(f"unknown edge {move.e0}")
+    label = next((lab for lab in sorted(loops) if move.e0 in loops[lab].edges), None)
+    if label is not None:
+        kind = classify_move(graph, loops[label], move)
+    else:
+        loop_vs = {graph.edges[e][0] for lp in loops.values() for e in lp.edges}
+        if loop_vs.intersection(graph.edges[move.e0]):
+            raise PreconditionFailure(
+                "a bispecial edge touching a loop vertex must be a loop edge"
+            )
+        kind = OUTSIDE
     if kind == COLLAPSE:
         return label, kind, graph, loops
     graph_after = apply_rbs(graph, move.e0, move.chosen_in, move.chosen_out)
@@ -1171,18 +1196,19 @@ def random_graph_with_loops(
     sizes = [rng.choice([2, 2, 3, 3, 4]) for _ in range(E)]
     verts: dict[str, str] = {}
     edges: dict[str, tuple[str, str]] = {}
-    counter = itertools.count()
+    out_count: dict[str, int] = {}
+    in_count: dict[str, int] = {}
 
-    def add_path(*path: str) -> tuple[str, ...]:
-        eids = tuple(f"e{next(counter):03d}" for _ in path[1:])
-        edges.update(zip(eids, zip(path, path[1:])))
-        return eids
-
-    def pick(names: list[str], kind: str) -> str:
-        return rng.choice([w for w in names if verts[w] == kind])
+    def add(s: str, d: str) -> str:
+        eid = f"e{len(edges):03d}"
+        edges[eid] = (s, d)
+        out_count[s] = out_count.get(s, 0) + 1
+        in_count[d] = in_count.get(d, 0) + 1
+        return eid
 
     loops: dict[str, Loop] = {}
-    rings: list[list[str]] = []
+    # each loop's left and right vertices, in circuit order
+    rings: list[tuple[list[str], list[str]]] = []
     for li, size in enumerate(sizes, start=1):
         # a circuit needs at least one vertex of each kind
         kinds = ["left", "right"] + [
@@ -1191,31 +1217,37 @@ def random_graph_with_loops(
         rng.shuffle(kinds)
         names = [f"L{li}x{j}" for j in range(size)]
         verts.update(zip(names, kinds))
-        loops[str(li)] = Loop(add_path(*names, names[0]))
-        rings.append(names)
+        circuit = zip(names, names[1:] + names[:1])
+        loops[str(li)] = Loop(tuple([add(s, d) for s, d in circuit]))
+        rings.append((
+            [w for w, k in zip(names, kinds) if k == "left"],
+            [w for w, k in zip(names, kinds) if k == "right"],
+        ))
     extra = [f"w{j}" for j in range(rng.choice([0, 1, 1, 2, 2, 3]))]
     for w in extra:
         verts[w] = rng.choice(["left", "right"])
-    core = rings[0]
-    for names in rings[1:]:
-        add_path(pick(core, "right"), pick(names, "left"))
-        add_path(pick(names, "right"), pick(core, "left"))
-        core = core + names
+    core_lefts, core_rights = rings[0]
+    for ring_lefts, ring_rights in rings[1:]:
+        add(rng.choice(core_rights), rng.choice(ring_lefts))
+        add(rng.choice(ring_rights), rng.choice(core_lefts))
+        core_lefts, core_rights = core_lefts + ring_lefts, core_rights + ring_rights
     if extra:
-        add_path(pick(core, "right"), *extra, pick(core, "left"))
+        path = [rng.choice(core_rights), *extra, rng.choice(core_lefts)]
+        for s, d in zip(path, path[1:]):
+            add(s, d)
     lefts = sorted(w for w, k in verts.items() if k == "left")
     rights = sorted(w for w, k in verts.items() if k == "right")
-    out_count = Counter(s for s, _ in edges.values())
+    # each vertex's count is read before its own edges are added, and the
+    # edges of other vertices do not change it
     for v in rights:
-        for _ in range(2 - out_count[v]):
-            add_path(v, rng.choice(lefts))
-    in_count = Counter(d for _, d in edges.values())
+        for _ in range(2 - out_count.get(v, 0)):
+            add(v, rng.choice(lefts))
     for u in lefts:
-        for _ in range(2 - in_count[u]):
-            add_path(rng.choice(rights), u)
+        for _ in range(2 - in_count.get(u, 0)):
+            add(rng.choice(rights), u)
     # a few optional extra edges from rights to lefts
     for _ in range(rng.choice([0, 0, 1, 2])):
-        add_path(rng.choice(rights), rng.choice(lefts))
+        add(rng.choice(rights), rng.choice(lefts))
     graph = AbstractGraph(verts, edges)
     object.__setattr__(graph, "_strongly_connected", True)
     return graph, loops
@@ -1243,23 +1275,19 @@ def _first_tracked(
     graph: AbstractGraph,
     loops: Mapping[str, Loop],
     candidates: list[tuple[str | None, tuple[str, str, str]]],
-) -> Move | None:
-    """In random order, the first candidate that :func:`_track_move` would
-    apply without a collapse, decided without building a graph: by
-    :func:`_rewire` and, on a loop, by classification against that loop
-    alone (the loops are disjoint, and an off-loop ``e0`` at a loop vertex
-    is a second out-edge of a left or in-edge of a right vertex, which
-    :func:`_rewire` refuses as classification would)."""
+) -> tuple[Move, AbstractGraph, Mapping[str, Loop]] | None:
+    """In random order, the first candidate that :func:`_track_move`
+    applies without a collapse, with the graph and loops after it, or
+    ``None`` when there is none."""
     rng.shuffle(candidates)
-    for lab, ids in candidates:
+    for _, ids in candidates:
         mv = Move(*ids)
         try:
-            if lab is not None and classify_move(graph, loops[lab], mv) == COLLAPSE:
-                continue
-            _rewire(graph, *ids)
+            _, kind, graph_after, loops_after = _track_move(graph, loops, mv)
         except (InadmissibleMove, PreconditionFailure):
             continue
-        return mv
+        if kind != COLLAPSE:
+            return mv, graph_after, loops_after
     return None
 
 
@@ -1278,10 +1306,10 @@ def random_twist_shrink_log(
     out: list[Move] = []
     for _ in range(length):
         on_loop = [c for c in _candidate_moves(current, track) if c[0] is not None]
-        mv = _first_tracked(rng, current, track, on_loop)
-        if mv is None:
+        step = _first_tracked(rng, current, track, on_loop)
+        if step is None:
             break
-        _, _, current, track = _track_move(current, track, mv)
+        mv, current, track = step
         out.append(mv)
     return out
 
@@ -1292,7 +1320,8 @@ def random_abc_move(
     """A random admissible move of kind A, B or C for the instance, drawn
     uniformly, or ``None`` when there is none."""
     _check_loops(graph, loops)
-    return _first_tracked(rng, graph, loops, _candidate_moves(graph, loops))
+    step = _first_tracked(rng, graph, loops, _candidate_moves(graph, loops))
+    return None if step is None else step[0]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from pathlib import Path
 from . import __version__
 from .abstract_graphs import (
     abstract_dot,
-    bound_check,
     bound_report,
     coloring_from_json,
     graph_from_json,
@@ -220,6 +219,8 @@ def cmd_density(args: argparse.Namespace) -> int:
     K = profile.K if args.k is None else args.k
     if K is None:
         raise ValueError("growth is not constant within horizon; pass --k")
+    if K == 0 and (args.window_check or args.color):
+        raise ValueError("periodic language: the branching constant is undefined")
     payload: dict = {"K": K}
     if args.word:
         w = oracle.alphabet.word(args.word)
@@ -293,15 +294,17 @@ def cmd_abstract(args: argparse.Namespace) -> int:
             "K_right": rep.K_right,
         }
     }
+    # the bound's and the search's precondition; notation-8 concerns the
+    # given coloring, which neither uses
+    structural = [
+        x for x in rep.violations
+        if x.startswith("notation") and not x.startswith("notation-8")
+    ]
     if loops:
-        payload["bound"] = bound_check(g, loops).to_json()
+        # building the quotient still refuses malformed loops
+        xi = build_xi(g, loops)
+        payload["bound"] = None if structural else bound_report(xi).to_json()
     if args.search:
-        # the search's precondition; notation-8 concerns the given coloring,
-        # which the search does not use
-        structural = [
-            x for x in rep.violations
-            if x.startswith("notation") and not x.startswith("notation-8")
-        ]
         if structural:
             raise ValueError(f"graph invalid: {structural[0]}")
         res = search_colorings(g, args.search)

@@ -43,6 +43,8 @@ class Mutant:
 
 
 DERIVED_INDEX = "tests/test_rbs_admissibility.py::test_derived_index_matches_fresh_index"
+REWRITE_MEMO = "tests/test_rbs_admissibility.py::test_rewrite_memo_matches_fresh_graph"
+RANDOM_MOVES = "tests/test_random_moves.py"
 GRAPHS = "shiftlab/abstract_graphs.py"
 LANGUAGE = "shiftlab/language.py"
 FULL_SHIFT = "tests/test_language.py::TestComputedFullShift"
@@ -84,11 +86,10 @@ MUTANTS = (
     Mutant(
         "random moves: a collapse is accepted",
         GRAPHS,
-        "            if lab is not None and classify_move(graph, loops[lab], mv) == COLLAPSE:\n"
-        "                continue\n",
-        "            if lab is not None:\n"
-        "                classify_move(graph, loops[lab], mv)\n",
-        ("tests/test_random_moves.py::test_generators_match_old_first_tracked",),
+        "        if kind != COLLAPSE:\n"
+        "            return mv, graph_after, loops_after\n",
+        "        return mv, graph_after, loops_after\n",
+        (f"{RANDOM_MOVES}::test_generators_match_old_first_tracked",),
     ),
     Mutant(
         "local admissibility: the search runs from v to u",
@@ -107,9 +108,38 @@ MUTANTS = (
     Mutant(
         "random instances: an ear without its edge back to the core",
         GRAPHS,
-        "        add_path(pick(names, \"right\"), pick(core, \"left\"))\n",
+        "        add(rng.choice(ring_rights), rng.choice(core_lefts))\n",
         "",
         ("tests/test_abstract_graphs.py::TestRandomInstances::test_instances_valid_by_construction",),
+    ),
+    Mutant(
+        "random instances: edge ids counted from 1",
+        GRAPHS,
+        '        eid = f"e{len(edges):03d}"\n',
+        '        eid = f"e{len(edges) + 1:03d}"\n',
+        (f"{RANDOM_MOVES}::test_random_graph_matches_reference",),
+    ),
+    Mutant(
+        "rewrite memo: a key without chosen_out",
+        GRAPHS,
+        "    key = (e0, chosen_in, chosen_out)\n",
+        "    key = (e0, chosen_in)\n",
+        (REWRITE_MEMO,),
+    ),
+    Mutant(
+        "rewrite memo: the lookup swaps chosen_in and chosen_out",
+        GRAPHS,
+        "    if key in rewrites:\n        return rewrites[key]\n",
+        "    if (e0, chosen_out, chosen_in) in rewrites:\n"
+        "        return rewrites[e0, chosen_out, chosen_in]\n",
+        (REWRITE_MEMO,),
+    ),
+    Mutant(
+        "move tracking: an off-loop move at a loop vertex is not refused",
+        GRAPHS,
+        "        if loop_vs.intersection(graph.edges[move.e0]):\n",
+        "        if False:\n",
+        (f"{RANDOM_MOVES}::test_track_move_matches_label_order_reference",),
     ),
     Mutant(
         "full shift: membership ignores the length",

@@ -440,6 +440,16 @@ class TestDensity:
         )
 
     @pytest.mark.parametrize("section", ["--special", "--window-check", "--color"])
+    def test_periodic_language_exits_one(self, capsys, tmp_path, section):
+        seq = tmp_path / "periodic.txt"
+        seq.write_text("alphabet: 0,1\n" + " ".join("001" * 400) + "\n")
+        code = main(["density", "--seq", str(seq), "--horizon", "20", "--n", "3", section])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: periodic language: the branching constant is undefined\n"
+        )
+
+    @pytest.mark.parametrize("section", ["--special", "--window-check", "--color"])
     def test_zero_length_exits_one(self, capsys, fib_spec, section):
         code = main(
             ["density", "--substitution", fib_spec, "--horizon", "16",
@@ -513,6 +523,32 @@ class TestAbstractAndXi:
         assert proc.returncode == 1
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "obj,bounded",
+        [
+            # the README's two-vertex example breaks the degree rules
+            ({"graph": TWO_CYCLE,
+              "coloring": {"vertices": {"u": 1, "v": 1}, "edges": {"a": 1, "b": 1}},
+              "loops": {"1": ["a", "b"]}}, False),
+            # a notation-8 violation concerns the coloring alone
+            ({"graph": {**TWO_CYCLE, "edges": {**TWO_CYCLE["edges"], "c": ["v", "u"]}},
+              "coloring": {"vertices": {"u": 1}, "edges": {"a": 1}},
+              "loops": {"1": ["a", "b"]}}, True),
+        ],
+        ids=["degree", "coloring-only"],
+    )
+    def test_bound_needs_a_structurally_valid_graph(self, capsys, tmp_path, obj, bounded):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(obj))
+        code, out = run(capsys, ["abstract", "--graph", str(path)])
+        assert code == 0
+        report = json.loads(out)
+        assert report["validation"]["ok"] is False
+        if bounded:
+            assert report["bound"]["bound_satisfied"] is True
+        else:
+            assert report["bound"] is None
 
     @pytest.mark.parametrize(
         "graph,coloring,refusal",

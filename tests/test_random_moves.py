@@ -9,19 +9,30 @@ at least one vertex of each kind), and the A/B/C moves by classifying
 each on-loop move against its loop.  Each keeps only the moves that
 ``apply_rbs`` accepts.
 
-The generators decide each candidate by classification and ``_rewire``,
-without building a graph; ``old_first_tracked`` keeps the body that
-applied each candidate with ``_track_move``, and the generators must draw
-the same moves as the ones built on it, from the same random stream.
+The generators admit each candidate through ``_track_move`` and continue
+from the graph it builds.  ``old_first_tracked`` is that draw over lists
+of ``Move``; the generators must draw the same moves as the ones built on
+it, from the same random stream.  ``reference_track_move`` classifies a
+move against every loop in label order, and ``_track_move``, which asks
+only the loop that holds ``e0``, must agree with it.
+``reference_random_graph_with_loops`` builds each path of a random
+instance from a generator of edge ids and counts degrees with
+``Counter``; the one-pass generator must build the same instance from
+the same random calls.
 """
 
+import itertools
 import random
+from collections import Counter
 
 from shiftlab.abstract_graphs import (
     COLLAPSE,
+    OUTSIDE,
     SHRINK_U,
     SHRINK_V,
     TWIST,
+    AbstractGraph,
+    Loop,
     Move,
     apply_rbs,
     classify_move,
@@ -29,6 +40,7 @@ from shiftlab.abstract_graphs import (
     random_abc_move,
     random_graph_with_loops,
     random_twist_shrink_log,
+    shrink_loop,
 )
 from shiftlab.abstract_graphs import _candidate_moves, _check_loops, _track_move
 from shiftlab.errors import InadmissibleMove, PreconditionFailure
@@ -183,3 +195,131 @@ def test_generators_match_old_first_tracked():
             old, graph, loops, 6
         )
         assert new.getstate() == old.getstate()
+
+
+def reference_track_move(graph, loops, move):
+    label, kind = None, OUTSIDE
+    for lab in sorted(loops):
+        kind = classify_move(graph, loops[lab], move)
+        if kind != OUTSIDE:
+            label = lab
+            break
+    if kind == COLLAPSE:
+        return label, kind, graph, loops
+    graph_after = apply_rbs(graph, move.e0, move.chosen_in, move.chosen_out)
+    loops_after = dict(loops)
+    if kind in (SHRINK_U, SHRINK_V):
+        loops_after[label] = shrink_loop(loops[label], move)
+    return label, kind, graph_after, loops_after
+
+
+def tracked(fn, graph, loops, move):
+    try:
+        label, kind, graph_after, loops_after = fn(graph, loops, move)
+    except (InadmissibleMove, PreconditionFailure) as exc:
+        return type(exc).__name__, str(exc)
+    return label, kind, graph_after, {lab: lp.edges for lab, lp in loops_after.items()}
+
+
+def with_touching_edge(rng, graph, loops):
+    """The graph plus a bispecial edge ``x`` off the loops from a left loop
+    vertex, or into a right loop vertex."""
+    loop_vs = [w for lab in sorted(loops) for w in loop_vertices(graph, loops[lab])]
+    lefts = [w for w in graph.vertex_list() if graph.vertices[w] == "left"]
+    rights = [w for w in graph.vertex_list() if graph.vertices[w] == "right"]
+    if rng.random() < 0.5:
+        ends = (rng.choice([w for w in loop_vs if w in lefts]), rng.choice(rights))
+    else:
+        ends = (rng.choice(lefts), rng.choice([w for w in loop_vs if w in rights]))
+    return AbstractGraph(dict(graph.vertices), {**graph.edges, "x": ends})
+
+
+def test_track_move_matches_label_order_reference():
+    # every candidate move of every state of random twist/shrink logs, the
+    # same with no tracked loops, and every move on an extra edge that
+    # touches a loop vertex off the loops
+    rng = random.Random(1414)
+    seen = Counter()
+    for _ in range(300):
+        graph, track = random_graph_with_loops(rng)
+        for _ in range(4):
+            touching = with_touching_edge(rng, graph, track)
+            cases = [(graph, track, Move(*ids)) for _, ids in _candidate_moves(graph, track)]
+            cases += [(graph, {}, mv) for _, _, mv in cases]
+            cases += [(touching, track, Move(*ids))
+                      for _, ids in _candidate_moves(touching, track) if ids[0] == "x"]
+            cases.append((graph, track, Move("zz", "a", "b")))
+            for g, loops, mv in cases:
+                got = tracked(_track_move, g, loops, mv)
+                assert got == tracked(reference_track_move, g, loops, mv), mv
+                seen[got[1]] += 1  # the kind, or the refusal's message
+            log = random_twist_shrink_log(rng, graph, track, 1)
+            if not log:
+                break
+            _, _, graph, track = _track_move(graph, track, log[0])
+    assert min(seen[k] for k in (TWIST, SHRINK_U, SHRINK_V, COLLAPSE, OUTSIDE)) > 100
+    assert seen["a bispecial edge touching a loop vertex must be a loop edge"] > 500
+    assert seen["unknown edge zz"] > 500
+
+
+def reference_random_graph_with_loops(rng, n_loops=None):
+    E = n_loops if n_loops is not None else rng.choice([1, 1, 2, 2, 3])
+    sizes = [rng.choice([2, 2, 3, 3, 4]) for _ in range(E)]
+    verts = {}
+    edges = {}
+    counter = itertools.count()
+
+    def add_path(*path):
+        eids = tuple(f"e{next(counter):03d}" for _ in path[1:])
+        edges.update(zip(eids, zip(path, path[1:])))
+        return eids
+
+    def pick(names, kind):
+        return rng.choice([w for w in names if verts[w] == kind])
+
+    loops = {}
+    rings = []
+    for li, size in enumerate(sizes, start=1):
+        kinds = ["left", "right"] + [
+            rng.choice(["left", "right"]) for _ in range(size - 2)
+        ]
+        rng.shuffle(kinds)
+        names = [f"L{li}x{j}" for j in range(size)]
+        verts.update(zip(names, kinds))
+        loops[str(li)] = Loop(add_path(*names, names[0]))
+        rings.append(names)
+    extra = [f"w{j}" for j in range(rng.choice([0, 1, 1, 2, 2, 3]))]
+    for w in extra:
+        verts[w] = rng.choice(["left", "right"])
+    core = rings[0]
+    for names in rings[1:]:
+        add_path(pick(core, "right"), pick(names, "left"))
+        add_path(pick(names, "right"), pick(core, "left"))
+        core = core + names
+    if extra:
+        add_path(pick(core, "right"), *extra, pick(core, "left"))
+    lefts = sorted(w for w, k in verts.items() if k == "left")
+    rights = sorted(w for w, k in verts.items() if k == "right")
+    out_count = Counter(s for s, _ in edges.values())
+    for v in rights:
+        for _ in range(2 - out_count[v]):
+            add_path(v, rng.choice(lefts))
+    in_count = Counter(d for _, d in edges.values())
+    for u in lefts:
+        for _ in range(2 - in_count[u]):
+            add_path(rng.choice(rights), u)
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        add_path(rng.choice(rights), rng.choice(lefts))
+    return AbstractGraph(verts, edges), loops
+
+
+def test_random_graph_matches_reference():
+    for seed in range(2000):
+        for n_loops in (None, 1, 2, 3, 4):
+            new, old = random.Random(seed), random.Random(seed)
+            graph, loops = random_graph_with_loops(new, n_loops)
+            ref_graph, ref_loops = reference_random_graph_with_loops(old, n_loops)
+            assert list(graph.vertices.items()) == list(ref_graph.vertices.items())
+            assert list(graph.edges.items()) == list(ref_graph.edges.items())
+            assert loops == ref_loops
+            assert new.getstate() == old.getstate()

@@ -6,6 +6,10 @@ Where the bispecial edge is not its left end's only out-edge or its right
 end's only in-edge, ``apply_rbs`` refuses before the reference's checks;
 every other triple must give the same result edges, or the same exception
 class and message.
+
+``apply_rbs`` keeps each result on its parent graph.  The memo tests
+compare each call with the rewrite of a fresh copy of the graph, which
+has an empty memo, and check that a replayed log builds no graph.
 """
 
 import random
@@ -18,7 +22,10 @@ from shiftlab.abstract_graphs import (
     AbstractGraph,
     _candidate_moves,
     apply_rbs,
+    bound_check,
+    build_xi,
     random_graph_with_loops,
+    random_twist_shrink_log,
 )
 from shiftlab.errors import InadmissibleMove, PreconditionFailure
 
@@ -214,3 +221,65 @@ def test_derived_index_matches_fresh_index():
                 break
             graph = rng.choice(accepted)
     assert rewrites > 5000
+
+
+def fresh_copy(graph):
+    return AbstractGraph(dict(graph.vertices), dict(graph.edges))
+
+
+def test_rewrite_memo_matches_fresh_graph():
+    # every triple of random instances and of graphs derived from them, then
+    # every triple with its chosen edges swapped, so that a refused triple
+    # comes after the admitted one it mirrors
+    rng = random.Random(1618)
+    counts = {"ok": 0, "InadmissibleMove": 0, "PreconditionFailure": 0}
+    for _ in range(200):
+        graph, _ = random_graph_with_loops(rng)
+        for _ in range(3):
+            moves = list(triples(graph))
+            moves += [(e0, cout, cin) for e0, cin, cout in moves]
+            accepted = []
+            for ids in moves:
+                kind, got = outcome(apply_rbs, graph, *ids)
+                ref_kind, ref = outcome(apply_rbs, fresh_copy(graph), *ids)
+                assert kind == ref_kind, ids
+                if kind == "ok":
+                    assert got == ref and got._adjacency == ref._adjacency, ids
+                    assert apply_rbs(graph, *ids) is got
+                    accepted.append(got)
+                else:
+                    assert got == ref, ids
+                    assert outcome(apply_rbs, graph, *ids) == (kind, got)
+                    assert ids not in graph._rewrites
+                counts[kind] += 1
+            if not accepted:
+                break
+            graph = rng.choice(accepted)
+    assert counts["ok"] > 4000 and counts["InadmissibleMove"] > 4000
+    assert counts["PreconditionFailure"] > 20000
+
+
+def test_replayed_log_is_looked_up():
+    # build_xi and bound_check replay the drawn log from the rewrites kept
+    # on the original graph: they build no graph and agree with a replay
+    # on a fresh copy
+    built = []
+    original = AbstractGraph.__post_init__
+
+    def recording(self):
+        built.append(self)
+        original(self)
+
+    rng = random.Random(5772)
+    replayed = 0
+    for _ in range(200):
+        graph, loops = random_graph_with_loops(rng)
+        moves = random_twist_shrink_log(rng, graph, loops, rng.randint(0, 5))
+        with patch.object(AbstractGraph, "__post_init__", recording):
+            xi = build_xi(graph, loops, moves)
+            report = bound_check(graph, loops, moves)
+        assert built == []
+        assert xi == build_xi(fresh_copy(graph), loops, moves)
+        assert report == bound_check(fresh_copy(graph), loops, moves)
+        replayed += len(moves)
+    assert replayed > 400
