@@ -342,14 +342,19 @@ def apply_rbs(
 
     The result is kept on ``graph`` (see :class:`AbstractGraph`), so the
     same move on the same graph returns the same object; a refused move is
-    not kept and raises again.
+    not kept and raises again.  It is built without the endpoint and kind
+    check of ``AbstractGraph.__post_init__``, which cannot fail here: G'
+    has G's vertices with their kinds, and every moved edge end is ``u``
+    or ``v``.
     """
     rewrites = graph._rewrites
     key = (e0, chosen_in, chosen_out)
     if key in rewrites:
         return rewrites[key]
     u, v, moved = _rewire(graph, e0, chosen_in, chosen_out)
-    result = AbstractGraph(dict(graph.vertices), {**graph.edges, **moved})
+    result = object.__new__(AbstractGraph)
+    object.__setattr__(result, "vertices", dict(graph.vertices))
+    object.__setattr__(result, "edges", {**graph.edges, **moved})
     outs, ins = (dict(index) for index in graph._adjacency)
     outs[u], ins[v] = [chosen_out], [chosen_in]
     ins[u] = sorted([e0, *(e for e in ins[u] if e != chosen_in)])
@@ -430,8 +435,8 @@ def classify_move(graph: AbstractGraph, loop: Loop, move: Move) -> str:
     if move.e0 not in graph.edges:
         raise PreconditionFailure(f"unknown edge {move.e0}")
     u, v = graph.edges[move.e0]
-    lverts = loop_vertices(graph, loop)
     if move.e0 not in loop.edges:
+        lverts = loop_vertices(graph, loop)
         if u in lverts or v in lverts:
             raise PreconditionFailure(
                 "a bispecial edge touching a loop vertex must be a loop edge"
@@ -450,7 +455,7 @@ def classify_move(graph: AbstractGraph, loop: Loop, move: Move) -> str:
         raise PreconditionFailure("shrink is never allowed in a 2-loop")
     # choosing the loop's in-edge at u ejects u, choosing its out-edge at v ejects v
     side, kind = ("left", SHRINK_U) if in_on_loop else ("right", SHRINK_V)
-    if sum(1 for w in lverts if graph.vertices[w] == side) < 2:
+    if sum(1 for w in loop_vertices(graph, loop) if graph.vertices[w] == side) < 2:
         raise PreconditionFailure(f"cannot eject the loop's only {side} special vertex")
     return kind
 

@@ -219,7 +219,7 @@ def cmd_density(args: argparse.Namespace) -> int:
     K = profile.K if args.k is None else args.k
     if K is None:
         raise ValueError("growth is not constant within horizon; pass --k")
-    if K == 0 and (args.window_check or args.color):
+    if K == 0:
         raise ValueError("periodic language: the branching constant is undefined")
     payload: dict = {"K": K}
     if args.word:

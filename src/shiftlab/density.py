@@ -11,12 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain
+from operator import sub
 from typing import Mapping, Sequence
 
 from .errors import PreconditionFailure
 from .generators import SequencePrefix
 from .language import SIDES, LanguageOracle, Side, growth_profile, periodicity_check
-from .words import Word, occurrences
+from .words import Word, _require_same_alphabet, occurrences
 
 
 def block_count(x: SequencePrefix, n: int, K: int) -> int:
@@ -64,24 +66,24 @@ class BlockDensity:
 
 
 def density_estimate(w: Word, x: SequencePrefix, K: int) -> BlockDensity:
+    """Block hits of ``w``: one search per hit block, resumed at the start
+    of the next block."""
     n = len(w)
     N = block_count(x, n, K)
     if N < 4:
         raise PreconditionFailure(
             f"prefix too short: only {N} complete blocks, need at least 4"
         )
+    _require_same_alphabet(x, w)
     size = (K + 1) * n
+    data, needle = x.data, w.data
     flags = [0] * N
-    for k in occurrences(x, w)[1]:
-        j = (k - 1) // size  # 0-based block of start k ((j)(size) < k <= (j+1)(size))
-        if j < N:
-            flags[j] = 1
-    hits = []
-    acc = 0
-    for f in flags:
-        acc += f
-        hits.append(acc)
-    return BlockDensity(w, K, N, tuple(hits))
+    k = data.find(needle)  # 0-based, so block k // size
+    while 0 <= k < N * size:
+        j = k // size
+        flags[j] = 1
+        k = data.find(needle, (j + 1) * size)
+    return BlockDensity(w, K, N, tuple(accumulate(flags)))
 
 
 # -- special-word density floor ---------------------------------------------
@@ -183,16 +185,16 @@ def special_window_check(
     span = (K + 1) * n  # a window covers this many start positions
     for side in SIDES:
         starts = sorted(
-            k
-            for d in oracle.special_strings(n, side)
-            for k in occurrences(x, Word(oracle.alphabet, d))[1]
+            chain.from_iterable(
+                occurrences(x, Word(oracle.alphabet, d))[1]
+                for d in oracle.special_strings(n, side)
+            )
         )
-        prev = 0
         # the end sentinel is one past the last window's last start
-        for k in starts + [total + span]:
-            if k - prev > span:
-                return WindowCheckReport(n, K, total, False, (side, prev + 1))
-            prev = k
+        bounds = [0, *starts, total + span]
+        if max(map(sub, bounds[1:], bounds)) > span:
+            prev = next(a for a, b in zip(bounds, bounds[1:]) if b - a > span)
+            return WindowCheckReport(n, K, total, False, (side, prev + 1))
     return WindowCheckReport(n, K, total, True, None)
 
 

@@ -254,66 +254,53 @@ def classify_occurrence(
     q = minimal_step(w, oracle)
     if q is None:
         raise PreconditionFailure(f"{w} has no valid step")
-    return _classify_run(x, w, q, j, {})[0]
+    j1, j2 = _classify_run(x, w, q, j)
+    if j1 == 1:
+        return OccurrenceClassification(j, "suffix-of-power", r=ceil((j - 1) / q) + 1)
+    n = len(w)
+    z = Word(w.alphabet, x.data[j1 - 2 : j2 + n])
+    r = (j2 - j) // q + (j - j1) // q + 1
+    rep = _representation(z, n, q, (j - j1) % q + 1, r)
+    exit_word = ExitWord(z, w, q, (rep,), canonical=True)
+    return OccurrenceClassification(
+        j, "inside-exit-word", exit_word=exit_word, exit_start=j1 - 1
+    )
 
 
-def _classify_run(
-    x: SequencePrefix,
-    w: Word,
-    q: int,
-    j: int,
-    built: dict[tuple[str, int, int], ExitWord],
-) -> tuple[OccurrenceClassification, int]:
-    """Classify the occurrence of ``w`` at ``j`` with minimal step ``q``.
+def _classify_run(x: SequencePrefix, w: Word, q: int, j: int) -> tuple[int, int]:
+    """The run around the occurrence of ``w`` at ``j`` with minimal step
+    ``q``: the longest stretch of ``x`` with period ``q`` that holds it.
 
-    The run is the longest stretch of ``x`` with period ``q`` around the
-    occurrence.  From position 1 it is a suffix of the power; otherwise
-    the letters just outside it break the periodicity, so with them it is
-    the enclosing exit word.
-
-    Also returns the last start ``s`` of the same periodic run on the same
-    grid (``(s - j) % q == 0``, ``s <= j2``): every such start has the same left
-    break ``j1`` and the same right break, hence the same enclosing exit
-    word.  A suffix-of-power occurrence returns ``j`` itself.  A run
-    reaching the end of the prefix raises :class:`HorizonExceeded`, as
-    does every later start on its grid.  ``built`` caches the exit words
-    of one scan by ``(z data, p_len, r)``.
+    Returns ``(j1, j2)``: the run starts at ``j1``, and ``j2`` is the
+    largest ``k`` with ``x[j .. k+n-1]`` inside it.  With ``j1 == 1`` the
+    run is a suffix of the power and ``j2`` is ``j`` itself, unsearched.
+    Otherwise the letters just outside the run break the periodicity, so
+    with them it is the enclosing exit word ``x[j1 - 1 .. j2 + n]``; every
+    start of the run on ``j``'s grid has the same one.  A run reaching the
+    end of the prefix raises :class:`HorizonExceeded`, as does every later
+    start on its grid.
     """
     n = len(w)
     data = x.data
+    N = len(data)
     # extend the run leftward; the letter compared lies inside the run,
     # since q <= n/2
     j1 = j
     while j1 > 1 and data[j1 - 2] == data[j1 - 2 + q]:
         j1 -= 1
     if j1 == 1:
-        r = ceil((j - 1) / q) + 1
-        return OccurrenceClassification(j, "suffix-of-power", r=r), j
+        return 1, j
     # extend rightward: find the first break after the occurrence
     t = j + n  # next position to test, 1-based
-    while t <= len(data) and data[t - 1] == data[t - 1 - q]:
+    while t <= N and data[t - 1] == data[t - 1 - q]:
         t += 1
-    if t > len(data):
+    if t > N:
         raise HorizonExceeded(
             f"periodic match from position {j} runs to the end of the "
             "prefix; cannot resolve the enclosing exit word",
-            required=len(data) + 1,
+            required=N + 1,
         )
-    j2 = t - n  # the largest k with x[j .. k+n-1] inside the periodic word
-    grid_first = j - ((j - j1) // q) * q
-    r = (j2 - j) // q + (j - j1) // q + 1
-    z_data = data[j1 - 2 : j2 + n]
-    p_len = grid_first - j1 + 1
-    key = (z_data, p_len, r)
-    exit_word = built.get(key)
-    if exit_word is None:
-        z = Word(w.alphabet, z_data)
-        rep = _representation(z, n, q, p_len, r)
-        exit_word = built[key] = ExitWord(z, w, q, (rep,), canonical=True)
-    classification = OccurrenceClassification(
-        j, "inside-exit-word", exit_word=exit_word, exit_start=j1 - 1
-    )
-    return classification, j + ((j2 - j) // q) * q
+    return j1, t - n
 
 
 @dataclass(frozen=True)
@@ -344,17 +331,16 @@ def check_overlap_bound(
 
     One occurrence per periodic run and grid is classified; the later
     starts on its grid inherit its exit word (or its skip, when the run
-    reaches the end of the prefix), and each distinct exit word is built
-    once.  The bounds hold for every sequence, so a violation record would
-    falsify the implementation, not the input.
+    reaches the end of the prefix).  Each exit word is kept as its start,
+    length and repetition count.  The bounds hold for every sequence, so a
+    violation record would falsify the implementation, not the input.
     """
     q_min = minimal_step(w, oracle)
     if q_min != q:
         raise PreconditionFailure(f"q={q} is not the minimal step ({q_min})")
     n = len(w)
     _, starts = occurrences(x, w)
-    occ_exits: dict[int, ExitWord] = {}
-    built: dict[tuple[str, int, int], ExitWord] = {}
+    occ_exits: dict[int, tuple[int, int]] = {}  # exit start -> (|z|, r)
     # the last start on the grid of the run classified last, and whether
     # that run reaches the end of the prefix
     last, skip = 0, False
@@ -362,30 +348,30 @@ def check_overlap_bound(
     for j in starts:
         if j > last or (last - j) % q:
             try:
-                cls, last = _classify_run(x, w, q, j, built)
+                j1, j2 = _classify_run(x, w, q, j)
             except HorizonExceeded:
                 # every later start on its grid lies in the run as well
                 last, skip = j + (len(x.data) - j) // q * q, True
             else:
-                skip = False
-                if cls.case == "inside-exit-word":
-                    assert cls.exit_start is not None and cls.exit_word is not None
-                    occ_exits.setdefault(cls.exit_start, cls.exit_word)
+                last, skip = j + (j2 - j) // q * q, False
+                if j1 > 1:
+                    r = (j2 - j) // q + (j - j1) // q + 1
+                    occ_exits.setdefault(j1 - 1, (j2 + n - j1 + 2, r))
         if skip:
             skipped.append(j)
     ordered = sorted(occ_exits)
     pairs = []
     ok = True
     for i, i2 in zip(ordered, ordered[1:]):
-        z1, z2 = occ_exits[i], occ_exits[i2]
-        gap_ok = i2 >= i + len(z1.z) - n
+        (z1_len, r1), (z2_len, r2) = occ_exits[i], occ_exits[i2]
+        gap_ok = i2 >= i + z1_len - n
         # occurrences of w inside the union x[i .. end]
-        end = i2 + len(z2.z) - 1
+        end = i2 + z2_len - 1
         count = bisect_right(starts, end - n + 1) - bisect_left(starts, i)
-        required = z1.representations[0].r + z2.representations[0].r
+        required = r1 + r2
         count_ok = count >= required
         ok = ok and gap_ok and count_ok
         pairs.append(
-            OverlapRecord(i, i2, len(z1.z), gap_ok, count, required, count_ok)
+            OverlapRecord(i, i2, z1_len, gap_ok, count, required, count_ok)
         )
     return OverlapReport(w, q, tuple(pairs), ok, tuple(skipped))

@@ -121,11 +121,6 @@ class IntervalExchange:
             before = sum(lens[k] for k in range(d) if spec.permutation[k] < spec.permutation[j])
             self.offsets.append(before - self.breaks[j])
 
-    def interval_of(self, p: int) -> int:
-        """0-based index of the interval containing the scaled point: the
-        number of interior breakpoints at or below it."""
-        return bisect_right(self.breaks, p, 1, len(self.breaks) - 1) - 1
-
 
 @dataclass(frozen=True)
 class KeaneDiagnostic:
@@ -147,17 +142,19 @@ def iet_encode(spec: IETSpec, length: int) -> tuple[SequencePrefix, KeaneDiagnos
         raise ValueError("length must be >= 1")
     iet = IntervalExchange(spec)
     alphabet = Alphabet(tuple(str(j) for j in range(1, spec.d + 1)))
+    breaks, offsets, codes, d = iet.breaks, iet.offsets, alphabet.codes, spec.d
     p = int(spec.start * iet.scale)
     letters = []
     diag = KeaneDiagnostic(False)
     for i in range(length):
-        j = iet.interval_of(p)
+        # the 0-based interval of p: the interior breakpoints at or below it
+        j = bisect_right(breaks, p, 1, d) - 1
         # p lies in [breaks[j], breaks[j + 1]), so it is an interior
         # breakpoint iff j > 0 and p == breaks[j]
-        if j and p == iet.breaks[j] and not diag.violated:
+        if j and p == breaks[j] and not diag.violated:
             diag = KeaneDiagnostic(True, i, Fraction(p, iet.scale), j)
-        letters.append(alphabet.codes[j])
-        p += iet.offsets[j]
+        letters.append(codes[j])
+        p += offsets[j]
     prefix = SequencePrefix(
         alphabet,
         "".join(letters),
@@ -206,13 +203,13 @@ def substitution_fixed_point(spec: SubstitutionSpec, length: int) -> SequencePre
     """The length-``length`` prefix of the fixed point of the substitution."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    code_rules = {
+    table = str.maketrans({
         spec.alphabet.code(tok): "".join(spec.alphabet.code(t) for t in seq)
         for tok, seq in spec.rules.items()
-    }
+    })
     s = spec.alphabet.code(spec.seed)
     while len(s) < length:
-        s = "".join(code_rules[c] for c in s[:length])
+        s = s[:length].translate(table)
     rules_desc = ",".join(
         f"{tok}->{''.join(seq)}" for tok, seq in sorted(spec.rules.items())
     )

@@ -53,6 +53,8 @@ EVOLVE_REFERENCE = "tests/test_rauzy.py::TestEvolveMatchesReference"
 EXITWORDS = "shiftlab/exitwords.py"
 LAYOUTS = "tests/test_exitword_layouts.py"
 OVERLAP_NAIVE = "tests/test_exitwords.py::TestOverlapScanMatchesNaive"
+DENSITY = "shiftlab/density.py"
+BLOCK_HITS = "tests/test_density.py::TestBlockHitsMatchReference"
 PREFIX = "shiftlab/generators.py"
 PREFIX_REFUSAL = "tests/test_factor_engine.py::TestPrefixRefusal"
 WINDOWS = (
@@ -317,6 +319,27 @@ MUTANTS = (
         (f"{LAYOUTS}::test_classification_matches_reference",),
     ),
     Mutant(
+        "block hits: the block index read one letter late",
+        DENSITY,
+        "        j = k // size\n",
+        "        j = (k + 1) // size\n",
+        (BLOCK_HITS,),
+    ),
+    Mutant(
+        "block hits: the search resumes one block late",
+        DENSITY,
+        "k = data.find(needle, (j + 1) * size)",
+        "k = data.find(needle, (j + 2) * size)",
+        (BLOCK_HITS,),
+    ),
+    Mutant(
+        "window check: a gap of exactly one window's starts fails",
+        DENSITY,
+        "if max(map(sub, bounds[1:], bounds)) > span:",
+        "if max(map(sub, bounds[1:], bounds)) >= span:",
+        ("tests/test_density.py::TestWindowCheck::test_matches_rolling_reference",),
+    ),
+    Mutant(
         "decompose: the repetition count without the - 1",
         EXITWORDS,
         "r = (len(z) - p_len - n - 1) // q + 1",
@@ -324,10 +347,34 @@ MUTANTS = (
         (f"{LAYOUTS}::test_decompose_matches_reference",),
     ),
     Mutant(
-        "overlap scan: a memo key without the z data",
+        "overlap scan: the exit word one letter short",
         EXITWORDS,
-        "    key = (z_data, p_len, r)\n",
-        "    key = (p_len, r)\n",
+        "(j2 + n - j1 + 2, r)",
+        "(j2 + n - j1 + 1, r)",
+        (OVERLAP_NAIVE,),
+    ),
+    Mutant(
+        "overlap scan: the repetition count without its left part",
+        EXITWORDS,
+        "                    r = (j2 - j) // q + (j - j1) // q + 1\n",
+        "                    r = (j2 - j) // q + 1\n",
+        (OVERLAP_NAIVE,),
+        expect="equivalent",
+        reason="the scan classifies the first start of each run on its grid, "
+        "fewer than q letters after j1, so the left part is 0",
+    ),
+    Mutant(
+        "overlap scan: the repetition count one short",
+        EXITWORDS,
+        "                    r = (j2 - j) // q + (j - j1) // q + 1\n",
+        "                    r = (j2 - j) // q + (j - j1) // q\n",
+        (OVERLAP_NAIVE,),
+    ),
+    Mutant(
+        "overlap scan: the exit word starts at j1",
+        EXITWORDS,
+        "occ_exits.setdefault(j1 - 1, ",
+        "occ_exits.setdefault(j1, ",
         (OVERLAP_NAIVE,),
     ),
     Mutant(
@@ -344,16 +391,6 @@ MUTANTS = (
         "                last, skip = j + (len(x.data) - j) // q * q, False\n"
         "                skipped.append(j)\n",
         (OVERLAP_NAIVE,),
-    ),
-    Mutant(
-        "overlap scan: a memo key without p_len",
-        EXITWORDS,
-        "    key = (z_data, p_len, r)\n",
-        "    key = (z_data, r)\n",
-        (OVERLAP_NAIVE,),
-        expect="equivalent",
-        reason="the report holds no prefix length, and with q minimal z and r "
-        "fix it: two grids in one q-periodic run would make a smaller step valid",
     ),
     Mutant(
         "overlap scan: no grid test before reusing a run",

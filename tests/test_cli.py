@@ -439,7 +439,7 @@ class TestDensity:
             "error: color ladder needs factors of length 32, horizon is 24\n"
         )
 
-    @pytest.mark.parametrize("section", ["--special", "--window-check", "--color"])
+    @pytest.mark.parametrize("section", ["--special", "--window-check", "--color", "--word=001"])
     def test_periodic_language_exits_one(self, capsys, tmp_path, section):
         seq = tmp_path / "periodic.txt"
         seq.write_text("alphabet: 0,1\n" + " ".join("001" * 400) + "\n")

@@ -9,13 +9,14 @@ from hypothesis import given, settings, strategies as st
 from conftest import IET4_SPEC
 
 from shiftlab.density import (
+    BlockDensity,
     block_count,
     color_estimate,
     density_estimate,
     special_density_floor,
     special_window_check,
 )
-from shiftlab.errors import PreconditionFailure
+from shiftlab.errors import AlphabetMismatch, PreconditionFailure
 from shiftlab.generators import (
     SequencePrefix,
     fibonacci_prefix,
@@ -23,7 +24,7 @@ from shiftlab.generators import (
     oracle_from_prefix,
     rotation_coding,
 )
-from shiftlab.words import Alphabet, Word
+from shiftlab.words import Alphabet, Word, occurrences
 
 AB = Alphabet(("a", "b"))
 
@@ -71,6 +72,104 @@ class TestBlockIndicator:
             if fib_prefix.data[k - 1 : k - 1 + n] == w.data:
                 naive = 1
         assert block_flags(w, fib_prefix, K)[j - 1] == naive
+
+
+def ref_density_estimate(w, x, K):
+    """Reference: the block of every occurrence, one step each."""
+    n = len(w)
+    N = block_count(x, n, K)
+    if N < 4:
+        raise PreconditionFailure(
+            f"prefix too short: only {N} complete blocks, need at least 4"
+        )
+    size = (K + 1) * n
+    flags = [0] * N
+    for k in occurrences(x, w)[1]:
+        j = (k - 1) // size  # 0-based block of start k ((j)(size) < k <= (j+1)(size))
+        if j < N:
+            flags[j] = 1
+    hits = []
+    acc = 0
+    for f in flags:
+        acc += f
+        hits.append(acc)
+    return BlockDensity(w, K, N, tuple(hits))
+
+
+def outcome(fn, *args):
+    """A call's value, or its exception's type and message."""
+    try:
+        return "value", fn(*args)
+    except Exception as exc:  # the exception is the behaviour compared
+        return "raised", type(exc), str(exc)
+
+
+ALPHABETS = [AB, Alphabet(("a", "b", "c"))]
+
+
+def assert_hits_match(alphabet, data, w_data, K):
+    x = SequencePrefix(alphabet, data, "prefix")
+    w = Word(alphabet, w_data)
+    assert outcome(density_estimate, w, x, K) == outcome(ref_density_estimate, w, x, K)
+
+
+class TestBlockHitsMatchReference:
+    """``density_estimate`` searches once per hit block; the reference
+    places every occurrence in its block."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.sampled_from(ALPHABETS), st.integers(1, 6), st.integers(1, 3))
+    def test_random_prefixes(self, data, alphabet, n, K):
+        letters = alphabet.codes
+        text = data.draw(st.text(letters, min_size=1, max_size=400))
+        if len(text) >= n and data.draw(st.booleans()):
+            # a factor of the prefix: usually dense
+            k = data.draw(st.integers(0, len(text) - n))
+            w_data = text[k : k + n]
+        else:
+            w_data = data.draw(st.text(letters, min_size=n, max_size=n))
+        assert_hits_match(alphabet, text, w_data, K)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.data(), st.sampled_from(ALPHABETS), st.integers(1, 5), st.integers(1, 3),
+        st.integers(4, 12),
+    )
+    def test_start_just_past_the_last_block(self, data, alphabet, n, K, N):
+        # w starts at the first position after the N whole blocks, the
+        # first start that no block holds
+        size, letters = (K + 1) * n, alphabet.codes
+        w_data = data.draw(st.text(letters, min_size=n, max_size=n))
+        filler = data.draw(st.text(letters, min_size=N * size, max_size=N * size))
+        x = SequencePrefix(alphabet, filler + w_data, "prefix")
+        assert block_count(x, n, K) == N
+        assert_hits_match(alphabet, x.data, w_data, K)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(["fibonacci", "iet3"]), st.integers(200, 5000), st.integers(1, 14),
+        st.integers(1, 3), st.booleans(), st.integers(0, 10**6),
+    )
+    def test_sequence_prefixes(self, fib_prefix, iet3_prefix, source, length, n, K, dense, pick):
+        prefix = fib_prefix if source == "fibonacci" else iet3_prefix
+        data = prefix.data[:length]
+        if dense:
+            # the factor at a random position: drawn by frequency
+            k = pick % (length - n + 1)
+            w_data = data[k : k + n]
+        else:
+            # a distinct factor drawn uniformly, rare ones included
+            factors = sorted({data[k : k + n] for k in range(length - n + 1)})
+            w_data = factors[pick % len(factors)]
+        assert_hits_match(prefix.alphabet, data, w_data, K)
+
+
+    def test_word_over_another_alphabet(self, fib_prefix):
+        other = Alphabet(("b", "a"))
+        w = Word(other, other.codes)
+        got = outcome(density_estimate, w, fib_prefix, 1)
+        assert got == outcome(ref_density_estimate, w, fib_prefix, 1)
+        assert got[:2] == ("raised", AlphabetMismatch)
 
 
 class TestDensityEstimate:

@@ -28,7 +28,6 @@ from shiftlab.errors import (
 from shiftlab.exitwords import (
     ExitWord,
     EnumerationReport,
-    OccurrenceClassification,
     Representation,
     check_overlap_bound,
     classify_occurrence,
@@ -170,7 +169,7 @@ def ref_enumerate(w, q, oracle, cap=None):
     return EnumerationReport(w, q, cap, tuple(exit_words), partial, limit, within)
 
 
-def ref_classify_run(x, w, q, j, verified):
+def ref_classify_run(x, w, q, j):
     n = len(w)
     j1 = j
     while j1 > 1 and x.data[j1 - 2] == ref_letter(w, q, j1 - j):
@@ -179,7 +178,7 @@ def ref_classify_run(x, w, q, j, verified):
         r = ceil((j - 1) / q) + 1
         if not ref_power(w, q, r).data.endswith(x.data[: j + n - 1]):
             raise InvariantViolation("suffix-of-power case failed verification")
-        return OccurrenceClassification(j, "suffix-of-power", r=r), j
+        return 1, j
     t = j + n
     while t <= len(x.data) and x.data[t - 1] == ref_letter(w, q, t - j + 1):
         t += 1
@@ -190,21 +189,12 @@ def ref_classify_run(x, w, q, j, verified):
             required=len(x.data) + 1,
         )
     j2 = t - n
-    grid_first = j - ((j - j1) // q) * q
+    z = x.word(j1 - 1, j2 + n)
+    p_len = j - ((j - j1) // q) * q - j1 + 1
     r = (j2 - j) // q + (j - j1) // q + 1
-    z_data = x.data[j1 - 2 : j2 + n]
-    p_len = grid_first - j1 + 1
-    key = (z_data, p_len, r)
-    exit_word = verified.get(key)
-    if exit_word is None:
-        z = Word(w.alphabet, z_data)
-        s_len = len(z_data) - p_len - n - (r - 1) * q
-        if not ref_is_representation(z, w, q, p_len, r, s_len):
-            raise InvariantViolation("enclosing exit word fails the predicate")
-        rep = Representation(z.prefix(p_len), r, z.suffix(s_len))
-        exit_word = verified[key] = ExitWord(z, w, q, (rep,), canonical=True)
-    cls = OccurrenceClassification(j, "inside-exit-word", exit_word=exit_word, exit_start=j1 - 1)
-    return cls, j + ((j2 - j) // q) * q
+    if not ref_is_representation(z, w, q, p_len, r, len(z) - p_len - n - (r - 1) * q):
+        raise InvariantViolation("enclosing exit word fails the predicate")
+    return j1, j2
 
 
 def reference_scan():

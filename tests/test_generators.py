@@ -3,10 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shiftlab.errors import PreconditionFailure
 from shiftlab.generators import (
     IETSpec,
+    IntervalExchange,
+    KeaneDiagnostic,
     SequencePrefix,
     SubstitutionSpec,
     continued_fraction_value,
@@ -24,6 +27,101 @@ from shiftlab.language import growth_profile, periodicity_check
 from shiftlab.words import Alphabet
 
 from conftest import IET3_SPEC
+
+
+# -- references: one Python step per letter -----------------------------------
+
+
+def ref_iet_encode(spec, length):
+    if length < 1:
+        raise ValueError("length must be >= 1")
+    iet = IntervalExchange(spec)
+    alphabet = Alphabet(tuple(str(j) for j in range(1, spec.d + 1)))
+    p = int(spec.start * iet.scale)
+    letters = []
+    diag = KeaneDiagnostic(False)
+    for i in range(length):
+        # the interior breakpoints at or below p, counted one by one
+        j = sum(1 for b in iet.breaks[1:-1] if b <= p)
+        if j and p == iet.breaks[j] and not diag.violated:
+            diag = KeaneDiagnostic(True, i, Fraction(p, iet.scale), j)
+        letters.append(alphabet.codes[j])
+        p += iet.offsets[j]
+    prefix = SequencePrefix(
+        alphabet,
+        "".join(letters),
+        f"iet d={spec.d} lengths={[str(x) for x in spec.lengths]} "
+        f"pi={list(spec.permutation)} z={spec.start} N={length}",
+    )
+    return prefix, diag
+
+
+def ref_substitution_fixed_point(spec, length):
+    if length < 1:
+        raise ValueError("length must be >= 1")
+    code_rules = {
+        spec.alphabet.code(tok): "".join(spec.alphabet.code(t) for t in seq)
+        for tok, seq in spec.rules.items()
+    }
+    s = spec.alphabet.code(spec.seed)
+    while len(s) < length:
+        s = "".join(code_rules[c] for c in s[:length])
+    rules_desc = ",".join(
+        f"{tok}->{''.join(seq)}" for tok, seq in sorted(spec.rules.items())
+    )
+    return SequencePrefix(
+        spec.alphabet,
+        s[:length],
+        f"substitution {rules_desc} seed={spec.seed} N={length}",
+    )
+
+
+@st.composite
+def iet_specs(draw):
+    """Lengths over a small common denominator, so that many orbits hit a
+    breakpoint, and a start point on a finer grid."""
+    d = draw(st.integers(2, 4))
+    denominator = draw(st.integers(d, 40))
+    cuts = sorted(draw(st.sets(st.integers(1, denominator - 1), min_size=d - 1, max_size=d - 1)))
+    ends = [0, *cuts, denominator]
+    lengths = tuple(Fraction(b - a, denominator) for a, b in zip(ends, ends[1:]))
+    permutation = tuple(draw(st.permutations(range(1, d + 1))))
+    grid = denominator * draw(st.integers(1, 3))
+    return IETSpec(lengths, permutation, Fraction(draw(st.integers(0, grid - 1)), grid))
+
+
+@st.composite
+def substitution_specs(draw):
+    """Non-uniform rules over one to three symbols, tokens of one or two
+    characters, the first symbol as seed."""
+    symbols = draw(st.sampled_from([("a",), ("a", "b"), ("x1", "y", "z2")]))
+    letter = st.sampled_from(symbols)
+    rules = {tok: tuple(draw(st.lists(letter, min_size=1, max_size=4))) for tok in symbols}
+    seed = symbols[0]
+    rules[seed] = (seed, *draw(st.lists(letter, min_size=1, max_size=3)))
+    return SubstitutionSpec(Alphabet(symbols), rules, seed)
+
+
+class TestGeneratorsMatchReference:
+    @settings(max_examples=300, deadline=None)
+    @given(iet_specs(), st.integers(1, 300))
+    def test_iet_encode(self, spec, length):
+        assert iet_encode(spec, length) == ref_iet_encode(spec, length)
+
+    def test_iet_orbit_hitting_a_breakpoint(self):
+        # the orbit of 0 under the rotation by 2/5 reaches the breakpoint
+        # 3/5 at its 4th point (0, 2/5, 4/5, 1/5, 3/5)
+        spec = IETSpec((Fraction(3, 5), Fraction(2, 5)), (2, 1), Fraction(0))
+        got = iet_encode(spec, 12)
+        assert got == ref_iet_encode(spec, 12)
+        assert got[1] == KeaneDiagnostic(True, 4, Fraction(3, 5), 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(substitution_specs(), st.integers(1, 400))
+    def test_substitution_fixed_point(self, spec, length):
+        # most lengths end inside the image of a letter
+        got = substitution_fixed_point(spec, length)
+        assert got == ref_substitution_fixed_point(spec, length)
 
 
 class TestIet:

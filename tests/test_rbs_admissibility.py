@@ -9,7 +9,10 @@ class and message.
 
 ``apply_rbs`` keeps each result on its parent graph.  The memo tests
 compare each call with the rewrite of a fresh copy of the graph, which
-has an empty memo, and check that a replayed log builds no graph.
+has an empty memo, and check that a replayed log builds no graph.  A
+rewrite is built without the endpoint and kind check of
+``AbstractGraph.__post_init__``; the admissibility test runs that check
+on each admitted rewrite.
 """
 
 import random
@@ -158,6 +161,7 @@ def test_local_admissibility_matches_whole_graph_reference():
     for graph in sample_graphs():
         for e0, cin, cout in triples(graph):
             built.clear()
+            kept = set(graph._rewrites)
             with patch.object(AbstractGraph, "__post_init__", recording):
                 kind, got = outcome(apply_rbs, graph, e0, cin, cout)
             fault = degree_fault(graph, e0)
@@ -173,10 +177,15 @@ def test_local_admissibility_matches_whole_graph_reference():
                 else:
                     assert got == ref
                     disconnects += got.endswith("disconnects the graph")
+            # a rewrite skips the endpoint and kind check, which holds for
+            # it; only an admitted move builds a graph, and keeps it
+            assert built == []
             if kind == "ok":
-                assert built == [got]
+                assert graph._rewrites.keys() - kept == {(e0, cin, cout)}
+                assert graph._rewrites[e0, cin, cout] is got
+                original(got)
             else:
-                assert built == []
+                assert graph._rewrites.keys() == kept
             counts[kind] += 1
     assert counts["ok"] > 2000 and counts["InadmissibleMove"] > 4000
     assert counts["PreconditionFailure"] > 4000 and disconnects > 1500
@@ -259,10 +268,16 @@ def test_rewrite_memo_matches_fresh_graph():
     assert counts["PreconditionFailure"] > 20000
 
 
+def kept_rewrites(graph):
+    """The number of rewrites kept on ``graph`` and on the graphs derived
+    from it."""
+    return sum(1 + kept_rewrites(g) for g in graph._rewrites.values())
+
+
 def test_replayed_log_is_looked_up():
     # build_xi and bound_check replay the drawn log from the rewrites kept
-    # on the original graph: they build no graph and agree with a replay
-    # on a fresh copy
+    # on the original graph: they build no graph, checked or rewritten, and
+    # agree with a replay on a fresh copy
     built = []
     original = AbstractGraph.__post_init__
 
@@ -275,10 +290,11 @@ def test_replayed_log_is_looked_up():
     for _ in range(200):
         graph, loops = random_graph_with_loops(rng)
         moves = random_twist_shrink_log(rng, graph, loops, rng.randint(0, 5))
+        kept = kept_rewrites(graph)
         with patch.object(AbstractGraph, "__post_init__", recording):
             xi = build_xi(graph, loops, moves)
             report = bound_check(graph, loops, moves)
-        assert built == []
+        assert built == [] and kept_rewrites(graph) == kept
         assert xi == build_xi(fresh_copy(graph), loops, moves)
         assert report == bound_check(fresh_copy(graph), loops, moves)
         replayed += len(moves)
