@@ -30,7 +30,12 @@ from .abstract_graphs import (
     xi_dot,
     build_xi,
 )
-from .density import special_density_floor, special_window_check, density_estimate
+from .density import (
+    color_estimate,
+    density_estimate,
+    special_density_floor,
+    special_window_check,
+)
 from .errors import HorizonExceeded, InvariantViolation, ShiftlabError
 from .exitwords import decompose, enumerate_exit_words
 from .generators import (
@@ -43,9 +48,9 @@ from .generators import (
     rotation_coding,
     substitution_fixed_point,
 )
-from .language import analysis_report
+from .language import analysis_report, growth_profile
 from .rauzy import build_rauzy, build_special_rauzy, evolve, rauzy_dot, special_rauzy_dot
-from .words import minimal_step
+from .words import Word, minimal_step
 
 SCHEMA_VERSION = 1
 
@@ -211,8 +216,6 @@ def cmd_exitwords(args: argparse.Namespace) -> int:
 
 def cmd_density(args: argparse.Namespace) -> int:
     prefix, oracle = _load_oracle(args)
-    from .language import growth_profile
-
     if args.k is not None and args.k < 1:
         raise ValueError(f"--k must be >= 1, got {args.k}")
     profile = growth_profile(oracle)
@@ -239,9 +242,6 @@ def cmd_density(args: argparse.Namespace) -> int:
             "first_failure": list(wc.first_failure) if wc.first_failure else None,
         }
     if args.color:
-        from .density import color_estimate
-        from .words import Word
-
         side = args.side or "left"
         oracle.require_length(args.n + 2, "color ladder")
         ladder = []

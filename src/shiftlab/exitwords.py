@@ -273,12 +273,12 @@ def _classify_run(x: SequencePrefix, w: Word, q: int, j: int) -> tuple[int, int]
 
     Returns ``(j1, j2)``: the run starts at ``j1``, and ``j2`` is the
     largest ``k`` with ``x[j .. k+n-1]`` inside it.  With ``j1 == 1`` the
-    run is a suffix of the power and ``j2`` is ``j`` itself, unsearched.
-    Otherwise the letters just outside the run break the periodicity, so
-    with them it is the enclosing exit word ``x[j1 - 1 .. j2 + n]``; every
-    start of the run on ``j``'s grid has the same one.  A run reaching the
-    end of the prefix raises :class:`HorizonExceeded`, as does every later
-    start on its grid.
+    run is a suffix of the power, wherever it ends.  Otherwise the letters
+    just outside the run break the periodicity, so with them it is the
+    enclosing exit word ``x[j1 - 1 .. j2 + n]``.  Every start of the run on
+    ``j``'s grid has the same ``j1`` and ``j2``.  A run with ``j1 > 1``
+    reaching the end of the prefix raises :class:`HorizonExceeded`, as does
+    every later start on its grid.
     """
     n = len(w)
     data = x.data
@@ -288,13 +288,11 @@ def _classify_run(x: SequencePrefix, w: Word, q: int, j: int) -> tuple[int, int]
     j1 = j
     while j1 > 1 and data[j1 - 2] == data[j1 - 2 + q]:
         j1 -= 1
-    if j1 == 1:
-        return 1, j
     # extend rightward: find the first break after the occurrence
     t = j + n  # next position to test, 1-based
     while t <= N and data[t - 1] == data[t - 1 - q]:
         t += 1
-    if t > N:
+    if t > N and j1 > 1:
         raise HorizonExceeded(
             f"periodic match from position {j} runs to the end of the "
             "prefix; cannot resolve the enclosing exit word",
@@ -330,10 +328,11 @@ def check_overlap_bound(
     the separation and occurrence-count bounds between neighbours.
 
     One occurrence per periodic run and grid is classified; the later
-    starts on its grid inherit its exit word (or its skip, when the run
-    reaches the end of the prefix).  Each exit word is kept as its start,
-    length and repetition count.  The bounds hold for every sequence, so a
-    violation record would falsify the implementation, not the input.
+    starts on its grid inherit its exit word (none when the run starts at
+    position 1, a skip when it starts later and reaches the end of the
+    prefix).  Each exit word is kept as its start, length and repetition
+    count.  The bounds hold for every sequence, so a violation record would
+    falsify the implementation, not the input.
     """
     q_min = minimal_step(w, oracle)
     if q_min != q:
@@ -342,7 +341,7 @@ def check_overlap_bound(
     _, starts = occurrences(x, w)
     occ_exits: dict[int, tuple[int, int]] = {}  # exit start -> (|z|, r)
     # the last start on the grid of the run classified last, and whether
-    # that run reaches the end of the prefix
+    # its starts are skipped
     last, skip = 0, False
     skipped = []
     for j in starts:

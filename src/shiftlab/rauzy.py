@@ -3,28 +3,25 @@
 ``RauzyGraph`` is the graph whose vertices are the factors of one length
 and whose edges are the factors one letter longer.  The special variant
 keeps only branching vertices (left/right special words, bispecials
-split in two) joined by branchless paths, which is the object the loop
+split in two) joined by branchless paths.  It is an
+:class:`~shiftlab.abstract_graphs.AbstractGraph`, the object the loop
 machinery rewrites.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
-from ._graphutil import arc_index, dot_quote
+from ._graphutil import dot_quote
+from .abstract_graphs import AbstractGraph, apply_rbs
 from .errors import HorizonExceeded, InvariantViolation, PreconditionFailure
 from .language import (
-    SIDES,
     LanguageOracle,
     _witness_letters,
     check_rbc,
 )
 from .words import Word
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .abstract_graphs import AbstractGraph
 
 
 @dataclass(frozen=True)
@@ -35,8 +32,6 @@ class RauzyGraph:
     n: int
     vertices: tuple[str, ...]  # sorted code strings
     edges: tuple[str, ...]  # sorted code strings, length n+1
-    left_special: frozenset[str]
-    right_special: frozenset[str]
 
 
 def build_rauzy(oracle: LanguageOracle, n: int) -> RauzyGraph:
@@ -45,50 +40,22 @@ def build_rauzy(oracle: LanguageOracle, n: int) -> RauzyGraph:
         n,
         tuple(sorted(oracle.factor_strings(n))),
         tuple(sorted(oracle.factor_strings(n + 1))),
-        oracle.special_strings(n, "left"),
-        oracle.special_strings(n, "right"),
     )
 
 
-SpecialVertex = tuple[str, str]  # (word data, "left" | "right")
-
-
-@dataclass(frozen=True)
-class SpecialEdge:
-    eid: str
-    src: SpecialVertex
-    dst: SpecialVertex
-    path: str  # code string of the path word
-
-    @property
-    def is_internal(self) -> bool:
-        return self.src[0] == self.dst[0] and self.src[1] == "left" and self.dst[1] == "right"
-
-
-@dataclass(frozen=True)
-class SpecialRauzyGraph:
+@dataclass(frozen=True, eq=False)
+class SpecialRauzyGraph(AbstractGraph):
     """Branching skeleton of the factor graph at one length.
 
-    A bispecial word appears as two vertices (its left-special and
-    right-special roles) joined by an internal edge whose path word is
-    the word itself.
+    A left-special word ``w`` is the left vertex ``L:w``, a right-special
+    one the right vertex ``R:w``; a bispecial word is both, joined by an
+    internal edge ``L:w -> R:w`` whose path word is the word itself.
+    ``paths`` holds the path word of every edge.  Equality is the abstract
+    graph's, on vertices and edges.
     """
 
     n: int
-    vertices: tuple[SpecialVertex, ...]
-    edges: tuple[SpecialEdge, ...]
-    left_special: frozenset[str]
-    right_special: frozenset[str]
-
-    @cached_property
-    def _adjacency(self):
-        return arc_index((e, e.src, e.dst) for e in self.edges)
-
-    def in_edges(self, v: SpecialVertex) -> list[SpecialEdge]:
-        return list(self._adjacency[1].get(v, ()))
-
-    def out_edges(self, v: SpecialVertex) -> list[SpecialEdge]:
-        return list(self._adjacency[0].get(v, ()))
+    paths: dict[str, str]  # edge id -> code string of its path word
 
     @property
     def vertex_count(self) -> int:
@@ -101,12 +68,9 @@ class SpecialRauzyGraph:
     def type_profile(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Sorted in-degrees of left vertices and out-degrees of right
         vertices; invariant across evolution in the stable range."""
-        lefts = sorted(
-            len(self.in_edges(v)) for v in self.vertices if v[1] == "left"
-        )
-        rights = sorted(
-            len(self.out_edges(v)) for v in self.vertices if v[1] == "right"
-        )
+        kinds = self.vertices.items()
+        lefts = sorted(len(self.in_edges(v)) for v, k in kinds if k == "left")
+        rights = sorted(len(self.out_edges(v)) for v, k in kinds if k == "right")
         return tuple(lefts), tuple(rights)
 
 
@@ -126,6 +90,9 @@ def build_special_rauzy(oracle: LanguageOracle, n: int) -> SpecialRauzyGraph:
     out-edge of its left vertex and the in-edge of its right one.  A walk
     may end where it started: a non-recurrent language can have self-loops.
 
+    Edge ids ``e00``, ``e01``, ... follow the order of (source word, side),
+    then (target word, side), then path word.
+
     Raises with a partial-result message if a branchless walk escapes the
     horizon before reaching a special word.
     """
@@ -133,13 +100,12 @@ def build_special_rauzy(oracle: LanguageOracle, n: int) -> SpecialRauzyGraph:
     lefts = oracle.special_strings(n, "left")
     rights = oracle.special_strings(n, "right")
     specials = lefts | rights
-    vertices: list[SpecialVertex] = [(w, "left") for w in sorted(lefts)]
-    vertices += [(w, "right") for w in sorted(rights)]
     codes = oracle.alphabet.codes
     longer = oracle.factor_strings(n + 1)
-    raw_edges: list[tuple[SpecialVertex, SpecialVertex, str]] = []
+    # (source word, tag, target word, tag, path); "L:" < "R:" as left < right
+    raw_edges: list[tuple[str, str, str, str, str]] = []
     for w in sorted(specials):
-        origin: SpecialVertex = (w, "right") if w in rights else (w, "left")
+        tag = "R:" if w in rights else "L:"
         for path in [w + b for b in codes if w + b in longer]:
             cur = path[1:]
             while cur not in specials:
@@ -151,17 +117,18 @@ def build_special_rauzy(oracle: LanguageOracle, n: int) -> SpecialRauzyGraph:
                     )
                 path += next(b for b in codes if cur + b in longer)
                 cur = path[len(path) - n :]
-            dst: SpecialVertex = (cur, "left") if cur in lefts else (cur, "right")
-            raw_edges.append((origin, dst, path))
-    for w in sorted(lefts & rights):
-        raw_edges.append(((w, "left"), (w, "right"), w))
-    raw_edges.sort(key=lambda t: (t[0], t[1], t[2]))
+            raw_edges.append((w, tag, cur, "L:" if cur in lefts else "R:", path))
+    raw_edges += [(w, "L:", w, "R:", w) for w in sorted(lefts & rights)]
+    raw_edges.sort()
     width = max(2, len(str(len(raw_edges))))
-    edges = tuple(
-        SpecialEdge(f"e{i:0{width}d}", src, dst, path)
-        for i, (src, dst, path) in enumerate(raw_edges)
-    )
-    return SpecialRauzyGraph(n, tuple(vertices), edges, lefts, rights)
+    vertices = {"L:" + w: "left" for w in sorted(lefts)}
+    vertices.update(("R:" + w, "right") for w in sorted(rights))
+    edges, paths = {}, {}
+    for i, (src, src_tag, dst, dst_tag, path) in enumerate(raw_edges):
+        eid = f"e{i:0{width}d}"
+        edges[eid] = (src_tag + src, dst_tag + dst)
+        paths[eid] = path
+    return SpecialRauzyGraph(vertices, edges, n, paths)
 
 
 # -- evolution -------------------------------------------------------------
@@ -184,15 +151,13 @@ class EvolutionStep:
     n_prime: int
     before: SpecialRauzyGraph
     after: SpecialRauzyGraph
-    vertex_map: dict[SpecialVertex, SpecialVertex]
+    vertex_map: dict[str, str]
     edge_map: dict[str, str]
     rbs_events: list[Word]
     profile_preserved: bool
 
 
-def _identification(
-    oracle: LanguageOracle, n1: int, n2: int
-) -> dict[SpecialVertex, SpecialVertex]:
+def _identification(oracle: LanguageOracle, n1: int, n2: int) -> dict[str, str]:
     """Map special vertices at length n1 to their counterparts at n2: the
     side-special words at n2 keyed, in ascending order, by their first
     (left side) or last (right side) n1 letters.
@@ -204,15 +169,15 @@ def _identification(
     and every prefix of a left-special word is left special; the right
     side is the mirror image.
     """
-    out: dict[SpecialVertex, SpecialVertex] = {}
-    for side in SIDES:
+    out: dict[str, str] = {}
+    for side, tag in (("left", "L:"), ("right", "R:")):
         cut = slice(None, n1) if side == "left" else slice(n2 - n1, None)
-        out.update(sorted(((w[cut], side), (w, side)) for w in oracle.special_strings(n2, side)))
+        out.update(sorted((tag + w[cut], tag + w) for w in oracle.special_strings(n2, side)))
     return out
 
 
 def _follow(
-    claims: Iterable[tuple[str, SpecialVertex, str, SpecialVertex]],
+    claims: Iterable[tuple[str, str, str, str]],
     target: SpecialRauzyGraph,
     failure: str,
 ) -> dict[str, str]:
@@ -224,16 +189,17 @@ def _follow(
     does not end at ``dst``, or when the claims and ``target`` count
     different edges.
     """
-    n = target.n
+    n, kinds, paths = target.n, target.vertices, target.paths
     by_key = {
-        (f.src, f.path[n] if f.src[1] == "right" else ""): f for f in target.edges
+        (s, paths[f][n] if kinds[s] == "right" else ""): (f, d)
+        for f, (s, d) in target.edges.items()
     }
     out: dict[str, str] = {}
     for eid, src, letter, dst in claims:
-        f = by_key.get((src, letter if src[1] == "right" else ""))
-        if f is None or f.dst != dst:
+        found = by_key.get((src, letter if kinds[src] == "right" else ""))
+        if found is None or found[1] != dst:
             raise InvariantViolation(failure)
-        out[eid] = f.eid
+        out[eid] = found[0]
     if len(out) != len(target.edges):
         raise InvariantViolation(failure)
     return out
@@ -248,16 +214,14 @@ def evolve(oracle: LanguageOracle, n: int) -> EvolutionStep:
     bispecial lengths every special word has one special extension with
     the same extensions, so each edge keeps that identity and its target:
     ``evolve`` follows the edges from ``n`` straight to ``n_tilde``.  The
-    rewrite at a bispecial ``w`` is replayed as abstract moves, and each
-    replayed edge must land on the edge of the directly built target graph
-    with its identity.  The rewrite at ``w`` moves edge ends only at
-    ``w``'s two vertices, so one replay in ascending order of the
-    bispecials ends where any other order would.
+    rewrite at a bispecial ``w`` is replayed as abstract moves on the
+    skeleton at ``n_tilde``, and each replayed edge must land on the edge
+    of the directly built target graph with its identity.  The rewrite at
+    ``w`` moves edge ends only at ``w``'s two vertices, so one replay in
+    ascending order of the bispecials ends where any other order would.
     The rewrite's witnesses ``a_hat`` and ``b_hat`` come from the grouping
     :func:`check_rbc` decides regularity with.
     """
-    from .abstract_graphs import apply_rbs  # local import; no cycle at module load
-
     top = oracle.horizon - 3
     n_tilde = None
     for m in range(n, top + 1):
@@ -279,12 +243,15 @@ def evolve(oracle: LanguageOracle, n: int) -> EvolutionStep:
         )
     before = build_special_rauzy(oracle, n)
     after = build_special_rauzy(oracle, n_prime)
-    tilde_graph, before_to_tilde = before, {e.eid: e.eid for e in before.edges}
+    tilde_graph, before_to_tilde = before, {eid: eid for eid in before.edges}
     if n_tilde > n:
         tilde_graph = build_special_rauzy(oracle, n_tilde)
         to_tilde = _identification(oracle, n, n_tilde)
         before_to_tilde = _follow(
-            ((e.eid, to_tilde[e.src], e.path[n], to_tilde[e.dst]) for e in before.edges),
+            (
+                (eid, to_tilde[s], before.paths[eid][n], to_tilde[d])
+                for eid, (s, d) in before.edges.items()
+            ),
             tilde_graph,
             f"special graph changed between lengths {n} and {n_tilde}",
         )
@@ -299,30 +266,26 @@ def evolve(oracle: LanguageOracle, n: int) -> EvolutionStep:
     # in-edge through a_hat w and the out-edge through w b_hat, where a_hat
     # and b_hat are w's regularity witnesses; edge ids survive rewrites
     good_b, good_a = _witness_letters(oracle, n_tilde)
-    letters = {e.eid: e.path[n_tilde : n_tilde + 1] for e in tilde_graph.edges}
-    sim = _to_abstract(tilde_graph)
+    paths = tilde_graph.paths
+    letters = {eid: path[n_tilde : n_tilde + 1] for eid, path in paths.items()}
+    sim: AbstractGraph = tilde_graph
     for data in bis:
         (a_hat,), (b_hat,) = good_a[data], good_b[data]
-        (internal,) = tilde_graph.out_edges((data, "left"))
+        (internal,) = tilde_graph.out_edges("L:" + data)
         chosen_in = next(
-            e.eid
-            for e in tilde_graph.in_edges((data, "left"))
-            if e.path.endswith(a_hat + data)
+            e for e in tilde_graph.in_edges("L:" + data) if paths[e].endswith(a_hat + data)
         )
         chosen_out = next(
-            e.eid
-            for e in tilde_graph.out_edges((data, "right"))
-            if e.path.startswith(data + b_hat)
+            e for e in tilde_graph.out_edges("R:" + data) if paths[e].startswith(data + b_hat)
         )
-        sim = apply_rbs(sim, internal.eid, chosen_in, chosen_out)
-        letters[internal.eid] = b_hat  # reversed, it leaves a_hat w by b_hat
+        sim = apply_rbs(sim, internal, chosen_in, chosen_out)
+        letters[internal] = b_hat  # reversed, it leaves a_hat w by b_hat
 
     # follow every replayed edge into the directly built target graph
     ident_to_prime = _identification(oracle, n_tilde, n_prime)
     tilde_to_after = _follow(
         (
-            (eid, ident_to_prime[_name_vertex(s)], letters[eid],
-             ident_to_prime[_name_vertex(d)])
+            (eid, ident_to_prime[s], letters[eid], ident_to_prime[d])
             for eid, (s, d) in sim.edges.items()
         ),
         after,
@@ -342,23 +305,6 @@ def evolve(oracle: LanguageOracle, n: int) -> EvolutionStep:
         rbs_events,
         before.type_profile() == after.type_profile(),
     )
-
-
-def _vertex_name(v: SpecialVertex) -> str:
-    return ("L:" if v[1] == "left" else "R:") + v[0]
-
-
-def _name_vertex(name: str) -> SpecialVertex:
-    """Inverse of :func:`_vertex_name`."""
-    return name[2:], "left" if name.startswith("L:") else "right"
-
-
-def _to_abstract(g: SpecialRauzyGraph) -> "AbstractGraph":
-    from .abstract_graphs import AbstractGraph
-
-    vertices = {_vertex_name(v): v[1] for v in g.vertices}
-    edges = {e.eid: (_vertex_name(e.src), _vertex_name(e.dst)) for e in g.edges}
-    return AbstractGraph(vertices, edges)
 
 
 # -- DOT export -------------------------------------------------------------
@@ -386,14 +332,14 @@ def special_rauzy_dot(
     tok = (lambda d: d) if oracle is None else (
         lambda d: str(Word(oracle.alphabet, d))
     )
-    label = lambda v: f"{tok(v[0])}|{v[1][0]}"
+    label = lambda v: f"{tok(v[2:])}|{graph.vertices[v][0]}"
     lines = [f"digraph {name} {{"]
     for v in graph.vertices:
         lines.append(f"  {dot_quote(label(v))};")
-    for e in graph.edges:
+    for eid, (s, d) in graph.edges.items():
         lines.append(
-            f"  {dot_quote(label(e.src))} -> {dot_quote(label(e.dst))} "
-            f"[label={dot_quote(str(len(e.path)))}];"
+            f"  {dot_quote(label(s))} -> {dot_quote(label(d))} "
+            f"[label={dot_quote(str(len(graph.paths[eid])))}];"
         )
     lines.append("}")
     return "\n".join(lines) + "\n"

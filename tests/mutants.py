@@ -228,32 +228,39 @@ MUTANTS = (
     Mutant(
         "follow step: the key reads the letter after the first one",
         RAUZY,
-        'f.path[n] if f.src[1] == "right"',
-        'f.path[n + 1] if f.src[1] == "right"',
+        'paths[f][n] if kinds[s] == "right"',
+        'paths[f][n + 1] if kinds[s] == "right"',
         (EVOLVE_REFERENCE,),
     ),
     Mutant(
         "follow step: the reversed internal edge keeps its old letter",
         RAUZY,
-        "        letters[internal.eid] = b_hat",
+        "        letters[internal] = b_hat",
         "        pass",
         (EVOLVE_REFERENCE,),
     ),
     Mutant(
         "follow step: the target is not compared",
         RAUZY,
-        "if f is None or f.dst != dst:",
-        "if f is None:",
+        "if found is None or found[1] != dst:",
+        "if found is None:",
         ("tests/test_factor_engine.py::TestChecksFire::"
          "test_evolve_sees_a_target_change_after_the_rewrites",),
     ),
     Mutant(
         "replay: the last rewrite dropped",
         RAUZY,
-        "        sim = apply_rbs(sim, internal.eid, chosen_in, chosen_out)\n",
+        "        sim = apply_rbs(sim, internal, chosen_in, chosen_out)\n",
         "        if data != bis[-1]:\n"
-        "            sim = apply_rbs(sim, internal.eid, chosen_in, chosen_out)\n",
+        "            sim = apply_rbs(sim, internal, chosen_in, chosen_out)\n",
         (EVOLVE_REFERENCE,),
+    ),
+    Mutant(
+        "identification: right-special words tagged as left vertices",
+        RAUZY,
+        '(("left", "L:"), ("right", "R:"))',
+        '(("left", "L:"), ("right", "L:"))',
+        ("tests/test_language.py::TestSpecialExtensionMap",),
     ),
     Mutant(
         "loops: a loop of one vertex kind accepted",
@@ -317,6 +324,20 @@ MUTANTS = (
         "data[j1 - 2] == data[j1 - 2 + q]",
         "data[j1 - 2] == data[j1 - 1 + q]",
         (f"{LAYOUTS}::test_classification_matches_reference",),
+    ),
+    Mutant(
+        "run scan: a run from position 1 that reaches the end raises",
+        EXITWORDS,
+        "    if t > N and j1 > 1:\n",
+        "    if t > N:\n",
+        (f"{LAYOUTS}::test_classification_matches_reference",),
+    ),
+    Mutant(
+        "run scan: a run from position 1 not searched to the right",
+        EXITWORDS,
+        "    # extend rightward: find the first break after the occurrence\n",
+        "    if j1 == 1:\n        return 1, j\n",
+        (f"{OVERLAP_NAIVE}::test_run_from_position_one_classified_once",),
     ),
     Mutant(
         "block hits: the block index read one letter late",

@@ -193,7 +193,7 @@ def test_criterion_5_rauzy_structure():
         for n in (start + 1, start + 2):
             sg = build_special_rauzy(oracle, n)
             assert sg.edge_count == K + sg.vertex_count
-            assert all(e.src != e.dst for e in sg.edges)
+            assert all(s != d for s, d in sg.edges.values())
         profiles = []
         events = 0
         n = start

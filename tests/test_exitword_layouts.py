@@ -217,8 +217,8 @@ def outcome(fn, *args):
 @pytest.fixture(scope="module")
 def corpus(fib_prefix, iet3_prefix):
     """``(name, prefix or None, oracle)``: full shifts on 2 and 3 letters,
-    Fibonacci, Thue-Morse, IET3, ``block.txt``, four rotations and four
-    biased Bernoulli prefixes."""
+    Fibonacci, Thue-Morse, IET3, ``block.txt``, a purely periodic prefix,
+    four rotations and four biased Bernoulli prefixes."""
     zo = Alphabet(("0", "1"))
     rng = Random(1515)
     prefixes = [
@@ -226,6 +226,7 @@ def corpus(fib_prefix, iet3_prefix):
         ("thue-morse", thue_morse_prefix(20000), 24),
         ("iet3", iet3_prefix, 30),
         ("block", read_sequence_file(BLOCK_TXT), 20),
+        ("periodic", SequencePrefix(zo, "001" * 1000, "(001)^1000"), 20),
     ]
     for i in range(4):
         quotients = [rng.randint(1, 4) for _ in range(12)]

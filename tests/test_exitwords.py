@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from shiftlab import language
+from shiftlab import exitwords, language
 
 from shiftlab.errors import HorizonExceeded, PreconditionFailure
 from shiftlab.exitwords import (
@@ -317,6 +317,12 @@ def naive_overlap(x, w, q, oracle):
     return OverlapReport(w, q, tuple(pairs), ok, tuple(skipped))
 
 
+def run_from_start(m: int) -> SequencePrefix:
+    """``(01)^m 11 (01)^5 111``: a run of ``0101`` with step 2 from position
+    1, then one exit word."""
+    return SequencePrefix(ZO, "01" * m + "11" + "01" * 5 + "111", "run from 1")
+
+
 @st.composite
 def runs_and_noise(draw):
     """A binary word with a short period block and a prefix made of runs
@@ -398,6 +404,23 @@ class TestOverlapScanMatchesNaive:
         assert check_overlap_bound(x, w, q, oracle) == naive_overlap(
             x, w, q, oracle
         )
+
+    @pytest.mark.parametrize("m", [1, 10, 100, 1000])
+    def test_run_from_position_one(self, shift20, m):
+        x, w = run_from_start(m), ZO.word("0101")
+        assert check_overlap_bound(x, w, 2, shift20) == naive_overlap(x, w, 2, shift20)
+
+    def test_run_from_position_one_classified_once(self, shift20):
+        # the run from position 1 is classified once, not once per start
+        w = ZO.word("0101")
+        calls = []
+        for m in (500, 4000):
+            with mock.patch.object(
+                exitwords, "_classify_run", wraps=exitwords._classify_run
+            ) as spy:
+                check_overlap_bound(run_from_start(m), w, 2, shift20)
+            calls.append(spy.call_count)
+        assert calls[0] == calls[1] <= 3
 
     def test_every_stepped_factor(
         self, fib_prefix, fib_oracle, iet3_prefix, iet3_oracle,

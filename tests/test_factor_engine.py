@@ -245,10 +245,10 @@ def trade_targets(monkeypatch, length):
         g = honest(oracle, n)
         if n != length:
             return g
-        e1 = g.edges[0]
-        e2 = next(e for e in g.edges if e.src != e1.src and e.dst != e1.dst)
-        trade = {e1.eid: e2.dst, e2.eid: e1.dst}
-        edges = tuple(replace(e, dst=trade.get(e.eid, e.dst)) for e in g.edges)
+        (e1, (s1, d1)), *rest = g.edges.items()
+        e2, (_, d2) = next((e, ends) for e, ends in rest if ends[0] != s1 and ends[1] != d1)
+        trade = {e1: d2, e2: d1}
+        edges = {e: (s, trade.get(e, d)) for e, (s, d) in g.edges.items()}
         return replace(g, edges=edges)
 
     monkeypatch.setattr(rauzy, "build_special_rauzy", swapped)

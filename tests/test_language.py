@@ -283,9 +283,9 @@ class TestSpecialExtensionMap:
     identifies special vertices across lengths."""
 
     def side(self, oracle, side, n1, n2):
-        return {
-            w1: w2 for (w1, s1), (w2, _) in _identification(oracle, n1, n2).items() if s1 == side
-        }
+        tag = "L:" if side == "left" else "R:"
+        ident = _identification(oracle, n1, n2).items()
+        return {v1[2:]: v2[2:] for v1, v2 in ident if v1[:2] == v2[:2] == tag}
 
     def test_fibonacci_left(self, fib_oracle, ab):
         assert self.side(fib_oracle, "left", 1, 3) == {ab.word("a").data: ab.word("aba").data}
@@ -330,10 +330,10 @@ class TestSpecialExtensionMap:
             for n2 in range(n1, top + 1):
                 ident = _identification(oracle, n1, n2)
                 walked_both = {}
-                for side in ("left", "right"):
+                for side, tag in (("left", "L:"), ("right", "R:")):
                     walked = _walk_extension_map(oracle, side, n1, n2)
                     walked_both.update(
-                        ((w1, side), (w2, side)) for w1, w2 in walked.items()
+                        (tag + w1, tag + w2) for w1, w2 in walked.items()
                     )
                 assert ident == walked_both
 

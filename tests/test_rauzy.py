@@ -10,7 +10,7 @@ from conftest import IET3_SPEC, IET4_SPEC
 from factor_language import check_factor_language
 from regular_bispecial import is_regular_bispecial
 from shiftlab._graphutil import is_strongly_connected, is_weakly_connected
-from shiftlab.abstract_graphs import apply_rbs
+from shiftlab.abstract_graphs import apply_rbs, validate
 from shiftlab.errors import (
     HorizonExceeded,
     InvariantViolation,
@@ -35,11 +35,8 @@ from shiftlab.language import (
 from shiftlab.rauzy import (
     EvolutionStep,
     RauzyGraph,
-    SpecialEdge,
     SpecialRauzyGraph,
     _identification,
-    _name_vertex,
-    _to_abstract,
     build_rauzy,
     build_special_rauzy,
     evolve,
@@ -108,8 +105,7 @@ class TestSpecialGraph:
     def test_fibonacci_counts(self, fib_oracle):
         sg = build_special_rauzy(fib_oracle, 4)
         assert sg.vertex_count == 2 and sg.edge_count == 3
-        kinds = sorted(v[1] for v in sg.vertices)
-        assert kinds == ["left", "right"]
+        assert sorted(sg.vertices.values()) == ["left", "right"]
 
     def test_iet3_counts(self, iet3_oracle):
         # growth constant 2: two specials a side, 2+2+2 edges
@@ -120,9 +116,13 @@ class TestSpecialGraph:
 
     def test_bispecial_internal_edge(self, fib_oracle):
         sg = build_special_rauzy(fib_oracle, 3)
-        internal = [e for e in sg.edges if e.is_internal]
+        internal = [
+            (s, d, sg.paths[e]) for e, (s, d) in sg.edges.items()
+            if s.startswith("L:") and d == "R:" + s[2:]
+        ]
         assert len(internal) == 1
-        assert internal[0].path == internal[0].src[0]
+        (src, _, path), = internal
+        assert path == src[2:]
         assert sg.edge_count == 3
 
     def test_edge_count_formula(self, fib_oracle, iet3_oracle):
@@ -136,15 +136,39 @@ class TestSpecialGraph:
         for oracle in (fib_oracle, iet3_oracle):
             for n in range(2, 10):
                 sg = build_special_rauzy(oracle, n)
-                assert all(e.src != e.dst for e in sg.edges)
+                assert all(s != d for s, d in sg.edges.values())
 
+
+@pytest.fixture(scope="module")
+def iet4_oracle():
+    return oracle_from_prefix(iet_encode(IET4_SPEC, 200000)[0], 60)
+
+
+@pytest.mark.parametrize("source", ["fib_oracle", "iet3_oracle", "tm_oracle", "iet4_oracle"])
+def test_every_skeleton_is_a_valid_abstract_graph(request, source):
+    """Notation items 2-5 on every skeleton within the horizon: left and
+    right degrees, ``K = p(n+1) - p(n)``, strong connectivity and no
+    self-loops."""
+    oracle = request.getfixturevalue(source)
+    built = 0
+    for n in range(1, oracle.horizon - 1):
+        try:
+            sg = build_special_rauzy(oracle, n)
+        except HorizonExceeded:
+            continue
+        report = validate(sg)
+        assert report.ok, (n, report.violations)
+        growth = len(oracle.factor_strings(n + 1)) - len(oracle.factor_strings(n))
+        assert report.K == growth, n
+        built += 1
+    assert built >= 12
 
 def connectivity(graph):
     """(strongly, weakly) connected, for a factor graph or a skeleton."""
     if isinstance(graph, RauzyGraph):
         arcs = [(e[:-1], e[1:]) for e in graph.edges]
     else:
-        arcs = [(e.src, e.dst) for e in graph.edges]
+        arcs = list(graph.edges.values())
     succ = lambda v: [d for s, d in arcs if s == v]
     pred = lambda v: [s for s, d in arcs if d == v]
     verts = list(graph.vertices)
@@ -184,12 +208,12 @@ class TestEvolve:
 
     def test_vertex_map_sides(self, fib_oracle):
         step = evolve(fib_oracle, 4)
-        for (w, side), (w2, side2) in step.vertex_map.items():
-            assert side == side2
-            if side == "left":
-                assert w2.startswith(w)
+        for v, v2 in step.vertex_map.items():
+            assert v[:2] == v2[:2]
+            if v.startswith("L:"):
+                assert v2.startswith(v)
             else:
-                assert w2.endswith(w)
+                assert v2.endswith(v[2:])
 
     def test_profile_across_events(self, iet3_oracle):
         profiles = []
@@ -203,24 +227,21 @@ class TestEvolve:
     def test_edge_map_is_bijective(self, fib_oracle, iet3_oracle):
         for oracle, start in ((fib_oracle, 2), (iet3_oracle, 3)):
             step = evolve(oracle, start)
-            assert sorted(step.edge_map) == sorted(
-                e.eid for e in step.before.edges
-            )
-            assert sorted(step.edge_map.values()) == sorted(
-                e.eid for e in step.after.edges
-            )
+            assert sorted(step.edge_map) == sorted(step.before.edges)
+            assert sorted(step.edge_map.values()) == sorted(step.after.edges)
 
     def test_edge_map_rewrites_the_bispecial_edge(self, fib_oracle):
         # the internal edge of the bispecial word must map to the
         # reversed short edge whose path is a one-letter two-sided
         # extension of the word
         step = evolve(fib_oracle, 4)
-        old = next(e for e in step.before.edges if e.src[1] == "left")
-        new_id = step.edge_map[old.eid]
-        new = next(e for e in step.after.edges if e.eid == new_id)
+        old = next(e for e, (s, _) in step.before.edges.items() if s.startswith("L:"))
+        new = step.edge_map[old]
+        src, dst = step.after.edges[new]
+        path = step.after.paths[new]
         w = step.rbs_events[0].data
-        assert new.src[1] == "right" and new.dst[1] == "left"
-        assert new.path[1:-1].endswith(w) or w in new.path
+        assert src.startswith("R:") and dst.startswith("L:")
+        assert path[1:-1].endswith(w) or w in path
 
     def test_no_bispecial_before_horizon(self, fib_prefix):
         oracle = oracle_from_prefix(fib_prefix, 16)
@@ -261,8 +282,6 @@ def reference_special_rauzy(oracle, n):
     lefts = oracle.special_strings(n, "left")
     rights = oracle.special_strings(n, "right")
     specials = lefts | rights
-    vertices = [(w, "left") for w in sorted(lefts)]
-    vertices += [(w, "right") for w in sorted(rights)]
     right_map = {w: set() for w in oracle.factor_strings(n)}
     for w1 in oracle.factor_strings(n + 1):
         right_map[w1[:-1]].add(w1[-1])
@@ -293,26 +312,28 @@ def reference_special_rauzy(oracle, n):
         raw_edges.append(((w, "left"), (w, "right"), w))
     raw_edges.sort(key=lambda t: (t[0], t[1], t[2]))
     width = max(2, len(str(len(raw_edges))))
-    edges = tuple(
-        SpecialEdge(f"e{i:0{width}d}", src, dst, path)
-        for i, (src, dst, path) in enumerate(raw_edges)
-    )
-    g = SpecialRauzyGraph(n, tuple(vertices), edges, lefts, rights)
+    name = lambda v: ("L:" if v[1] == "left" else "R:") + v[0]
+    vertices = {name((w, "left")): "left" for w in sorted(lefts)}
+    vertices.update((name((w, "right")), "right") for w in sorted(rights))
+    edges, paths = {}, {}
+    for i, (src, dst, path) in enumerate(raw_edges):
+        edges[f"e{i:0{width}d}"] = (name(src), name(dst))
+        paths[f"e{i:0{width}d}"] = path
     left = oracle.extension_counts(n, "left")
     right = oracle.extension_counts(n, "right")
-    for v in g.vertices:
-        word, side = v
-        in_deg, out_deg = len(g.in_edges(v)), len(g.out_edges(v))
+    for v, side in vertices.items():
+        in_deg = sum(d == v for _, d in edges.values())
+        out_deg = sum(s == v for s, _ in edges.values())
         if side == "left":
-            if (in_deg, out_deg) != (left[word], 1):
+            if (in_deg, out_deg) != (left[v[2:]], 1):
                 raise InvariantViolation(f"left vertex {v} has degrees {in_deg}, {out_deg}")
-        elif (in_deg, out_deg) != (1, right[word]):
+        elif (in_deg, out_deg) != (1, right[v[2:]]):
             raise InvariantViolation(f"right vertex {v} has degrees {in_deg}, {out_deg}")
-    return g
+    return SpecialRauzyGraph(vertices, edges, n, paths)
 
 
 def _signature(g, rename):
-    return tuple(sorted((rename[e.src], rename[e.dst]) for e in g.edges))
+    return tuple(sorted((rename[s], rename[d]) for s, d in g.edges.values()))
 
 
 def _pair_by_endpoints(claimants, target):
@@ -322,29 +343,30 @@ def _pair_by_endpoints(claimants, target):
     taken = set()
     for eid, path, src, dst in sorted(claimants, key=lambda t: (t[2], t[3], len(t[1]), t[1])):
         candidates = [
-            f for f in target.out_edges(src) if f.dst == dst and f.eid not in taken
+            f for f in target.out_edges(src) if target.edges[f][1] == dst and f not in taken
         ]
         if not candidates:
             raise InvariantViolation(f"no counterpart for edge {eid} ({path!r})")
-        contained = [f for f in candidates if path in f.path]
-        chosen = min(contained or candidates, key=lambda f: (len(f.path), f.path, f.eid))
-        taken.add(chosen.eid)
-        out[eid] = chosen.eid
+        contained = [f for f in candidates if path in target.paths[f]]
+        chosen = min(
+            contained or candidates, key=lambda f: (len(target.paths[f]), target.paths[f], f)
+        )
+        taken.add(chosen)
+        out[eid] = chosen
     return out
 
 
 def _match_edges(before, tilde_graph, after, final_sim, to_tilde, ident_to_prime):
     if tilde_graph is before:
-        before_to_tilde = {e.eid: e.eid for e in before.edges}
+        before_to_tilde = {eid: eid for eid in before.edges}
     else:
         claimants = [
-            (e.eid, e.path, to_tilde[e.src], to_tilde[e.dst]) for e in before.edges
+            (eid, before.paths[eid], to_tilde[s], to_tilde[d])
+            for eid, (s, d) in before.edges.items()
         ]
         before_to_tilde = _pair_by_endpoints(claimants, tilde_graph)
-    tilde_paths = {e.eid: e.path for e in tilde_graph.edges}
     claimants2 = [
-        (eid, tilde_paths[eid], ident_to_prime[_name_vertex(s)],
-         ident_to_prime[_name_vertex(d)])
+        (eid, tilde_graph.paths[eid], ident_to_prime[s], ident_to_prime[d])
         for eid, (s, d) in final_sim.edges.items()
     ]
     tilde_to_after = _pair_by_endpoints(claimants2, after)
@@ -391,27 +413,26 @@ def reference_evolve(oracle, n):
         verdict = is_regular_bispecial(oracle, Word(oracle.alphabet, data))
         a_hat = oracle.alphabet.code(verdict.left_witness)
         b_hat = oracle.alphabet.code(verdict.right_witness)
-        (internal,) = tilde_graph.out_edges((data, "left"))
+        (internal,) = tilde_graph.out_edges("L:" + data)
         chosen_in = next(
-            e.eid
-            for e in tilde_graph.in_edges((data, "left"))
-            if e.path.endswith(a_hat + data)
+            e
+            for e in tilde_graph.in_edges("L:" + data)
+            if tilde_graph.paths[e].endswith(a_hat + data)
         )
         chosen_out = next(
-            e.eid
-            for e in tilde_graph.out_edges((data, "right"))
-            if e.path.startswith(data + b_hat)
+            e
+            for e in tilde_graph.out_edges("R:" + data)
+            if tilde_graph.paths[e].startswith(data + b_hat)
         )
-        moves.append((internal.eid, chosen_in, chosen_out))
+        moves.append((internal, chosen_in, chosen_out))
     ident_to_prime = _identification(oracle, n_tilde, n_prime)
-    target_sig = sorted((e.src, e.dst) for e in after.edges)
+    target_sig = sorted(after.edges.values())
     for order in (moves, moves[::-1]):
-        sim = _to_abstract(tilde_graph)
+        sim = tilde_graph
         for move in order:
             sim = apply_rbs(sim, *move)
         sim_sig = sorted(
-            (ident_to_prime[_name_vertex(s)], ident_to_prime[_name_vertex(d)])
-            for (s, d) in sim.edges.values()
+            (ident_to_prime[s], ident_to_prime[d]) for (s, d) in sim.edges.values()
         )
         if sim_sig != target_sig:
             raise InvariantViolation(
@@ -423,6 +444,17 @@ def reference_evolve(oracle, n):
         n, n_tilde, n_prime, before, after, vertex_map, edge_map, rbs_events,
         before.type_profile() == after.type_profile(),
     )
+
+
+def _comparable(result):
+    """``result`` with every skeleton, also those of a step, spelled out:
+    skeleton equality leaves out the vertex order, the length and the path
+    words."""
+    if isinstance(result, SpecialRauzyGraph):
+        return list(result.vertices.items()), result.edges, result.n, result.paths
+    if isinstance(result, EvolutionStep):
+        return result, _comparable(result.before), _comparable(result.after)
+    return result
 
 
 def _outcome(call, *args):
@@ -474,13 +506,13 @@ def assert_evolve_matches_reference(oracle):
     """Every skeleton and every step from every start agrees with the
     references, refusals included; returns how many steps succeeded."""
     for n in range(1, oracle.horizon - 1):
-        assert _outcome(build_special_rauzy, oracle, n) == _outcome(
-            reference_special_rauzy, oracle, n
+        assert _comparable(_outcome(build_special_rauzy, oracle, n)) == _comparable(
+            _outcome(reference_special_rauzy, oracle, n)
         ), n
     steps = 0
     for n in range(1, oracle.horizon - 2):
         got = _outcome(evolve, oracle, n)
-        assert got == _outcome(reference_evolve, oracle, n), n
+        assert _comparable(got) == _comparable(_outcome(reference_evolve, oracle, n)), n
         steps += isinstance(got, EvolutionStep)
     return steps
 
