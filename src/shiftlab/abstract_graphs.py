@@ -13,7 +13,8 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._graphutil import (
     arc_index,
@@ -48,7 +49,11 @@ class AbstractGraph:
     For the same reason a rewrite's result depends only on the graph and
     the move, and :func:`apply_rbs` keeps each result in ``_rewrites``,
     keyed by ``(e0, chosen_in, chosen_out)``: replaying a move costs a
-    lookup.
+    lookup.  Likewise :func:`_check_loops` accepts a loop family on the
+    graph or not by the loops' edges alone, so ``_checked_families`` keeps
+    each accepted family's ``(label, loop.edges)`` pairs in label order and
+    a repeat costs a lookup.  A refused family is never kept, and every new
+    graph, random instance or rewrite, starts with none.
     """
 
     vertices: dict[str, str]  # name -> "left" | "right"
@@ -77,6 +82,10 @@ class AbstractGraph:
     @cached_property
     def _rewrites(self) -> dict[tuple[str, str, str], "AbstractGraph"]:
         return {}
+
+    @cached_property
+    def _checked_families(self) -> set[tuple[tuple[str, tuple[str, ...]], ...]]:
+        return set()
 
     def in_edges(self, v: str) -> list[str]:
         """Edge ids ending at ``v``, ascending."""
@@ -114,13 +123,16 @@ class AbstractGraph:
         return self._strongly_connected
 
     def bispecial_edges(self) -> list[str]:
-        """Edges from a left vertex to a right vertex."""
-        return [
+        """Edges from a left vertex to a right vertex, ascending: the
+        out-edges of the left vertices that end at a right vertex."""
+        kinds, edges, outs = self.vertices, self.edges, self._adjacency[0]
+        return sorted(
             e
-            for e in self.edge_list()
-            if self.vertices[self.edges[e][0]] == "left"
-            and self.vertices[self.edges[e][1]] == "right"
-        ]
+            for w, kind in kinds.items()
+            if kind == "left"
+            for e in outs.get(w, ())
+            if kinds[edges[e][1]] == "right"
+        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -168,20 +180,32 @@ def loop_vertices(graph: AbstractGraph, loop: Loop) -> list[str]:
     return [graph.edges[e][0] for e in loop.edges]
 
 
-def check_loop(graph: AbstractGraph, loop: Loop) -> None:
-    if len(loop.edges) < 2:
+def check_loop(graph: AbstractGraph, loop: Loop) -> tuple[str, ...]:
+    """Refuse a loop that is not a vertex self-avoiding circuit of the
+    graph with a left and a right vertex; return its vertices in circuit
+    order, as :func:`loop_vertices` lists them.
+
+    Each edge's ends are looked up once.  The refusals keep their order:
+    a short loop, then the first unknown edge, the first pair of edges
+    that do not meet, a repeated vertex, and a loop of one vertex kind."""
+    eids = loop.edges
+    if len(eids) < 2:
         raise PreconditionFailure("a loop needs at least two edges")
-    for e in loop.edges:
-        if e not in graph.edges:
-            raise PreconditionFailure(f"loop edge {e!r} is not an edge of the graph")
-    for e, f in zip(loop.edges, loop.edges[1:] + loop.edges[:1]):
-        if graph.edges[e][1] != graph.edges[f][0]:
-            raise PreconditionFailure(f"edges {e},{f} are not consecutive")
-    verts = loop_vertices(graph, loop)
+    try:
+        # two or more ids, so the getter returns a tuple of ends
+        verts, targets = zip(*itemgetter(*eids)(graph.edges))
+    except KeyError:
+        e = next(e for e in eids if e not in graph.edges)
+        raise PreconditionFailure(f"loop edge {e!r} is not an edge of the graph") from None
+    if targets[-1] != verts[0] or targets[:-1] != verts[1:]:
+        i = next(i for i, d in enumerate(targets) if d != verts[(i + 1) % len(verts)])
+        e, f = eids[i], eids[(i + 1) % len(eids)]
+        raise PreconditionFailure(f"edges {e},{f} are not consecutive")
     if len(set(verts)) != len(verts):
         raise PreconditionFailure("loop is not vertex self-avoiding")
-    if len({graph.vertices[w] for w in verts}) != 2:
+    if len(set(itemgetter(*verts)(graph.vertices))) != 2:
         raise PreconditionFailure("a loop needs a left and a right vertex")
+    return verts
 
 
 def loops_vertex_disjoint(graph: AbstractGraph, loops: Sequence[Loop]) -> bool:
@@ -196,12 +220,26 @@ def loops_vertex_disjoint(graph: AbstractGraph, loops: Sequence[Loop]) -> bool:
 
 def _check_loops(graph: AbstractGraph, loops: Mapping[str, Loop]) -> None:
     """Every loop is a self-avoiding circuit of the graph, and the loops
-    are vertex-disjoint."""
+    are vertex-disjoint.
+
+    The loops are checked one by one in label order, then compared: as
+    each loop's vertices are distinct, the loops are disjoint iff they hold
+    as many vertices together as apart.  An accepted family is kept on the
+    graph (see :class:`AbstractGraph`); a refused one raises again."""
     labels = sorted(loops)
+    key = tuple((lab, loops[lab].edges) for lab in labels)
+    checked = graph._checked_families
+    if key in checked:
+        return
+    seen: set[str] = set()
+    total = 0
     for lab in labels:
-        check_loop(graph, loops[lab])
-    if not loops_vertex_disjoint(graph, [loops[lab] for lab in labels]):
+        verts = check_loop(graph, loops[lab])
+        seen.update(verts)
+        total += len(verts)
+    if len(seen) != total:
         raise PreconditionFailure("tracked loops must be vertex-disjoint")
+    checked.add(key)
 
 
 # ---------------------------------------------------------------------------
@@ -223,19 +261,21 @@ def validate(graph: AbstractGraph, coloring: Coloring | None = None) -> Validati
     coloring rules (1-4); violations name the failed item."""
     v: list[str] = []
     out_ids, in_ids = graph._adjacency
+    K_left = 0
     for name, kind in sorted(graph.vertices.items()):
         ins, outs = len(in_ids.get(name, ())), len(out_ids.get(name, ()))
-        if kind == "left" and (outs != 1 or ins < 2):
-            v.append(f"notation-2: left vertex {name} has in={ins}, out={outs}")
-        if kind == "right" and (ins != 1 or outs < 2):
+        if kind == "left":
+            K_left += 1
+            if outs != 1 or ins < 2:
+                v.append(f"notation-2: left vertex {name} has in={ins}, out={outs}")
+        elif ins != 1 or outs < 2:
             v.append(f"notation-3: right vertex {name} has in={ins}, out={outs}")
     if graph.K < 1:
         v.append(f"notation-4: edge excess K={graph.K} must be >= 1")
     if not graph.is_strongly_connected():
         v.append("notation-5: graph is not strongly connected")
-    for eid, (s, d) in sorted(graph.edges.items()):
-        if s == d:
-            v.append(f"notation-5: self-loop {eid} at {s}")
+    for eid in sorted(e for e, (s, d) in graph.edges.items() if s == d):
+        v.append(f"notation-5: self-loop {eid} at {graph.edges[eid][0]}")
     E = 0
     if coloring is not None:
         E = coloring.max_color()
@@ -279,7 +319,8 @@ def validate(graph: AbstractGraph, coloring: Coloring | None = None) -> Validati
             c = coloring.edge(eid)
             if c != 0 and not _on_monochromatic_circuit(graph, coloring, eid):
                 v.append(f"rules1-4: edge {eid} is on no circuit of color {c}")
-    return ValidationReport(not v, tuple(v), graph.K, graph.K_left, graph.K_right, E)
+    K_right = len(graph.vertices) - K_left
+    return ValidationReport(not v, tuple(v), graph.K, K_left, K_right, E)
 
 
 def _on_monochromatic_circuit(
@@ -297,10 +338,10 @@ def _on_monochromatic_circuit(
 # RBS rewrites
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     """One local rewrite: the bispecial edge plus the chosen in-edge of
-    its source and out-edge of its target."""
+    its source and out-edge of its target.  A named tuple, as a random
+    draw builds one for every candidate it tries."""
 
     e0: str
     chosen_in: str
@@ -654,14 +695,23 @@ def components_and_tags(
 def _tag_components(
     graph: AbstractGraph, loops: Mapping[str, Loop]
 ) -> ComponentTags:
+    """Components ordered by their sorted member lists, and their tags.
+
+    Over the sorted vertex list, components come out by least member,
+    which is that order, as disjoint components have distinct least
+    members."""
     labels = tuple(sorted(loops))
-    loop_edges = {e for lab in labels for e in loops[lab].edges}
-    comps = weak_components(
+    edges = graph.edges
+    loop_edges: set[str] = set()
+    loop_sets = []
+    for lab in labels:
+        eids = loops[lab].edges
+        loop_edges.update(eids)
+        loop_sets.append(frozenset([edges[e][0] for e in eids]))
+    comps = tuple(weak_components(
         graph.vertex_list(),
-        (ends for e, ends in graph.edges.items() if e not in loop_edges),
-    )
-    comps = tuple(sorted(comps, key=sorted))
-    loop_sets = [frozenset(loop_vertices(graph, loops[lab])) for lab in labels]
+        [ends for e, ends in edges.items() if e not in loop_edges],
+    ))
     tags = tuple(tuple(lv & comp for lv in loop_sets) for comp in comps)
     return ComponentTags(labels, comps, tags)
 
@@ -1194,21 +1244,30 @@ def random_graph_with_loops(
     only in-edges after its first out-edge, a right vertex only out-edges
     after its first in-edge, no edge joins a vertex to itself, and edges
     added inside a strongly connected graph keep it strongly connected.
+
+    The instance carries its adjacency index (data, not a verdict),
+    filled as edges are added.  ``E <= 99`` loops give at most ``10E + 7
+    < 1000`` edges (per loop 4 circuit, 2 ear and 4 filling edges; 4 path,
+    3 filling and 2 optional ones), so the three-digit ids are issued in
+    ascending order and each list is ascending, as :func:`arc_index` over
+    the sorted edges makes it.
     """
     if n_loops is not None and n_loops < 1:
         raise PreconditionFailure(f"n_loops must be >= 1, got {n_loops}")
+    if n_loops is not None and n_loops > 99:
+        raise PreconditionFailure(f"n_loops must be <= 99, got {n_loops}")
     E = n_loops if n_loops is not None else rng.choice([1, 1, 2, 2, 3])
     sizes = [rng.choice([2, 2, 3, 3, 4]) for _ in range(E)]
     verts: dict[str, str] = {}
     edges: dict[str, tuple[str, str]] = {}
-    out_count: dict[str, int] = {}
-    in_count: dict[str, int] = {}
+    outs: dict[str, list[str]] = {}
+    ins: dict[str, list[str]] = {}
 
     def add(s: str, d: str) -> str:
         eid = f"e{len(edges):03d}"
         edges[eid] = (s, d)
-        out_count[s] = out_count.get(s, 0) + 1
-        in_count[d] = in_count.get(d, 0) + 1
+        outs[s].append(eid)
+        ins[d].append(eid)
         return eid
 
     loops: dict[str, Loop] = {}
@@ -1222,6 +1281,8 @@ def random_graph_with_loops(
         rng.shuffle(kinds)
         names = [f"L{li}x{j}" for j in range(size)]
         verts.update(zip(names, kinds))
+        for w in names:
+            outs[w], ins[w] = [], []
         circuit = zip(names, names[1:] + names[:1])
         loops[str(li)] = Loop(tuple([add(s, d) for s, d in circuit]))
         rings.append((
@@ -1231,6 +1292,7 @@ def random_graph_with_loops(
     extra = [f"w{j}" for j in range(rng.choice([0, 1, 1, 2, 2, 3]))]
     for w in extra:
         verts[w] = rng.choice(["left", "right"])
+        outs[w], ins[w] = [], []
     core_lefts, core_rights = rings[0]
     for ring_lefts, ring_rights in rings[1:]:
         add(rng.choice(core_rights), rng.choice(ring_lefts))
@@ -1242,18 +1304,19 @@ def random_graph_with_loops(
             add(s, d)
     lefts = sorted(w for w, k in verts.items() if k == "left")
     rights = sorted(w for w, k in verts.items() if k == "right")
-    # each vertex's count is read before its own edges are added, and the
+    # each vertex's degree is read before its own edges are added, and the
     # edges of other vertices do not change it
     for v in rights:
-        for _ in range(2 - out_count.get(v, 0)):
+        for _ in range(2 - len(outs[v])):
             add(v, rng.choice(lefts))
     for u in lefts:
-        for _ in range(2 - in_count.get(u, 0)):
+        for _ in range(2 - len(ins[u])):
             add(rng.choice(rights), u)
     # a few optional extra edges from rights to lefts
     for _ in range(rng.choice([0, 0, 1, 2])):
         add(rng.choice(rights), rng.choice(lefts))
     graph = AbstractGraph(verts, edges)
+    object.__setattr__(graph, "_adjacency", (outs, ins))
     object.__setattr__(graph, "_strongly_connected", True)
     return graph, loops
 

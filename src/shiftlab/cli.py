@@ -269,6 +269,8 @@ def cmd_density(args: argparse.Namespace) -> int:
 
 
 def cmd_abstract(args: argparse.Namespace) -> int:
+    if args.search is not None and args.search < 1:
+        raise ValueError("--search must be >= 1")
     if args.graph:
         obj = read_json_file(args.graph, "--graph")
         if not isinstance(obj, dict):
@@ -418,8 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("abstract", help="validate/search abstract branching graphs")
     add_common(p, inputs=False)
-    p.add_argument("--graph", help="graph JSON file (graph/coloring/loops)")
-    p.add_argument("--random", action="store_true", help="generate a random instance")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--graph", help="graph JSON file (graph/coloring/loops)")
+    source.add_argument("--random", action="store_true", help="generate a random instance")
     p.add_argument("--search", type=int, help="search for this many disjoint colored loops")
 
     p = sub.add_parser("xi", help="loop-quotient connectivity and the loop bound")

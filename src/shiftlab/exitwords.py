@@ -15,6 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import ceil
+from typing import NamedTuple
 
 from .errors import (
     HorizonExceeded,
@@ -301,8 +302,7 @@ def _classify_run(x: SequencePrefix, w: Word, q: int, j: int) -> tuple[int, int]
     return j1, t - n
 
 
-@dataclass(frozen=True)
-class OverlapRecord:
+class OverlapRecord(NamedTuple):
     first_start: int
     second_start: int
     first_length: int

@@ -45,6 +45,7 @@ class Mutant:
 DERIVED_INDEX = "tests/test_rbs_admissibility.py::test_derived_index_matches_fresh_index"
 REWRITE_MEMO = "tests/test_rbs_admissibility.py::test_rewrite_memo_matches_fresh_graph"
 RANDOM_MOVES = "tests/test_random_moves.py"
+LOOP_KERNELS = "tests/test_loop_kernels.py"
 GRAPHS = "shiftlab/abstract_graphs.py"
 LANGUAGE = "shiftlab/language.py"
 FULL_SHIFT = "tests/test_language.py::TestComputedFullShift"
@@ -79,11 +80,51 @@ MUTANTS = (
         (DERIVED_INDEX,),
     ),
     Mutant(
-        "union-find: link a vertex instead of its root",
+        "union-find: union without find on one side",
         "shiftlab/_graphutil.py",
-        "            parent[root(b)] = root(a)\n",
-        "            parent[b] = root(a)\n",
+        "            while (p := parent[b]) != b:\n"
+        "                parent[b] = b = parent[p]\n",
+        "",
         ("tests/test_graph_index.py::TestWeakComponents::test_matches_naive_dfs",),
+    ),
+    Mutant(
+        "loop check: the consecutive-edge check stops one pair short",
+        GRAPHS,
+        "targets[:-1] != verts[1:]",
+        "targets[:-2] != verts[1:-1]",
+        (f"{LOOP_KERNELS}::TestCheckLoops::test_matches_reference_on_random_states",),
+    ),
+    Mutant(
+        "checked families: a key without labels",
+        GRAPHS,
+        "    key = tuple((lab, loops[lab].edges) for lab in labels)\n",
+        "    key = tuple(loops[lab].edges for lab in labels)\n",
+        (f"{LOOP_KERNELS}::TestCheckLoops",),
+        expect="equivalent",
+        reason="whether a family is accepted depends on its loops' edges alone; "
+        "the labels only order the checks, which decides which refusal is "
+        "raised, and a refused family is never kept",
+    ),
+    Mutant(
+        "checked families: a key without edges",
+        GRAPHS,
+        "    key = tuple((lab, loops[lab].edges) for lab in labels)\n",
+        "    key = tuple(labels)\n",
+        (f"{LOOP_KERNELS}::TestCheckLoops",),
+    ),
+    Mutant(
+        "checked families: a refused family stored",
+        GRAPHS,
+        "    if key in checked:\n        return\n",
+        "    if key in checked:\n        return\n    checked.add(key)\n",
+        (f"{LOOP_KERNELS}::TestCheckLoops::test_refused_family_is_never_kept",),
+    ),
+    Mutant(
+        "random instances: an edge appended to its source's in-list",
+        GRAPHS,
+        "        ins[d].append(eid)\n",
+        "        ins[s].append(eid)\n",
+        (f"{LOOP_KERNELS}::TestIndexes::test_generator_index_matches_arc_index",),
     ),
     Mutant(
         "random moves: a collapse is accepted",
@@ -265,7 +306,7 @@ MUTANTS = (
     Mutant(
         "loops: a loop of one vertex kind accepted",
         GRAPHS,
-        "    if len({graph.vertices[w] for w in verts}) != 2:\n",
+        "    if len(set(itemgetter(*verts)(graph.vertices))) != 2:\n",
         "    if not verts:\n",
         ("tests/test_cli.py::TestAbstractAndXi::"
          "test_malformed_graph_file_exits_one_without_traceback[one-kind-loop]",),

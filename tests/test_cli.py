@@ -582,6 +582,34 @@ class TestAbstractAndXi:
         assert report["validation"]["ok"]
         assert report["bound"]["bound_satisfied"] in (True, False)
 
+    @pytest.mark.parametrize("search", ["0", "-1"])
+    def test_search_below_one_exits_one(self, search):
+        proc = run_subprocess(["abstract", "--random", "--search", search])
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == "error: --search must be >= 1\n"
+
+    def test_graph_and_random_together_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "k3.json"
+        path.write_text((BENCH_INPUTS / "k3.json").read_text())
+        with pytest.raises(SystemExit) as exc:
+            main(["abstract", "--graph", str(path), "--random"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: shiftlab abstract")
+        assert "error: argument --random: not allowed with argument --graph" in err
+        # neither option keeps its own refusal
+        assert main(["abstract"]) == 1
+        assert capsys.readouterr().err == "error: abstract needs --graph FILE or --random\n"
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_search_reports_are_pinned(self, capsys, seed):
+        golden = json.loads((Path(__file__).parent / "golden" / "abstract_random.json").read_text())
+        for fmt in ("json", "dot"):
+            code, out = run(capsys, ["abstract", "--random", "--seed", str(seed),
+                                     "--search", "2", "--format", fmt])
+            assert code == 0
+            assert out == golden[f"{seed}.{fmt}"]
+
     def test_xi_fixture(self, capsys, tmp_path):
         from shiftlab.abstract_graphs import itinerary_to_json
         from test_abstract_graphs import TestItinerary
