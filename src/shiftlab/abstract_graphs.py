@@ -208,16 +208,6 @@ def check_loop(graph: AbstractGraph, loop: Loop) -> tuple[str, ...]:
     return verts
 
 
-def loops_vertex_disjoint(graph: AbstractGraph, loops: Sequence[Loop]) -> bool:
-    seen: set[str] = set()
-    for lp in loops:
-        vs = set(loop_vertices(graph, lp))
-        if vs & seen:
-            return False
-        seen |= vs
-    return True
-
-
 def _check_loops(graph: AbstractGraph, loops: Mapping[str, Loop]) -> None:
     """Every loop is a self-avoiding circuit of the graph, and the loops
     are vertex-disjoint.
@@ -437,8 +427,8 @@ def _rewire(
     for eid in out_ids:
         d = moved.get(eid, graph.edges[eid])[1]
         moved[eid] = (u if eid == chosen_out else v, d)
-    for eid, ends in graph.edges.items():
-        s, d = moved.get(eid, ends)
+    # every other edge keeps its ends
+    for eid, (s, d) in moved.items():
         if s == d:
             raise InadmissibleMove(
                 f"choice ({chosen_in},{chosen_out}) creates self-loop {eid}"
@@ -580,7 +570,7 @@ def build_xi(
     merge each loop's special vertices by side.
 
     The log is meant to hold twists and shrinks on the tracked loops, as
-    :meth:`Itinerary.twist_shrink_moves` and :func:`random_twist_shrink_log`
+    :func:`itinerary_check` and :func:`random_twist_shrink_log`
     produce; a move off the loops is applied like any other rewrite, and a
     collapse is refused."""
     _check_loops(graph, loops)
@@ -816,42 +806,27 @@ class Itinerary:
     def steps(self) -> int:
         return len(self.move_lists)
 
-    def twist_shrink_moves(self) -> list[Move]:
-        """All moves in order that act on a tracked loop (twists and
-        shrinks; off-loop moves are excluded).  A collapse raises, since
-        :func:`build_xi` refuses it, as does an inadmissible move."""
-        out = []
-        for i in range(self.steps):
-            current, track = self.graphs[i], self.partitions[i]
-            try:
-                _check_loops(current, track)
-            except PreconditionFailure as exc:
-                raise PreconditionFailure(f"state {i} loops: {exc}") from None
-            for k, mv in enumerate(self.move_lists[i]):
-                try:
-                    lab, kind, current, track = _track_move(current, track, mv)
-                except (InadmissibleMove, PreconditionFailure) as exc:
-                    raise PreconditionFailure(
-                        f"move {k} at step {i} inadmissible: {exc}"
-                    ) from None
-                if kind == COLLAPSE:
-                    raise PreconditionFailure(f"collapse on tracked loop {lab} at step {i}")
-                if lab is not None:
-                    out.append(mv)
-        return out
-
 
 @dataclass(frozen=True)
 class ItineraryVerdict:
     ok: bool
     violations: tuple[str, ...]
-    # twist/shrink log of the check's replay; None unless valid with disjoint loops
-    moves: tuple[Move, ...] | None = None
+    # the replay's moves on tracked loops (twists and shrinks), in order
+    moves: tuple[Move, ...]
 
 
 def itinerary_check(it: Itinerary) -> ItineraryVerdict:
-    """Verify the itinerary conditions; violations name the item."""
-    v: list[str] = []
+    """Replay the move log, then verify the itinerary conditions;
+    violations name the item.
+
+    The replay checks each state's loops (:func:`_check_loops`) and then
+    applies that step's moves.  A log that does not replay raises
+    :class:`PreconditionFailure` naming the state or the move: loops that
+    are not disjoint circuits, an inadmissible move, or a collapse, which
+    :func:`build_xi` refuses.  The verdict's ``moves`` are the replayed
+    twists and shrinks, which :func:`build_xi` takes; moves off the loops
+    are left out.  The items are checked only when every state validates.
+    """
     M = it.steps
     if not (
         len(it.graphs) == M + 1
@@ -859,48 +834,58 @@ def itinerary_check(it: Itinerary) -> ItineraryVerdict:
         and len(it.partitions) == M + 1
         and len(it.events) == M
     ):
-        return ItineraryVerdict(False, ("malformed: list lengths disagree",))
-    for i in range(M + 1):
-        rep = validate(it.graphs[i], it.colorings[i])
-        if not rep.ok:
-            v.append(f"state {i} invalid: {rep.violations[0]}")
-        for lab in sorted(it.partitions[i]):
-            lp = it.partitions[i][lab]
-            try:
-                check_loop(it.graphs[i], lp)
-            except PreconditionFailure as exc:
-                v.append(f"state {i} loop {lab}: {exc}")
-    if v:
-        return ItineraryVerdict(False, tuple(v))
+        raise PreconditionFailure("malformed: list lengths disagree")
     log: list[Move] = []
+    # per step: the graph and loops after its moves, and each loop's
+    # (move index, kind) pairs
+    replays = []
     for i in range(M):
-        part = it.partitions[i]
-        if not part:
-            v.append(f"item-7: empty loop family at step {i} < {M}")
-        g, track = it.graphs[i], part
-        moves_per_loop: dict[str, list[tuple[int, str]]] = {lab: [] for lab in part}
+        g, track = it.graphs[i], it.partitions[i]
+        try:
+            _check_loops(g, track)
+        except PreconditionFailure as exc:
+            raise PreconditionFailure(f"state {i} loops: {exc}") from None
+        moves_per_loop: dict[str, list[tuple[int, str]]] = {lab: [] for lab in track}
         for k, mv in enumerate(it.move_lists[i]):
             try:
                 lab, kind, g, track = _track_move(g, track, mv)
             except (InadmissibleMove, PreconditionFailure) as exc:
-                v.append(f"item-1: move {k} at step {i} inadmissible: {exc}")
-                return ItineraryVerdict(False, tuple(v))
+                raise PreconditionFailure(
+                    f"move {k} at step {i} inadmissible: {exc}"
+                ) from None
             if kind == COLLAPSE:
-                v.append(f"item-2: collapse on tracked loop {lab} at step {i}")
-                return ItineraryVerdict(False, tuple(v))
+                raise PreconditionFailure(f"collapse on tracked loop {lab} at step {i}")
             if lab is not None:
                 moves_per_loop[lab].append((k, kind))
                 log.append(mv)
+        replays.append((g, track, moves_per_loop))
+    v: list[str] = []
+    for i in range(M + 1):
+        rep = validate(it.graphs[i], it.colorings[i])
+        if not rep.ok:
+            v.append(f"state {i} invalid: {rep.violations[0]}")
+    # the replay has checked the loops of every earlier state
+    for lab in sorted(it.partitions[M]):
+        try:
+            check_loop(it.graphs[M], it.partitions[M][lab])
+        except PreconditionFailure as exc:
+            v.append(f"state {M} loop {lab}: {exc}")
+    if v:
+        return ItineraryVerdict(False, tuple(v), tuple(log))
+    for i, (g, track, moves_per_loop) in enumerate(replays):
+        part = it.partitions[i]
+        if not part:
+            v.append(f"item-7: empty loop family at step {i} < {M}")
         if g != it.graphs[i + 1]:
             v.append(f"item-1: replayed moves do not produce state {i + 1}")
         ev = it.events[i]
+        spread = {lab for lab, e in ev.items() if e.kind == "spread"}
         if not ev:
             v.append(f"item-3: no event at step {i}")
         for lab in sorted(ev):
             if lab not in part:
                 v.append(f"item-3: event for untracked loop {lab} at step {i}")
         for lab, seq in moves_per_loop.items():
-            kinds = [kk for _, kk in seq]
             shrinks = [k for k, kk in seq if kk in (SHRINK_U, SHRINK_V)]
             twists = [k for k, kk in seq if kk == TWIST]
             if shrinks and twists and max(twists) > min(shrinks):
@@ -909,17 +894,13 @@ def itinerary_check(it: Itinerary) -> ItineraryVerdict:
                 v.append(
                     f"item-3: loop {lab} shrank at step {i} without a shrink event"
                 )
-            if ev.get(lab) and ev[lab].kind == "spread" and shrinks:
+            if lab in spread and shrinks:
                 v.append(
                     f"item-3: loop {lab} has both shrink moves and a spread "
                     f"event at step {i}"
                 )
         # item 5: next partition = survivors minus spread loops
-        expected = {
-            lab: track[lab]
-            for lab in part
-            if not (lab in ev and ev[lab].kind == "spread")
-        }
+        expected = {lab: track[lab] for lab in part if lab not in spread}
         got = it.partitions[i + 1]
         if set(expected) != set(got) or any(
             expected[lab].edges != got[lab].edges for lab in expected
@@ -929,11 +910,9 @@ def itinerary_check(it: Itinerary) -> ItineraryVerdict:
         old_c, new_c = it.colorings[i], it.colorings[i + 1]
         g_next = it.graphs[i + 1]
         for lab in sorted(part):
-            lp = track.get(lab, part[lab])
-            if lab in ev and ev[lab].kind == "spread":
-                pass  # spreading loop: must keep its color too
-            elif lab not in it.partitions[i + 1]:
+            if lab not in spread and lab not in got:
                 continue
+            lp = track[lab]
             vs = loop_vertices(g_next, lp) if set(lp.edges) <= set(g_next.edges) else []
             if not new_c.same_on(old_c, vs, lp.edges):
                 v.append(f"item-6: colors changed on loop {lab} at step {i + 1}")
@@ -941,15 +920,13 @@ def itinerary_check(it: Itinerary) -> ItineraryVerdict:
         for w in sorted(ejected):
             if new_c.vertex(w) != 0:
                 v.append(f"item-6: ejected vertex {w} still colored at step {i + 1}")
-        # spread events name genuinely colored outside edges
-        for lab in sorted(ev):
-            if ev[lab].kind != "spread":
-                continue
-            lp = track.get(lab, part[lab])
-            color = max(
-                (it.colorings[i].edge(e) for e in lp.edges), default=0
-            )
-            lverts = set(loop_vertices(g_next, lp))
+        # spread events name genuinely colored outside edges; an event for
+        # an untracked loop is reported above.  The loop's vertices are read
+        # in the replayed graph, which is g_next unless item 1 fails.
+        for lab in sorted(spread.intersection(part)):
+            lp = track[lab]
+            color = max((old_c.edge(e) for e in lp.edges), default=0)
+            lverts = set(loop_vertices(g, lp))
             e_in, e_out = ev[lab].in_edge, ev[lab].out_edge
             for name, eid, end in (("entering", e_in, 1), ("leaving", e_out, 0)):
                 if eid is None or eid not in g_next.edges:
@@ -967,10 +944,7 @@ def itinerary_check(it: Itinerary) -> ItineraryVerdict:
                     )
     if it.partitions[M]:
         v.append(f"item-7: loop family not empty at final step {M}")
-    disjoint = not v and all(
-        loops_vertex_disjoint(g, list(p.values())) for g, p in zip(it.graphs, it.partitions)
-    )
-    return ItineraryVerdict(not v, tuple(v), tuple(log) if disjoint else None)
+    return ItineraryVerdict(not v, tuple(v), tuple(log))
 
 
 def _ejected_vertices(it: Itinerary, i: int) -> set[str]:
@@ -1048,11 +1022,15 @@ def search_colorings(graph: AbstractGraph, e_target: int) -> SearchResult:
     """
     cycles = simple_cycles(graph)
     exhausted = len(cycles) < MAX_CYCLES
+    # each circuit's vertices are distinct, so a family is disjoint iff its
+    # circuits hold as many vertices together as apart
+    vertex_sets = [frozenset(loop_vertices(graph, lp)) for lp in cycles]
     tried = 0
     for combo in itertools.combinations(range(len(cycles)), e_target):
-        family = [cycles[i] for i in combo]
-        if not loops_vertex_disjoint(graph, family):
+        sets = [vertex_sets[i] for i in combo]
+        if len(frozenset().union(*sets)) != sum(map(len, sets)):
             continue
+        family = [cycles[i] for i in combo]
         tried += 1
         loops = {str(i + 1): lp for i, lp in enumerate(family)}
         xi = build_xi(graph, loops)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -193,6 +194,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_exitwords(args: argparse.Namespace) -> int:
+    if args.cap is not None and args.cap < 1:
+        raise ValueError(f"--cap must be >= 1, got {args.cap}")
     prefix, oracle = _load_oracle(args)
     w = oracle.alphabet.word(args.w)
     if args.q is None:
@@ -218,6 +221,9 @@ def cmd_density(args: argparse.Namespace) -> int:
     prefix, oracle = _load_oracle(args)
     if args.k is not None and args.k < 1:
         raise ValueError(f"--k must be >= 1, got {args.k}")
+    # a negative slack would demand more than the 1/K floor
+    if not 0 <= args.theta_tol < math.inf:
+        raise ValueError(f"--theta-tol must be a finite number >= 0, got {args.theta_tol}")
     profile = growth_profile(oracle)
     K = profile.K if args.k is None else args.k
     if K is None:
@@ -336,8 +342,7 @@ def cmd_xi(args: argparse.Namespace) -> int:
         "itinerary_valid": verdict.ok,
         "violations": list(verdict.violations),
     }
-    moves = verdict.moves if verdict.moves is not None else it.twist_shrink_moves()
-    xi = build_xi(it.graphs[0], it.partitions[0], moves)
+    xi = build_xi(it.graphs[0], it.partitions[0], verdict.moves)
     payload["bound"] = bound_report(xi).to_json()
     if args.format == "dot":
         _emit(args, xi_dot(xi), "xi.dot")

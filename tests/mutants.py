@@ -63,6 +63,9 @@ WINDOWS = (
     "tests/test_factor_engine.py::TestAgainstNaiveReference",
 )
 WINDOWS_MEMORY = "tests/test_factor_engine.py::TestWindows::test_compiled_format_not_retained"
+REPLAY = "tests/test_itinerary_replay.py"
+ITINERARY = "tests/test_abstract_graphs.py::TestItinerary"
+SELF_LOOP = "tests/test_rbs_admissibility.py::test_untouched_self_loop_not_blamed"
 
 MUTANTS = (
     Mutant(
@@ -484,6 +487,67 @@ MUTANTS = (
             ("first start i - 1",
              "bisect_right(starts, end - n + 1) - bisect_left(starts, i - 1)"),
         )
+    ),
+    Mutant(
+        "itinerary replay: state loops unchecked",
+        GRAPHS,
+        "        try:\n"
+        "            _check_loops(g, track)\n"
+        "        except PreconditionFailure as exc:\n"
+        '            raise PreconditionFailure(f"state {i} loops: {exc}") from None\n',
+        "",
+        (REPLAY,),
+    ),
+    Mutant(
+        "itinerary replay: a collapse logged, not refused",
+        GRAPHS,
+        '                raise PreconditionFailure(f"collapse on tracked loop {lab} at step {i}")\n',
+        "                log.append(mv)\n"
+        "                continue\n",
+        (REPLAY,),
+    ),
+    Mutant(
+        "itinerary replay: an off-loop move logged",
+        GRAPHS,
+        "            if lab is not None:\n"
+        "                moves_per_loop[lab].append((k, kind))\n"
+        "                log.append(mv)\n",
+        "            log.append(mv)\n"
+        "            if lab is not None:\n"
+        "                moves_per_loop[lab].append((k, kind))\n",
+        (REPLAY,),
+    ),
+    Mutant(
+        "itinerary check: the final state's loops unchecked",
+        GRAPHS,
+        "    for lab in sorted(it.partitions[M]):\n"
+        "        try:\n"
+        "            check_loop(it.graphs[M], it.partitions[M][lab])\n"
+        "        except PreconditionFailure as exc:\n"
+        '            v.append(f"state {M} loop {lab}: {exc}")\n',
+        "",
+        (ITINERARY,),
+    ),
+    Mutant(
+        "itinerary check: spread loop's vertices read in the next state",
+        GRAPHS,
+        "            lverts = set(loop_vertices(g, lp))\n",
+        "            lverts = set(loop_vertices(g_next, lp))\n",
+        (ITINERARY,),
+    ),
+    Mutant(
+        "itinerary check: spread checks on untracked labels",
+        GRAPHS,
+        "        for lab in sorted(spread.intersection(part)):\n",
+        "        for lab in sorted(spread):\n",
+        (ITINERARY,),
+    ),
+    Mutant(
+        "apply_rbs: self-loop test reads the ends before the move",
+        GRAPHS,
+        "    for eid, (s, d) in moved.items():\n",
+        "    for eid, (s, d) in ((e, graph.edges[e]) for e in moved):\n",
+        (SELF_LOOP,),
     ),
 )
 

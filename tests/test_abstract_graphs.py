@@ -36,7 +36,7 @@ from shiftlab.abstract_graphs import (
     simple_cycles,
     validate,
 )
-from shiftlab.abstract_graphs import _check_loops
+from shiftlab.abstract_graphs import _candidate_moves, _check_loops, _track_move
 from shiftlab.errors import InadmissibleMove, PreconditionFailure
 
 
@@ -456,32 +456,92 @@ class TestItinerary:
         it = self.build()
         verdict = itinerary_check(it)
         assert verdict.ok, verdict.violations
-        assert verdict.moves == tuple(it.twist_shrink_moves()) == (Move("a", "c", "f"),)
+        assert verdict.moves == (Move("a", "c", "f"),)
 
     def test_collapse_reported_as_item_2(self):
-        verdict = itinerary_check(self.collapsing())
-        assert verdict.violations == ("item-2: collapse on tracked loop 1 at step 0",)
-        assert verdict.moves is None
+        # a collapse does not replay: it is refused, not an item-2 violation
+        with pytest.raises(PreconditionFailure) as exc:
+            itinerary_check(self.collapsing())
+        assert str(exc.value) == "collapse on tracked loop 1 at step 0"
 
-    def test_bad_loops_refused_by_twist_shrink_moves(self):
+    def test_bad_loops_refused_by_the_replay(self):
         it = self.build()
         it.partitions[1] = {"1": Loop(("b", "zz"))}
         with pytest.raises(PreconditionFailure, match="state 1 loops: loop edge 'zz'"):
-            it.twist_shrink_moves()
+            itinerary_check(it)
 
     def test_collapse_refused_by_twist_shrink_moves(self):
+        # the step's moves are no twist-shrink log: neither the replay
+        # nor build_xi takes the collapse
+        it = self.collapsing()
         with pytest.raises(PreconditionFailure, match="collapse on tracked loop 1"):
-            self.collapsing().twist_shrink_moves()
+            itinerary_check(it)
+        with pytest.raises(PreconditionFailure, match="collapse on tracked loop 1"):
+            build_xi(it.graphs[0], it.partitions[0], it.move_lists[0])
 
     def test_unknown_move_edge_reported_as_item_1(self):
+        # an inadmissible move does not replay: refused, not an item-1 violation
         it = self.build()
         it.move_lists[0][0] = Move("zz", "c", "f")
+        with pytest.raises(PreconditionFailure) as exc:
+            itinerary_check(it)
+        assert str(exc.value) == "move 0 at step 0 inadmissible: unknown edge zz"
+
+    def test_final_state_loops_checked(self):
+        # the replay checks the loops of every state but the last, whose
+        # broken loop is a violation; the log is kept
+        it = self.build()
+        it.partitions[3] = {"2": Loop(("h", "zz"))}
         verdict = itinerary_check(it)
         assert verdict.violations == (
-            "item-1: move 0 at step 0 inadmissible: unknown edge zz",
+            "state 3 loop 2: loop edge 'zz' is not an edge of the graph",
         )
-        with pytest.raises(PreconditionFailure, match="move 0 at step 0 .* zz"):
-            it.twist_shrink_moves()
+        assert verdict.moves == (Move("a", "c", "f"),)
+
+    def test_invalid_state_keeps_the_log(self):
+        it = self.build()
+        it.colorings[1] = recolored(it.colorings[1], vertices={"x": 5}, edges={})
+        verdict = itinerary_check(it)
+        assert not verdict.ok
+        assert verdict.violations[0].startswith("state 1 invalid: ")
+        assert verdict.moves == (Move("a", "c", "f"),)
+
+    def test_off_loop_move_left_out_of_the_log(self):
+        # a move off every tracked loop replays but is no twist or shrink
+        rng = random.Random(11)
+        found = None
+        while found is None:
+            g, loops = random_graph_with_loops(rng)
+            for lab, ids in _candidate_moves(g, loops):
+                try:
+                    if lab is None:
+                        found = Move(*ids), _track_move(g, loops, Move(*ids))[2]
+                        break
+                except (InadmissibleMove, PreconditionFailure):
+                    continue
+        mv, g2 = found
+        empty = Coloring({}, {})
+        it = Itinerary([g, g2], [empty, empty], [loops, loops], [[mv]], [{}])
+        verdict = itinerary_check(it)
+        assert verdict.moves == ()
+        assert "item-3: no event at step 0" in verdict.violations
+
+    def test_spread_event_for_untracked_loop_is_a_violation(self):
+        it = self.build()
+        it.events[0]["9"] = Event("spread", "a", "a")
+        verdict = itinerary_check(it)
+        assert verdict.violations == ("item-3: event for untracked loop 9 at step 0",)
+
+    def test_spread_loop_edge_missing_from_next_state(self):
+        # the spreading loop's vertices are read in the replayed graph
+        it = self.build()
+        g = it.graphs[2]
+        it.graphs[2] = AbstractGraph(
+            dict(g.vertices), {("bb" if e == "b" else e): ends for e, ends in g.edges.items()}
+        )
+        verdict = itinerary_check(it)
+        assert "item-1: replayed moves do not produce state 2" in verdict.violations
+        assert verdict.moves == (Move("a", "c", "f"),)
 
     def test_trivial_immediate_spread(self):
         # two parallel-edge 2-loops of the same colors: both colors
@@ -506,7 +566,7 @@ class TestItinerary:
         )
         verdict = itinerary_check(it)
         assert verdict.ok, verdict.violations
-        rep = bound_check(g, loops, it.twist_shrink_moves())
+        rep = bound_check(g, loops, verdict.moves)
         assert rep.xi_connected and rep.bound_satisfied
 
     def test_shrink_and_spread_same_step_rejected(self):
@@ -535,7 +595,7 @@ class TestItinerary:
 
     def test_bound_from_itinerary(self):
         it = self.build()
-        rep = bound_check(it.graphs[0], it.partitions[0], it.twist_shrink_moves())
+        rep = bound_check(it.graphs[0], it.partitions[0], itinerary_check(it).moves)
         assert rep.xi_connected
         assert (rep.E, rep.K) == (2, 3)
         assert rep.bound_satisfied

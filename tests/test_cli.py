@@ -372,6 +372,15 @@ class TestExitwords:
         assert code == 1
         assert capsys.readouterr().err == "error: the empty word is excluded\n"
 
+    @pytest.mark.parametrize("cap", ["0", "-4"])
+    def test_cap_below_one_exits_one(self, capsys, cap):
+        code = main(
+            ["exitwords", "--substitution", str(BENCH_INPUTS / "fib.json"), "--horizon", "20",
+             "--w", "abaaba", "--q", "3", "--cap", cap]
+        )
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: --cap must be >= 1, got {cap}\n")
+
 
 class TestDensity:
     def test_floor_pass(self, capsys, fib_spec):
@@ -429,6 +438,15 @@ class TestDensity:
         )
         assert code == 1
         assert capsys.readouterr().err == f"error: --k must be >= 1, got {k}\n"
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-0.5"])
+    def test_theta_tol_not_finite_or_negative_exits_one(self, tol):
+        proc = run_subprocess(
+            ["density", "--substitution", str(BENCH_INPUTS / "fib.json"), "--horizon", "20",
+             "--n", "3", "--special", "--theta-tol", tol]
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == f"error: --theta-tol must be a finite number >= 0, got {tol}\n"
 
     def test_color_ladder_beyond_the_horizon_exits_two(self, capsys, fib_spec):
         code = main(
@@ -761,6 +779,29 @@ class TestAbstractAndXi:
         assert "error: move 0 at step 0 inadmissible: " in proc.stderr
         assert "left vertex u1 has out-degree 2" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_spread_event_for_untracked_loop_is_a_violation(self, capsys, tmp_path):
+        obj = json.loads((BENCH_INPUTS / "itinerary.json").read_text())
+        obj["events"][0]["9"] = {"type": "spread", "in": "a", "out": "a"}
+        path = tmp_path / "untracked.json"
+        path.write_text(json.dumps(obj))
+        code, out = run(capsys, ["xi", "--itinerary", str(path)])
+        assert code == 0
+        report = json.loads(out)
+        assert report["itinerary_valid"] is False
+        assert report["violations"] == ["item-3: event for untracked loop 9 at step 0"]
+
+    def test_spread_loop_edge_renamed_in_next_state(self, capsys, tmp_path):
+        obj = json.loads((BENCH_INPUTS / "itinerary.json").read_text())
+        edges = obj["graphs"][2]["edges"]
+        edges["bb"] = edges.pop("b")
+        path = tmp_path / "renamed.json"
+        path.write_text(json.dumps(obj))
+        code, out = run(capsys, ["xi", "--itinerary", str(path)])
+        assert code == 0
+        report = json.loads(out)
+        assert "item-1: replayed moves do not produce state 2" in report["violations"]
+        assert report["bound"]["xi_connected"] is True
 
     def test_output_file(self, capsys, tmp_path, fib_spec):
         target = tmp_path / "report.json"

@@ -1,6 +1,8 @@
 """``apply_rbs`` decides admissibility locally; the reference below
-builds the rewritten graph, scans it for self-loops and runs a forward and
-a backward search over the whole result, as ``apply_rbs`` once did.
+builds the rewritten graph, scans it for self-loops that the move made
+(the least id is named) and runs a forward and a backward search over the
+whole result.  A self-loop that the move does not touch is not the move's
+fault and is not named.
 
 Where the bispecial edge is not its left end's only out-edge or its right
 end's only in-edge, ``apply_rbs`` refuses before the reference's checks;
@@ -59,11 +61,11 @@ def reference_rbs(graph, e0, chosen_in, chosen_out):
             new_edges[eid] = (u if eid == chosen_out else v, d)
         else:
             new_edges[eid] = (s, d)
-    for eid, (s, d) in new_edges.items():
-        if s == d:
-            raise InadmissibleMove(
-                f"choice ({chosen_in},{chosen_out}) creates self-loop {eid}"
-            )
+    made = sorted(e for e, (s, d) in new_edges.items() if s == d and graph.edges[e] != (s, d))
+    if made:
+        raise InadmissibleMove(
+            f"choice ({chosen_in},{chosen_out}) creates self-loop {made[0]}"
+        )
     vertices = sorted(graph.vertices)
     succ = {w: [] for w in vertices}
     pred = {w: [] for w in vertices}
@@ -193,7 +195,7 @@ def test_local_admissibility_matches_whole_graph_reference():
 
 def test_self_loop_named_in_edge_order():
     # v -> u edge "b" chosen as the in-edge only becomes a self-loop at v;
-    # a self-loop "zz" elsewhere is named instead when it comes first
+    # a self-loop "zz" that the move does not touch is never named
     g = AbstractGraph(
         {"u": "left", "v": "right", "w": "right", "x": "left"},
         {"a": ("u", "v"), "b": ("v", "u"), "c": ("v", "x"), "d": ("x", "w"),
@@ -201,10 +203,35 @@ def test_self_loop_named_in_edge_order():
     )
     with pytest.raises(InadmissibleMove, match="creates self-loop b"):
         apply_rbs(g, "a", "b", "c")
-    for first, named in ((True, "zz"), (False, "b")):
+    for first in (True, False):
         looped = with_self_loop(g, "w", first)
-        with pytest.raises(InadmissibleMove, match=f"creates self-loop {named}$"):
+        with pytest.raises(InadmissibleMove, match="creates self-loop b$"):
             apply_rbs(looped, "a", "b", "c")
+    # two v -> u edges chosen: b turns into a self-loop at v and y into one
+    # at u; the lesser id is named, whichever edge the graph lists first
+    for order in (("a", "b", "y", "f"), ("y", "f", "b", "a")):
+        h = AbstractGraph(
+            {"u": "left", "v": "right", "w": "right"},
+            {e: {"a": ("u", "v"), "b": ("v", "u"), "y": ("v", "u"),
+                 "f": ("w", "u")}[e] for e in order} | {"c": ("v", "w")},
+        )
+        with pytest.raises(InadmissibleMove, match="creates self-loop b$"):
+            apply_rbs(h, "a", "b", "y")
+
+
+def test_untouched_self_loop_not_blamed():
+    # s: w -> w is no edge of the move: a rewrite that makes no self-loop
+    # keeps it, and a refusal names the edge that the move turns into one
+    g = AbstractGraph(
+        {"u": "left", "v": "right", "w": "right"},
+        {"a": ("u", "v"), "b": ("v", "u"), "c": ("v", "u"), "x": ("w", "u"),
+         "y": ("v", "w"), "s": ("w", "w")},
+    )
+    got = apply_rbs(g, "a", "x", "y")
+    assert got.edges == {"a": ("v", "u"), "b": ("v", "u"), "c": ("v", "u"),
+                         "x": ("w", "v"), "y": ("u", "w"), "s": ("w", "w")}
+    with pytest.raises(InadmissibleMove, match=r"choice \(b,c\) creates self-loop b$"):
+        apply_rbs(g, "a", "b", "c")
 
 
 def test_derived_index_matches_fresh_index():
