@@ -105,14 +105,6 @@ class AbstractGraph:
     def K(self) -> int:
         return len(self.edges) - len(self.vertices)
 
-    @property
-    def K_left(self) -> int:
-        return sum(1 for k in self.vertices.values() if k == "left")
-
-    @property
-    def K_right(self) -> int:
-        return sum(1 for k in self.vertices.values() if k == "right")
-
     @cached_property
     def _strongly_connected(self) -> bool:
         return is_strongly_connected(
@@ -170,9 +162,6 @@ class Loop:
     """A directed circuit given as an edge-id tuple in circuit order."""
 
     edges: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.edges)
 
 
 def loop_vertices(graph: AbstractGraph, loop: Loop) -> list[str]:
@@ -455,81 +444,58 @@ COLLAPSE = "collapse"
 OUTSIDE = "outside"
 
 
-def classify_move(graph: AbstractGraph, loop: Loop, move: Move) -> str:
-    """Kind of the move relative to one loop, which :func:`check_loop` has
-    accepted for the graph.
-
-    ``twist`` keeps the loop, ``shrink-u``/``shrink-v`` eject the left or
-    right vertex of the rewired edge, ``collapse`` destroys the loop, and
-    ``outside`` means the move does not touch the loop at all.
-    """
-    if move.e0 not in graph.edges:
-        raise PreconditionFailure(f"unknown edge {move.e0}")
-    u, v = graph.edges[move.e0]
-    if move.e0 not in loop.edges:
-        lverts = loop_vertices(graph, loop)
-        if u in lverts or v in lverts:
-            raise PreconditionFailure(
-                "a bispecial edge touching a loop vertex must be a loop edge"
-            )
-        return OUTSIDE
-    idx = loop.edges.index(move.e0)
-    loop_in = loop.edges[idx - 1]  # loop edge ending at u
-    loop_out = loop.edges[(idx + 1) % len(loop.edges)]  # loop edge leaving v
-    in_on_loop = move.chosen_in == loop_in
-    out_on_loop = move.chosen_out == loop_out
-    if in_on_loop and out_on_loop:
-        return TWIST
-    if not in_on_loop and not out_on_loop:
-        return COLLAPSE
-    if len(loop.edges) == 2:
-        raise PreconditionFailure("shrink is never allowed in a 2-loop")
-    # choosing the loop's in-edge at u ejects u, choosing its out-edge at v ejects v
-    side, kind = ("left", SHRINK_U) if in_on_loop else ("right", SHRINK_V)
-    if sum(1 for w in loop_vertices(graph, loop) if graph.vertices[w] == side) < 2:
-        raise PreconditionFailure(f"cannot eject the loop's only {side} special vertex")
-    return kind
-
-
-def shrink_loop(loop: Loop, move: Move) -> Loop:
-    """The loop after a shrink: the rewired edge leaves it."""
-    return Loop(tuple(e for e in loop.edges if e != move.e0))
-
-
 def _track_move(
     graph: AbstractGraph, loops: Mapping[str, Loop], move: Move
 ) -> tuple[str | None, str, AbstractGraph, Mapping[str, Loop]]:
-    """One step of a move log over vertex-disjoint tracked loops.
+    """One step of a move log over vertex-disjoint tracked loops: the one
+    place that decides a move's kind, refuses the move or applies it.
 
-    Returns the label of the first loop (in label order) that holds the
-    move's edge ``e0``, or ``None``, the move's kind relative to it, and the
-    graph and loops after the move.  A collapse is not applied: graph and
-    loops come back unchanged, and each caller decides what a collapse
-    means to it.  The caller checks the loops (:func:`_check_loops`) once,
-    before its first move: the rewrite keeps every degree and moves no
-    edge of another loop, so the loops stay disjoint circuits of the new
-    graph.  As the loops are disjoint, no loop but the owner holds ``e0``'s
-    ends, so the move is classified against the owner alone; a move off
-    every loop is ``outside`` unless it touches a loop vertex.
+    Returns the label of the loop that holds the move's edge ``e0``, or
+    ``None``, the move's kind relative to it, and the graph and loops after
+    the move.  ``twist`` keeps the loop, ``shrink-u``/``shrink-v`` eject the
+    left or right vertex of the rewired edge (``e0`` leaves the loop),
+    ``collapse`` destroys the loop, and ``outside`` means ``e0`` lies off
+    every loop.  A collapse is not applied: graph and loops come back
+    unchanged, and each caller decides what a collapse means to it.  The
+    caller checks the loops (:func:`_check_loops`) once, before its first
+    move: the rewrite keeps every degree and moves no edge of another
+    loop, so the loops stay disjoint circuits of the new graph.  As the
+    loops are disjoint, no loop but the owner holds ``e0``'s ends, so the
+    move is classified against the owner alone; a move off every loop is
+    refused when it touches a loop vertex.
     """
     if move.e0 not in graph.edges:
         raise PreconditionFailure(f"unknown edge {move.e0}")
     label = next((lab for lab in sorted(loops) if move.e0 in loops[lab].edges), None)
-    if label is not None:
-        kind = classify_move(graph, loops[label], move)
-    else:
+    if label is None:
         loop_vs = {graph.edges[e][0] for lp in loops.values() for e in lp.edges}
         if loop_vs.intersection(graph.edges[move.e0]):
             raise PreconditionFailure(
                 "a bispecial edge touching a loop vertex must be a loop edge"
             )
         kind = OUTSIDE
+    else:
+        eids = loops[label].edges
+        idx = eids.index(move.e0)
+        in_on_loop = move.chosen_in == eids[idx - 1]  # loop edge ending at u
+        out_on_loop = move.chosen_out == eids[(idx + 1) % len(eids)]  # loop edge leaving v
+        if in_on_loop == out_on_loop:
+            kind = TWIST if in_on_loop else COLLAPSE
+        else:
+            if len(eids) == 2:
+                raise PreconditionFailure("shrink is never allowed in a 2-loop")
+            # choosing the loop's in-edge at u ejects u, its out-edge at v ejects v
+            side, kind = ("left", SHRINK_U) if in_on_loop else ("right", SHRINK_V)
+            if sum(graph.vertices[graph.edges[e][0]] == side for e in eids) < 2:
+                raise PreconditionFailure(
+                    f"cannot eject the loop's only {side} special vertex"
+                )
     if kind == COLLAPSE:
         return label, kind, graph, loops
     graph_after = apply_rbs(graph, move.e0, move.chosen_in, move.chosen_out)
     loops_after = dict(loops)
     if kind in (SHRINK_U, SHRINK_V):
-        loops_after[label] = shrink_loop(loops[label], move)
+        loops_after[label] = Loop(tuple(e for e in eids if e != move.e0))
     return label, kind, graph_after, loops_after
 
 
@@ -660,26 +626,11 @@ class ComponentTags:
     """Weak components of the loop-deleted graph, each tagged by the loop
     vertices it contains (one entry per tracked loop, in label order)."""
 
-    labels: tuple[str, ...]
     components: tuple[frozenset[str], ...]
     tags: tuple[tuple[frozenset[str], ...], ...]
 
     def as_set(self) -> set[tuple[frozenset[str], tuple[frozenset[str], ...]]]:
         return set(zip(self.components, self.tags))
-
-
-def check_conditions_a(graph: AbstractGraph, loops: Mapping[str, Loop]) -> None:
-    rep = validate(graph)
-    if not rep.ok:
-        raise PreconditionFailure(f"structure violates: {rep.violations[0]}")
-    _check_loops(graph, loops)
-
-
-def components_and_tags(
-    graph: AbstractGraph, loops: Mapping[str, Loop]
-) -> ComponentTags:
-    check_conditions_a(graph, loops)
-    return _tag_components(graph, loops)
 
 
 def _tag_components(
@@ -690,11 +641,10 @@ def _tag_components(
     Over the sorted vertex list, components come out by least member,
     which is that order, as disjoint components have distinct least
     members."""
-    labels = tuple(sorted(loops))
     edges = graph.edges
     loop_edges: set[str] = set()
     loop_sets = []
-    for lab in labels:
+    for lab in sorted(loops):
         eids = loops[lab].edges
         loop_edges.update(eids)
         loop_sets.append(frozenset([edges[e][0] for e in eids]))
@@ -703,13 +653,12 @@ def _tag_components(
         [ends for e, ends in edges.items() if e not in loop_edges],
     ))
     tags = tuple(tuple(lv & comp for lv in loop_sets) for comp in comps)
-    return ComponentTags(labels, comps, tags)
+    return ComponentTags(comps, tags)
 
 
 @dataclass(frozen=True)
 class MoveEffect:
     kind: str  # "A" | "B" | "C"
-    merged: tuple[frozenset[str], frozenset[str], frozenset[str]] | None
     ejected: str | None
     before: ComponentTags
     after: ComponentTags
@@ -728,7 +677,11 @@ def move_effect(
     a shrink can only merge the two components of the rewired edge's
     endpoints, dropping exactly the ejected vertex from the tags.
     """
-    before = components_and_tags(graph, loops)
+    rep = validate(graph)
+    if not rep.ok:
+        raise PreconditionFailure(f"structure violates: {rep.violations[0]}")
+    _check_loops(graph, loops)
+    before = _tag_components(graph, loops)
     lab, move_kind, graph2, loops2 = _track_move(graph, loops, move)
     if move_kind == COLLAPSE:
         raise PreconditionFailure("move not of kind A/B/C: collapse on a circuit")
@@ -737,36 +690,33 @@ def move_effect(
     ejected = {SHRINK_U: u, SHRINK_V: v}.get(move_kind)
     # the rewrite keeps the inputs' checked conditions (see _track_move)
     after = _tag_components(graph2, loops2)
-    merged = None
     if kind in ("A", "C"):
         if before.as_set() != after.as_set():
             raise InvariantViolation(
                 f"kind-{kind} move changed components or tags"
             )
     else:
-        merged = _verify_merge(before, after, u, v, ejected)  # type: ignore[arg-type]
-    return MoveEffect(kind, merged, ejected, before, after, graph2, loops2)
+        _verify_merge(before, after, u, v, ejected)  # type: ignore[arg-type]
+    return MoveEffect(kind, ejected, before, after, graph2, loops2)
 
 
 def _verify_merge(
     before: ComponentTags, after: ComponentTags, u: str, v: str, ejected: str
-) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
+) -> None:
     comp_u = next(c for c in before.components if u in c)
     comp_v = next(c for c in before.components if v in c)
-    expected_comp = comp_u | comp_v
     idx_u = before.components.index(comp_u)
     idx_v = before.components.index(comp_v)
     expected_tag = tuple(
         (su | sv) - {ejected}
         for su, sv in zip(before.tags[idx_u], before.tags[idx_v])
     )
-    expected = {(expected_comp, expected_tag)}
+    expected = {(comp_u | comp_v, expected_tag)}
     for c, t in zip(before.components, before.tags):
         if c not in (comp_u, comp_v):
             expected.add((c, t))
     if expected != after.as_set():
         raise InvariantViolation("shrink effect disagrees with recomputation")
-    return comp_u, comp_v, expected_comp
 
 
 # ---------------------------------------------------------------------------
@@ -1421,16 +1371,19 @@ def coloring_to_json(c: Coloring) -> dict:
 
 
 def coloring_from_json(obj: dict) -> Coloring:
-    """Inverse of :func:`coloring_to_json`; a malformed shape raises
-    ``ValueError`` naming the offending key."""
+    """Inverse of :func:`coloring_to_json`; a malformed shape or a color
+    that is not a JSON integer (``true`` included) raises ``ValueError``
+    naming the offending key."""
     maps = []
     for key in ("vertices", "edges"):
         colors = obj.get(key, {}) if isinstance(obj, dict) else None
         if not isinstance(colors, dict) or not all(
-            isinstance(c, (int, str)) for c in colors.values()
+            isinstance(c, int) and not isinstance(c, bool) for c in colors.values()
         ):
-            raise ValueError(f"coloring {key!r} must be an object mapping names to colors")
-        maps.append({k: int(c) for k, c in colors.items()})
+            raise ValueError(
+                f"coloring {key!r} must be an object mapping names to integer colors"
+            )
+        maps.append(dict(colors))
     return Coloring(*maps)
 
 
@@ -1520,9 +1473,8 @@ def abstract_dot(
     graph: AbstractGraph,
     coloring: Coloring | None = None,
     loops: Mapping[str, Loop] | None = None,
-    name: str = "branching_graph",
 ) -> str:
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph branching_graph {"]
     loop_edge_labels: dict[str, str] = {}
     if loops:
         for lab in sorted(loops):
@@ -1551,8 +1503,8 @@ def abstract_dot(
     return "\n".join(lines) + "\n"
 
 
-def xi_dot(xi: LoopQuotient, name: str = "loop_quotient") -> str:
-    lines = [f"graph {name} {{"]
+def xi_dot(xi: LoopQuotient) -> str:
+    lines = ["graph loop_quotient {"]
     for v in xi.vertices:
         lines.append(f"  {dot_quote(v)};")
     for eid, a, b in xi.edges:

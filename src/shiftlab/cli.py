@@ -248,6 +248,8 @@ def cmd_density(args: argparse.Namespace) -> int:
             "first_failure": list(wc.first_failure) if wc.first_failure else None,
         }
     if args.color:
+        if args.theta is not None and not 0 < args.theta < 1 / (2 * K):
+            raise ValueError(f"--theta must lie in (0, 1/(2K)) for K={K}, got {args.theta}")
         side = args.side or "left"
         oracle.require_length(args.n + 2, "color ladder")
         ladder = []

@@ -310,11 +310,9 @@ def evolve(oracle: LanguageOracle, n: int) -> EvolutionStep:
 # -- DOT export -------------------------------------------------------------
 
 
-def rauzy_dot(graph: RauzyGraph, oracle: LanguageOracle | None = None, name: str = "factor_graph") -> str:
-    tok = (lambda d: d) if oracle is None else (
-        lambda d: str(Word(oracle.alphabet, d))
-    )
-    lines = [f"digraph {name} {{"]
+def rauzy_dot(graph: RauzyGraph, oracle: LanguageOracle) -> str:
+    tok = lambda d: str(Word(oracle.alphabet, d))
+    lines = ["digraph factor_graph {"]
     for v in graph.vertices:
         lines.append(f"  {dot_quote(tok(v))};")
     for e in graph.edges:
@@ -327,11 +325,9 @@ def rauzy_dot(graph: RauzyGraph, oracle: LanguageOracle | None = None, name: str
 
 
 def special_rauzy_dot(
-    graph: SpecialRauzyGraph, oracle: LanguageOracle | None = None, name: str = "special_graph"
+    graph: SpecialRauzyGraph, oracle: LanguageOracle, name: str = "special_graph"
 ) -> str:
-    tok = (lambda d: d) if oracle is None else (
-        lambda d: str(Word(oracle.alphabet, d))
-    )
+    tok = lambda d: str(Word(oracle.alphabet, d))
     label = lambda v: f"{tok(v[2:])}|{graph.vertices[v][0]}"
     lines = [f"digraph {name} {{"]
     for v in graph.vertices:

@@ -45,6 +45,7 @@ class Mutant:
 DERIVED_INDEX = "tests/test_rbs_admissibility.py::test_derived_index_matches_fresh_index"
 REWRITE_MEMO = "tests/test_rbs_admissibility.py::test_rewrite_memo_matches_fresh_graph"
 RANDOM_MOVES = "tests/test_random_moves.py"
+TRACK_REFERENCE = f"{RANDOM_MOVES}::test_track_move_matches_label_order_reference"
 LOOP_KERNELS = "tests/test_loop_kernels.py"
 GRAPHS = "shiftlab/abstract_graphs.py"
 LANGUAGE = "shiftlab/language.py"
@@ -185,7 +186,43 @@ MUTANTS = (
         GRAPHS,
         "        if loop_vs.intersection(graph.edges[move.e0]):\n",
         "        if False:\n",
-        (f"{RANDOM_MOVES}::test_track_move_matches_label_order_reference",),
+        (TRACK_REFERENCE,),
+    ),
+    Mutant(
+        "move tracking: twist and collapse swapped",
+        GRAPHS,
+        "            kind = TWIST if in_on_loop else COLLAPSE\n",
+        "            kind = COLLAPSE if in_on_loop else TWIST\n",
+        (TRACK_REFERENCE,),
+    ),
+    Mutant(
+        "move tracking: a shrink in a 2-loop accepted",
+        GRAPHS,
+        "            if len(eids) == 2:\n"
+        '                raise PreconditionFailure("shrink is never allowed in a 2-loop")\n',
+        "",
+        (TRACK_REFERENCE,),
+    ),
+    Mutant(
+        "move tracking: the only-side test reads < 1",
+        GRAPHS,
+        "== side for e in eids) < 2:",
+        "== side for e in eids) < 1:",
+        (TRACK_REFERENCE,),
+    ),
+    Mutant(
+        "move tracking: shrink-u and shrink-v swapped",
+        GRAPHS,
+        '("left", SHRINK_U) if in_on_loop else ("right", SHRINK_V)',
+        '("left", SHRINK_V) if in_on_loop else ("right", SHRINK_U)',
+        (TRACK_REFERENCE,),
+    ),
+    Mutant(
+        "move tracking: the shrunk loop keeps e0",
+        GRAPHS,
+        "        loops_after[label] = Loop(tuple(e for e in eids if e != move.e0))\n",
+        "        loops_after[label] = Loop(eids)\n",
+        (TRACK_REFERENCE,),
     ),
     Mutant(
         "full shift: membership ignores the length",

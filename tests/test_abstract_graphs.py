@@ -17,9 +17,6 @@ from shiftlab.abstract_graphs import (
     apply_rbs,
     bound_check,
     build_xi,
-    check_conditions_a,
-    classify_move,
-    components_and_tags,
     enumerate_valid_graphs,
     exhaustive_bound_probe,
     graph_from_json,
@@ -36,7 +33,7 @@ from shiftlab.abstract_graphs import (
     simple_cycles,
     validate,
 )
-from shiftlab.abstract_graphs import _candidate_moves, _check_loops, _track_move
+from shiftlab.abstract_graphs import _candidate_moves, _check_loops, _tag_components, _track_move
 from shiftlab.errors import InadmissibleMove, PreconditionFailure
 
 
@@ -198,34 +195,39 @@ class TestApplyRbs:
         assert moves > 100
 
 
+def kind_of(graph, loops, move):
+    """The move's kind as the move-log step decides it."""
+    return _track_move(graph, loops, move)[1]
+
+
 class TestClassify:
     def test_twist(self):
         g, _, loops = three_loop_fixture()
-        assert classify_move(g, loops["1"], Move("a", "c", "b")) == "twist"
+        assert kind_of(g, loops, Move("a", "c", "b")) == "twist"
 
     def test_shrink_u(self):
         g, _, loops = three_loop_fixture()
-        assert classify_move(g, loops["1"], Move("a", "c", "f")) == "shrink-u"
+        assert kind_of(g, loops, Move("a", "c", "f")) == "shrink-u"
 
     def test_shrink_v_needs_second_right_special(self):
         # the 3-loop has a single right special vertex, so ejecting it
         # is refused even though the index pattern matches a shrink
         g, _, loops = three_loop_fixture()
         with pytest.raises(PreconditionFailure, match="only right special"):
-            classify_move(g, loops["1"], Move("a", "k", "b"))
+            kind_of(g, loops, Move("a", "k", "b"))
 
     def test_collapse(self):
         g, _, loops = three_loop_fixture()
-        assert classify_move(g, loops["1"], Move("a", "k", "f")) == "collapse"
+        assert kind_of(g, loops, Move("a", "k", "f")) == "collapse"
 
     def test_outside(self):
         g, _, loops = three_loop_fixture()
-        assert classify_move(g, loops["2"], Move("a", "c", "b")) == "outside"
+        assert kind_of(g, {"2": loops["2"]}, Move("a", "c", "b")) == "outside"
 
     def test_shrink_on_two_loop_rejected(self):
         g, _, loops = three_loop_fixture()
         with pytest.raises(PreconditionFailure, match="2-loop"):
-            classify_move(g, loops["2"], Move("d", "k", "e"))
+            kind_of(g, loops, Move("d", "k", "e"))
 
     def test_shrink_needs_second_left_special(self):
         # a 3-loop with one left and two right specials: ejecting the
@@ -236,10 +238,10 @@ class TestClassify:
              "f": ("v1", "u3"), "g": ("v2", "u3"), "h": ("u3", "u1")},
         )
         assert validate(g).ok
-        loop = Loop(("a", "b", "c"))
+        loops = {"1": Loop(("a", "b", "c"))}
         with pytest.raises(PreconditionFailure, match="only left special"):
-            classify_move(g, loop, Move("a", "c", "f"))
-        assert classify_move(g, loop, Move("a", "h", "b")) == "shrink-v"
+            kind_of(g, loops, Move("a", "c", "f"))
+        assert kind_of(g, loops, Move("a", "h", "b")) == "shrink-v"
 
 
 class TestQuotient:
@@ -335,7 +337,9 @@ class TestBoundCheck:
 class TestComponentsAndTags:
     def test_fixture_components(self):
         g, _, loops = three_loop_fixture()
-        ct = components_and_tags(g, loops)
+        assert validate(g).ok
+        _check_loops(g, loops)
+        ct = _tag_components(g, loops)
         comps = {frozenset(c) for c in ct.components}
         assert comps == {
             frozenset({"u1", "v2"}),
@@ -382,7 +386,8 @@ class TestComponentsAndTags:
                 continue
             eff = move_effect(g, loops, mv)  # raises on any disagreement
             # the output is not re-checked inside move_effect
-            check_conditions_a(eff.graph_after, eff.loops_after)
+            assert validate(eff.graph_after).ok
+            _check_loops(eff.graph_after, eff.loops_after)
             done += 1
 
     def test_equal_tags_evolve_equally(self):
@@ -400,7 +405,9 @@ class TestComponentsAndTags:
             if eff_c.kind != "C":
                 continue
             other = eff_c.graph_after
-            assert components_and_tags(g, loops).as_set() == components_and_tags(
+            assert validate(other).ok
+            _check_loops(other, loops)
+            assert _tag_components(g, loops).as_set() == _tag_components(
                 other, loops
             ).as_set()
             log = random_twist_shrink_log(rng, g, loops, 1)
@@ -735,10 +742,11 @@ class TestRandomInstances:
                 # construction, so the search here tests it
                 assert _reaches_every_vertex(g, forward=True)
                 assert _reaches_every_vertex(g, forward=False)
-                assert validate(g).ok
+                rep = validate(g)
+                assert rep.ok
                 _check_loops(g, loops)
                 assert n_loops is None or len(loops) == n_loops
-                assert g.K >= g.K_right
+                assert g.K >= rep.K_right
 
     @pytest.mark.parametrize(
         "draw",

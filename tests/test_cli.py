@@ -448,6 +448,18 @@ class TestDensity:
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr == f"error: --theta-tol must be a finite number >= 0, got {tol}\n"
 
+    @pytest.mark.parametrize("theta", ["nan", "inf", "-1", "0", "0.5"])
+    def test_theta_outside_its_range_exits_one(self, capsys, theta):
+        code = main(
+            ["density", "--substitution", str(BENCH_INPUTS / "fib.json"), "--horizon", "20",
+             "--n", "3", "--color", "--theta", theta]
+        )
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (
+            f"error: --theta must lie in (0, 1/(2K)) for K=1, got {float(theta)}\n"
+        )
+
     def test_color_ladder_beyond_the_horizon_exits_two(self, capsys, fib_spec):
         code = main(
             ["density", "--substitution", fib_spec, "--horizon", "24", "--n", "30", "--color"]
@@ -592,6 +604,19 @@ class TestAbstractAndXi:
             assert report["validation"]["violations"][0].startswith("notation-8")
         else:
             assert code == 1 and f"error: {refusal}" in captured.err
+
+    @pytest.mark.parametrize("key", ["vertices", "edges"])
+    @pytest.mark.parametrize("color", ["x", "1e3", "1", True, 1.0, None])
+    def test_non_integer_color_exits_one_naming_its_key(self, tmp_path, key, color):
+        names = {"vertices": "u", "edges": "a"}
+        obj = {"graph": TWO_CYCLE, "coloring": {key: {names[key]: color}}}
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(obj))
+        proc = run_subprocess(["abstract", "--graph", str(path)])
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == (
+            f"error: coloring {key!r} must be an object mapping names to integer colors\n"
+        )
 
     def test_abstract_random(self, capsys):
         code, out = run(capsys, ["abstract", "--random", "--seed", "3"])

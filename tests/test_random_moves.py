@@ -6,15 +6,17 @@ apply.  The references below list the same moves another way: the
 twists and shrinks from each loop's own structure (another in-edge at
 ``u`` ejects ``v``, another out-edge at ``v`` ejects ``u``, and a loop keeps
 at least one vertex of each kind), and the A/B/C moves by classifying
-each on-loop move against its loop.  Each keeps only the moves that
-``apply_rbs`` accepts.
+each on-loop move against its loop with ``reference_classify``.  Each
+keeps only the moves that ``apply_rbs`` accepts.
 
 The generators admit each candidate through ``_track_move`` and continue
 from the graph it builds.  ``old_first_tracked`` is that draw over lists
 of ``Move``; the generators must draw the same moves as the ones built on
 it, from the same random stream.  ``reference_track_move`` classifies a
-move against every loop in label order, and ``_track_move``, which asks
-only the loop that holds ``e0``, must agree with it.
+move against every loop in label order with ``reference_classify``, a
+classifier of one move against one loop, and ``_track_move``, which
+decides the kind itself and asks only the loop that holds ``e0``, must
+agree with it: the same kind and result, or the same refusal.
 ``reference_random_graph_with_loops`` builds each path of a random
 instance from a generator of edge ids and counts degrees with
 ``Counter``; the one-pass generator must build the same instance from
@@ -35,15 +37,47 @@ from shiftlab.abstract_graphs import (
     Loop,
     Move,
     apply_rbs,
-    classify_move,
     loop_vertices,
     random_abc_move,
     random_graph_with_loops,
     random_twist_shrink_log,
-    shrink_loop,
 )
 from shiftlab.abstract_graphs import _candidate_moves, _check_loops, _track_move
 from shiftlab.errors import InadmissibleMove, PreconditionFailure
+
+
+def reference_classify(graph, loop, move):
+    """Kind of the move relative to one loop, which ``check_loop`` has
+    accepted for the graph: ``twist`` keeps the loop, ``shrink-u`` and
+    ``shrink-v`` eject the left or right vertex of the rewired edge,
+    ``collapse`` destroys the loop, and ``outside`` means the move does
+    not touch the loop at all."""
+    if move.e0 not in graph.edges:
+        raise PreconditionFailure(f"unknown edge {move.e0}")
+    u, v = graph.edges[move.e0]
+    if move.e0 not in loop.edges:
+        lverts = loop_vertices(graph, loop)
+        if u in lverts or v in lverts:
+            raise PreconditionFailure(
+                "a bispecial edge touching a loop vertex must be a loop edge"
+            )
+        return OUTSIDE
+    idx = loop.edges.index(move.e0)
+    loop_in = loop.edges[idx - 1]  # loop edge ending at u
+    loop_out = loop.edges[(idx + 1) % len(loop.edges)]  # loop edge leaving v
+    in_on_loop = move.chosen_in == loop_in
+    out_on_loop = move.chosen_out == loop_out
+    if in_on_loop and out_on_loop:
+        return TWIST
+    if not in_on_loop and not out_on_loop:
+        return COLLAPSE
+    if len(loop.edges) == 2:
+        raise PreconditionFailure("shrink is never allowed in a 2-loop")
+    # choosing the loop's in-edge at u ejects u, choosing its out-edge at v ejects v
+    side, kind = ("left", SHRINK_U) if in_on_loop else ("right", SHRINK_V)
+    if sum(1 for w in loop_vertices(graph, loop) if graph.vertices[w] == side) < 2:
+        raise PreconditionFailure(f"cannot eject the loop's only {side} special vertex")
+    return kind
 
 
 def admissible(graph, moves):
@@ -102,7 +136,7 @@ def naive_abc_moves(graph, loops):
                 mv = Move(e0, cin, cout)
                 if lab is not None:
                     try:
-                        kind = classify_move(graph, loops[lab], mv)
+                        kind = reference_classify(graph, loops[lab], mv)
                     except PreconditionFailure:
                         continue
                     if kind == COLLAPSE:
@@ -200,7 +234,7 @@ def test_generators_match_old_first_tracked():
 def reference_track_move(graph, loops, move):
     label, kind = None, OUTSIDE
     for lab in sorted(loops):
-        kind = classify_move(graph, loops[lab], move)
+        kind = reference_classify(graph, loops[lab], move)
         if kind != OUTSIDE:
             label = lab
             break
@@ -209,7 +243,7 @@ def reference_track_move(graph, loops, move):
     graph_after = apply_rbs(graph, move.e0, move.chosen_in, move.chosen_out)
     loops_after = dict(loops)
     if kind in (SHRINK_U, SHRINK_V):
-        loops_after[label] = shrink_loop(loops[label], move)
+        loops_after[label] = Loop(tuple(e for e in loops[label].edges if e != move.e0))
     return label, kind, graph_after, loops_after
 
 
@@ -260,6 +294,9 @@ def test_track_move_matches_label_order_reference():
     assert min(seen[k] for k in (TWIST, SHRINK_U, SHRINK_V, COLLAPSE, OUTSIDE)) > 100
     assert seen["a bispecial edge touching a loop vertex must be a loop edge"] > 500
     assert seen["unknown edge zz"] > 500
+    assert seen["shrink is never allowed in a 2-loop"] > 100
+    assert seen["cannot eject the loop's only left special vertex"] > 100
+    assert seen["cannot eject the loop's only right special vertex"] > 100
 
 
 def reference_random_graph_with_loops(rng, n_loops=None):
