@@ -230,6 +230,8 @@ def cmd_density(args: argparse.Namespace) -> int:
         raise ValueError("growth is not constant within horizon; pass --k")
     if K == 0:
         raise ValueError("periodic language: the branching constant is undefined")
+    if args.theta is not None and not 0 < args.theta < 1 / (2 * K):
+        raise ValueError(f"--theta must lie in (0, 1/(2K)) for K={K}, got {args.theta}")
     payload: dict = {"K": K}
     if args.word:
         w = oracle.alphabet.word(args.word)
@@ -248,8 +250,6 @@ def cmd_density(args: argparse.Namespace) -> int:
             "first_failure": list(wc.first_failure) if wc.first_failure else None,
         }
     if args.color:
-        if args.theta is not None and not 0 < args.theta < 1 / (2 * K):
-            raise ValueError(f"--theta must lie in (0, 1/(2K)) for K={K}, got {args.theta}")
         side = args.side or "left"
         oracle.require_length(args.n + 2, "color ladder")
         ladder = []
@@ -374,9 +374,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, inputs: bool = True) -> None:
+    def add_common(
+        p: argparse.ArgumentParser, inputs: bool = True, formats: tuple = ("json", "dot")
+    ) -> None:
         p.add_argument("--out", help="output file or directory (default stdout)")
-        p.add_argument("--format", choices=("json", "dot"), default="json")
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--seed", type=int, default=0)
         if inputs:
             p.add_argument("--horizon", type=int, default=24)
@@ -387,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seq", help="sequence file")
 
     p = sub.add_parser("analyze", help="growth / regular-bispecial / periodicity report")
-    add_common(p)
+    add_common(p, formats=("json",))
     p.add_argument("--n", type=int, help="least length for the bispecial scan")
 
     p = sub.add_parser("rauzy", help="factor graph and its branching skeleton")
@@ -400,14 +402,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, dest="n_max")
 
     p = sub.add_parser("exitwords", help="enumerate and decompose exit words")
-    add_common(p)
+    add_common(p, formats=("json",))
     p.add_argument("--w", required=True, help="base word (token string)")
     p.add_argument("--q", type=int, help="step (default: minimal step)")
     p.add_argument("--z", help="word to decompose")
     p.add_argument("--cap", type=int, help="length cap for enumeration")
 
     p = sub.add_parser("density", help="block densities and the special floor")
-    add_common(p)
+    add_common(p, formats=("json",))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, help="branching constant override")
     p.add_argument("--word", help="single word to estimate")

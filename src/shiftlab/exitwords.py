@@ -113,7 +113,7 @@ def decompose(
     when an oracle is supplied).
     """
     n = len(w)
-    if not 1 <= q <= n - 1 or not shift_match(w, q):
+    if not shift_match(w, q):
         raise PreconditionFailure(f"q={q} is not a step for {w}")
     out = []
     for p_len in range(1, min(q, len(z) - n - 1) + 1):
@@ -177,7 +177,7 @@ def enumerate_exit_words(
     decomposition rebuilds ``z`` within the same cap.
     """
     n = len(w)
-    if not 1 <= q <= n - 1 or not shift_match(w, q):
+    if not shift_match(w, q):
         raise PreconditionFailure(f"q={q} is not a step for {w}")
     if not oracle.contains(w):
         raise PreconditionFailure(f"{w} is not a factor")

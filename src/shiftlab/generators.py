@@ -26,23 +26,12 @@ from .words import Alphabet, Word
 
 
 @dataclass(frozen=True)
-class SequencePrefix:
-    """A finite prefix of a one-sided infinite sequence."""
+class SequencePrefix(Word):
+    """A finite prefix of a one-sided infinite sequence: a word that
+    records where it came from."""
 
-    alphabet: Alphabet
-    data: str  # one code char per letter
     provenance: str
     recurrent: bool | None = None  # read by nothing
-
-    def __post_init__(self):
-        if not self.data:
-            raise ValueError("empty sequence prefix")
-        bad = set(self.data) - set(self.alphabet.codes)
-        if bad:
-            raise ValueError(
-                f"sequence data contains non-code characters {sorted(bad)}; "
-                "use from_tokens for token input"
-            )
 
     @classmethod
     def from_tokens(
@@ -52,18 +41,6 @@ class SequencePrefix:
         provenance: str = "tokens",
     ) -> "SequencePrefix":
         return cls(alphabet, alphabet.word(tokens).data, provenance)
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-    def word(self, i: int, j: int) -> Word:
-        """The subword at 1-based inclusive positions ``[i, j]``."""
-        if not (1 <= i <= j <= len(self.data)):
-            raise ValueError(f"window [{i},{j}] outside prefix of length {len(self)}")
-        return Word(self.alphabet, self.data[i - 1 : j])
-
-    def tokens(self) -> tuple[str, ...]:
-        return tuple(self.alphabet.token(c) for c in self.data)
 
 
 # -- interval exchange transformations -----------------------------------

@@ -177,18 +177,20 @@ def _identification(oracle: LanguageOracle, n1: int, n2: int) -> dict[str, str]:
 
 
 def _follow(
-    claims: Iterable[tuple[str, str, str, str]],
-    target: SpecialRauzyGraph,
-    failure: str,
+    claims: Iterable[tuple[str, str, str, str]], target: SpecialRauzyGraph
 ) -> dict[str, str]:
     """Pair each claimed edge ``(eid, src, letter, dst)`` with the edge of
     ``target`` that leaves ``src``, by ``letter`` when ``src`` is a right
     vertex (a left vertex has one out-edge).
 
-    Raises ``InvariantViolation(failure)`` when that edge is missing or
-    does not end at ``dst``, or when the claims and ``target`` count
-    different edges.
+    Raises ``InvariantViolation`` when that edge is missing or does not
+    end at ``dst``, or when the claims and ``target`` count different
+    edges.
     """
+    failure = (
+        "abstract replay of the rewrites disagrees with the directly built "
+        "target graph"
+    )
     n, kinds, paths = target.n, target.vertices, target.paths
     by_key = {
         (s, paths[f][n] if kinds[s] == "right" else ""): (f, d)
@@ -212,15 +214,21 @@ def evolve(oracle: LanguageOracle, n: int) -> EvolutionStep:
     An edge is identified by its source vertex and, when the source is a
     right vertex, the first letter after the source word.  Between
     bispecial lengths every special word has one special extension with
-    the same extensions, so each edge keeps that identity and its target:
-    ``evolve`` follows the edges from ``n`` straight to ``n_tilde``.  The
-    rewrite at a bispecial ``w`` is replayed as abstract moves on the
-    skeleton at ``n_tilde``, and each replayed edge must land on the edge
-    of the directly built target graph with its identity.  The rewrite at
-    ``w`` moves edge ends only at ``w``'s two vertices, so one replay in
-    ascending order of the bispecials ends where any other order would.
-    The rewrite's witnesses ``a_hat`` and ``b_hat`` come from the grouping
-    :func:`check_rbc` decides regularity with.
+    the same extensions, so the skeleton does not change: ``L:w[:n]``
+    stands for ``L:w`` at ``n_tilde`` and ``R:w[-n:]`` for ``R:w``, and
+    every edge keeps its identity, its target and the letter it enters
+    its target by.  So the rewrite at a bispecial ``w`` of length
+    ``n_tilde`` is replayed as abstract moves on the skeleton at ``n``
+    itself: it reverses the one out-edge of ``L:w[:n]`` and keeps the
+    in-edge through ``a_hat w[:n]`` and the out-edge through
+    ``w[-n:] b_hat``, which stand for those through ``a_hat w`` and
+    ``w b_hat``, and it ends where a replay at ``n_tilde`` would.  Each
+    replayed edge must land on the edge of the directly built target
+    graph with its identity, which checks that claim on every call.  The
+    rewrite at ``w`` moves edge ends only at ``w``'s two vertices, so one
+    replay in ascending order of the bispecials ends where any other
+    order would.  The rewrite's witnesses ``a_hat`` and ``b_hat`` come
+    from the grouping :func:`check_rbc` decides regularity with.
     """
     top = oracle.horizon - 3
     n_tilde = None
@@ -235,7 +243,7 @@ def evolve(oracle: LanguageOracle, n: int) -> EvolutionStep:
             required=max(oracle.horizon + 1, n + 3),
         )
     n_prime = n_tilde + 1  # at most horizon - 2, so the target graph fits
-    # every identification below lies inside this one checked range
+    # the identification below lies inside this one checked range
     rbc = check_rbc(oracle, n_min=n, n_max=min(n_prime, oracle.horizon - 3))
     if not rbc.holds_within_horizon:
         raise PreconditionFailure(
@@ -243,18 +251,6 @@ def evolve(oracle: LanguageOracle, n: int) -> EvolutionStep:
         )
     before = build_special_rauzy(oracle, n)
     after = build_special_rauzy(oracle, n_prime)
-    tilde_graph, before_to_tilde = before, {eid: eid for eid in before.edges}
-    if n_tilde > n:
-        tilde_graph = build_special_rauzy(oracle, n_tilde)
-        to_tilde = _identification(oracle, n, n_tilde)
-        before_to_tilde = _follow(
-            (
-                (eid, to_tilde[s], before.paths[eid][n], to_tilde[d])
-                for eid, (s, d) in before.edges.items()
-            ),
-            tilde_graph,
-            f"special graph changed between lengths {n} and {n_tilde}",
-        )
     vertex_map = _identification(oracle, n, n_prime)
     bis = sorted(
         oracle.special_strings(n_tilde, "left")
@@ -262,38 +258,40 @@ def evolve(oracle: LanguageOracle, n: int) -> EvolutionStep:
     )
     rbs_events = [Word(oracle.alphabet, d) for d in bis]
 
-    # the rewrite at a bispecial w reverses its internal edge and keeps the
-    # in-edge through a_hat w and the out-edge through w b_hat, where a_hat
-    # and b_hat are w's regularity witnesses; edge ids survive rewrites
+    # the reversed internal edge leaves a_hat w by b_hat; edge ids survive
+    # rewrites, and a bispecial's internal edge at n has no letter to read
     good_b, good_a = _witness_letters(oracle, n_tilde)
-    paths = tilde_graph.paths
-    letters = {eid: path[n_tilde : n_tilde + 1] for eid, path in paths.items()}
-    sim: AbstractGraph = tilde_graph
-    for data in bis:
-        (a_hat,), (b_hat,) = good_a[data], good_b[data]
-        (internal,) = tilde_graph.out_edges("L:" + data)
+    paths = before.paths
+    letters = {eid: path[n : n + 1] for eid, path in paths.items()}
+    sim: AbstractGraph = before
+    for w in rbs_events:
+        (a_hat,), (b_hat,) = good_a[w.data], good_b[w.data]
+        head, tail = w.data[:n], w.data[-n:]
+        (internal,) = before.out_edges("L:" + head)
         chosen_in = next(
-            e for e in tilde_graph.in_edges("L:" + data) if paths[e].endswith(a_hat + data)
+            e for e in before.in_edges("L:" + head) if paths[e].endswith(a_hat + head)
         )
         chosen_out = next(
-            e for e in tilde_graph.out_edges("R:" + data) if paths[e].startswith(data + b_hat)
+            e for e in before.out_edges("R:" + tail) if paths[e].startswith(tail + b_hat)
         )
-        sim = apply_rbs(sim, internal, chosen_in, chosen_out)
-        letters[internal] = b_hat  # reversed, it leaves a_hat w by b_hat
+        # the skeleton meets every precondition of the move, so a refusal
+        # of one is a bug; a self-loop or a disconnection (InadmissibleMove)
+        # is the language's own, as in a non-recurrent one
+        try:
+            sim = apply_rbs(sim, internal, chosen_in, chosen_out)
+        except PreconditionFailure as exc:
+            raise InvariantViolation(
+                f"rewrite at bispecial {w} cannot be replayed: {exc}"
+            ) from exc
+        letters[internal] = b_hat
 
-    # follow every replayed edge into the directly built target graph
-    ident_to_prime = _identification(oracle, n_tilde, n_prime)
-    tilde_to_after = _follow(
+    edge_map = _follow(
         (
-            (eid, ident_to_prime[s], letters[eid], ident_to_prime[d])
+            (eid, vertex_map[s], letters[eid], vertex_map[d])
             for eid, (s, d) in sim.edges.items()
         ),
         after,
-        "abstract replay of the rewrites disagrees with the directly "
-        "built target graph",
     )
-
-    edge_map = {eid: tilde_to_after[t] for eid, t in before_to_tilde.items()}
     return EvolutionStep(
         n,
         n_tilde,

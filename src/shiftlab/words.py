@@ -161,8 +161,7 @@ def occurrences(haystack: Word, needle: Word) -> tuple[int, list[int]]:
     """Count occurrences of ``needle`` in ``haystack``, overlaps included.
 
     Returns ``(count, positions)`` with 1-based start positions in
-    ascending order.  ``haystack`` may be any object with ``alphabet`` and
-    ``data``, such as a sequence prefix.
+    ascending order.
     """
     _require_same_alphabet(haystack, needle)
     positions: list[int] = []

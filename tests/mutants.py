@@ -331,10 +331,46 @@ MUTANTS = (
     Mutant(
         "replay: the last rewrite dropped",
         RAUZY,
-        "        sim = apply_rbs(sim, internal, chosen_in, chosen_out)\n",
-        "        if data != bis[-1]:\n"
         "            sim = apply_rbs(sim, internal, chosen_in, chosen_out)\n",
+        "            if w is not rbs_events[-1]:\n"
+        "                sim = apply_rbs(sim, internal, chosen_in, chosen_out)\n",
         (EVOLVE_REFERENCE,),
+    ),
+    Mutant(
+        "replay: the vertices read the bispecial's suffix and prefix swapped",
+        RAUZY,
+        "head, tail = w.data[:n], w.data[-n:]",
+        "head, tail = w.data[-n:], w.data[:n]",
+        (EVOLVE_REFERENCE,),
+    ),
+    Mutant(
+        "replay: the in-edge matched on a_hat w",
+        RAUZY,
+        "paths[e].endswith(a_hat + head)",
+        "paths[e].endswith(a_hat + w.data)",
+        (EVOLVE_REFERENCE,),
+    ),
+    Mutant(
+        "replay: the out-edge matched on w b_hat",
+        RAUZY,
+        "paths[e].startswith(tail + b_hat)",
+        "paths[e].startswith(w.data + b_hat)",
+        (EVOLVE_REFERENCE,),
+    ),
+    Mutant(
+        "replay: a refused precondition not mapped to InvariantViolation",
+        RAUZY,
+        "        except PreconditionFailure as exc:\n",
+        "        except InvariantViolation as exc:\n",
+        ("tests/test_factor_engine.py::TestChecksFire::"
+         "test_evolve_refuses_a_rewrite_it_cannot_replay",),
+    ),
+    Mutant(
+        "replay: a self-loop refusal mapped to InvariantViolation",
+        RAUZY,
+        "        except PreconditionFailure as exc:\n",
+        "        except Exception as exc:\n",
+        ("tests/test_rauzy.py::test_accepted_prefix_never_trips_an_invariant",),
     ),
     Mutant(
         "identification: right-special words tagged as left vertices",

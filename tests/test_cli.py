@@ -205,8 +205,15 @@ class TestAnalyze:
             (["analyze", "--substitution", str(BENCH_INPUTS / "fib.json"), "--horizon", "abc"],
              "argument --horizon: invalid int value: 'abc'"),
             (["analyze", "--rotation", "-1/2"], "argument --rotation: expected one argument"),
+            *(
+                ([command, "--format", "dot"], "argument --format: invalid choice: 'dot'")
+                for command in ("analyze", "exitwords", "density")
+            ),
         ],
-        ids=["rauzy-without-n", "horizon-not-an-int", "rotation-read-as-option"],
+        ids=[
+            "rauzy-without-n", "horizon-not-an-int", "rotation-read-as-option",
+            "analyze-has-no-dot", "exitwords-has-no-dot", "density-has-no-dot",
+        ],
     )
     def test_usage_error_exits_one(self, capsys, argv, message):
         # exit 2 means an exceeded horizon
@@ -453,6 +460,19 @@ class TestDensity:
         code = main(
             ["density", "--substitution", str(BENCH_INPUTS / "fib.json"), "--horizon", "20",
              "--n", "3", "--color", "--theta", theta]
+        )
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (
+            f"error: --theta must lie in (0, 1/(2K)) for K=1, got {float(theta)}\n"
+        )
+
+    @pytest.mark.parametrize("theta", ["nan", "inf", "-1"])
+    def test_theta_is_checked_without_color(self, capsys, theta):
+        # nan would reach the report's config, which is then not JSON
+        code = main(
+            ["density", "--substitution", str(BENCH_INPUTS / "fib.json"), "--horizon", "20",
+             "--n", "3", "--special", "--theta", theta]
         )
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""

@@ -189,7 +189,7 @@ def ref_classify_run(x, w, q, j):
             required=len(x.data) + 1,
         )
     j2 = t - n
-    z = x.word(j1 - 1, j2 + n)
+    z = x.sub(j1 - 1, j2 + n)
     p_len = j - ((j - j1) // q) * q - j1 + 1
     r = (j2 - j) // q + (j - j1) // q + 1
     if not ref_is_representation(z, w, q, p_len, r, len(z) - p_len - n - (r - 1) * q):

@@ -305,7 +305,7 @@ def naive_overlap(x, w, q, oracle):
     pairs = []
     for i, i2 in zip(ordered, ordered[1:]):
         z1, z2 = exits[i], exits[i2]
-        count, _ = occurrences(x.word(i, i2 + len(z2.z) - 1), w)
+        count, _ = occurrences(x.sub(i, i2 + len(z2.z) - 1), w)
         required = z1.representations[0].r + z2.representations[0].r
         gap_ok = i2 >= i + len(z1.z) - n
         pairs.append(

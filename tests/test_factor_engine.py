@@ -255,14 +255,16 @@ def trade_targets(monkeypatch, length):
 
 
 class TestChecksFire:
-    # evolve(fib12, 4) follows the edges from length 4 to the bispecial
-    # length 6, then replays the rewrites into the graph at length 7
+    # evolve(fib12, 4) and evolve(fib12, 6) replay the rewrites at the
+    # bispecial length 6 on the graph they start from, then follow every
+    # edge into the graph at length 7
 
-    def test_evolve_sees_a_skipped_length_change(self, monkeypatch, fib12):
-        assert rauzy.evolve(fib12, 4).n_tilde == 6
-        trade_targets(monkeypatch, 6)
-        with pytest.raises(InvariantViolation, match="changed between lengths 4 and 6"):
-            rauzy.evolve(fib12, 4)
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_evolve_refuses_a_rewrite_it_cannot_replay(self, monkeypatch, fib12, n):
+        assert rauzy.evolve(fib12, n).n_tilde == 6
+        trade_targets(monkeypatch, n)
+        with pytest.raises(InvariantViolation, match="rewrite at bispecial abaaba"):
+            rauzy.evolve(fib12, n)
 
     def test_evolve_sees_a_target_change_after_the_rewrites(self, monkeypatch, fib12):
         assert rauzy.evolve(fib12, 4).n_prime == 7

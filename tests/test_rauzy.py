@@ -9,6 +9,7 @@ from hypothesis import event, example, given, settings, strategies as st
 from conftest import IET3_SPEC, IET4_SPEC
 from factor_language import check_factor_language
 from regular_bispecial import is_regular_bispecial
+from shiftlab import rauzy
 from shiftlab._graphutil import is_strongly_connected, is_weakly_connected
 from shiftlab.abstract_graphs import apply_rbs, validate
 from shiftlab.errors import (
@@ -242,6 +243,18 @@ class TestEvolve:
         w = step.rbs_events[0].data
         assert src.startswith("R:") and dst.startswith("L:")
         assert path[1:-1].endswith(w) or w in path
+
+    @pytest.mark.parametrize("n, n_tilde", [(2, 3), (3, 3), (4, 6), (6, 6)])
+    def test_two_skeletons_and_one_identification(self, monkeypatch, fib_oracle, n, n_tilde):
+        calls = {"build_special_rauzy": 0, "_identification": 0}
+        for name in list(calls):
+            def counted(*args, name=name, honest=getattr(rauzy, name)):
+                calls[name] += 1
+                return honest(*args)
+
+            monkeypatch.setattr(rauzy, name, counted)
+        assert evolve(fib_oracle, n).n_tilde == n_tilde
+        assert calls == {"build_special_rauzy": 2, "_identification": 1}
 
     def test_no_bispecial_before_horizon(self, fib_prefix):
         oracle = oracle_from_prefix(fib_prefix, 16)
@@ -562,6 +575,8 @@ def fuzz_prefixes(draw):
 @given(fuzz_prefixes())
 # the special graph at n=4 has a self-loop at the right vertex 1001
 @example((binary_prefix("001" * 60 + "1" * 200, "(001)^60 1^200"), 20))
+# the rewrite at the bispecial 0 would make a self-loop: refused as bad input
+@example((binary_prefix("0000" + "01" * 10, "0^4 (01)^10"), 6))
 @settings(max_examples=150, deadline=None)
 def test_accepted_prefix_never_trips_an_invariant(case):
     """Every skeleton and every step of an accepted prefix is built or

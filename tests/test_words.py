@@ -159,7 +159,7 @@ class TestMinimalStep:
 
     @given(st.integers(1, 90_000), st.integers(2, 20))
     def test_divides_every_valid_step_fibonacci(self, fib_prefix, fib_oracle, start, n):
-        self.assert_divides_every_valid_step(fib_prefix.word(start, start + n - 1), fib_oracle)
+        self.assert_divides_every_valid_step(fib_prefix.sub(start, start + n - 1), fib_oracle)
 
 
 def brute_force_valid_steps(w: Word, oracle) -> list[int]:
