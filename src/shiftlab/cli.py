@@ -37,7 +37,12 @@ from .density import (
     special_density_floor,
     special_window_check,
 )
-from .errors import HorizonExceeded, InvariantViolation, ShiftlabError
+from .errors import (
+    HorizonExceeded,
+    InvariantViolation,
+    PreconditionFailure,
+    ShiftlabError,
+)
 from .exitwords import decompose, enumerate_exit_words
 from .generators import (
     iet_encode,
@@ -198,6 +203,8 @@ def cmd_exitwords(args: argparse.Namespace) -> int:
         raise ValueError(f"--cap must be >= 1, got {args.cap}")
     prefix, oracle = _load_oracle(args)
     w = oracle.alphabet.word(args.w)
+    if not oracle.contains(w):
+        raise PreconditionFailure(f"{w} is not a factor")
     if args.q is None:
         q = minimal_step(w, oracle)
         if q is None:
@@ -304,12 +311,9 @@ def cmd_abstract(args: argparse.Namespace) -> int:
             "K_right": rep.K_right,
         }
     }
-    # the bound's and the search's precondition; notation-8 concerns the
-    # given coloring, which neither uses
-    structural = [
-        x for x in rep.violations
-        if x.startswith("notation") and not x.startswith("notation-8")
-    ]
+    # the bound's and the search's precondition: with no coloring, validate
+    # checks the structural rules alone, as neither uses the given coloring
+    structural = validate(g).violations
     if loops:
         # building the quotient still refuses malformed loops
         xi = build_xi(g, loops)

@@ -17,11 +17,7 @@ from dataclasses import dataclass
 from math import ceil
 from typing import NamedTuple
 
-from .errors import (
-    HorizonExceeded,
-    InvariantViolation,
-    PreconditionFailure,
-)
+from .errors import HorizonExceeded, PreconditionFailure
 from .generators import SequencePrefix
 from .language import LanguageOracle, check_rbc, growth_profile
 from .words import (
@@ -109,8 +105,10 @@ def decompose(
     When the interior has a period shorter than ``q`` the power grid can
     slide, so several decompositions may coexist; with ``q`` equal to the
     minimal step of ``w`` exactly one survives, and the occurrence count
-    of ``w`` in ``z`` equals its repetition count (both asserted here
-    when an oracle is supplied).
+    of ``w`` in ``z`` equals its repetition count (a second decomposition
+    or an occurrence off the grid would make a smaller step valid).
+    ``oracle`` is unused; it stays in the signature for positional
+    callers until the benchmark stops passing it.
     """
     n = len(w)
     if not shift_match(w, q):
@@ -120,19 +118,6 @@ def decompose(
         r = (len(z) - p_len - n - 1) // q + 1
         if is_representation(z, w, q, p_len, r, len(z) - p_len - n - (r - 1) * q):
             out.append(_representation(z, n, q, p_len, r))
-    if oracle is not None and out:
-        q_min = minimal_step(w, oracle)
-        if q_min == q:
-            if len(out) != 1:
-                raise InvariantViolation(
-                    f"minimal step {q} admits {len(out)} decompositions of {z}"
-                )
-            count, _ = occurrences(z, w)
-            if count != out[0].r:
-                raise InvariantViolation(
-                    f"occurrence count {count} != repetition {out[0].r} at "
-                    "minimal step"
-                )
     return out
 
 

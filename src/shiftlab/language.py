@@ -8,9 +8,11 @@ lengths the oracle has not seen.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Set
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 from typing import AbstractSet, Iterator, Literal, Mapping
 
 from ._graphutil import is_weakly_connected
@@ -69,7 +71,6 @@ class LanguageOracle:
         self.horizon = horizon
         self.source_label = source_label
         self._levels = dict(levels)
-        self._extension_counts: dict[tuple[int, Side], dict[str, int]] = {}
         self._special_sets: dict[tuple[int, Side], frozenset[str]] = {}
         # memos of growth_profile and of check_rbc by checked range
         self._growth: GrowthProfile | None = None
@@ -125,34 +126,44 @@ class LanguageOracle:
         """Complexity: the number of distinct factors of length ``n``."""
         return len(self.factor_strings(n))
 
-    # -- extension counts (bulk, memoized) -------------------------------
-
-    def extension_counts(self, n: int, side: Side) -> dict[str, int]:
-        """For every factor of length ``n``: how many codes extend it on
-        ``side``.
-
-        One pass over the factors of length ``n + 1``, seeded with every
-        factor of length ``n`` so that words without an extension on that
-        side count zero; factor closure puts every truncation in the seed.
-        """
-        key = (n, side)
-        if key not in self._extension_counts:
-            self.require_length(n + 1, f"{side} extensions")
-            self.require_length(n, f"{side} extensions")
-            counts = dict.fromkeys(self._levels[n], 0)
-            cut = slice(1, None) if side == "left" else slice(None, -1)
-            for w1 in self._levels[n + 1]:
-                counts[w1[cut]] += 1
-            self._extension_counts[key] = counts
-        return self._extension_counts[key]
+    # -- special sets and bispecials (bulk) ---------------------------
 
     def special_strings(self, n: int, side: Side) -> frozenset[str]:
+        """The factors of length ``n`` with at least two extensions on
+        ``side``: the one-letter truncations that at least two factors of
+        length ``n + 1`` share.  Memoized per length and side."""
         key = (n, side)
         if key not in self._special_sets:
-            self._special_sets[key] = frozenset(
-                w for w, c in self.extension_counts(n, side).items() if c >= 2
-            )
+            self.require_length(n + 1, f"{side} extensions")
+            self.require_length(n, f"{side} extensions")
+            cut = slice(1, None) if side == "left" else slice(None, -1)
+            counts = Counter(map(itemgetter(cut), self._levels[n + 1]))
+            self._special_sets[key] = frozenset(w for w, c in counts.items() if c >= 2)
         return self._special_sets[key]
+
+    def bispecials(self, n: int) -> dict[str, tuple[list[str], list[str]]]:
+        """Each bispecial factor of length ``n``, in ascending order, with
+        its RBC witness letters: the codes ``b`` with ``wb`` left special,
+        and the codes ``a`` with ``aw`` right special.
+
+        The letters ``b`` are the last letters of the left-special words
+        of length ``n + 1`` whose first ``n`` letters are ``w``; the
+        letters ``a`` are the first letters of the right-special words
+        whose last ``n`` letters are ``w``.  Such ``wb`` and ``aw`` are
+        factors, so ``b`` and ``a`` are extensions of ``w``.  Each list is
+        in no particular order.  Needs length ``n + 2`` whether or not
+        ``n`` has bispecials.
+        """
+        self.require_length(n + 2, "bispecial query")
+        both = self.special_strings(n, "left") & self.special_strings(n, "right")
+        table = {w: ([], []) for w in sorted(both)}
+        for v in self.special_strings(n + 1, "left"):
+            if v[:-1] in table:
+                table[v[:-1]][0].append(v[-1])
+        for v in self.special_strings(n + 1, "right"):
+            if v[1:] in table:
+                table[v[1:]][1].append(v[0])
+        return table
 
 
 # -- per-word extension analysis ---------------------------------------
@@ -174,6 +185,18 @@ class ExtensionRecord:
     @property
     def is_bispecial(self) -> bool:
         return len(self.left) >= 2 and len(self.right) >= 2
+
+    @property
+    def is_dendric(self) -> bool:
+        """The bipartite graph on the left and right extensions, with an
+        edge per two-sided extension, is a tree."""
+        verts = [("L", a) for a in sorted(self.left)]
+        verts += [("R", b) for b in sorted(self.right)]
+        edges = ((("L", a), ("R", b)) for a, b in self.both)
+        return (
+            is_weakly_connected(verts, edges)
+            and len(self.both) == len(verts) - 1
+        )
 
 
 def extensions(oracle: LanguageOracle, w: Word) -> ExtensionRecord:
@@ -203,7 +226,7 @@ def special_words(
     """Factors of length ``n`` with at least two extensions on the side."""
     oracle.require_length(n + 2, "special-word query")
     if side == "bi":
-        strs = oracle.special_strings(n, "left") & oracle.special_strings(n, "right")
+        strs = oracle.bispecials(n)
     else:
         strs = oracle.special_strings(n, side)
     return {Word(oracle.alphabet, d) for d in strs}
@@ -218,46 +241,6 @@ def _irregularity(good_b: list[str], good_a: list[str]) -> str:
         f"{len(good_a)} left extensions are right special "
         f"({','.join(good_a) or 'none'})"
     )
-
-
-# -- extension graph ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExtensionGraph:
-    """Bipartite graph on the one-sided extensions of a factor; edges are
-    the two-sided extensions."""
-
-    word: Word
-    left: frozenset[str]
-    right: frozenset[str]
-    edges: frozenset[tuple[str, str]]
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.left) + len(self.right)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def is_connected(self) -> bool:
-        verts = [("L", a) for a in sorted(self.left)]
-        verts += [("R", b) for b in sorted(self.right)]
-        return is_weakly_connected(verts, ((("L", a), ("R", b)) for a, b in self.edges))
-
-    @property
-    def is_tree(self) -> bool:
-        return self.is_connected() and self.edge_count == self.vertex_count - 1
-
-
-def extension_graph(oracle: LanguageOracle, w: Word) -> ExtensionGraph:
-    rec = extensions(oracle, w)
-    return ExtensionGraph(w, rec.left, rec.right, rec.both)
-
-
-def is_dendric(oracle: LanguageOracle, w: Word) -> bool:
-    return extension_graph(oracle, w).is_tree
 
 
 # -- growth profile ------------------------------------------------------
@@ -299,10 +282,8 @@ def growth_profile(oracle: LanguageOracle) -> GrowthProfile:
     """Complexity profile and the constant-tail verdict.
 
     Each difference ``p(n+1) - p(n)`` equals the total branching excess
-    ``sum(|ext| - 1)`` of the length-``n`` words on either side: the
-    extension counts of level ``n`` are tallied over level ``n+1`` and
-    seeded with every word of level ``n``, so the identity holds by
-    construction (tests assert it against a naive reference).
+    ``sum(|ext| - 1)`` of the length-``n`` words on either side (tests
+    assert it against a naive reference).
 
     Computed once per oracle; every call returns the same report.
     """
@@ -350,41 +331,16 @@ class RbcReport:
         }
 
 
-def _grouped(strings: frozenset[str], key: slice, letter: int) -> dict[str, list[str]]:
-    """``strings`` grouped by the slice ``key``, each group holding the
-    codes at index ``letter``."""
-    groups: dict[str, list[str]] = {}
-    for v in strings:
-        groups.setdefault(v[key], []).append(v[letter])
-    return groups
-
-
-def _witness_letters(
-    oracle: LanguageOracle, n: int
-) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
-    """For the words ``w`` of length ``n``: the codes ``b`` with ``wb`` left
-    special, and the codes ``a`` with ``aw`` right special."""
-    return (
-        _grouped(oracle.special_strings(n + 1, "left"), slice(None, -1), -1),
-        _grouped(oracle.special_strings(n + 1, "right"), slice(1, None), 0),
-    )
-
-
 def check_rbc(
     oracle: LanguageOracle, n_min: int = 1, n_max: int | None = None
 ) -> RbcReport:
     """Test every bispecial factor of length in ``[n_min, horizon-3]``
     (or up to ``n_max``) for regularity.
 
-    Each length is decided at once from the special sets one letter
-    longer.  The letters ``b`` with ``wb`` left special are the last
-    letters of the left-special words of length ``n + 1`` whose first
-    ``n`` letters are ``w``; the letters ``a`` with ``aw`` right special
-    are the first letters of the right-special words whose last ``n``
-    letters are ``w``.  Such ``wb`` and ``aw`` are factors, so ``b`` and
-    ``a`` are extensions of ``w``, and ``w`` is regular (exactly one right
-    extension left special, exactly one left extension right special) iff
-    both groups have one member.
+    Each length is decided at once from :meth:`LanguageOracle.bispecials`:
+    ``w`` is regular (exactly one right extension left special, exactly
+    one left extension right special) iff both witness groups have one
+    member.
 
     ``n0_estimate`` is one more than the longest irregular bispecial found
     (a lower-bound witness only, never the true threshold).  Each range is
@@ -403,10 +359,7 @@ def check_rbc(
     tokens = lambda codes: sorted(map(oracle.alphabet.token, codes))
     violations: list[tuple[Word, str]] = []
     for n in range(n_min, top + 1):
-        bis = oracle.special_strings(n, "left") & oracle.special_strings(n, "right")
-        good_b, good_a = _witness_letters(oracle, n)
-        for data in sorted(bis):
-            b, a = good_b.get(data, ()), good_a.get(data, ())
+        for data, (b, a) in oracle.bispecials(n).items():
             if len(b) != 1 or len(a) != 1:
                 reason = _irregularity(tokens(b), tokens(a))
                 violations.append((Word(oracle.alphabet, data), reason))

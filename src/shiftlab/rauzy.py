@@ -16,11 +16,7 @@ from typing import Iterable
 from ._graphutil import dot_quote
 from .abstract_graphs import AbstractGraph, apply_rbs
 from .errors import HorizonExceeded, InvariantViolation, PreconditionFailure
-from .language import (
-    LanguageOracle,
-    _witness_letters,
-    check_rbc,
-)
+from .language import LanguageOracle, check_rbc
 from .words import Word
 
 
@@ -228,15 +224,15 @@ def evolve(oracle: LanguageOracle, n: int) -> EvolutionStep:
     rewrite at ``w`` moves edge ends only at ``w``'s two vertices, so one
     replay in ascending order of the bispecials ends where any other
     order would.  The rewrite's witnesses ``a_hat`` and ``b_hat`` come
-    from the grouping :func:`check_rbc` decides regularity with.
+    from :meth:`~shiftlab.language.LanguageOracle.bispecials`, the table
+    :func:`check_rbc` decides regularity with.
     """
     top = oracle.horizon - 3
-    n_tilde = None
-    for m in range(n, top + 1):
-        if oracle.special_strings(m, "left") & oracle.special_strings(m, "right"):
-            n_tilde = m
+    for n_tilde in range(n, top + 1):
+        bis = oracle.bispecials(n_tilde)
+        if bis:
             break
-    if n_tilde is None:
+    else:
         raise HorizonExceeded(
             f"start length {n} needs horizon {n + 3}" if n > top
             else f"no bispecial word of length in [{n}, {top}]",
@@ -252,20 +248,15 @@ def evolve(oracle: LanguageOracle, n: int) -> EvolutionStep:
     before = build_special_rauzy(oracle, n)
     after = build_special_rauzy(oracle, n_prime)
     vertex_map = _identification(oracle, n, n_prime)
-    bis = sorted(
-        oracle.special_strings(n_tilde, "left")
-        & oracle.special_strings(n_tilde, "right")
-    )
     rbs_events = [Word(oracle.alphabet, d) for d in bis]
 
     # the reversed internal edge leaves a_hat w by b_hat; edge ids survive
     # rewrites, and a bispecial's internal edge at n has no letter to read
-    good_b, good_a = _witness_letters(oracle, n_tilde)
     paths = before.paths
     letters = {eid: path[n : n + 1] for eid, path in paths.items()}
     sim: AbstractGraph = before
     for w in rbs_events:
-        (a_hat,), (b_hat,) = good_a[w.data], good_b[w.data]
+        (b_hat,), (a_hat,) = bis[w.data]
         head, tail = w.data[:n], w.data[-n:]
         (internal,) = before.out_edges("L:" + head)
         chosen_in = next(

@@ -398,18 +398,54 @@ MUTANTS = (
     Mutant(
         "witness letters: the two slices swapped",
         LANGUAGE,
-        '"left"), slice(None, -1), -1),\n'
-        '        _grouped(oracle.special_strings(n + 1, "right"), slice(1, None), 0)',
-        '"left"), slice(1, None), -1),\n'
-        '        _grouped(oracle.special_strings(n + 1, "right"), slice(None, -1), 0)',
+        "            if v[:-1] in table:\n"
+        "                table[v[:-1]][0].append(v[-1])\n"
+        '        for v in self.special_strings(n + 1, "right"):\n'
+        "            if v[1:] in table:\n"
+        "                table[v[1:]][1].append(v[0])\n",
+        "            if v[1:] in table:\n"
+        "                table[v[1:]][0].append(v[-1])\n"
+        '        for v in self.special_strings(n + 1, "right"):\n'
+        "            if v[:-1] in table:\n"
+        "                table[v[:-1]][1].append(v[0])\n",
         (EVOLVE_REFERENCE,),
     ),
     Mutant(
         "witness letters: the left side grouped by v[1:]",
         LANGUAGE,
-        '"left"), slice(None, -1), -1)',
-        '"left"), slice(1, None), -1)',
+        "            if v[:-1] in table:\n"
+        "                table[v[:-1]][0].append(v[-1])\n",
+        "            if v[1:] in table:\n"
+        "                table[v[1:]][0].append(v[-1])\n",
         ("tests/test_code_strings.py::TestCheckRbc",),
+    ),
+    Mutant(
+        "special sets: one extension counts as special",
+        LANGUAGE,
+        "if c >= 2)",
+        "if c >= 1)",
+        ("tests/test_language.py::TestSpecialWords::test_fibonacci_unique_left_special",),
+    ),
+    Mutant(
+        "bispecials: no check that length n + 2 is stored",
+        LANGUAGE,
+        '        self.require_length(n + 2, "bispecial query")\n',
+        "",
+        ("tests/test_language.py::test_bispecial_table_needs_two_longer_lengths",),
+    ),
+    Mutant(
+        "evolve: the bispecial scan starts one length late",
+        RAUZY,
+        "    for n_tilde in range(n, top + 1):\n",
+        "    for n_tilde in range(n + 1, top + 1):\n",
+        (EVOLVE_REFERENCE,),
+    ),
+    Mutant(
+        "is_dendric: as many edges as vertices",
+        LANGUAGE,
+        "len(self.both) == len(verts) - 1",
+        "len(self.both) == len(verts)",
+        ("tests/test_language.py::TestExtensionGraph",),
     ),
     Mutant(
         "special graph: the walk probes codes in reverse order",

@@ -31,7 +31,7 @@ from shiftlab.generators import (
 from shiftlab.language import (
     LanguageOracle,
     check_rbc,
-    extension_graph,
+    extensions,
     growth_profile,
 )
 from shiftlab.rauzy import build_special_rauzy, evolve
@@ -72,7 +72,7 @@ def test_criterion_1_sturmian_baseline():
     assert rbc.holds_within_horizon and rbc.violations == []
     for n in range(1, 58):
         for w in oracle.words(n):
-            assert extension_graph(oracle, w).is_tree
+            assert extensions(oracle, w).is_dendric
 
 
 @criterion(2, "interval-exchange growth at horizon 40", 60)

@@ -379,6 +379,23 @@ class TestExitwords:
         assert code == 1
         assert capsys.readouterr().err == "error: the empty word is excluded\n"
 
+    @pytest.mark.parametrize("q", [[], ["--q", "1"]], ids=["minimal-step", "given-step"])
+    def test_word_outside_the_language_named_as_such(self, q):
+        proc = run_subprocess(
+            ["exitwords", "--substitution", str(BENCH_INPUTS / "fib.json"), "--horizon", "20",
+             "--w", "bb", *q]
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: bb is not a factor\n"
+
+    def test_word_past_the_horizon_exits_two(self):
+        proc = run_subprocess(
+            ["exitwords", "--substitution", str(BENCH_INPUTS / "fib.json"), "--horizon", "20",
+             "--w", "ab" * 11]
+        )
+        assert proc.returncode == 2
+        assert "needs factors of length 22, horizon is 20" in proc.stderr
+
     @pytest.mark.parametrize("cap", ["0", "-4"])
     def test_cap_below_one_exits_one(self, capsys, cap):
         code = main(

@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from shiftlab import exitwords, language
+from shiftlab import exitwords
 
 from shiftlab.errors import HorizonExceeded, PreconditionFailure
 from shiftlab.exitwords import (
@@ -131,8 +131,8 @@ class TestEnumerate:
     def test_limit_decided_once_per_oracle(self):
         # the 2K^2 limit depends on the oracle alone: over every stepped
         # factor, the growth profile (H calls of p) and the RBC check from
-        # length 1 (one grouping per length up to H - 3) run once, and each
-        # report equals the one enumerated on an oracle of its own
+        # length 1 (one bispecial table per length up to H - 3) run once,
+        # and each report equals the one enumerated on an oracle of its own
         x = fibonacci_prefix(4000)
         oracle = oracle_from_prefix(x, 40)
         stepped = [
@@ -142,13 +142,11 @@ class TestEnumerate:
             if (q := minimal_step(w, oracle)) is not None
         ]
         assert len(stepped) > 10
-        grouping = mock.patch.object(
-            language, "_witness_letters", wraps=language._witness_letters
-        )
-        with mock.patch.object(oracle, "p", wraps=oracle.p) as p, grouping as groups:
+        tables = mock.patch.object(oracle, "bispecials", wraps=oracle.bispecials)
+        with mock.patch.object(oracle, "p", wraps=oracle.p) as p, tables as bis:
             reports = [enumerate_exit_words(w, q, oracle) for w, q in stepped]
         assert p.call_count == oracle.horizon
-        assert groups.call_count == oracle.horizon - 3
+        assert bis.call_count == oracle.horizon - 3
         for (w, q), report in zip(stepped, reports):
             alone = enumerate_exit_words(w, q, oracle_from_prefix(x, 40))
             assert report.to_json() == alone.to_json()

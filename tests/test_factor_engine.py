@@ -2,13 +2,14 @@
 
 ``oracle_from_prefix`` slices windows only at the horizon and derives the
 shorter levels, and decides extendability with two string searches;
-``extension_counts`` counts extensions in one pass over the level above.
-The growth-sum identity ``sum(|ext| - 1) == p(n+1) - p(n)`` is asserted
-here on both; it holds by construction, so ``growth_profile`` no longer
-checks it at run time.  The reference here slices every window at every
-length, reads extension counts off ``extensions`` (and, at the top
-length, where ``extensions`` needs a longer horizon, off direct
-membership), and refuses the windows by the check in ``factor_language``.
+``special_strings`` counts the truncations of the level above, and
+``bispecials`` groups the special sets one letter longer.  The growth-sum
+identity ``sum(|ext| - 1) == p(n+1) - p(n)`` is asserted here on the
+reference counts, so ``growth_profile`` does not check it at run time.
+The reference here slices every window at every length, reads extension
+counts off ``extensions`` (and, at the top length, where ``extensions``
+needs a longer horizon, off direct membership), and refuses the windows
+by the check in ``factor_language``.
 """
 
 import random
@@ -55,6 +56,26 @@ def naive_counts(oracle: LanguageOracle, n: int, side: str) -> dict[str, int]:
     }
 
 
+def naive_bispecials(
+    oracle: LanguageOracle, levels: dict[int, frozenset[str]], n: int
+) -> dict[str, tuple[list[str], list[str]]]:
+    """Each bispecial of length ``n`` (per-word extensions) with the sorted
+    codes ``b`` and ``a`` that make ``wb`` left and ``aw`` right special,
+    counted on the windows one and two letters longer."""
+    codes = sorted(oracle.alphabet.codes)
+    left_ext = lambda u: [a for a in codes if a + u in levels[len(u) + 1]]
+    right_ext = lambda u: [b for b in codes if u + b in levels[len(u) + 1]]
+    table = {}
+    for d in sorted(levels[n]):
+        rec = extensions(oracle, Word(oracle.alphabet, d))
+        if len(rec.left) >= 2 and len(rec.right) >= 2:
+            table[d] = (
+                [b for b in right_ext(d) if len(left_ext(d + b)) >= 2],
+                [a for a in left_ext(d) if len(right_ext(a + d)) >= 2],
+            )
+    return table
+
+
 def assert_matches_reference(x: SequencePrefix, horizon: int) -> None:
     """``oracle_from_prefix`` refuses exactly when the reference check
     refuses the windows, for the same reason; otherwise its levels are the
@@ -83,12 +104,8 @@ def assert_matches_reference(x: SequencePrefix, horizon: int) -> None:
         growth = len(levels[n + 1]) - len(levels[n])
         for side in SIDES:
             expected = naive_counts(ref, n, side)
-            assert oracle.extension_counts(n, side) == expected, (n, side)
             # growth-sum identity: sum of (|ext| - 1) over level n is p(n+1) - p(n)
             assert sum(c - 1 for c in expected.values()) == growth, (n, side)
-            assert sum(c - 1 for c in oracle.extension_counts(n, side).values()) == (
-                growth
-            ), (n, side)
             assert oracle.special_strings(n, side) == {
                 d for d, c in expected.items() if c >= 2
             }, (n, side)
@@ -153,6 +170,24 @@ class TestAgainstNaiveReference:
     @pytest.mark.parametrize("horizon", [1, 2, 3, 10])
     def test_shortest_fibonacci_prefix(self, horizon):
         assert_matches_reference(fibonacci_prefix(4 * horizon), horizon)
+
+
+class TestBispecialTable:
+    """``bispecials`` against a table built from the windows and per-word
+    extensions: the same bispecials in ascending order, the same letters."""
+
+    @given(st.one_of(raw_prefixes(), substitution_prefixes(), rotation_prefixes()))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_naive_table(self, case):
+        x, horizon = case
+        levels = naive_levels(x.data, horizon)
+        oracle = LanguageOracle(x.alphabet, levels, horizon, "reference")
+        for n in range(1, horizon - 1):
+            table = oracle.bispecials(n)
+            event("a length with bispecials" if table else "a length without")
+            got = {w: (sorted(b), sorted(a)) for w, (b, a) in table.items()}
+            assert list(got) == sorted(got)
+            assert got == naive_bispecials(oracle, levels, n), n
 
 
 @st.composite

@@ -27,10 +27,8 @@ from shiftlab.language import (
     SIDES,
     LanguageOracle,
     check_rbc,
-    extension_graph,
     extensions,
     growth_profile,
-    is_dendric,
     periodicity_check,
     special_words,
 )
@@ -94,13 +92,24 @@ def test_horizon_one_too_small_reports_the_horizon_needed(zo, query):
 
 
 @pytest.mark.parametrize("side", SIDES)
-@pytest.mark.parametrize("query", ["extension_counts"])
+@pytest.mark.parametrize("query", ["special_strings"])
 def test_extension_queries_report_the_longer_length_needed(zo, query, side):
     oracle = LanguageOracle.full_shift(zo, 8)
     for n in (8, 9, 13):
         with pytest.raises(HorizonExceeded) as err:
             getattr(oracle, query)(n, side)
         assert err.value.required == n + 1
+
+
+def test_bispecial_table_needs_two_longer_lengths(zo, periodic01_oracle):
+    # the full shift has bispecials at every length, the periodic language none
+    full = LanguageOracle.full_shift(zo, 8)
+    assert full.bispecials(6) and not periodic01_oracle.bispecials(6)
+    for oracle in (full, periodic01_oracle):
+        with pytest.raises(HorizonExceeded) as err:
+            oracle.bispecials(7)
+        assert err.value.required == 9
+        assert str(err.value) == "bispecial query needs factors of length 9, horizon is 8"
 
 
 class TestExtensions:
@@ -142,7 +151,7 @@ class TestSpecialWords:
         with pytest.raises(ValueError, match="length must be >= 1"):
             special_words(fib_oracle, 0, side)
 
-    @pytest.mark.parametrize("query", ["extension_counts"])
+    @pytest.mark.parametrize("query", ["special_strings"])
     def test_extension_queries_refuse_length_zero(self, fib_oracle, query):
         with pytest.raises(ValueError, match="length must be >= 1"):
             getattr(fib_oracle, query)(0, "left")
@@ -178,26 +187,31 @@ class TestRegularBispecial:
 
 
 class TestExtensionGraph:
+    """The bipartite extension graph of ``extensions(oracle, w)``: one
+    vertex per left and per right extension, one edge per two-sided one."""
+
     def test_fibonacci_tree(self, fib_oracle, ab):
-        g = extension_graph(fib_oracle, ab.word("a"))
-        assert g.vertex_count == 4 and g.edge_count == 3
-        assert g.is_tree and is_dendric(fib_oracle, ab.word("a"))
+        rec = extensions(fib_oracle, ab.word("a"))
+        assert len(rec.left) + len(rec.right) == 4 and len(rec.both) == 3
+        assert rec.is_dendric
 
     def test_full_shift_complete_bipartite(self, full_shift_2, zo):
-        g = extension_graph(full_shift_2, zo.word("0"))
-        assert g.vertex_count == 4 and g.edge_count == 4
-        assert not g.is_tree
+        rec = extensions(full_shift_2, zo.word("0"))
+        assert len(rec.left) + len(rec.right) == 4 and len(rec.both) == 4
+        assert not rec.is_dendric
 
     def test_nonspecial_word(self, fib_oracle, ab):
-        g = extension_graph(fib_oracle, ab.word("aab"))
-        assert g.vertex_count == 2 and g.edge_count == 1 and g.is_tree
+        rec = extensions(fib_oracle, ab.word("aab"))
+        assert len(rec.left) + len(rec.right) == 2 and len(rec.both) == 1
+        assert rec.is_dendric
 
     def test_dendric_implies_zero_multiplicity(self, fib_oracle, tm_oracle):
         for oracle in (fib_oracle, tm_oracle):
             for n in range(1, oracle.horizon - 1):
                 for w in oracle.words(n):
-                    if is_dendric(oracle, w):
-                        assert extensions(oracle, w).multiplicity == 0
+                    rec = extensions(oracle, w)
+                    if rec.is_dendric:
+                        assert rec.multiplicity == 0
 
 
 class TestGrowth:
@@ -248,7 +262,7 @@ class TestRbc:
                 for w in bis:
                     assert (
                         is_regular_bispecial(oracle, w).regular
-                        == is_dendric(oracle, w)
+                        == extensions(oracle, w).is_dendric
                     )
 
 
@@ -463,7 +477,6 @@ class TestComputedFullShift:
         assert growth_profile(got) == growth_profile(ref)
         for n in range(1, H):
             for side in SIDES:
-                assert got.extension_counts(n, side) == ref.extension_counts(n, side)
                 assert got.special_strings(n, side) == ref.special_strings(n, side)
         for n_min in range(1, H - 2):
             assert check_rbc(got, n_min).to_json() == check_rbc(ref, n_min).to_json()

@@ -296,8 +296,10 @@ def reference_special_rauzy(oracle, n):
     rights = oracle.special_strings(n, "right")
     specials = lefts | rights
     right_map = {w: set() for w in oracle.factor_strings(n)}
+    left_map = {w: set() for w in oracle.factor_strings(n)}
     for w1 in oracle.factor_strings(n + 1):
         right_map[w1[:-1]].add(w1[-1])
+        left_map[w1[1:]].add(w1[0])
     raw_edges = []
     for w in sorted(specials):
         origin = (w, "right") if w in rights else (w, "left")
@@ -332,15 +334,13 @@ def reference_special_rauzy(oracle, n):
     for i, (src, dst, path) in enumerate(raw_edges):
         edges[f"e{i:0{width}d}"] = (name(src), name(dst))
         paths[f"e{i:0{width}d}"] = path
-    left = oracle.extension_counts(n, "left")
-    right = oracle.extension_counts(n, "right")
     for v, side in vertices.items():
         in_deg = sum(d == v for _, d in edges.values())
         out_deg = sum(s == v for s, _ in edges.values())
         if side == "left":
-            if (in_deg, out_deg) != (left[v[2:]], 1):
+            if (in_deg, out_deg) != (len(left_map[v[2:]]), 1):
                 raise InvariantViolation(f"left vertex {v} has degrees {in_deg}, {out_deg}")
-        elif (in_deg, out_deg) != (1, right[v[2:]]):
+        elif (in_deg, out_deg) != (1, len(right_map[v[2:]])):
             raise InvariantViolation(f"right vertex {v} has degrees {in_deg}, {out_deg}")
     return SpecialRauzyGraph(vertices, edges, n, paths)
 
