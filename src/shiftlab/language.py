@@ -13,7 +13,7 @@ from collections.abc import Set
 from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
-from typing import AbstractSet, Iterator, Literal, Mapping
+from typing import AbstractSet, Callable, Iterator, Literal, Mapping, TypeVar
 
 from ._graphutil import is_weakly_connected
 from .errors import (
@@ -26,6 +26,7 @@ from .words import Alphabet, Word
 
 Side = Literal["left", "right"]
 SIDES: tuple[Side, Side] = ("left", "right")
+T = TypeVar("T")
 
 
 class _AllWords(Set):
@@ -71,10 +72,7 @@ class LanguageOracle:
         self.horizon = horizon
         self.source_label = source_label
         self._levels = dict(levels)
-        self._special_sets: dict[tuple[int, Side], frozenset[str]] = {}
-        # memos of growth_profile and of check_rbc by checked range
-        self._growth: GrowthProfile | None = None
-        self._rbc: dict[tuple[int, int], RbcReport] = {}
+        self._derived: dict[tuple, object] = {}
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
         if set(self._levels) != set(range(1, horizon + 1)):
@@ -126,44 +124,81 @@ class LanguageOracle:
         """Complexity: the number of distinct factors of length ``n``."""
         return len(self.factor_strings(n))
 
+    def derived(self, key: tuple, compute: Callable[[], T]) -> T:
+        """The result stored under ``key`` (a table name and its
+        arguments), computed by ``compute`` on the first request.
+
+        Callers decide every refusal before asking, so a stored result
+        never stands in for a check, and a computation that raises stores
+        nothing.  Results are shared between callers; none mutates one.
+        """
+        memo = self._derived
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]  # type: ignore[return-value]
+
     # -- special sets and bispecials (bulk) ---------------------------
 
     def special_strings(self, n: int, side: Side) -> frozenset[str]:
         """The factors of length ``n`` with at least two extensions on
-        ``side``: the one-letter truncations that at least two factors of
-        length ``n + 1`` share.  Memoized per length and side."""
-        key = (n, side)
-        if key not in self._special_sets:
-            self.require_length(n + 1, f"{side} extensions")
-            self.require_length(n, f"{side} extensions")
-            cut = slice(1, None) if side == "left" else slice(None, -1)
-            counts = Counter(map(itemgetter(cut), self._levels[n + 1]))
-            self._special_sets[key] = frozenset(w for w, c in counts.items() if c >= 2)
-        return self._special_sets[key]
+        ``side``.  Memoized per length and side.
 
-    def bispecials(self, n: int) -> dict[str, tuple[list[str], list[str]]]:
+        Every suffix of a right-special word is right special and every
+        prefix of a left-special one is left special, so when the set one
+        letter shorter is already memoized and small (``|S(n-1)| |A|^2 <
+        p(n+1)``) the set is walked from it: the candidates ``a + w``
+        (right) or ``w + a`` (left), kept when at least two letters extend
+        them at length ``n + 1``.  Otherwise it counts the one-letter
+        truncations of the factors of length ``n + 1`` and keeps those at
+        least two of them share.
+        """
+        self.require_length(n + 1, f"{side} extensions")
+        self.require_length(n, f"{side} extensions")
+        return self.derived(("special", n, side), lambda: self._specials(n, side))
+
+    def _specials(self, n: int, side: Side) -> frozenset[str]:
+        longer = self._levels[n + 1]
+        codes = self.alphabet.codes
+        below = self._derived.get(("special", n - 1, side))
+        if below is not None and len(below) * len(codes) ** 2 < len(longer):
+            right = side == "right"
+            found = []
+            for w in below:
+                for a in codes:
+                    v = a + w if right else w + a
+                    if sum([(v + b if right else b + v) in longer for b in codes]) >= 2:
+                        found.append(v)
+            return frozenset(found)
+        cut = slice(1, None) if side == "left" else slice(None, -1)
+        counts = Counter(map(itemgetter(cut), longer))
+        return frozenset(w for w, c in counts.items() if c >= 2)
+
+    def bispecials(self, n: int) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
         """Each bispecial factor of length ``n``, in ascending order, with
         its RBC witness letters: the codes ``b`` with ``wb`` left special,
-        and the codes ``a`` with ``aw`` right special.
+        and the codes ``a`` with ``aw`` right special, each in ascending
+        order.
 
-        The letters ``b`` are the last letters of the left-special words
-        of length ``n + 1`` whose first ``n`` letters are ``w``; the
-        letters ``a`` are the first letters of the right-special words
-        whose last ``n`` letters are ``w``.  Such ``wb`` and ``aw`` are
-        factors, so ``b`` and ``a`` are extensions of ``w``.  Each list is
-        in no particular order.  Needs length ``n + 2`` whether or not
-        ``n`` has bispecials.
+        Such ``wb`` and ``aw`` are factors, so ``b`` and ``a`` are
+        extensions of ``w``.  Needs length ``n + 2`` whether or not ``n``
+        has bispecials.  Memoized per length; the table is shared, and no
+        caller mutates it.
         """
         self.require_length(n + 2, "bispecial query")
+        return self.derived(("bispecials", n), lambda: self._bispecials(n))
+
+    def _bispecials(self, n: int) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
+        codes = self.alphabet.codes
+        left_up = self.special_strings(n + 1, "left")
+        right_up = self.special_strings(n + 1, "right")
         both = self.special_strings(n, "left") & self.special_strings(n, "right")
-        table = {w: ([], []) for w in sorted(both)}
-        for v in self.special_strings(n + 1, "left"):
-            if v[:-1] in table:
-                table[v[:-1]][0].append(v[-1])
-        for v in self.special_strings(n + 1, "right"):
-            if v[1:] in table:
-                table[v[1:]][1].append(v[0])
-        return table
+        return {
+            w: (
+                tuple([b for b in codes if w + b in left_up]),
+                tuple([a for a in codes if a + w in right_up]),
+            )
+            for w in sorted(both)
+        }
 
 
 # -- per-word extension analysis ---------------------------------------
@@ -289,8 +324,10 @@ def growth_profile(oracle: LanguageOracle) -> GrowthProfile:
     """
     if oracle.horizon < 3:
         raise PreconditionFailure("growth profile needs horizon >= 3")
-    if oracle._growth is not None:
-        return oracle._growth
+    return oracle.derived(("growth",), lambda: _growth_profile(oracle))
+
+
+def _growth_profile(oracle: LanguageOracle) -> GrowthProfile:
     H = oracle.horizon
     p = {n: oracle.p(n) for n in range(1, H + 1)}
     differences = {n: p[n + 1] - p[n] for n in range(1, H)}
@@ -302,8 +339,7 @@ def growth_profile(oracle: LanguageOracle) -> GrowthProfile:
     # a single trailing value is not evidence of a constant tail
     if n0 <= H - 2:
         K, N0 = tail_value, n0
-    oracle._growth = GrowthProfile(H, p, differences, K, N0)
-    return oracle._growth
+    return GrowthProfile(H, p, differences, K, N0)
 
 
 # -- regular bispecial condition, periodicity ----------------------------
@@ -353,9 +389,10 @@ def check_rbc(
         raise PreconditionFailure(
             f"no checkable lengths: n_min={n_min}, top={top}"
         )
-    key = (n_min, top)
-    if key in oracle._rbc:
-        return oracle._rbc[key]
+    return oracle.derived(("rbc", n_min, top), lambda: _rbc_report(oracle, n_min, top))
+
+
+def _rbc_report(oracle: LanguageOracle, n_min: int, top: int) -> RbcReport:
     tokens = lambda codes: sorted(map(oracle.alphabet.token, codes))
     violations: list[tuple[Word, str]] = []
     for n in range(n_min, top + 1):
@@ -366,10 +403,9 @@ def check_rbc(
     n0_estimate = n_min
     if violations:
         n0_estimate = 1 + max(len(w) for w, _ in violations)
-    oracle._rbc[key] = RbcReport(
+    return RbcReport(
         not violations, violations, n0_estimate, n_min, top, oracle.horizon
     )
-    return oracle._rbc[key]
 
 
 @dataclass(frozen=True)

@@ -90,9 +90,15 @@ def build_special_rauzy(oracle: LanguageOracle, n: int) -> SpecialRauzyGraph:
     then (target word, side), then path word.
 
     Raises with a partial-result message if a branchless walk escapes the
-    horizon before reaching a special word.
+    horizon before reaching a special word; it raises again on every later
+    request.  Built once per length and oracle, so callers share each
+    skeleton; none mutates one.
     """
     oracle.require_length(n + 2, "special graph")
+    return oracle.derived(("skeleton", n), lambda: _skeleton(oracle, n))
+
+
+def _skeleton(oracle: LanguageOracle, n: int) -> SpecialRauzyGraph:
     lefts = oracle.special_strings(n, "left")
     rights = oracle.special_strings(n, "right")
     specials = lefts | rights

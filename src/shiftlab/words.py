@@ -140,17 +140,6 @@ class Word:
             raise ValueError(f"invalid subword range [{i},{j}] of length {len(self)}")
         return Word(self.alphabet, self.data[i - 1 : j])
 
-    def prefix(self, k: int) -> Word:
-        return self.sub(1, k)
-
-    def suffix(self, k: int) -> Word:
-        return self.sub(len(self) - k + 1, len(self))
-
-    def __add__(self, other: Word) -> Word:
-        if other.alphabet != self.alphabet:
-            raise AlphabetMismatch("cannot concatenate words over different alphabets")
-        return Word(self.alphabet, self.data + other.data)
-
 
 def _require_same_alphabet(a: Word, b: Word) -> None:
     if a.alphabet != b.alphabet:
@@ -248,5 +237,12 @@ def minimal_step(w: Word, oracle: "LanguageOracle") -> int | None:
 
     It divides every valid step: the gcd of two valid steps is again valid
     (a period of ``w`` by Fine and Wilf, and its doubled power is a prefix
-    of theirs, so a factor)."""
-    return next((c.q for c in valid_steps(w, oracle)), None)
+    of theirs, so a factor).  Memoized per code string and oracle, after
+    the alphabet and horizon checks."""
+    if w.alphabet != oracle.alphabet:
+        raise AlphabetMismatch("word and oracle use different alphabets")
+    oracle.require_length(len(w) + len(w) // 2, "deciding steps")
+    return oracle.derived(
+        ("minimal step", w.data),
+        lambda: next((c.q for c in valid_steps(w, oracle)), None),
+    )

@@ -50,6 +50,7 @@ LOOP_KERNELS = "tests/test_loop_kernels.py"
 GRAPHS = "shiftlab/abstract_graphs.py"
 LANGUAGE = "shiftlab/language.py"
 FULL_SHIFT = "tests/test_language.py::TestComputedFullShift"
+SPECIAL_WALK = "tests/test_factor_engine.py::TestSpecialWalk"
 RAUZY = "shiftlab/rauzy.py"
 EVOLVE_REFERENCE = "tests/test_rauzy.py::TestEvolveMatchesReference"
 EXITWORDS = "shiftlab/exitwords.py"
@@ -396,27 +397,19 @@ MUTANTS = (
          "test_malformed_graph_file_exits_one_without_traceback[merged-name-taken]",),
     ),
     Mutant(
-        "witness letters: the two slices swapped",
+        "witness letters: the two sides swapped",
         LANGUAGE,
-        "            if v[:-1] in table:\n"
-        "                table[v[:-1]][0].append(v[-1])\n"
-        '        for v in self.special_strings(n + 1, "right"):\n'
-        "            if v[1:] in table:\n"
-        "                table[v[1:]][1].append(v[0])\n",
-        "            if v[1:] in table:\n"
-        "                table[v[1:]][0].append(v[-1])\n"
-        '        for v in self.special_strings(n + 1, "right"):\n'
-        "            if v[:-1] in table:\n"
-        "                table[v[:-1]][1].append(v[0])\n",
+        "                tuple([b for b in codes if w + b in left_up]),\n"
+        "                tuple([a for a in codes if a + w in right_up]),\n",
+        "                tuple([b for b in codes if w + b in right_up]),\n"
+        "                tuple([a for a in codes if a + w in left_up]),\n",
         (EVOLVE_REFERENCE,),
     ),
     Mutant(
-        "witness letters: the left side grouped by v[1:]",
+        "witness letters: the left side reads b w",
         LANGUAGE,
-        "            if v[:-1] in table:\n"
-        "                table[v[:-1]][0].append(v[-1])\n",
-        "            if v[1:] in table:\n"
-        "                table[v[1:]][0].append(v[-1])\n",
+        "tuple([b for b in codes if w + b in left_up])",
+        "tuple([b for b in codes if b + w in left_up])",
         ("tests/test_code_strings.py::TestCheckRbc",),
     ),
     Mutant(
@@ -425,6 +418,36 @@ MUTANTS = (
         "if c >= 2)",
         "if c >= 1)",
         ("tests/test_language.py::TestSpecialWords::test_fibonacci_unique_left_special",),
+    ),
+    Mutant(
+        "special walk: right candidates built as w + a",
+        LANGUAGE,
+        "v = a + w if right else w + a",
+        "v = w + a if right else w + a",
+        (SPECIAL_WALK,),
+    ),
+    Mutant(
+        "special walk: one extension counts as special",
+        LANGUAGE,
+        "in longer for b in codes]) >= 2:",
+        "in longer for b in codes]) >= 1:",
+        (SPECIAL_WALK,),
+    ),
+    Mutant(
+        "special memo: the key without the side",
+        LANGUAGE,
+        '("special", n, side), lambda',
+        '("special", n), lambda',
+        (SPECIAL_WALK, *WINDOWS),
+    ),
+    Mutant(
+        "minimal step: the alphabet checked only on a memo miss",
+        "shiftlab/words.py",
+        "        raise AlphabetMismatch(\"word and oracle use different alphabets\")\n"
+        "    oracle.require_length(len(w) + len(w) // 2, \"deciding steps\")\n",
+        "        pass\n"
+        "    oracle.require_length(len(w) + len(w) // 2, \"deciding steps\")\n",
+        ("tests/test_words.py::TestMinimalStep::test_refusals_come_before_the_memo",),
     ),
     Mutant(
         "bispecials: no check that length n + 2 is stored",

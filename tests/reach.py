@@ -7,8 +7,11 @@ full sizes, seed 7), the README command-line examples (the list in
 candidate sequence.  A ``sys.setprofile`` hook records every Python
 function of ``src/shiftlab`` entered meanwhile.  Then it prints each
 function never entered, with its line count, and the total of those lines.
+With ``--cli`` it lists instead the functions that the command-line runs
+alone never enter, and prints that total beside the first.
 
     python tests/reach.py
+    python tests/reach.py --cli
 
 A nested function is listed only when its enclosing function was entered;
 otherwise its lines are already counted with the enclosing one.  Stdlib
@@ -72,16 +75,10 @@ def functions(path: Path) -> list[tuple[int, int, str, int | None]]:
     return out
 
 
-def run_everything() -> None:
-    sys.path.insert(0, str(ROOT / "bench"))
-    import workloads
+def run_cli(examples) -> None:
     from shiftlab import cli
 
-    tracer = Tracer()
-    for name in workloads.BUILDERS:
-        for task in workloads.build(name, SEED, workloads.FULL):
-            task.run(tracer)
-    for argv in [argv for _, argv in workloads.CLI_EXAMPLES] + list(EXTRA_CLI):
+    for argv in [argv for _, argv in examples] + list(EXTRA_CLI):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
@@ -89,24 +86,17 @@ def run_everything() -> None:
             raise SystemExit(f"shiftlab {' '.join(argv)} exited {code}: {err.getvalue()}")
 
 
-def main() -> int:
-    os.chdir(ROOT)  # the CLI inputs are relative to the repository root
-    sys.path.insert(0, str(SRC))
-    entered: set[tuple[str, int]] = set()
-    prefix = str(PACKAGE)
+def run_benchmark(workloads) -> None:
+    tracer = Tracer()
+    for name in workloads.BUILDERS:
+        for task in workloads.build(name, SEED, workloads.FULL):
+            task.run(tracer)
 
-    def hook(frame, event, arg) -> None:
-        if event == "call":
-            code = frame.f_code
-            if code.co_filename.startswith(prefix):
-                entered.add((code.co_filename, code.co_firstlineno))
 
-    sys.setprofile(hook)
-    try:
-        run_everything()
-    finally:
-        sys.setprofile(None)
-    total = 0
+def unreached(entered: set[tuple[str, int]]) -> list[tuple[int, str, str]]:
+    """``(line count, place, name)`` of every function never entered whose
+    enclosing function, if any, was entered."""
+    out = []
     for path in sorted(PACKAGE.glob("*.py")):
         file = str(path)
         for first, lines, name, outer in functions(path):
@@ -114,11 +104,49 @@ def main() -> int:
                 continue
             if outer is not None and (file, outer) not in entered:
                 continue
-            print(f"{lines:5d}  {path.relative_to(SRC)}:{first}  {name}")
-            total += lines
-    print(f"{total:5d}  function lines never entered")
+            out.append((lines, f"{path.relative_to(SRC)}:{first}", name))
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if argv not in ([], ["--cli"]):
+        print(__doc__)
+        return 2
+    os.chdir(ROOT)  # the CLI inputs are relative to the repository root
+    sys.path[:0] = [str(SRC), str(ROOT / "bench")]
+    by_cli: set[tuple[str, int]] = set()
+    by_rest: set[tuple[str, int]] = set()
+    current = by_cli  # the set the hook adds to
+    prefix = str(PACKAGE)
+
+    def hook(frame, event, arg) -> None:
+        if event == "call":
+            code = frame.f_code
+            if code.co_filename.startswith(prefix):
+                current.add((code.co_filename, code.co_firstlineno))
+
+    sys.setprofile(hook)
+    try:
+        import shiftlab.cli  # what importing the command line runs is its own
+
+        current = by_rest
+        import workloads
+
+        current = by_cli
+        run_cli(workloads.CLI_EXAMPLES)
+        current = by_rest
+        run_benchmark(workloads)
+    finally:
+        sys.setprofile(None)
+    cli_only = unreached(by_cli)
+    overall = unreached(by_cli | by_rest)
+    for lines, place, name in cli_only if argv else overall:
+        print(f"{lines:5d}  {place}  {name}")
+    print(f"{sum(row[0] for row in overall):5d}  function lines never entered")
+    if argv:
+        print(f"{sum(row[0] for row in cli_only):5d}  function lines the command-line runs never enter")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

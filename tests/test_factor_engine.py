@@ -2,8 +2,9 @@
 
 ``oracle_from_prefix`` slices windows only at the horizon and derives the
 shorter levels, and decides extendability with two string searches;
-``special_strings`` counts the truncations of the level above, and
-``bispecials`` groups the special sets one letter longer.  The growth-sum
+``special_strings`` counts the truncations of the level above or walks
+the memoized special set one letter shorter, and ``bispecials`` reads
+the special sets one letter longer.  The growth-sum
 identity ``sum(|ext| - 1) == p(n+1) - p(n)`` is asserted here on the
 reference counts, so ``growth_profile`` does not check it at run time.
 The reference here slices every window at every length, reads extension
@@ -188,6 +189,52 @@ class TestBispecialTable:
             got = {w: (sorted(b), sorted(a)) for w, (b, a) in table.items()}
             assert list(got) == sorted(got)
             assert got == naive_bispecials(oracle, levels, n), n
+
+
+def assert_walk_matches_count(make_oracle):
+    """Special sets asked for in ascending order, where a set may be walked
+    from the one a letter shorter, equal those asked for cold in
+    descending order and the other side first, where each is counted from
+    the level above."""
+    ascending, descending = make_oracle(), make_oracle()
+    top = ascending.horizon - 1
+    size = len(ascending.alphabet.codes) ** 2
+    walked = {
+        (n, side): ascending.special_strings(n, side)
+        for side in SIDES
+        for n in range(1, top + 1)
+    }
+    for side in reversed(SIDES):
+        for n in range(top, 0, -1):
+            assert descending.special_strings(n, side) == walked[n, side], (n, side)
+        if any(
+            len(walked[n - 1, side]) * size < ascending.p(n + 1)
+            for n in range(2, top + 1)
+        ):
+            event(f"a {side} set walked")
+
+
+class TestSpecialWalk:
+    @given(st.one_of(raw_prefixes(), substitution_prefixes(), rotation_prefixes()))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_count_on_prefixes(self, case):
+        x, horizon = case
+        levels = naive_levels(x.data, horizon)
+        assert_walk_matches_count(
+            lambda: LanguageOracle(x.alphabet, levels, horizon, "reference")
+        )
+
+    def test_matches_count_on_bernoulli_prefix(self):
+        rng = random.Random(5)
+        x = SequencePrefix.from_tokens(
+            Alphabet(("0", "1")), "".join(rng.choices("01", k=20_000)), "bernoulli"
+        )
+        assert_walk_matches_count(lambda: oracle_from_prefix(x, 11))
+
+    def test_matches_count_on_full_shift(self):
+        assert_walk_matches_count(
+            lambda: LanguageOracle.full_shift(Alphabet(("0", "1", "2")), 7)
+        )
 
 
 @st.composite

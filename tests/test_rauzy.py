@@ -200,6 +200,18 @@ class TestConnectivity:
                 )
 
 
+def test_escaping_walk_raises_on_every_request():
+    # blocks 06 and 0123456: the walk from R:0 by 1 needs length 7
+    rng = random.Random(3)
+    tokens = "".join(rng.choice(["06", "0123456"]) for _ in range(60))
+    x = SequencePrefix.from_tokens(Alphabet(tuple("0123456")), tokens, "blocks")
+    oracle = oracle_from_prefix(x, 5)
+    for _ in range(2):
+        with pytest.raises(HorizonExceeded, match="escapes horizon 5") as err:
+            build_special_rauzy(oracle, 1)
+        assert err.value.required == 6
+
+
 class TestEvolve:
     def test_fibonacci_jump(self, fib_oracle):
         step = evolve(fib_oracle, 4)
@@ -255,6 +267,30 @@ class TestEvolve:
             monkeypatch.setattr(rauzy, name, counted)
         assert evolve(fib_oracle, n).n_tilde == n_tilde
         assert calls == {"build_special_rauzy": 2, "_identification": 1}
+
+    def test_chain_builds_each_skeleton_once(self, monkeypatch, fib_prefix):
+        # each step's target skeleton is the next step's starting one
+        built = []
+        honest = rauzy.SpecialRauzyGraph
+
+        def counted(*args):
+            built.append(args[2])
+            return honest(*args)
+
+        monkeypatch.setattr(rauzy, "SpecialRauzyGraph", counted)
+        oracle = oracle_from_prefix(fib_prefix, 30)
+        steps, n = [], 2
+        while True:
+            try:
+                steps.append(evolve(oracle, n))
+            except HorizonExceeded:
+                break
+            n = steps[-1].n_prime
+        assert len(steps) >= 3
+        assert len(built) == len(steps) + 1
+        assert sorted(built) == [steps[0].n] + [s.n_prime for s in steps]
+        for step, following in zip(steps, steps[1:]):
+            assert following.before is step.after
 
     def test_no_bispecial_before_horizon(self, fib_prefix):
         oracle = oracle_from_prefix(fib_prefix, 16)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from shiftlab.errors import AlphabetMismatch, HorizonExceeded, InvalidStep
+from shiftlab.generators import oracle_from_prefix
 from shiftlab.language import LanguageOracle
 from shiftlab.words import (
     Alphabet,
@@ -144,6 +145,20 @@ class TestMinimalStep:
 
     def test_absent(self, shift2):
         assert minimal_step(AB.word("abaab"), shift2) is None
+
+    def test_refusals_come_before_the_memo(self, fib_prefix):
+        oracle = oracle_from_prefix(fib_prefix, 12)
+        w = oracle.alphabet.word("abaaba")
+        assert minimal_step(w, oracle) == 3
+        # the same code string over another alphabet
+        other = Alphabet(("x", "y")).word_from_codes(w.data)
+        with pytest.raises(AlphabetMismatch):
+            minimal_step(other, oracle)
+        too_long = fib_prefix.sub(1, 9)
+        for _ in range(2):
+            with pytest.raises(HorizonExceeded) as err:
+                minimal_step(too_long, oracle)
+            assert err.value.required == 13
 
     @staticmethod
     def assert_divides_every_valid_step(w, oracle):
