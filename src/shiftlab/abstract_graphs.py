@@ -49,11 +49,7 @@ class AbstractGraph:
     For the same reason a rewrite's result depends only on the graph and
     the move, and :func:`apply_rbs` keeps each result in ``_rewrites``,
     keyed by ``(e0, chosen_in, chosen_out)``: replaying a move costs a
-    lookup.  Likewise :func:`_check_loops` accepts a loop family on the
-    graph or not by the loops' edges alone, so ``_checked_families`` keeps
-    each accepted family's ``(label, loop.edges)`` pairs in label order and
-    a repeat costs a lookup.  A refused family is never kept, and every new
-    graph, random instance or rewrite, starts with none.
+    lookup.
     """
 
     vertices: dict[str, str]  # name -> "left" | "right"
@@ -82,10 +78,6 @@ class AbstractGraph:
     @cached_property
     def _rewrites(self) -> dict[tuple[str, str, str], "AbstractGraph"]:
         return {}
-
-    @cached_property
-    def _checked_families(self) -> set[tuple[tuple[str, tuple[str, ...]], ...]]:
-        return set()
 
     def in_edges(self, v: str) -> list[str]:
         """Edge ids ending at ``v``, ascending."""
@@ -203,22 +195,15 @@ def _check_loops(graph: AbstractGraph, loops: Mapping[str, Loop]) -> None:
 
     The loops are checked one by one in label order, then compared: as
     each loop's vertices are distinct, the loops are disjoint iff they hold
-    as many vertices together as apart.  An accepted family is kept on the
-    graph (see :class:`AbstractGraph`); a refused one raises again."""
-    labels = sorted(loops)
-    key = tuple((lab, loops[lab].edges) for lab in labels)
-    checked = graph._checked_families
-    if key in checked:
-        return
+    as many vertices together as apart."""
     seen: set[str] = set()
     total = 0
-    for lab in labels:
+    for lab in sorted(loops):
         verts = check_loop(graph, loops[lab])
         seen.update(verts)
         total += len(verts)
     if len(seen) != total:
         raise PreconditionFailure("tracked loops must be vertex-disjoint")
-    checked.add(key)
 
 
 # ---------------------------------------------------------------------------
@@ -273,17 +258,8 @@ def validate(graph: AbstractGraph, coloring: Coloring | None = None) -> Validati
             if coloring.vertex(name) < 0:
                 v.append(f"rules1-1: negative color on vertex {name}")
         for color in range(1, E + 1):
-            lefts = [
-                w
-                for w, k in graph.vertices.items()
-                if k == "left" and coloring.vertex(w) == color
-            ]
-            rights = [
-                w
-                for w, k in graph.vertices.items()
-                if k == "right" and coloring.vertex(w) == color
-            ]
-            if not lefts or not rights:
+            kinds = {k for w, k in graph.vertices.items() if coloring.vertex(w) == color}
+            if len(kinds) != 2:
                 v.append(
                     f"rules1-2: color {color} misses a left or right special vertex"
                 )
@@ -511,7 +487,7 @@ class LoopQuotient:
     The count identity ``edges - vertices == K - 2E`` holds by
     construction: a loop has as many edges as vertices and merges into
     exactly two, once :func:`check_loop` has refused a loop without a left
-    and a right vertex and :func:`build_xi` a vertex that carries a merged
+    and a right vertex and ``_quotient`` a vertex that carries a merged
     name.  Being connected forces ``E <= (K+1)/2``.
     """
 
@@ -540,7 +516,6 @@ def build_xi(
     produce; a move off the loops is applied like any other rewrite, and a
     collapse is refused."""
     _check_loops(graph, loops)
-    labels = sorted(loops)
     current, track = graph, loops
     for mv in moves:
         lab, kind, current, track = _track_move(current, track, mv)
@@ -548,24 +523,31 @@ def build_xi(
             raise PreconditionFailure(
                 f"move log contains a collapse on tracked loop {lab}"
             )
-    loop_edge_ids = {e for lp in track.values() for e in lp.edges}
+    return _quotient(current, track)
+
+
+def _quotient(graph: AbstractGraph, loops: Mapping[str, Loop]) -> LoopQuotient:
+    """The quotient of loops that :func:`_check_loops` accepts: each loop's
+    edges deleted, its vertices merged by side into ``<label>_l`` and
+    ``<label>_r``.  Refuses a vertex that already carries a merged name."""
+    loop_edge_ids = {e for lp in loops.values() for e in lp.edges}
     merge: dict[str, str] = {}
-    for lab in labels:
-        for w in loop_vertices(current, track[lab]):
-            side = "l" if current.vertices[w] == "left" else "r"
+    for lab in sorted(loops):
+        for w in loop_vertices(graph, loops[lab]):
+            side = "l" if graph.vertices[w] == "left" else "r"
             merge[w] = f"{lab}_{side}"
-    clash = sorted(set(merge.values()) & (current.vertices.keys() - merge.keys()))
+    clash = sorted(set(merge.values()) & (graph.vertices.keys() - merge.keys()))
     if clash:
         raise PreconditionFailure(
             f"vertex {clash[0]!r} has the name of a merged loop vertex"
         )
-    vertices = sorted({merge.get(w, w) for w in current.vertices})
+    vertices = sorted({merge.get(w, w) for w in graph.vertices})
     edges = tuple(
         (eid, merge.get(s, s), merge.get(d, d))
-        for eid, (s, d) in sorted(current.edges.items())
+        for eid, (s, d) in sorted(graph.edges.items())
         if eid not in loop_edge_ids
     )
-    return LoopQuotient(tuple(vertices), edges, graph.K, len(labels))
+    return LoopQuotient(tuple(vertices), edges, graph.K, len(loops))
 
 
 @dataclass(frozen=True)
@@ -968,7 +950,10 @@ def search_colorings(graph: AbstractGraph, e_target: int) -> SearchResult:
     The graph must be structurally valid (no ``notation`` violation in
     :func:`validate`); this is not checked again here, since its callers
     pass graphs that :func:`enumerate_valid_graphs` built valid or that they
-    have validated themselves.
+    have validated themselves.  There :func:`_check_loops` cannot refuse a
+    disjoint family of its circuits, so their quotient is built directly:
+    an all-left circuit is closed under successors, so strong connectivity
+    would make it the whole graph, with left in-degree 1 (all-right: dual).
     """
     cycles = simple_cycles(graph)
     exhausted = len(cycles) < MAX_CYCLES
@@ -983,17 +968,13 @@ def search_colorings(graph: AbstractGraph, e_target: int) -> SearchResult:
         family = [cycles[i] for i in combo]
         tried += 1
         loops = {str(i + 1): lp for i, lp in enumerate(family)}
-        xi = build_xi(graph, loops)
-        if not xi.is_connected():
+        if not _quotient(graph, loops).is_connected():
             continue
-        vcolors: dict[str, int] = {}
-        ecolors: dict[str, int] = {}
-        for i, lp in enumerate(family):
-            for e in lp.edges:
-                ecolors[e] = i + 1
-            for w in loop_vertices(graph, lp):
-                vcolors[w] = i + 1
-        return SearchResult((Coloring(vcolors, ecolors), loops), exhausted, tried, "found")
+        coloring = Coloring(
+            {w: i for i, lp in enumerate(family, 1) for w in loop_vertices(graph, lp)},
+            {e: i for i, lp in enumerate(family, 1) for e in lp.edges},
+        )
+        return SearchResult((coloring, loops), exhausted, tried, "found")
     note = "exhausted" if exhausted else "cycle cap reached; search incomplete"
     return SearchResult(None, exhausted, tried, note)
 

@@ -106,6 +106,8 @@ def _load_prefix(args: argparse.Namespace):
         )
     length = args.length if args.length is not None else max(4 * args.horizon, 2000)
     kind = chosen[0]
+    if kind == "seq" and args.length is not None:
+        raise ValueError("--length does not apply to --seq: the file fixes the length")
     if kind == "substitution":
         spec = read_substitution_file(args.substitution)
         return substitution_fixed_point(spec, length)
@@ -259,11 +261,15 @@ def cmd_density(args: argparse.Namespace) -> int:
     if args.color:
         side = args.side or "left"
         oracle.require_length(args.n + 2, "color ladder")
-        ladder = []
-        for m in range(args.n, min(args.n + 8, oracle.horizon - 2) + 1):
-            specials = sorted(oracle.special_strings(m, side))
-            if specials:
-                ladder.append(Word(oracle.alphabet, specials[0]))
+        oracle.require_length(args.n, "color ladder")
+        # rungs cut from one special word lie on one vertex (left specials
+        # are closed under prefixes, right specials under suffixes)
+        top = min(args.n + 8, oracle.horizon - 2)
+        v = min(oracle.special_strings(top, side), default=None)
+        ladder = [] if v is None else [
+            Word(oracle.alphabet, v[:m] if side == "left" else v[top - m:])
+            for m in range(args.n, top + 1)
+        ]
         candidates = {"self": prefix}
         for item in args.candidate or ():
             label, eq, path = item.partition("=")

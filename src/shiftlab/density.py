@@ -129,8 +129,7 @@ def special_density_floor(
     density estimate at least ``1/K`` (minus the stated tolerance)."""
     if n < 1:
         raise ValueError("length must be >= 1")
-    per = periodicity_check(oracle)
-    if per.periodic_within_horizon:
+    if periodicity_check(oracle).periodic_within_horizon:
         raise PreconditionFailure(
             "periodic language: the branching constant is undefined"
         )

@@ -329,8 +329,11 @@ def check_overlap_bound(
     # its starts are skipped
     last, skip = 0, False
     skipped = []
+    # No grid test: a start up to ``last`` at phase d != 0 in the q-periodic
+    # run would give w the smaller valid step gcd(d, q).  No left part
+    # ``(j - j1) // q`` in r: the classified start lies < q letters after j1.
     for j in starts:
-        if j > last or (last - j) % q:
+        if j > last:
             try:
                 j1, j2 = _classify_run(x, w, q, j)
             except HorizonExceeded:
@@ -339,7 +342,7 @@ def check_overlap_bound(
             else:
                 last, skip = j + (j2 - j) // q * q, False
                 if j1 > 1:
-                    r = (j2 - j) // q + (j - j1) // q + 1
+                    r = (j2 - j) // q + 1
                     occ_exits.setdefault(j1 - 1, (j2 + n - j1 + 2, r))
         if skip:
             skipped.append(j)

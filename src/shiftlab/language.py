@@ -426,7 +426,13 @@ class PeriodicityReport:
 
 def periodicity_check(oracle: LanguageOracle) -> PeriodicityReport:
     """Morse-Hedlund test: report the least ``n0 <= horizon`` with
-    ``p(n0) <= n0`` and the detected period, else aperiodic-within-horizon."""
+    ``p(n0) <= n0`` and the detected period, else aperiodic-within-horizon.
+
+    Computed once per oracle; every call returns the same report."""
+    return oracle.derived(("periodicity",), lambda: _periodicity(oracle))
+
+
+def _periodicity(oracle: LanguageOracle) -> PeriodicityReport:
     for n in range(1, oracle.horizon + 1):
         if oracle.p(n) <= n:
             return PeriodicityReport(True, n, _detect_period(oracle), oracle.horizon)

@@ -45,10 +45,6 @@ class Alphabet:
         if any(not s for s in self.symbols):
             raise ValueError("alphabet symbols must be nonempty strings")
 
-    @property
-    def size(self) -> int:
-        return len(self.symbols)
-
     @cached_property
     def codes(self) -> str:
         return CODE_CHARS[: len(self.symbols)]
@@ -217,17 +213,24 @@ class StepCertificate:
 
 def valid_steps(w: Word, oracle: "LanguageOracle") -> list[StepCertificate]:
     """All steps ``q`` in ``[1, n//2]`` whose doubled power is a factor."""
-    if w.alphabet != oracle.alphabet:
+    # callers mostly pass the oracle's own alphabet: skip the comparison then
+    if w.alphabet is not oracle.alphabet and w.alphabet != oracle.alphabet:
         raise AlphabetMismatch("word and oracle use different alphabets")
+    oracle.require_length(len(w) + len(w) // 2, "deciding steps")
+    return _step_scan(w, oracle)
+
+
+def _step_scan(w: Word, oracle: "LanguageOracle") -> list[StepCertificate]:
+    """The valid steps of ``w``, ascending, unchecked: the caller has matched
+    the alphabets and asked for length ``n + n//2``, the longest read."""
     d = w.data
     n = len(d)
-    oracle.require_length(n + n // 2, "deciding steps")
     out = []
     for q in range(1, n // 2 + 1):
         if d[q:] != d[: n - q]:
             continue
         # the doubled power periodic_power(w, q, 2), built on the code string
-        if periodic_stretch(w, q, 1, n + q) in oracle.factor_strings(n + q):
+        if periodic_stretch(w, q, 1, n + q) in oracle._levels[n + q]:
             out.append(StepCertificate(w, q))
     return out
 
@@ -238,11 +241,11 @@ def minimal_step(w: Word, oracle: "LanguageOracle") -> int | None:
     It divides every valid step: the gcd of two valid steps is again valid
     (a period of ``w`` by Fine and Wilf, and its doubled power is a prefix
     of theirs, so a factor).  Memoized per code string and oracle, after
-    the alphabet and horizon checks."""
-    if w.alphabet != oracle.alphabet:
+    the alphabet and horizon checks, which run once per call."""
+    if w.alphabet is not oracle.alphabet and w.alphabet != oracle.alphabet:
         raise AlphabetMismatch("word and oracle use different alphabets")
     oracle.require_length(len(w) + len(w) // 2, "deciding steps")
     return oracle.derived(
         ("minimal step", w.data),
-        lambda: next((c.q for c in valid_steps(w, oracle)), None),
+        lambda: next((c.q for c in _step_scan(w, oracle)), None),
     )

@@ -49,6 +49,7 @@ TRACK_REFERENCE = f"{RANDOM_MOVES}::test_track_move_matches_label_order_referenc
 LOOP_KERNELS = "tests/test_loop_kernels.py"
 GRAPHS = "shiftlab/abstract_graphs.py"
 LANGUAGE = "shiftlab/language.py"
+WORDS = "shiftlab/words.py"
 FULL_SHIFT = "tests/test_language.py::TestComputedFullShift"
 SPECIAL_WALK = "tests/test_factor_engine.py::TestSpecialWalk"
 RAUZY = "shiftlab/rauzy.py"
@@ -68,6 +69,17 @@ WINDOWS_MEMORY = "tests/test_factor_engine.py::TestWindows::test_compiled_format
 REPLAY = "tests/test_itinerary_replay.py"
 ITINERARY = "tests/test_abstract_graphs.py::TestItinerary"
 SELF_LOOP = "tests/test_rbs_admissibility.py::test_untouched_self_loop_not_blamed"
+
+# Retired rows, whose text is gone from src/:
+# - "checked families: a key without labels", "checked families: a key
+#   without edges", "checked families: a refused family stored": the memo
+#   of accepted loop families is deleted, and every _check_loops call
+#   checks in full.
+# - "overlap scan: the repetition count without its left part" (equivalent):
+#   the left part ``(j - j1) // q`` is deleted, as it is always 0.
+# - "overlap scan: no grid test before reusing a run" (equivalent): the grid
+#   test is deleted, as no start up to ``last`` lies off the run's grid.
+#   Both proofs are a comment in check_overlap_bound.
 
 MUTANTS = (
     Mutant(
@@ -98,31 +110,6 @@ MUTANTS = (
         "targets[:-1] != verts[1:]",
         "targets[:-2] != verts[1:-1]",
         (f"{LOOP_KERNELS}::TestCheckLoops::test_matches_reference_on_random_states",),
-    ),
-    Mutant(
-        "checked families: a key without labels",
-        GRAPHS,
-        "    key = tuple((lab, loops[lab].edges) for lab in labels)\n",
-        "    key = tuple(loops[lab].edges for lab in labels)\n",
-        (f"{LOOP_KERNELS}::TestCheckLoops",),
-        expect="equivalent",
-        reason="whether a family is accepted depends on its loops' edges alone; "
-        "the labels only order the checks, which decides which refusal is "
-        "raised, and a refused family is never kept",
-    ),
-    Mutant(
-        "checked families: a key without edges",
-        GRAPHS,
-        "    key = tuple((lab, loops[lab].edges) for lab in labels)\n",
-        "    key = tuple(labels)\n",
-        (f"{LOOP_KERNELS}::TestCheckLoops",),
-    ),
-    Mutant(
-        "checked families: a refused family stored",
-        GRAPHS,
-        "    if key in checked:\n        return\n",
-        "    if key in checked:\n        return\n    checked.add(key)\n",
-        (f"{LOOP_KERNELS}::TestCheckLoops::test_refused_family_is_never_kept",),
     ),
     Mutant(
         "random instances: an edge appended to its source's in-list",
@@ -389,6 +376,27 @@ MUTANTS = (
          "test_malformed_graph_file_exits_one_without_traceback[one-kind-loop]",),
     ),
     Mutant(
+        "validation: a color on one vertex kind accepted",
+        GRAPHS,
+        "            if len(kinds) != 2:\n",
+        "            if not kinds:\n",
+        ("tests/test_abstract_graphs.py::TestValidate::test_missing_side_for_color",),
+    ),
+    Mutant(
+        "quotient: the merged names _l and _r swapped",
+        GRAPHS,
+        'side = "l" if graph.vertices[w] == "left" else "r"',
+        'side = "r" if graph.vertices[w] == "left" else "l"',
+        ("tests/test_abstract_graphs.py::TestQuotient::test_four_loop_picture",),
+    ),
+    Mutant(
+        "search: the quotient built without the last loop",
+        GRAPHS,
+        "        if not _quotient(graph, loops).is_connected():\n",
+        "        if not _quotient(graph, dict(list(loops.items())[:-1])).is_connected():\n",
+        ("tests/test_abstract_graphs.py::TestSearch::test_direct_quotients_match_checked_build_xi",),
+    ),
+    Mutant(
         "quotient: a vertex named like a merged loop vertex accepted",
         GRAPHS,
         "    if clash:\n",
@@ -441,13 +449,36 @@ MUTANTS = (
         (SPECIAL_WALK, *WINDOWS),
     ),
     Mutant(
-        "minimal step: the alphabet checked only on a memo miss",
-        "shiftlab/words.py",
-        "        raise AlphabetMismatch(\"word and oracle use different alphabets\")\n"
-        "    oracle.require_length(len(w) + len(w) // 2, \"deciding steps\")\n",
-        "        pass\n"
-        "    oracle.require_length(len(w) + len(w) // 2, \"deciding steps\")\n",
+        "minimal step: no alphabet check",
+        WORDS,
+        "which run once per call.\"\"\"\n"
+        "    if w.alphabet is not oracle.alphabet and w.alphabet != oracle.alphabet:\n"
+        "        raise AlphabetMismatch(\"word and oracle use different alphabets\")\n",
+        "which run once per call.\"\"\"\n",
         ("tests/test_words.py::TestMinimalStep::test_refusals_come_before_the_memo",),
+    ),
+    Mutant(
+        "minimal step: a miss checks again through valid_steps",
+        WORDS,
+        "lambda: next((c.q for c in _step_scan(w, oracle)), None)",
+        "lambda: next((c.q for c in valid_steps(w, oracle)), None)",
+        ("tests/test_words.py::TestMinimalStep::test_a_miss_checks_the_horizon_once",),
+    ),
+    Mutant(
+        "valid steps: the alphabet identity taken as the only match",
+        WORDS,
+        "skip the comparison then\n"
+        "    if w.alphabet is not oracle.alphabet and w.alphabet != oracle.alphabet:\n",
+        "skip the comparison then\n"
+        "    if w.alphabet is not oracle.alphabet:\n",
+        ("tests/test_words.py::TestValidSteps::test_alphabet_compared_by_value",),
+    ),
+    Mutant(
+        "periodicity memo: the key collides with the growth profile's",
+        LANGUAGE,
+        '("periodicity",), lambda',
+        '("growth",), lambda',
+        ("tests/test_density.py::TestSpecialFloor::test_periodicity_scanned_once_per_oracle",),
     ),
     Mutant(
         "bispecials: no check that length n + 2 is stored",
@@ -482,7 +513,7 @@ MUTANTS = (
     ),
     Mutant(
         "periodic stretch: the start one letter late",
-        "shiftlab/words.py",
+        WORDS,
         "    start = (lo - 1) % q\n",
         "    start = lo % q\n",
         (f"{LAYOUTS}::test_periodic_power_matches_reference",),
@@ -551,20 +582,10 @@ MUTANTS = (
         (OVERLAP_NAIVE,),
     ),
     Mutant(
-        "overlap scan: the repetition count without its left part",
-        EXITWORDS,
-        "                    r = (j2 - j) // q + (j - j1) // q + 1\n",
-        "                    r = (j2 - j) // q + 1\n",
-        (OVERLAP_NAIVE,),
-        expect="equivalent",
-        reason="the scan classifies the first start of each run on its grid, "
-        "fewer than q letters after j1, so the left part is 0",
-    ),
-    Mutant(
         "overlap scan: the repetition count one short",
         EXITWORDS,
-        "                    r = (j2 - j) // q + (j - j1) // q + 1\n",
-        "                    r = (j2 - j) // q + (j - j1) // q\n",
+        "                    r = (j2 - j) // q + 1\n",
+        "                    r = (j2 - j) // q\n",
         (OVERLAP_NAIVE,),
     ),
     Mutant(
@@ -588,16 +609,6 @@ MUTANTS = (
         "                last, skip = j + (len(x.data) - j) // q * q, False\n"
         "                skipped.append(j)\n",
         (OVERLAP_NAIVE,),
-    ),
-    Mutant(
-        "overlap scan: no grid test before reusing a run",
-        EXITWORDS,
-        "        if j > last or (last - j) % q:\n",
-        "        if j > last:\n",
-        (OVERLAP_NAIVE,),
-        expect="equivalent",
-        reason="an occurrence at phase d != 0 in a q-periodic run gives w the "
-        "period gcd(d, q) < q, a smaller valid step than the minimal one",
     ),
     *(
         Mutant(

@@ -1,12 +1,14 @@
 """Abstract branching graphs: validation, rewrites, quotients,
 components-and-tags, itineraries, searches."""
 
+import itertools
 import random
 from unittest.mock import patch
 
 import pytest
 
 from shiftlab.abstract_graphs import (
+    MAX_CYCLES,
     AbstractGraph,
     Coloring,
     Event,
@@ -124,9 +126,9 @@ class TestValidate:
 
     def test_missing_side_for_color(self):
         g = k3_shape()
-        bad = Coloring({"u1": 1}, {})
-        rep = validate(g, bad)
-        assert any(v.startswith("rules1-2") for v in rep.violations)
+        for vertex in ("u1", "v1"):  # a color on a left vertex only, a right one only
+            rep = validate(g, Coloring({vertex: 1}, {}))
+            assert any(v.startswith("rules1-2") for v in rep.violations)
 
 
 class TestApplyRbs:
@@ -641,6 +643,17 @@ class TestSearch:
                     found += 1
         assert found > 2500
 
+    @pytest.mark.parametrize("e_target", [2, 3])
+    def test_direct_quotients_match_checked_build_xi(self, e_target):
+        # every K=3 graph up to 6 vertices: the search builds its quotients
+        # without checking the families, which the reference checks
+        found = 0
+        for g in enumerate_valid_graphs(3, 6):
+            res = search_colorings(g, e_target)
+            assert res == reference_search_colorings(g, e_target)
+            found += res.found is not None
+        assert found == (286 if e_target == 2 else 0)
+
     def test_cycle_enumeration_counts(self):
         g, _ = sturmian_shape()
         cycles = simple_cycles(g)
@@ -687,6 +700,30 @@ class TestSearch:
             assert validate(g).ok
             seen += 1
         assert seen == 17
+
+
+def reference_search_colorings(graph: AbstractGraph, e_target: int) -> SearchResult:
+    """The search through the checked entry: each vertex-disjoint family of
+    circuits must pass ``_check_loops`` and is built by ``build_xi``."""
+    cycles = simple_cycles(graph)
+    exhausted = len(cycles) < MAX_CYCLES
+    tried = 0
+    for family in itertools.combinations(cycles, e_target):
+        verts = [loop_vertices(graph, lp) for lp in family]
+        if len(set().union(*verts)) != sum(map(len, verts)):
+            continue
+        tried += 1
+        loops = {str(i + 1): lp for i, lp in enumerate(family)}
+        _check_loops(graph, loops)
+        if not build_xi(graph, loops).is_connected():
+            continue
+        coloring = Coloring(
+            {w: i + 1 for i, vs in enumerate(verts) for w in vs},
+            {e: i + 1 for i, lp in enumerate(family) for e in lp.edges},
+        )
+        return SearchResult((coloring, loops), exhausted, tried, "found")
+    note = "exhausted" if exhausted else "cycle cap reached; search incomplete"
+    return SearchResult(None, exhausted, tried, note)
 
 
 def _reaches_every_vertex(g: AbstractGraph, forward: bool) -> bool:

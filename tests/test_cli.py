@@ -12,6 +12,7 @@ import shiftlab
 from shiftlab import cli
 from shiftlab.cli import main
 from shiftlab.errors import InvariantViolation
+from shiftlab.generators import iet_encode, oracle_from_prefix, read_iet_file
 
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
 FIB_JSON = '{"alphabet": ["a", "b"], "rules": {"a": "ab", "b": "a"}, "seed": "a"}'
@@ -253,6 +254,15 @@ class TestAnalyze:
         assert err.startswith(message.format(tmp=tmp_path)) and err.count("\n") == 1
         assert "internal error" not in err
 
+    @pytest.mark.parametrize("length", ["0", "500"])
+    def test_length_with_seq_exits_one(self, capsys, length):
+        code = main(["analyze", "--seq", str(BENCH_INPUTS / "block.txt"), "--horizon", "6",
+                     "--length", length])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", "error: --length does not apply to --seq: the file fixes the length\n"
+        )
+
     def test_invariant_violation_exits_three(self, capsys, monkeypatch, fib_spec):
         def broken(args):
             raise InvariantViolation("count identity failed")
@@ -428,6 +438,34 @@ class TestDensity:
         report = json.loads(out)
         assert report["color"]["color"] == "self"
         assert report["color"]["threshold"] == 0.3
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_color_ladder_lies_on_one_vertex(self, capsys, monkeypatch, iet_spec, side):
+        ladders = []
+        estimate = cli.color_estimate
+        monkeypatch.setattr(
+            cli, "color_estimate",
+            lambda ladder, *a, **kw: ladders.append(ladder) or estimate(ladder, *a, **kw),
+        )
+        code, _ = run(
+            capsys,
+            ["density", "--iet", iet_spec, "--horizon", "40", "--length", "20000",
+             "--n", "5", "--color", "--side", side],
+        )
+        assert code == 0
+        # the least special word at the top length 13, cut to each length
+        # from 5: its prefixes on the left, its suffixes on the right
+        prefix, _ = iet_encode(read_iet_file(iet_spec), 20000)
+        top = min(oracle_from_prefix(prefix, 40).special_strings(13, side))
+        rungs = [w.data for w in ladders[0]]
+        assert rungs == [top[:m] if side == "left" else top[13 - m:] for m in range(5, 14)]
+
+    def test_no_special_word_at_the_top_exits_one(self, capsys):
+        # a periodic sequence, its branching constant forced to 1
+        code = main(["density", "--rotation", "1/3", "--horizon", "10", "--length", "3000",
+                     "--n", "2", "--k", "1", "--color"])
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: ladder must be nonempty\n")
 
     def test_candidate_over_another_alphabet_exits_one(self, tmp_path, fib_spec):
         other = tmp_path / "fib_ba.txt"

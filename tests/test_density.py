@@ -215,6 +215,21 @@ class TestSpecialFloor:
         with pytest.raises(PreconditionFailure, match="constant"):
             special_density_floor(fib_oracle, fib_prefix, 4, "left", 2)
 
+    def test_periodicity_scanned_once_per_oracle(self, monkeypatch, fib_prefix):
+        # a fresh oracle, so that no earlier test has filled its memo
+        oracle = oracle_from_prefix(fib_prefix, 30)
+        calls = []
+        p = oracle.p
+        monkeypatch.setattr(oracle, "p", lambda n: calls.append(n) or p(n))
+        special_density_floor(oracle, fib_prefix, 4, "left", 1)
+        first = len(calls)
+        # the growth profile and the periodicity scan, each over 1..30
+        assert first == 60
+        for n in (4, 8, 16):
+            for side in ("left", "right"):
+                special_density_floor(oracle, fib_prefix, n, side, 1)
+        assert len(calls) == first
+
 
 class TestWindowCheck:
     def test_fibonacci(self, fib_oracle, fib_prefix):

@@ -1,8 +1,8 @@
 """The one-pass loop kernels against the bodies they replaced.
 
 ``check_loop`` looks up each edge's ends once and returns the loop's
-vertices; ``_check_loops`` reuses those lists for the disjointness test
-and keeps an accepted family on the graph.  ``_tag_components`` gathers
+vertices; ``_check_loops`` reuses those lists for the disjointness test.
+``_tag_components`` gathers
 the loops' edges and vertex sets in one pass and takes the components in
 the order ``weak_components`` gives them.  ``validate`` counts the left
 vertices in its structural pass.  ``bispecial_edges`` reads the out-lists
@@ -212,7 +212,6 @@ class TestCheckLoops:
         expected = outcome(reference_check_loops, graph, loops)
         for _ in range(2):
             assert outcome(_check_loops, graph, loops) == expected
-        assert (expected == ("ok", None)) == bool(graph.__dict__.get("_checked_families"))
 
     def test_refused_family_is_never_kept(self):
         graph, loops = random_graph_with_loops(random.Random(4))
@@ -221,14 +220,11 @@ class TestCheckLoops:
         for _ in range(2):
             with pytest.raises(PreconditionFailure, match="not consecutive"):
                 _check_loops(graph, bad)
-            assert graph._checked_families == set()
         _check_loops(graph, loops)
-        assert len(graph._checked_families) == 1
         with pytest.raises(PreconditionFailure, match="not consecutive"):
             _check_loops(graph, bad)
-        assert len(graph._checked_families) == 1
 
-    def test_repeat_on_the_same_graph_is_a_lookup(self, monkeypatch):
+    def test_every_call_checks_in_full(self, monkeypatch):
         calls = []
         original = abstract_graphs.check_loop
 
@@ -238,17 +234,15 @@ class TestCheckLoops:
 
         monkeypatch.setattr(abstract_graphs, "check_loop", counting)
         graph, loops = random_graph_with_loops(random.Random(8), 2)
-        # a fresh instance carries no checked family, so the first check
-        # on it runs in full
-        assert "_checked_families" not in graph.__dict__
         _check_loops(graph, loops)
         assert len(calls) == 2
+        # nothing is kept on the graph: a repeat, in any label order, checks
+        # every loop again
         _check_loops(graph, dict(reversed(list(loops.items()))))
         _check_loops(graph, {lab: Loop(lp.edges) for lab, lp in loops.items()})
-        assert len(calls) == 2
-        # an equal graph is another object, with nothing kept on it
+        assert len(calls) == 6
         _check_loops(fresh(graph), loops)
-        assert len(calls) == 4
+        assert len(calls) == 8
 
     def test_move_effect_checks_a_fresh_instance_in_full(self, monkeypatch):
         calls = []

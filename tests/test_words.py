@@ -129,6 +129,14 @@ class TestValidSteps:
         assert shift_match(w, 2)
         assert valid_steps(w, fib_oracle) == []
 
+    def test_alphabet_compared_by_value(self, shift2):
+        # an equal alphabet built apart from the oracle's is the same alphabet
+        equal = Alphabet(("a", "b")).word("ababab")
+        assert equal.alphabet is not shift2.alphabet
+        assert [c.q for c in valid_steps(equal, shift2)] == [2]
+        with pytest.raises(AlphabetMismatch):
+            valid_steps(Alphabet(("a", "c")).word("acacac"), shift2)
+
     def test_horizon_guard(self, fib_oracle):
         w = fib_oracle.alphabet.word("ab" * 11)  # needs horizon 33 > 30
         with pytest.raises(HorizonExceeded) as err:
@@ -159,6 +167,19 @@ class TestMinimalStep:
             with pytest.raises(HorizonExceeded) as err:
                 minimal_step(too_long, oracle)
             assert err.value.required == 13
+
+    def test_a_miss_checks_the_horizon_once(self, monkeypatch, fib_prefix):
+        oracle = oracle_from_prefix(fib_prefix, 12)
+        calls = []
+        require = oracle.require_length
+        monkeypatch.setattr(
+            oracle, "require_length", lambda n, what="query": calls.append(n) or require(n, what)
+        )
+        assert minimal_step(oracle.alphabet.word("abaaba"), oracle) == 3
+        assert calls == [9]
+        # a hit checks again before it reads the memo
+        assert minimal_step(oracle.alphabet.word("abaaba"), oracle) == 3
+        assert calls == [9, 9]
 
     @staticmethod
     def assert_divides_every_valid_step(w, oracle):
