@@ -317,9 +317,9 @@ def cmd_abstract(args: argparse.Namespace) -> int:
             "K_right": rep.K_right,
         }
     }
-    # the bound's and the search's precondition: with no coloring, validate
-    # checks the structural rules alone, as neither uses the given coloring
-    structural = validate(g).violations
+    # the bound's and the search's precondition: the structural rules
+    # alone, as neither uses the given coloring
+    structural = rep.violations if coloring is None else validate(g).violations
     if loops:
         # building the quotient still refuses malformed loops
         xi = build_xi(g, loops)

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 import struct
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from math import lcm
 from operator import itemgetter
 from pathlib import Path
@@ -87,16 +87,75 @@ class IntervalExchange:
         self.spec = spec
         d = spec.d
         self.scale = lcm(*(x.denominator for x in spec.lengths), spec.start.denominator)
-        lens = [int(x * self.scale) for x in spec.lengths]
+        lens = [self.scale // x.denominator * x.numerator for x in spec.lengths]
         # domain breakpoints 0 = b_0 < b_1 < ... < b_d = scale
-        self.breaks = [0]
-        for ln in lens:
-            self.breaks.append(self.breaks[-1] + ln)
+        self.breaks = [0, *accumulate(lens)]
         # target offset of interval j: total length of intervals placed before it
         self.offsets = []
         for j in range(d):
             before = sum(lens[k] for k in range(d) if spec.permutation[k] < spec.permutation[j])
             self.offsets.append(before - self.breaks[j])
+        self.alphabet = Alphabet(tuple(str(j) for j in range(1, d + 1)))
+
+    def walk(self, p: int, count: int, first: int) -> tuple[str, KeaneDiagnostic]:
+        """The codes of ``count`` orbit points from ``p``, one step per letter,
+        and the first hit of an interior breakpoint, counted from step ``first``."""
+        breaks, offsets, codes, d = self.breaks, self.offsets, self.alphabet.codes, self.spec.d
+        letters = []
+        diag = KeaneDiagnostic(False)
+        for i in range(first, first + count):
+            # the 0-based interval of p: the interior breakpoints at or below it
+            j = bisect_right(breaks, p, 1, d) - 1
+            # p lies in [breaks[j], breaks[j + 1]), so it is an interior
+            # breakpoint iff j > 0 and p == breaks[j]
+            if j and p == breaks[j] and not diag.violated:
+                diag = KeaneDiagnostic(True, i, Fraction(p, self.scale), j)
+            letters.append(codes[j])
+            p += offsets[j]
+        return "".join(letters), diag
+
+    def cylinders(self, L: int) -> tuple[list[int], list[str], list[int]]:
+        """Left ends, words and shifts of the at most ``(d - 1) L + 1`` cylinders
+        of length ``L``, a power of 2, ascending: each runs to the next left end
+        (or ``scale``), and ``T^L(x) = x + shift`` on it.  By doubling: ``T^m``
+        moves the cylinder of u by ``s_u``, and its overlap with that of a v of
+        length m, moved back, is the cylinder of uv, with shift ``s_u + s_v``."""
+        lefts, words, shifts = self.breaks[:-1], list(self.alphabet.codes), self.offsets
+        for _ in range(L.bit_length() - 1):
+            pieces = []
+            for lo, hi, u, s in zip(lefts, [*lefts[1:], self.scale], words, shifts):
+                v = bisect_right(lefts, lo + s) - 1  # the overlap that starts at lo
+                pieces.append((lo, u + words[v], s + shifts[v]))
+                for v in range(v + 1, bisect_left(lefts, hi + s)):
+                    pieces.append((lefts[v] - s, u + words[v], s + shifts[v]))
+            lefts, words, shifts = map(list, zip(*pieces))
+        return lefts, words, shifts
+
+    def orbit(self, length: int) -> tuple[str, KeaneDiagnostic]:
+        """The codes of the first ``length`` orbit points and the first hit of
+        an interior breakpoint: ``L`` letters per step from :meth:`cylinders`,
+        with ``L`` a power of 2 near ``sqrt(length / (4 (d - 1)))`` to balance
+        table and blocks, and the last ``length mod L`` one per step."""
+        if length < 1:
+            raise ValueError("length must be >= 1")
+        L = 1 << (length // (4 * self.spec.d - 4)).bit_length() // 2
+        lefts, words, shifts = self.cylinders(L)
+        p = self.scale // self.spec.start.denominator * self.spec.start.numerator
+        letters = []
+        diag = KeaneDiagnostic(False)
+        blocks = length - length % L
+        for step in range(0, blocks, L):
+            i = bisect_right(lefts, p) - 1
+            # Only a block from a left end can hit an interior breakpoint: if
+            # T^k(y) = b_j, k < L, then y - 1 lies in another length-k cylinder,
+            # or T^k(y - 1) = b_j - 1 lies in interval j - 1, not j.  Either
+            # way y is a left end at length k + 1, so at length L.
+            if p == lefts[i] and not diag.violated:
+                diag = self.walk(p, L, step)[1]
+            letters.append(words[i])
+            p += shifts[i]
+        tail, hit = self.walk(p, length - blocks, blocks)
+        return "".join(letters) + tail, diag if diag.violated else hit
 
 
 @dataclass(frozen=True)
@@ -113,28 +172,14 @@ def iet_encode(spec: IETSpec, length: int) -> tuple[SequencePrefix, KeaneDiagnos
     """Code the forward orbit of the start point by interval index.
 
     Letter ``i`` names the (1-based) interval containing the ``(i-1)``-th
-    iterate, with the left-closed right-open interval convention.
+    iterate, with the left-closed right-open interval convention, as
+    :meth:`IntervalExchange.orbit` codes it.
     """
-    if length < 1:
-        raise ValueError("length must be >= 1")
     iet = IntervalExchange(spec)
-    alphabet = Alphabet(tuple(str(j) for j in range(1, spec.d + 1)))
-    breaks, offsets, codes, d = iet.breaks, iet.offsets, alphabet.codes, spec.d
-    p = int(spec.start * iet.scale)
-    letters = []
-    diag = KeaneDiagnostic(False)
-    for i in range(length):
-        # the 0-based interval of p: the interior breakpoints at or below it
-        j = bisect_right(breaks, p, 1, d) - 1
-        # p lies in [breaks[j], breaks[j + 1]), so it is an interior
-        # breakpoint iff j > 0 and p == breaks[j]
-        if j and p == breaks[j] and not diag.violated:
-            diag = KeaneDiagnostic(True, i, Fraction(p, iet.scale), j)
-        letters.append(codes[j])
-        p += offsets[j]
+    data, diag = iet.orbit(length)
     prefix = SequencePrefix(
-        alphabet,
-        "".join(letters),
+        iet.alphabet,
+        data,
         f"iet d={spec.d} lengths={[str(x) for x in spec.lengths]} "
         f"pi={list(spec.permutation)} z={spec.start} N={length}",
     )
@@ -177,22 +222,24 @@ class SubstitutionSpec:
 
 
 def substitution_fixed_point(spec: SubstitutionSpec, length: int) -> SequencePrefix:
-    """The length-``length`` prefix of the fixed point of the substitution."""
+    """The length-``length`` prefix of the fixed point of the substitution.
+
+    From ``sigma^0(c) = c``, ``sigma^(k+1)(c)`` joins the images ``sigma^k(c')``
+    of the letters of ``sigma(c)``, cut at ``length``, until the seed's image is that long."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    table = str.maketrans({
-        spec.alphabet.code(tok): "".join(spec.alphabet.code(t) for t in seq)
-        for tok, seq in spec.rules.items()
-    })
-    s = spec.alphabet.code(spec.seed)
-    while len(s) < length:
-        s = s[:length].translate(table)
+    code = spec.alphabet.code
+    rules = {code(tok): "".join(map(code, seq)) for tok, seq in spec.rules.items()}
+    images = {c: c for c in rules}
+    seed = code(spec.seed)
+    while len(images[seed]) < length:
+        images = {c: "".join(map(images.__getitem__, rule))[:length] for c, rule in rules.items()}
     rules_desc = ",".join(
         f"{tok}->{''.join(seq)}" for tok, seq in sorted(spec.rules.items())
     )
     return SequencePrefix(
         spec.alphabet,
-        s[:length],
+        images[seed],
         f"substitution {rules_desc} seed={spec.seed} N={length}",
     )
 
@@ -218,16 +265,17 @@ def continued_fraction_value(quotients: Sequence[int]) -> Fraction:
     """Value of the continued fraction [0; a1, a2, ...]."""
     if not quotients or any(a < 1 for a in quotients):
         raise ValueError("partial quotients must be positive integers")
-    value = Fraction(0)
+    num, den = 0, 1
     for a in reversed(quotients):
-        value = Fraction(1, a + value)
-    return value
+        num, den = den, a * den + num
+    return Fraction(num, den)
 
 
 def rotation_coding(
     alpha: Fraction | Sequence[int], length: int
 ) -> SequencePrefix:
-    """Two-letter coding of the rotation by ``alpha`` started at 0.
+    """Two-letter coding of the rotation by ``alpha`` started at 0: the
+    2-interval exchange swapping ``[0, 1 - alpha)`` and ``[1 - alpha, 1)``.
 
     Letter ``1`` marks orbit points in ``[1 - alpha, 1)``.  ``alpha`` may
     be given directly or as a stream of continued-fraction partial
@@ -237,17 +285,8 @@ def rotation_coding(
         alpha = continued_fraction_value(alpha)
     if not 0 < alpha < 1:
         raise ValueError("rotation number must lie in (0, 1)")
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    p, q = alpha.numerator, alpha.denominator
-    zo = Alphabet(("0", "1"))
-    threshold = q - p
-    letters = []
-    r = 0
-    for _ in range(length):
-        letters.append("1" if r >= threshold else "0")
-        r = (r + p) % q
-    return SequencePrefix(zo, "".join(letters), f"rotation alpha={alpha} N={length}")
+    data, _ = IntervalExchange(IETSpec((1 - alpha, alpha), (2, 1))).orbit(length)
+    return SequencePrefix(Alphabet(("0", "1")), data, f"rotation alpha={alpha} N={length}")
 
 
 # -- prefix -> oracle -------------------------------------------------------

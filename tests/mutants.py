@@ -66,6 +66,7 @@ WINDOWS = (
     "tests/test_factor_engine.py::TestAgainstNaiveReference",
 )
 WINDOWS_MEMORY = "tests/test_factor_engine.py::TestWindows::test_compiled_format_not_retained"
+GENERATORS = "tests/test_generators.py::TestGeneratorsMatchReference"
 REPLAY = "tests/test_itinerary_replay.py"
 ITINERARY = "tests/test_abstract_graphs.py::TestItinerary"
 SELF_LOOP = "tests/test_rbs_admissibility.py::test_untouched_self_loop_not_blamed"
@@ -293,6 +294,57 @@ MUTANTS = (
         "        found.update([raw[i : i + n] for i in range(end, s + count * n, n)])\n",
         "        found.update(struct.unpack(f\"{n}s\" * count, view[s : s + count * n]))\n",
         (WINDOWS_MEMORY,),
+    ),
+    Mutant(
+        "cylinder table: the doubling keeps an empty overlap",
+        PREFIX,
+        "bisect_left(lefts, hi + s)",
+        "bisect_right(lefts, hi + s)",
+        (f"{GENERATORS}::test_cylinders",),
+    ),
+    Mutant(
+        "cylinder table: an overlap not cut at the left end",
+        PREFIX,
+        "pieces.append((lo, u + words[v]",
+        "pieces.append((lefts[v] - s, u + words[v]",
+        (f"{GENERATORS}::test_cylinders",),
+    ),
+    Mutant(
+        "cylinder table: a composed shift drops s_v",
+        PREFIX,
+        "(lefts[v] - s, u + words[v], s + shifts[v])",
+        "(lefts[v] - s, u + words[v], s)",
+        (f"{GENERATORS}::test_iet_encode",),
+    ),
+    Mutant(
+        "iet blocks: the Keane walk skipped at left ends",
+        PREFIX,
+        "            if p == lefts[i] and not diag.violated:\n",
+        "            if False:\n",
+        (f"{GENERATORS}::test_first_keane_hit",),
+    ),
+    Mutant(
+        "iet blocks: the tail starts one letter late",
+        PREFIX,
+        "self.walk(p, length - blocks, blocks)",
+        "self.walk(p, length - blocks, blocks + 1)",
+        (f"{GENERATORS}::test_first_keane_hit",),
+    ),
+    Mutant(
+        "rotation: the exchange keeps the intervals in place",
+        PREFIX,
+        "(1 - alpha, alpha), (2, 1)",
+        "(1 - alpha, alpha), (1, 2)",
+        (f"{GENERATORS}::test_rotation_small_denominators",),
+    ),
+    Mutant(
+        "substitution: a letter image not cut",
+        PREFIX,
+        '"".join(map(images.__getitem__, rule))[:length]',
+        '"".join(map(images.__getitem__, rule))',
+        # a deterministic spec whose images all grow slowly: a random spec
+        # can grow an unreachable letter exponentially, uncut
+        (f"{GENERATORS}::test_linearly_growing_seed",),
     ),
     Mutant(
         "follow step: the key reads the letter after the first one",

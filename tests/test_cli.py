@@ -10,6 +10,7 @@ import pytest
 
 import shiftlab
 from shiftlab import cli
+from shiftlab.abstract_graphs import validate
 from shiftlab.cli import main
 from shiftlab.errors import InvariantViolation
 from shiftlab.generators import iet_encode, oracle_from_prefix, read_iet_file
@@ -699,6 +700,27 @@ class TestAbstractAndXi:
         report = json.loads(out)
         assert report["validation"]["ok"]
         assert report["bound"]["bound_satisfied"] in (True, False)
+
+    @pytest.mark.parametrize("coloring,calls", [(None, 1), ({"vertices": {}, "edges": {}}, 2)])
+    def test_validate_runs_once_without_a_coloring(
+        self, capsys, monkeypatch, tmp_path, coloring, calls
+    ):
+        # with no coloring the report's violations are the structural ones
+        obj = json.loads((BENCH_INPUTS / "k3.json").read_text())
+        if coloring is not None:
+            obj["coloring"] = coloring
+        path = tmp_path / "k3.json"
+        path.write_text(json.dumps(obj))
+        seen = []
+
+        def counting_validate(*args):
+            seen.append(args)
+            return validate(*args)
+
+        monkeypatch.setattr(cli, "validate", counting_validate)
+        code, out = run(capsys, ["abstract", "--graph", str(path), "--search", "2"])
+        assert code == 0 and json.loads(out)["search"]["found"]
+        assert len(seen) == calls
 
     @pytest.mark.parametrize("search", ["0", "-1"])
     def test_search_below_one_exits_one(self, search):

@@ -32,56 +32,88 @@ from conftest import IET3_SPEC
 # -- references: one Python step per letter -----------------------------------
 
 
+def ref_walk(iet, p, count):
+    """Codes of ``count`` orbit points from ``p``, the point reached, and the
+    first hit of an interior breakpoint."""
+    codes = Alphabet(tuple(str(j) for j in range(1, iet.spec.d + 1))).codes
+    letters = []
+    diag = KeaneDiagnostic(False)
+    for i in range(count):
+        # the interior breakpoints at or below p, counted one by one
+        j = sum(1 for b in iet.breaks[1:-1] if b <= p)
+        if j and p == iet.breaks[j] and not diag.violated:
+            diag = KeaneDiagnostic(True, i, Fraction(p, iet.scale), j)
+        letters.append(codes[j])
+        p += iet.offsets[j]
+    return "".join(letters), p, diag
+
+
 def ref_iet_encode(spec, length):
     if length < 1:
         raise ValueError("length must be >= 1")
     iet = IntervalExchange(spec)
     alphabet = Alphabet(tuple(str(j) for j in range(1, spec.d + 1)))
-    p = int(spec.start * iet.scale)
-    letters = []
-    diag = KeaneDiagnostic(False)
-    for i in range(length):
-        # the interior breakpoints at or below p, counted one by one
-        j = sum(1 for b in iet.breaks[1:-1] if b <= p)
-        if j and p == iet.breaks[j] and not diag.violated:
-            diag = KeaneDiagnostic(True, i, Fraction(p, iet.scale), j)
-        letters.append(alphabet.codes[j])
-        p += iet.offsets[j]
+    data, _, diag = ref_walk(iet, int(spec.start * iet.scale), length)
     prefix = SequencePrefix(
         alphabet,
-        "".join(letters),
+        data,
         f"iet d={spec.d} lengths={[str(x) for x in spec.lengths]} "
         f"pi={list(spec.permutation)} z={spec.start} N={length}",
     )
     return prefix, diag
 
 
+def ref_rotation_coding(alpha, length):
+    if not isinstance(alpha, Fraction):
+        value = Fraction(0)
+        for a in reversed(alpha):
+            value = Fraction(1, a + value)
+        alpha = value
+    if not 0 < alpha < 1:
+        raise ValueError("rotation number must lie in (0, 1)")
+    if length < 1:
+        raise ValueError("length must be >= 1")
+    p, q = alpha.numerator, alpha.denominator
+    zo = Alphabet(("0", "1"))
+    threshold = q - p
+    letters = []
+    r = 0
+    for _ in range(length):
+        letters.append("1" if r >= threshold else "0")
+        r = (r + p) % q
+    return SequencePrefix(zo, "".join(letters), f"rotation alpha={alpha} N={length}")
+
+
 def ref_substitution_fixed_point(spec, length):
+    """The fixed point x = sigma(x) read off itself: the images of x's
+    letters, one letter at a time."""
     if length < 1:
         raise ValueError("length must be >= 1")
     code_rules = {
         spec.alphabet.code(tok): "".join(spec.alphabet.code(t) for t in seq)
         for tok, seq in spec.rules.items()
     }
-    s = spec.alphabet.code(spec.seed)
-    while len(s) < length:
-        s = "".join(code_rules[c] for c in s[:length])
+    x = list(code_rules[spec.alphabet.code(spec.seed)])
+    i = 1
+    while len(x) < length:
+        x.extend(code_rules[x[i]])
+        i += 1
     rules_desc = ",".join(
         f"{tok}->{''.join(seq)}" for tok, seq in sorted(spec.rules.items())
     )
     return SequencePrefix(
         spec.alphabet,
-        s[:length],
+        "".join(x[:length]),
         f"substitution {rules_desc} seed={spec.seed} N={length}",
     )
 
 
 @st.composite
-def iet_specs(draw):
-    """Lengths over a small common denominator, so that many orbits hit a
-    breakpoint, and a start point on a finer grid."""
-    d = draw(st.integers(2, 4))
-    denominator = draw(st.integers(d, 40))
+def iet_specs(draw, max_denominator=40):
+    """Lengths over a common denominator, small by default so that many
+    orbits hit a breakpoint, and a start point on a finer grid."""
+    d = draw(st.integers(2, 5))
+    denominator = draw(st.integers(d, max_denominator))
     cuts = sorted(draw(st.sets(st.integers(1, denominator - 1), min_size=d - 1, max_size=d - 1)))
     ends = [0, *cuts, denominator]
     lengths = tuple(Fraction(b - a, denominator) for a, b in zip(ends, ends[1:]))
@@ -104,9 +136,29 @@ def substitution_specs(draw):
 
 class TestGeneratorsMatchReference:
     @settings(max_examples=300, deadline=None)
-    @given(iet_specs(), st.integers(1, 300))
+    @given(iet_specs(), st.integers(1, 3000))
     def test_iet_encode(self, spec, length):
         assert iet_encode(spec, length) == ref_iet_encode(spec, length)
+
+    @settings(max_examples=100, deadline=None)
+    @given(iet_specs(max_denominator=10**9), st.integers(1, 3000))
+    def test_iet_encode_large_denominators(self, spec, length):
+        assert iet_encode(spec, length) == ref_iet_encode(spec, length)
+
+    @pytest.mark.parametrize(
+        "q,p,step",
+        [(501, 100, 500), (996, 7, 995), (3, 1, 0)],
+        ids=["inside-a-block", "in-the-tail", "at-step-0"],
+    )
+    def test_first_keane_hit(self, q, p, step):
+        # the rotation by p/q, started at (q - p)/q for q = 3, else at 0,
+        # first meets the breakpoint (q - p)/q at step q - 1; 1,000 letters
+        # are coded in blocks of 16, and the tail starts at step 992
+        start = Fraction(q - p, q) if step == 0 else Fraction(0)
+        spec = IETSpec((Fraction(q - p, q), Fraction(p, q)), (2, 1), start)
+        got = iet_encode(spec, 1000)
+        assert got == ref_iet_encode(spec, 1000)
+        assert got[1] == KeaneDiagnostic(True, step, Fraction(q - p, q), 1)
 
     def test_iet_orbit_hitting_a_breakpoint(self):
         # the orbit of 0 under the rotation by 2/5 reaches the breakpoint
@@ -116,12 +168,52 @@ class TestGeneratorsMatchReference:
         assert got == ref_iet_encode(spec, 12)
         assert got[1] == KeaneDiagnostic(True, 4, Fraction(3, 5), 1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(iet_specs(), iet_specs(max_denominator=10**9)), st.integers(0, 6))
+    def test_cylinders(self, spec, log_length):
+        L = 1 << log_length
+        iet = IntervalExchange(spec)
+        lefts, words, shifts = iet.cylinders(L)
+        # the cylinders tile [0, scale) in ascending order
+        ends = [*lefts[1:], iet.scale]
+        assert lefts[0] == 0 and all(lo < hi for lo, hi in zip(lefts, ends))
+        assert len(lefts) <= (spec.d - 1) * L + 1
+        assert len(set(words)) == len(words)
+        for lo, hi, word, shift in zip(lefts, ends, words, shifts):
+            # T^L translates the whole interval: both ends walk as the table says
+            for x in (lo, hi - 1):
+                assert ref_walk(iet, x, L)[:2] == (word, x + shift)
+
     @settings(max_examples=300, deadline=None)
-    @given(substitution_specs(), st.integers(1, 400))
+    @given(substitution_specs(), st.integers(1, 5000))
     def test_substitution_fixed_point(self, spec, length):
         # most lengths end inside the image of a letter
         got = substitution_fixed_point(spec, length)
         assert got == ref_substitution_fixed_point(spec, length)
+
+    @pytest.mark.parametrize("length", [1, 2, 4000, 5000])
+    def test_linearly_growing_seed(self, length):
+        # a -> ab, b -> bc, c -> c fixes a b bc bcc bccc ...
+        abc = Alphabet(("a", "b", "c"))
+        spec = SubstitutionSpec(abc, {"a": ("a", "b"), "b": ("b", "c"), "c": ("c",)}, "a")
+        got = substitution_fixed_point(spec, length)
+        assert got == ref_substitution_fixed_point(spec, length)
+        assert got.data == ("0" + "".join("1" + "2" * k for k in range(100)))[:length]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 60).flatmap(
+        lambda q: st.tuples(st.integers(1, q - 1), st.just(q))), st.integers(1, 3000))
+    def test_rotation_small_denominators(self, pq, length):
+        # every orbit of a rational rotation meets the breakpoint 1 - alpha
+        alpha = Fraction(*pq)
+        assert rotation_coding(alpha, length) == ref_rotation_coding(alpha, length)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 5), min_size=1, max_size=30).filter(lambda qs: qs != [1]),
+           st.integers(1, 3000))
+    def test_rotation_quotients(self, quotients, length):
+        # equal provenance includes an equal continued-fraction value
+        assert rotation_coding(quotients, length) == ref_rotation_coding(quotients, length)
 
 
 class TestIet:
