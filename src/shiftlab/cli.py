@@ -139,6 +139,9 @@ def _load_oracle(args: argparse.Namespace):
 def cmd_analyze(args: argparse.Namespace) -> int:
     _, oracle = _load_oracle(args)
     n_min = 1 if args.n is None else args.n
+    if args.n is not None:
+        # the bispecial scan from n reads length n + 3
+        oracle.require_length(args.n + 3, f"--n {args.n}")
     _emit_json(args, analysis_report(oracle, n_min=n_min), "analysis.json")
     return 0
 

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import PreconditionFailure
-from .language import LanguageOracle
+from .language import LanguageOracle, StoredLevels
 from .words import Alphabet, Word
 
 
@@ -371,7 +371,7 @@ def oracle_from_prefix(x: SequencePrefix, horizon: int) -> LanguageOracle:
         level = set(map(truncate, levels[n + 1]))
         level.add(data[N - n :])
         levels[n] = frozenset(level)
-    return LanguageOracle(x.alphabet, levels, horizon, label)
+    return LanguageOracle(x.alphabet, StoredLevels(levels), label)
 
 
 # -- file ingestion ----------------------------------------------------------

@@ -47,12 +47,37 @@ class _AllWords(Set):
         return map("".join, product(self.codes, repeat=self.n))
 
 
-class LanguageOracle:
-    """Membership and extension queries, exact up to a declared horizon.
+class StoredLevels:
+    """A level source that holds one set of code strings per length
+    ``1..horizon``; its horizon is the number of levels."""
 
-    The levels must be a factor language up to the horizon; each builder
-    guarantees this where it can fail, and the constructor checks only
-    that the levels cover lengths ``1..horizon``:
+    def __init__(self, levels: Mapping[int, AbstractSet[str]]):
+        self._levels, self.horizon = levels, len(levels)
+        if set(levels) != set(range(1, self.horizon + 1)):
+            raise ValueError("factor sets must cover lengths 1..horizon exactly")
+
+    def level(self, n: int) -> AbstractSet[str]:
+        return self._levels[n]
+
+    def p(self, n: int) -> int:
+        return len(self._levels[n])
+
+
+class _FullShift(StoredLevels):
+    """The full shift's computed levels, counted as ``|A|**n``."""
+
+    def p(self, n: int) -> int:
+        return len(self.level(n).codes) ** n
+
+
+class LanguageOracle:
+    """Membership and extension queries, exact up to a source's horizon.
+
+    The source answers ``level(n)``, the set of factors of length ``n`` as
+    code strings, and ``p(n)``, their number, for ``n = 1..horizon``; the
+    oracle reads a level only when a query needs it.  The levels must be a
+    factor language up to the horizon, and each builder guarantees this
+    where it can fail:
 
     * factor closure: both one-letter truncations of every stored word of
       length ``n`` are stored at length ``n - 1``;
@@ -61,22 +86,14 @@ class LanguageOracle:
     * every alphabet symbol occurs as a length-1 factor.
     """
 
-    def __init__(
-        self,
-        alphabet: Alphabet,
-        levels: Mapping[int, AbstractSet[str]],
-        horizon: int,
-        source_label: str,
-    ):
+    def __init__(self, alphabet: Alphabet, source: StoredLevels, source_label: str):
         self.alphabet = alphabet
-        self.horizon = horizon
+        self.source = source
+        self.horizon = source.horizon
         self.source_label = source_label
-        self._levels = dict(levels)
         self._derived: dict[tuple, object] = {}
-        if horizon < 1:
+        if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if set(self._levels) != set(range(1, horizon + 1)):
-            raise ValueError("factor sets must cover lengths 1..horizon exactly")
 
     # -- construction -------------------------------------------------
 
@@ -85,14 +102,12 @@ class LanguageOracle:
         """The language of all words over the alphabet, up to the horizon.
 
         Levels are computed, not stored: membership is an O(n) code check and
-        ``p(n) = |A|**n`` (while a ``len`` holds it: n <= 62 over two letters).
-        Bulk queries (extensions, specials, RBC, Rauzy graphs) still
-        enumerate ``|A|**(n+1)`` words.
+        ``p(n) = |A|**n``.  Bulk queries (extensions, specials, RBC, Rauzy
+        graphs) still enumerate ``|A|**(n+1)`` words.
         """
         return cls(
             alphabet,
-            {n: _AllWords(alphabet.codes, n) for n in range(1, horizon + 1)},
-            horizon,
+            _FullShift({n: _AllWords(alphabet.codes, n) for n in range(1, horizon + 1)}),
             f"full shift on {','.join(alphabet.symbols)}",
         )
 
@@ -109,7 +124,7 @@ class LanguageOracle:
 
     def factor_strings(self, n: int) -> AbstractSet[str]:
         self.require_length(n)
-        return self._levels[n]
+        return self.source.level(n)
 
     def words(self, n: int) -> list[Word]:
         return [Word(self.alphabet, d) for d in sorted(self.factor_strings(n))]
@@ -118,11 +133,12 @@ class LanguageOracle:
         if w.alphabet != self.alphabet:
             raise AlphabetMismatch("word and oracle use different alphabets")
         self.require_length(len(w), "membership")
-        return w.data in self._levels[len(w)]
+        return w.data in self.source.level(len(w))
 
     def p(self, n: int) -> int:
         """Complexity: the number of distinct factors of length ``n``."""
-        return len(self.factor_strings(n))
+        self.require_length(n)
+        return self.source.p(n)
 
     def derived(self, key: tuple, compute: Callable[[], T]) -> T:
         """The result stored under ``key`` (a table name and its
@@ -157,10 +173,10 @@ class LanguageOracle:
         return self.derived(("special", n, side), lambda: self._specials(n, side))
 
     def _specials(self, n: int, side: Side) -> frozenset[str]:
-        longer = self._levels[n + 1]
+        longer = self.source.level(n + 1)
         codes = self.alphabet.codes
         below = self._derived.get(("special", n - 1, side))
-        if below is not None and len(below) * len(codes) ** 2 < len(longer):
+        if below is not None and len(below) * len(codes) ** 2 < self.source.p(n + 1):
             right = side == "right"
             found = []
             for w in below:
@@ -331,15 +347,27 @@ def _growth_profile(oracle: LanguageOracle) -> GrowthProfile:
     H = oracle.horizon
     p = {n: oracle.p(n) for n in range(1, H + 1)}
     differences = {n: p[n + 1] - p[n] for n in range(1, H)}
-    K = N0 = None
-    tail_value = differences[H - 1]
-    n0 = H - 1
-    while n0 - 1 >= 1 and differences[n0 - 1] == tail_value:
-        n0 -= 1
-    # a single trailing value is not evidence of a constant tail
-    if n0 <= H - 2:
-        K, N0 = tail_value, n0
+    K, N0 = _constant_tail(list(differences.values())) or (None, None)
     return GrowthProfile(H, p, differences, K, N0)
+
+
+def _constant_tail(differences: list[int]) -> tuple[int, int] | None:
+    """``(K, N0)`` when the trailing run of equal values in
+    ``differences`` (``p(n+1) - p(n)`` for ``n = 1..H-1``) has value ``K``
+    and starts at ``N0 <= H/2``, else ``None``.
+
+    Such a run covers at least half the horizon, so it is longer than any
+    run before it.  A run from ``n = s`` to ``n = e`` reads constant at the
+    horizons ``2s..e+1`` only: Thue-Morse's runs end near 3/2 and 4/3 of
+    their starts, so it never does, but a run that ends past twice its
+    start passes there, whatever follows it.
+    """
+    H = len(differences) + 1
+    K = differences[-1]
+    n0 = H - 1
+    while n0 > 1 and differences[n0 - 2] == K:
+        n0 -= 1
+    return (K, n0) if 2 * n0 <= H else None
 
 
 # -- regular bispecial condition, periodicity ----------------------------

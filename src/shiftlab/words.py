@@ -230,7 +230,7 @@ def _step_scan(w: Word, oracle: "LanguageOracle") -> list[StepCertificate]:
         if d[q:] != d[: n - q]:
             continue
         # the doubled power periodic_power(w, q, 2), built on the code string
-        if periodic_stretch(w, q, 1, n + q) in oracle._levels[n + q]:
+        if periodic_stretch(w, q, 1, n + q) in oracle.source.level(n + q):
             out.append(StepCertificate(w, q))
     return out
 

@@ -51,6 +51,9 @@ GRAPHS = "shiftlab/abstract_graphs.py"
 LANGUAGE = "shiftlab/language.py"
 WORDS = "shiftlab/words.py"
 FULL_SHIFT = "tests/test_language.py::TestComputedFullShift"
+TRAFFIC = "tests/test_level_sources.py::TestLevelTraffic"
+EXACT_COUNTS = "tests/test_level_sources.py::TestExactFullShiftCounts"
+GROWTH_RULE = "tests/test_growth_rule.py"
 SPECIAL_WALK = "tests/test_factor_engine.py::TestSpecialWalk"
 RAUZY = "shiftlab/rauzy.py"
 EVOLVE_REFERENCE = "tests/test_rauzy.py::TestEvolveMatchesReference"
@@ -236,6 +239,49 @@ MUTANTS = (
         "len(self.codes) ** self.n",
         "len(self.codes) ** (self.n - 1)",
         (FULL_SHIFT,),
+    ),
+    Mutant(
+        "oracle p: the count read as the size of the level",
+        LANGUAGE,
+        "        self.require_length(n)\n        return self.source.p(n)\n",
+        "        self.require_length(n)\n        return len(self.source.level(n))\n",
+        (f"{TRAFFIC}::test_p_asks_the_source_once_and_reads_no_level", EXACT_COUNTS),
+    ),
+    Mutant(
+        "full-shift source: p(n) one power short",
+        LANGUAGE,
+        "        return len(self.level(n).codes) ** n\n",
+        "        return len(self.level(n).codes) ** (n - 1)\n",
+        (EXACT_COUNTS,),
+    ),
+    Mutant(
+        "stored source: p(n) counts level n + 1",
+        LANGUAGE,
+        "        return len(self._levels[n])\n",
+        "        return len(self._levels[n + 1])\n",
+        (f"{TRAFFIC}::test_p_asks_the_source_once_and_reads_no_level",),
+    ),
+    Mutant(
+        "step scan: the doubled power looked up one length short",
+        WORDS,
+        "in oracle.source.level(n + q):",
+        "in oracle.source.level(n + q - 1):",
+        (f"{TRAFFIC}::test_minimal_step_reads_only_shift_matched_lengths",),
+    ),
+    Mutant(
+        "K rule: a run from exactly H/2 refused",
+        LANGUAGE,
+        "if 2 * n0 <= H else None",
+        "if 2 * n0 < H else None",
+        (f"{GROWTH_RULE}::TestRule",),
+    ),
+    Mutant(
+        "K rule: the old run rule restored",
+        LANGUAGE,
+        "if 2 * n0 <= H else None",
+        "if n0 <= H - 2 else None",
+        (f"{GROWTH_RULE}::TestThueMorse",
+         "tests/test_cli.py::TestAnalyze::test_growth_verdict"),
     ),
     Mutant(
         "prefix extendability: the search starts at the first letter",

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import shiftlab
+from conftest import IET4_SPEC
 from shiftlab import cli
 from shiftlab.abstract_graphs import validate
 from shiftlab.cli import main
@@ -34,6 +35,17 @@ def fib_spec(tmp_path):
 def iet_spec(tmp_path):
     path = tmp_path / "iet3.json"
     path.write_text(IET3_JSON)
+    return str(path)
+
+
+def iet4_spec(tmp_path):
+    """The four-interval exchange of ``conftest.IET4_SPEC``, as a file."""
+    path = tmp_path / "iet4.json"
+    path.write_text(json.dumps({
+        "lambda": [f"{x.numerator}/{x.denominator}" for x in IET4_SPEC.lengths],
+        "pi": list(IET4_SPEC.permutation),
+        "z": f"{IET4_SPEC.start.numerator}/{IET4_SPEC.start.denominator}",
+    }))
     return str(path)
 
 
@@ -285,6 +297,47 @@ class TestAnalyze:
         _, out1 = run(capsys, ["analyze", "--substitution", fib_spec, "--horizon", "24"])
         _, out2 = run(capsys, ["analyze", "--substitution", fib_spec, "--horizon", "24"])
         assert out1 == out2
+
+    @pytest.mark.parametrize(
+        "spec,horizon,length,verdict",
+        [
+            ("fib", "40", None, "constant 1 from 1"),
+            ("iet3", "40", "100000", "constant 2 from 1"),
+            ("iet4", "50", "200", "not constant within horizon"),
+            ("iet4", "200", "2000", "not constant within horizon"),
+        ],
+        ids=["fib", "iet3", "iet4-H50", "iet4-H200"],
+    )
+    def test_growth_verdict(self, capsys, tmp_path, fib_spec, iet_spec, spec, horizon,
+                            length, verdict):
+        # the IET4 prefixes miss factors, and their trailing runs start past
+        # H/2: 36 of 50 and 174 of 200
+        source = {"fib": ["--substitution", fib_spec], "iet3": ["--iet", iet_spec],
+                  "iet4": ["--iet", iet4_spec(tmp_path)]}[spec]
+        argv = ["analyze", *source, "--horizon", horizon]
+        code, out = run(capsys, argv + (["--length", length] if length else []))
+        assert code == 0
+        assert json.loads(out)["growth"]["verdict"] == verdict
+
+    def test_density_needs_k_without_a_constant_tail(self, capsys, tmp_path):
+        code = main(["density", "--iet", iet4_spec(tmp_path), "--horizon", "50",
+                     "--length", "200", "--n", "3", "--special"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: growth is not constant within horizon; pass --k\n"
+        )
+
+    @pytest.mark.parametrize("n,code", [("7", 0), ("8", 2), ("100", 2)])
+    def test_rbc_scan_past_the_horizon_exits_two(self, capsys, fib_spec, n, code):
+        got = main(["analyze", "--substitution", fib_spec, "--horizon", "10", "--n", n])
+        out, err = capsys.readouterr()
+        assert got == code
+        if code == 0:
+            assert json.loads(out)["rbc"]["n_min"] == 7
+        else:
+            assert err == (
+                f"error: --n {n} needs factors of length {int(n) + 3}, horizon is 10\n"
+            )
 
 
 class TestRauzy:

@@ -33,7 +33,7 @@ from shiftlab.generators import (
     rotation_coding,
     substitution_fixed_point,
 )
-from shiftlab.language import SIDES, LanguageOracle, extensions, growth_profile
+from shiftlab.language import SIDES, LanguageOracle, StoredLevels, extensions, growth_profile
 from shiftlab.words import CODE_CHARS, Alphabet, Word
 
 
@@ -85,7 +85,7 @@ def assert_matches_reference(x: SequencePrefix, horizon: int) -> None:
     # windows are factor-closed: both truncations of a window are windows
     for n in range(2, horizon + 1):
         assert all(w[1:] in levels[n - 1] and w[:-1] in levels[n - 1] for w in levels[n])
-    ref = LanguageOracle(x.alphabet, levels, horizon, "reference")
+    ref = LanguageOracle(x.alphabet, StoredLevels(levels), "reference")
     try:
         check_factor_language(ref)
     except InvariantViolation as exc:
@@ -182,7 +182,7 @@ class TestBispecialTable:
     def test_matches_naive_table(self, case):
         x, horizon = case
         levels = naive_levels(x.data, horizon)
-        oracle = LanguageOracle(x.alphabet, levels, horizon, "reference")
+        oracle = LanguageOracle(x.alphabet, StoredLevels(levels), "reference")
         for n in range(1, horizon - 1):
             table = oracle.bispecials(n)
             event("a length with bispecials" if table else "a length without")
@@ -221,7 +221,7 @@ class TestSpecialWalk:
         x, horizon = case
         levels = naive_levels(x.data, horizon)
         assert_walk_matches_count(
-            lambda: LanguageOracle(x.alphabet, levels, horizon, "reference")
+            lambda: LanguageOracle(x.alphabet, StoredLevels(levels), "reference")
         )
 
     def test_matches_count_on_bernoulli_prefix(self):

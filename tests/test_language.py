@@ -26,6 +26,7 @@ from shiftlab.exitwords import decompose, enumerate_exit_words
 from shiftlab.language import (
     SIDES,
     LanguageOracle,
+    StoredLevels,
     check_rbc,
     extensions,
     growth_profile,
@@ -40,7 +41,7 @@ def explicit_oracle(alphabet, factors):
     """An oracle on the given factor sets, by length, as token strings,
     checked to be a factor language."""
     levels = {n: frozenset(alphabet.word(t).data for t in ws) for n, ws in factors.items()}
-    return check_factor_language(LanguageOracle(alphabet, levels, max(levels), "explicit"))
+    return check_factor_language(LanguageOracle(alphabet, StoredLevels(levels), "explicit"))
 
 
 class TestOracleInvariants:
@@ -404,7 +405,7 @@ def reference_full_shift(alphabet: Alphabet, horizon: int) -> LanguageOracle:
         levels[n] = frozenset(level)
     return check_factor_language(
         LanguageOracle(
-            alphabet, levels, horizon, f"full shift on {','.join(alphabet.symbols)}"
+            alphabet, StoredLevels(levels), f"full shift on {','.join(alphabet.symbols)}"
         )
     )
 

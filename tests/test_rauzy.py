@@ -29,6 +29,7 @@ from shiftlab.generators import (
 )
 from shiftlab.language import (
     LanguageOracle,
+    StoredLevels,
     check_rbc,
     extensions,
     growth_profile,
@@ -57,7 +58,7 @@ def one_ones_oracle(zo):
         | {zo.word("0" * n).data}
         for n in range(1, H + 1)
     }
-    return check_factor_language(LanguageOracle(zo, levels, H, "at most one 1"))
+    return check_factor_language(LanguageOracle(zo, StoredLevels(levels), "at most one 1"))
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +77,7 @@ def split_union_oracle():
         for d in {fib.data[i : i + n] for i in range(len(fib.data) - n + 1)}:
             words.add(alphabet.word([fib.alphabet.token(c) for c in d]).data)
         levels[n] = frozenset(words)
-    return check_factor_language(LanguageOracle(alphabet, levels, H, "0^inf + fibonacci"))
+    return check_factor_language(LanguageOracle(alphabet, StoredLevels(levels), "0^inf + fibonacci"))
 
 
 class TestFactorGraph:
