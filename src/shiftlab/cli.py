@@ -173,6 +173,8 @@ def cmd_rauzy(args: argparse.Namespace) -> int:
 def cmd_evolve(args: argparse.Namespace) -> int:
     _, oracle = _load_oracle(args)
     n = args.n
+    # a step from n reads length n + 3
+    oracle.require_length(n + 3, f"--n {n}")
     n_max = oracle.horizon - 4 if args.n_max is None else args.n_max
     steps = []
     dots = []

@@ -9,6 +9,7 @@ claims more than that.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
@@ -139,9 +140,11 @@ def special_density_floor(
             f"growth is not constant {K} at length {n} "
             f"(profile: {profile.verdict})"
         )
+    # asked before the blocks are counted, so that a length past the
+    # horizon is refused as such whatever the prefix length
+    specials = sorted(oracle.special_strings(n, side))
     if block_count(x, n, K) < 32:
         raise PreconditionFailure("prefix too short: need at least 32 blocks")
-    specials = sorted(oracle.special_strings(n, side))
     if not specials:
         raise PreconditionFailure(f"no {side} special words of length {n}")
     best_word = None
@@ -176,21 +179,46 @@ def special_window_check(
 ) -> WindowCheckReport:
     """Window ``j`` holds the words starting at ``j .. j + (K+1)n - 1``, so
     a gap longer than ``(K+1)n`` after a special start ``s`` (or after 0)
-    means window ``s + 1`` fails."""
+    means window ``s + 1`` fails.
+
+    Each side is first cut with one ``re.split`` on its special words
+    (codes are alphanumeric, so the words are literal, all of length n).
+    The cuts are the leftmost non-overlapping matches.  Each is a start,
+    and every other start lies inside one, since the scan resumes at a
+    match's end and takes the leftmost start there.  So a gap between
+    starts is under n <= (K+1)n, or at most the gap between neighbouring
+    matches (the piece between them plus n), counting the sentinels 0 and
+    one past the last window's last start.  A side whose match gaps all
+    fit a window passes; only otherwise are its starts listed and every
+    gap read.
+    """
     width = (K + 2) * n - 1
     total = len(x) - width + 1
     if total < 1:
         raise PreconditionFailure("prefix shorter than one window")
     span = (K + 1) * n  # a window covers this many start positions
+    end = total + span  # one past the last window's last start
+    data = x.data
     for side in SIDES:
+        specials = oracle.special_strings(n, side)
+        if specials:
+            pieces = re.split("|".join(specials), data)
+            last = len(data) - len(pieces[-1]) - n + 1  # the last match, 1-based
+            # a recurrent prefix repeats few pieces, and a set of them is
+            # built faster than len is called on each
+            bound = max(
+                len(pieces[0]) + 1,
+                n + max(map(len, set(pieces[1:-1])), default=0),
+                end - last,
+            )
+            if bound <= span:
+                continue
         starts = sorted(
             chain.from_iterable(
-                occurrences(x, Word(oracle.alphabet, d))[1]
-                for d in oracle.special_strings(n, side)
+                occurrences(x, Word(oracle.alphabet, d))[1] for d in specials
             )
         )
-        # the end sentinel is one past the last window's last start
-        bounds = [0, *starts, total + span]
+        bounds = [0, *starts, end]
         if max(map(sub, bounds[1:], bounds)) > span:
             prev = next(a for a, b in zip(bounds, bounds[1:]) if b - a > span)
             return WindowCheckReport(n, K, total, False, (side, prev + 1))

@@ -62,6 +62,8 @@ LAYOUTS = "tests/test_exitword_layouts.py"
 OVERLAP_NAIVE = "tests/test_exitwords.py::TestOverlapScanMatchesNaive"
 DENSITY = "shiftlab/density.py"
 BLOCK_HITS = "tests/test_density.py::TestBlockHitsMatchReference"
+WINDOW_REFERENCE = "tests/test_density.py::TestWindowCheck::test_matches_rolling_reference"
+WINDOW_FAST = "tests/test_density.py::TestWindowCheck::test_fixtures_pass_without_listing_starts"
 PREFIX = "shiftlab/generators.py"
 PREFIX_REFUSAL = "tests/test_factor_engine.py::TestPrefixRefusal"
 WINDOWS = (
@@ -663,7 +665,46 @@ MUTANTS = (
         DENSITY,
         "if max(map(sub, bounds[1:], bounds)) > span:",
         "if max(map(sub, bounds[1:], bounds)) >= span:",
-        ("tests/test_density.py::TestWindowCheck::test_matches_rolling_reference",),
+        (WINDOW_REFERENCE,),
+    ),
+    Mutant(
+        "window check: the inner match gap without the match length",
+        DENSITY,
+        "                n + max(map(len, set(pieces[1:-1])), default=0),\n",
+        "                max(map(len, set(pieces[1:-1])), default=0),\n",
+        (WINDOW_REFERENCE,),
+    ),
+    Mutant(
+        "window check: a match bound of exactly one window's starts listed",
+        DENSITY,
+        "            if bound <= span:\n",
+        "            if bound < span:\n",
+        (WINDOW_FAST,),
+    ),
+    Mutant(
+        "window check: the last match read one past its start",
+        DENSITY,
+        "last = len(data) - len(pieces[-1]) - n + 1",
+        "last = len(data) - len(pieces[-1]) - n + 2",
+        (WINDOW_REFERENCE,),
+    ),
+    Mutant(
+        "evolve: a start past the horizon ends an empty list",
+        "shiftlab/cli.py",
+        '    oracle.require_length(n + 3, f"--n {n}")\n',
+        "",
+        ("tests/test_cli.py::TestEvolve::test_start_past_the_horizon_exits_two",),
+    ),
+    Mutant(
+        "density floor: blocks counted before the special set is read",
+        DENSITY,
+        "    specials = sorted(oracle.special_strings(n, side))\n"
+        "    if block_count(x, n, K) < 32:\n"
+        '        raise PreconditionFailure("prefix too short: need at least 32 blocks")\n',
+        "    if block_count(x, n, K) < 32:\n"
+        '        raise PreconditionFailure("prefix too short: need at least 32 blocks")\n'
+        "    specials = sorted(oracle.special_strings(n, side))\n",
+        ("tests/test_cli.py::TestDensity::test_special_floor_beyond_the_horizon_exits_two",),
     ),
     Mutant(
         "decompose: the repetition count without the - 1",

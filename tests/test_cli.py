@@ -406,6 +406,24 @@ class TestEvolve:
         else:
             assert code == 1 and message in captured.err
 
+    def test_start_past_the_horizon_exits_two(self):
+        proc = run_subprocess(
+            ["evolve", "--substitution", str(BENCH_INPUTS / "fib.json"), "--horizon", "10",
+             "--n", "100"]
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: --n 100 needs factors of length 103, horizon is 10\n"
+
+    def test_chain_past_the_horizon_ends_its_list(self, capsys, fib_spec):
+        # the step from 7 needs factors past the horizon, so the list ends there
+        code, out = run(
+            capsys,
+            ["evolve", "--substitution", fib_spec, "--horizon", "16", "--n", "2",
+             "--n-max", "100"],
+        )
+        assert code == 0
+        assert [s["n_prime"] for s in json.loads(out)["steps"]] == [4, 7]
+
     def test_zero_length_exits_one(self, fib_spec):
         proc = run_subprocess(
             ["evolve", "--substitution", fib_spec, "--horizon", "16", "--n", "0"]
@@ -587,6 +605,18 @@ class TestDensity:
         assert code == 1 and captured.out == ""
         assert captured.err == (
             f"error: --theta must lie in (0, 1/(2K)) for K=1, got {float(theta)}\n"
+        )
+
+    @pytest.mark.parametrize("length", [None, "200000"])
+    def test_special_floor_beyond_the_horizon_exits_two(self, capsys, fib_spec, length):
+        # the default length has too few blocks for n=100; the horizon decides first
+        code = main(
+            ["density", "--substitution", fib_spec, "--horizon", "10", "--n", "100", "--special",
+             *(["--length", length] if length else [])]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: left extensions needs factors of length 101, horizon is 10\n"
         )
 
     def test_color_ladder_beyond_the_horizon_exits_two(self, capsys, fib_spec):

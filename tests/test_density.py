@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import IET4_SPEC
 
+from shiftlab import density
 from shiftlab.density import (
     BlockDensity,
     block_count,
@@ -281,7 +282,52 @@ class TestWindowCheck:
                         expected = _rolling_window_check(oracle, y, n, K)
                         assert (rep.ok, rep.windows, rep.first_failure) == expected
                         outcomes.add(rep.ok)
+        # short strings: their leftmost non-overlapping matches often lie
+        # more than a window's starts apart, while the reference passes (a
+        # self-overlapping special such as Fibonacci's 010 starts inside a
+        # match) or fails too; against the Fibonacci oracle the pinned ones
+        # pass at n=3 with a gap of exactly one window's starts, and fail
+        # after 0, between two matches and before the end
+        pinned = [
+            "10010000010010001010000101100101111",
+            "0101001101010101001010100000101101000100",
+            "1100010101001110100101011100001011001001",
+            "0000100110100001000001110000110110111110",
+            "0100010111010000011001101010001110001101",
+            "1110100101101010001001001000110110111111",
+            "1110100010110000001000111010001100110110",
+            "010000",
+        ]
+        codes = x.alphabet.codes
+        shorts = pinned + ["".join(rng.choices(codes, k=rng.randint(5, 40))) for _ in range(200)]
+        for data in shorts:
+            y = SequencePrefix(x.alphabet, data, "short")
+            for n in (2, 3, 4):
+                for K in (1, 2, 3):
+                    if len(data) >= (K + 2) * n - 1:
+                        rep = special_window_check(oracle, y, n, K)
+                        expected = _rolling_window_check(oracle, y, n, K)
+                        assert (rep.ok, rep.windows, rep.first_failure) == expected
         assert outcomes == {True, False}
+
+    def test_fixtures_pass_without_listing_starts(
+        self, monkeypatch, fib_oracle, fib_prefix, iet3_oracle, iet3_prefix
+    ):
+        # at the benchmark's floor lengths every match gap fits a window
+        # (Fibonacci at n=4 exactly), so no start is listed
+        def refuse(*args):
+            raise AssertionError("occurrences listed")
+
+        monkeypatch.setattr(density, "occurrences", refuse)
+        iet4_prefix = iet_encode(IET4_SPEC, 100000)[0]
+        cases = [
+            (fib_oracle, fib_prefix, 1, (4, 8, 16)),
+            (iet3_oracle, iet3_prefix, 2, (5, 10, 20)),
+            (oracle_from_prefix(iet4_prefix, 30), iet4_prefix, 3, (5, 10, 20)),
+        ]
+        for oracle, x, K, ns in cases:
+            for n in ns:
+                assert special_window_check(oracle, x, n, K).ok
 
 
 def _rolling_window_check(oracle, x, n, K):
