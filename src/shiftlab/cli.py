@@ -171,6 +171,9 @@ def cmd_rauzy(args: argparse.Namespace) -> int:
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
+    # every step ends past its start, so such a run could list nothing
+    if args.n_max is not None and args.n_max <= args.n:
+        raise ValueError(f"--n-max {args.n_max} must exceed --n {args.n}")
     _, oracle = _load_oracle(args)
     n = args.n
     # a step from n reads length n + 3
@@ -232,6 +235,11 @@ def cmd_exitwords(args: argparse.Namespace) -> int:
 
 
 def cmd_density(args: argparse.Namespace) -> int:
+    # checked before the input is read, with the oracle's message
+    if args.n < 1:
+        raise ValueError("length must be >= 1")
+    if not (args.word or args.special or args.window_check or args.color):
+        raise ValueError("density needs --word, --special, --window-check or --color")
     prefix, oracle = _load_oracle(args)
     if args.k is not None and args.k < 1:
         raise ValueError(f"--k must be >= 1, got {args.k}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Set
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 from operator import itemgetter
 from typing import AbstractSet, Callable, Iterator, Literal, Mapping, TypeVar
 
@@ -102,8 +102,9 @@ class LanguageOracle:
         """The language of all words over the alphabet, up to the horizon.
 
         Levels are computed, not stored: membership is an O(n) code check and
-        ``p(n) = |A|**n``.  Bulk queries (extensions, specials, RBC, Rauzy
-        graphs) still enumerate ``|A|**(n+1)`` words.
+        ``p(n) = |A|**n``.  Bulk queries (extensions, specials, Rauzy graphs)
+        still enumerate ``|A|**(n+1)`` words; the RBC sorts the ``|A|**n``
+        words of each level, as every level is full.
         """
         return cls(
             alphabet,
@@ -187,7 +188,7 @@ class LanguageOracle:
             return frozenset(found)
         cut = slice(1, None) if side == "left" else slice(None, -1)
         counts = Counter(map(itemgetter(cut), longer))
-        return frozenset(w for w, c in counts.items() if c >= 2)
+        return frozenset(compress(counts, map((2).__le__, counts.values())))
 
     def bispecials(self, n: int) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
         """Each bispecial factor of length ``n``, in ascending order, with
@@ -199,12 +200,25 @@ class LanguageOracle:
         extensions of ``w``.  Needs length ``n + 2`` whether or not ``n``
         has bispecials.  Memoized per length; the table is shared, and no
         caller mutates it.
+
+        A full level is read off two counts.  By factor closure every
+        factor of length ``n + 2`` is ``a + w + b`` with ``w`` a factor of
+        length ``n``, so ``p(n+2) <= |A|**2 p(n)``, with equality iff every
+        ``w`` has all ``|A|**2`` two-sided extensions.  Then every ``wb``
+        is left special and every ``aw`` right special (for ``|A| >= 2``),
+        so every factor of length ``n`` is bispecial with every code in
+        both witness groups, and no special set is needed.
         """
         self.require_length(n + 2, "bispecial query")
+        self.require_length(n, "bispecial query")
         return self.derived(("bispecials", n), lambda: self._bispecials(n))
 
     def _bispecials(self, n: int) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
         codes = self.alphabet.codes
+        size = len(codes)
+        if size >= 2 and self.source.p(n + 2) == size**2 * self.source.p(n):
+            every = tuple(codes)
+            return dict.fromkeys(sorted(self.source.level(n)), (every, every))
         left_up = self.special_strings(n + 1, "left")
         right_up = self.special_strings(n + 1, "right")
         both = self.special_strings(n, "left") & self.special_strings(n, "right")
@@ -422,12 +436,15 @@ def check_rbc(
 
 def _rbc_report(oracle: LanguageOracle, n_min: int, top: int) -> RbcReport:
     tokens = lambda codes: sorted(map(oracle.alphabet.token, codes))
+    reasons: dict[tuple[tuple[str, ...], ...], str] = {}  # one per witness pattern
     violations: list[tuple[Word, str]] = []
     for n in range(n_min, top + 1):
         for data, (b, a) in oracle.bispecials(n).items():
             if len(b) != 1 or len(a) != 1:
-                reason = _irregularity(tokens(b), tokens(a))
-                violations.append((Word(oracle.alphabet, data), reason))
+                key = b, a
+                if key not in reasons:
+                    reasons[key] = _irregularity(tokens(b), tokens(a))
+                violations.append((Word(oracle.alphabet, data), reasons[key]))
     n0_estimate = n_min
     if violations:
         n0_estimate = 1 + max(len(w) for w, _ in violations)

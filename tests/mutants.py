@@ -55,6 +55,7 @@ TRAFFIC = "tests/test_level_sources.py::TestLevelTraffic"
 EXACT_COUNTS = "tests/test_level_sources.py::TestExactFullShiftCounts"
 GROWTH_RULE = "tests/test_growth_rule.py"
 SPECIAL_WALK = "tests/test_factor_engine.py::TestSpecialWalk"
+BISPECIAL_TABLE = "tests/test_factor_engine.py::TestBispecialTable"
 RAUZY = "shiftlab/rauzy.py"
 EVOLVE_REFERENCE = "tests/test_rauzy.py::TestEvolveMatchesReference"
 EXITWORDS = "shiftlab/exitwords.py"
@@ -523,8 +524,8 @@ MUTANTS = (
     Mutant(
         "special sets: one extension counts as special",
         LANGUAGE,
-        "if c >= 2)",
-        "if c >= 1)",
+        "map((2).__le__, counts.values())",
+        "map((1).__le__, counts.values())",
         ("tests/test_language.py::TestSpecialWords::test_fibonacci_unique_left_special",),
     ),
     Mutant(
@@ -586,6 +587,44 @@ MUTANTS = (
         '        self.require_length(n + 2, "bispecial query")\n',
         "",
         ("tests/test_language.py::test_bispecial_table_needs_two_longer_lengths",),
+    ),
+    Mutant(
+        "full-level table: |A| two-sided extensions per word in place of |A|^2",
+        LANGUAGE,
+        "self.source.p(n + 2) == size**2 * self.source.p(n)",
+        "self.source.p(n + 2) == size * self.source.p(n)",
+        (BISPECIAL_TABLE, "tests/test_language.py::TestRbc::test_fibonacci_holds"),
+    ),
+    Mutant(
+        "full-level table: one letter taken as a full level",
+        LANGUAGE,
+        "if size >= 2 and self.source",
+        "if self.source",
+        (f"{BISPECIAL_TABLE}::test_one_letter_has_no_bispecials",),
+    ),
+    Mutant(
+        "full-level table: counts compared by >=",
+        LANGUAGE,
+        "self.source.p(n + 2) == size**2",
+        "self.source.p(n + 2) >= size**2",
+        (BISPECIAL_TABLE,),
+        expect="equivalent",
+        reason="by factor closure p(n+2) <= |A|^2 p(n) always holds, so >= "
+        "holds exactly when == does",
+    ),
+    Mutant(
+        "RBC reasons: the memo keyed on the left-special group alone",
+        LANGUAGE,
+        "                key = b, a\n",
+        "                key = b\n",
+        ("tests/test_language.py::TestRbc::test_reasons_match_reference",),
+    ),
+    Mutant(
+        "bispecials: length 0 reaches the full-level rule",
+        LANGUAGE,
+        '        self.require_length(n, "bispecial query")\n',
+        "",
+        ("tests/test_language.py::TestSpecialWords::test_length_zero_refused",),
     ),
     Mutant(
         "evolve: the bispecial scan starts one length late",

@@ -393,7 +393,7 @@ class TestEvolve:
             (["analyze", "--n", "0"], "error: length must be >= 1"),
             (["density", "--n", "3", "--k", "0", "--special"],
              "error: --k must be >= 1, got 0"),
-            (["evolve", "--n", "2", "--n-max", "0"], None),
+            (["evolve", "--n", "2", "--n-max", "0"], "error: --n-max 0 must exceed --n 2"),
         ],
         ids=["analyze-n", "density-k", "evolve-n-max"],
     )
@@ -401,10 +401,7 @@ class TestEvolve:
         # the defaults would give n_min=1, K=1 and two evolution steps
         code = main([*argv, "--substitution", fib_spec, "--horizon", "16"])
         captured = capsys.readouterr()
-        if message is None:
-            assert code == 0 and json.loads(captured.out)["steps"] == []
-        else:
-            assert code == 1 and message in captured.err
+        assert code == 1 and message in captured.err
 
     def test_start_past_the_horizon_exits_two(self):
         proc = run_subprocess(
@@ -423,6 +420,19 @@ class TestEvolve:
         )
         assert code == 0
         assert [s["n_prime"] for s in json.loads(out)["steps"]] == [4, 7]
+
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    @pytest.mark.parametrize("n_max", ["1", "3"])
+    def test_n_max_at_or_below_n_exits_one(self, tmp_path, n_max, fmt):
+        # every step ends past its start, so the list would be empty
+        out = tmp_path / f"evolution.{fmt}"
+        proc = run_subprocess(
+            ["evolve", "--substitution", str(BENCH_INPUTS / "fib.json"), "--horizon", "16",
+             "--n", "3", "--n-max", n_max, "--format", fmt, "--out", str(out)]
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == f"error: --n-max {n_max} must exceed --n 3\n"
+        assert not out.exists()
 
     def test_zero_length_exits_one(self, fib_spec):
         proc = run_subprocess(
@@ -638,7 +648,26 @@ class TestDensity:
             "error: periodic language: the branching constant is undefined\n"
         )
 
-    @pytest.mark.parametrize("section", ["--special", "--window-check", "--color"])
+    @pytest.mark.parametrize("n", ["3", "1000", "-5"])
+    def test_no_section_exits_one(self, n):
+        proc = run_subprocess(
+            ["density", "--substitution", str(BENCH_INPUTS / "fib.json"), "--horizon", "16",
+             "--n", n]
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == (
+            "error: length must be >= 1\n" if n == "-5" else
+            "error: density needs --word, --special, --window-check or --color\n"
+        )
+
+    @pytest.mark.parametrize("section", ["--word=ab", "--special", "--window-check", "--color"])
+    def test_negative_length_exits_one(self, capsys, fib_spec, section):
+        # refused before the prefix is built or K is read
+        code = main(["density", "--substitution", fib_spec, "--horizon", "16", "--n", "-5", section])
+        assert code == 1
+        assert capsys.readouterr().err == "error: length must be >= 1\n"
+
+    @pytest.mark.parametrize("section", ["--special", "--window-check", "--color", "--word=ab"])
     def test_zero_length_exits_one(self, capsys, fib_spec, section):
         code = main(
             ["density", "--substitution", fib_spec, "--horizon", "16",

@@ -4,7 +4,8 @@
 shorter levels, and decides extendability with two string searches;
 ``special_strings`` counts the truncations of the level above or walks
 the memoized special set one letter shorter, and ``bispecials`` reads
-the special sets one letter longer.  The growth-sum
+the special sets one letter longer, or a full level off two counts.
+The growth-sum
 identity ``sum(|ext| - 1) == p(n+1) - p(n)`` is asserted here on the
 reference counts, so ``growth_profile`` does not check it at run time.
 The reference here slices every window at every length, reads extension
@@ -173,6 +174,14 @@ class TestAgainstNaiveReference:
         assert_matches_reference(fibonacci_prefix(4 * horizon), horizon)
 
 
+def assert_table_matches_naive(oracle, levels, n) -> dict:
+    table = oracle.bispecials(n)
+    got = {w: (sorted(b), sorted(a)) for w, (b, a) in table.items()}
+    assert list(got) == sorted(got)
+    assert got == naive_bispecials(oracle, levels, n), n
+    return table
+
+
 class TestBispecialTable:
     """``bispecials`` against a table built from the windows and per-word
     extensions: the same bispecials in ascending order, the same letters."""
@@ -184,11 +193,38 @@ class TestBispecialTable:
         levels = naive_levels(x.data, horizon)
         oracle = LanguageOracle(x.alphabet, StoredLevels(levels), "reference")
         for n in range(1, horizon - 1):
-            table = oracle.bispecials(n)
+            table = assert_table_matches_naive(oracle, levels, n)
             event("a length with bispecials" if table else "a length without")
-            got = {w: (sorted(b), sorted(a)) for w, (b, a) in table.items()}
-            assert list(got) == sorted(got)
-            assert got == naive_bispecials(oracle, levels, n), n
+
+    @pytest.mark.parametrize("symbols", ["01", "012"])
+    def test_full_shift(self, symbols):
+        oracle = LanguageOracle.full_shift(Alphabet(tuple(symbols)), 7)
+        levels = {n: frozenset(oracle.factor_strings(n)) for n in range(1, 8)}
+        for n in range(1, 6):
+            assert_table_matches_naive(oracle, levels, n)
+
+    def test_one_letter_has_no_bispecials(self):
+        # p(n + 2) == 1**2 p(n) at every length, yet nothing is special
+        levels = {n: frozenset({"0" * n}) for n in range(1, 8)}
+        oracle = LanguageOracle(Alphabet(("0",)), StoredLevels(levels), "reference")
+        for n in range(1, 6):
+            assert oracle.bispecials(n) == {}
+            assert_table_matches_naive(oracle, levels, n)
+
+    def test_bernoulli_prefix_past_its_full_lengths(self):
+        # 2000 random bits hold every word up to length 8, not every one of 9
+        rng = random.Random(3)
+        levels = naive_levels("".join(rng.choices("01", k=2000)), 9)
+        oracle = LanguageOracle(Alphabet(("0", "1")), StoredLevels(levels), "reference")
+        full = [n for n in range(1, 8) if len(levels[n + 2]) == 4 * len(levels[n])]
+        assert full == list(range(1, 7))
+        honest, asked = oracle.special_strings, []
+        oracle.special_strings = lambda n, side: asked.append(n) or honest(n, side)
+        for n in range(1, 8):
+            asked.clear()
+            assert_table_matches_naive(oracle, levels, n)
+            # a full length asks no special set; the first other one does
+            assert bool(asked) == (n == 7), (n, asked)
 
 
 def assert_walk_matches_count(make_oracle):

@@ -256,6 +256,19 @@ class TestRbc:
         words2 = {str(w) for w, _ in report.violations if len(w) == 2}
         assert words2 == {"01", "10"}
 
+    def test_reasons_match_reference(self, tm_oracle):
+        # the random prefix has many witness patterns, several sharing the
+        # left-special group and differing in the right-special one
+        rng = random.Random(1)
+        x = SequencePrefix.from_tokens(
+            Alphabet(("0", "1", "2")), "".join(rng.choices("012", k=3000)), "random"
+        )
+        for oracle, patterns in ((tm_oracle, 2), (oracle_from_prefix(x, 8), 28)):
+            report = check_rbc(oracle, 1)
+            for w, reason in report.violations:
+                assert reason == is_regular_bispecial(oracle, w).reason, w
+            assert len({r for _, r in report.violations}) == patterns
+
     def test_regular_iff_dendric_on_bispecials(self, fib_oracle, tm_oracle, iet3_oracle):
         for oracle in (fib_oracle, tm_oracle, iet3_oracle):
             for n in range(1, oracle.horizon - 2):
