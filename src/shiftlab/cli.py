@@ -180,7 +180,6 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     oracle.require_length(n + 3, f"--n {n}")
     n_max = oracle.horizon - 4 if args.n_max is None else args.n_max
     steps = []
-    dots = []
     while n <= n_max:
         try:
             step = evolve(oracle, n)
@@ -188,23 +187,25 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             break
         if step.n_prime > n_max:
             break
-        steps.append(
-            {
-                "n": step.n,
-                "bispecial_length": step.n_tilde,
-                "n_prime": step.n_prime,
-                "rbs_events": [str(w) for w in step.rbs_events],
-                "profile_preserved": step.profile_preserved,
-                "vertices": step.after.vertex_count,
-                "edges": step.after.edge_count,
-            }
-        )
-        dots.append(special_rauzy_dot(step.after, oracle, name=f"step_{step.n_prime}"))
+        steps.append(step)
         n = step.n_prime
     if args.format == "dot":
+        dots = [special_rauzy_dot(s.after, oracle, name=f"step_{s.n_prime}") for s in steps]
         _emit(args, "".join(dots), "evolution.dot")
-    else:
-        _emit_json(args, {"steps": steps}, "evolution.json")
+        return 0
+    payload = [
+        {
+            "n": s.n,
+            "bispecial_length": s.n_tilde,
+            "n_prime": s.n_prime,
+            "rbs_events": [str(w) for w in s.rbs_events],
+            "profile_preserved": s.profile_preserved,
+            "vertices": s.after.vertex_count,
+            "edges": s.after.edge_count,
+        }
+        for s in steps
+    ]
+    _emit_json(args, {"steps": payload}, "evolution.json")
     return 0
 
 

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
-from operator import sub
+from operator import itemgetter, sub
 from typing import Mapping, Sequence
 
 from .errors import PreconditionFailure
@@ -147,19 +147,14 @@ def special_density_floor(
         raise PreconditionFailure("prefix too short: need at least 32 blocks")
     if not specials:
         raise PreconditionFailure(f"no {side} special words of length {n}")
-    best_word = None
-    best = Fraction(-1)
-    table = []
-    for data in specials:
-        w = Word(oracle.alphabet, data)
-        est = density_estimate(w, x, K).estimate
-        table.append((str(w), float(est)))
-        if est > best:
-            best, best_word = est, w
+    words = [Word(oracle.alphabet, data) for data in specials]
+    rows = [(w, density_estimate(w, x, K).estimate) for w in words]
+    # the first word of highest estimate, in code order
+    best_word, best = max(rows, key=itemgetter(1))
+    table = tuple((str(w), float(est)) for w, est in rows)
     floor = Fraction(1, K)
     passed = best >= floor - Fraction(tolerance).limit_denominator(10**6)
-    assert best_word is not None
-    return FloorReport(n, side, K, best_word, best, floor, tolerance, passed, tuple(table))
+    return FloorReport(n, side, K, best_word, best, floor, tolerance, passed, table)
 
 
 @dataclass(frozen=True)

@@ -10,15 +10,7 @@ class AlphabetMismatch(ShiftlabError):
 
 
 class HorizonExceeded(ShiftlabError):
-    """A query needs factor data beyond the oracle's horizon.
-
-    ``required`` carries the smallest horizon that would have sufficed,
-    when known.
-    """
-
-    def __init__(self, message: str, required: int | None = None):
-        super().__init__(message)
-        self.required = required
+    """A query needs factor data beyond the oracle's horizon."""
 
 
 class NotAFactor(ShiftlabError):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import ceil
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import HorizonExceeded, PreconditionFailure
 from .generators import SequencePrefix
@@ -25,7 +25,6 @@ from .words import (
     minimal_step,
     occurrences,
     periodic_stretch,
-    require_power,
     shift_match,
 )
 
@@ -74,33 +73,25 @@ def _representation(z: Word, n: int, q: int, p_len: int, r: int) -> Representati
     return Representation(z.sub(1, p_len), r, z.sub(p_len + n + (r - 1) * q + 1, len(z)))
 
 
-def is_representation(
-    z: Word, w: Word, q: int, p_len: int, r: int, s_len: int
-) -> bool:
-    """Independent predicate for the decomposition conditions.
-
-    Checks that the slice layout reproduces ``z`` with nonempty sides of
-    at most ``q`` letters; then, reading letter ``k`` of ``z`` as letter
-    ``k - p_len`` of the periodic extension of ``w``, that every letter
-    but the first and the last agrees with the extension and that those
-    two break it.
-    """
-    mid = len(w) + (r - 1) * q
-    if p_len + mid + s_len != len(z) or not (0 <= p_len <= q and 0 <= s_len <= q):
-        return False
-    require_power(w, q, r)
-    if p_len == 0 or s_len == 0:
-        return False  # the bare power is a prefix or suffix of a longer one
-    ext = periodic_stretch(w, q, 1 - p_len, len(z) - p_len)
-    d = z.data
-    return d[1:-1] == ext[1:-1] and d[0] != ext[0] and d[-1] != ext[-1]
+def _layouts(w: Word, q: int, size: int) -> Iterator[tuple[int, int, str]]:
+    """Every layout of a ``size``-letter exit word of ``w`` with step ``q``:
+    ``(p_len, r, ext)`` for each prefix length ``p_len`` in ``1..min(q,
+    size - n - 1)``, with the repetition count ``r`` that leaves a suffix
+    of 1..q letters, and ``ext``, the periodic extension at the word's
+    ``size`` positions when ``w`` starts at position ``p_len + 1``.  A
+    word has the layout iff it agrees with ``ext`` inside and differs
+    from it at both ends."""
+    n = len(w)
+    for p_len in range(1, min(q, size - n - 1) + 1):
+        r = (size - p_len - n - 1) // q + 1
+        yield p_len, r, periodic_stretch(w, q, 1 - p_len, size - p_len)
 
 
 def decompose(
     z: Word, w: Word, q: int, oracle: LanguageOracle | None = None
 ) -> list[Representation]:
     """All decompositions of ``z`` as an exit word of ``w`` with step ``q``,
-    by prefix length; a suffix of 1..q letters fixes the repetition count.
+    by prefix length: the layouts of ``len(z)`` letters that ``z`` meets.
 
     When the interior has a period shorter than ``q`` the power grid can
     slide, so several decompositions may coexist; with ``q`` equal to the
@@ -110,15 +101,14 @@ def decompose(
     ``oracle`` is unused; it stays in the signature for positional
     callers until the benchmark stops passing it.
     """
-    n = len(w)
     if not shift_match(w, q):
         raise PreconditionFailure(f"q={q} is not a step for {w}")
-    out = []
-    for p_len in range(1, min(q, len(z) - n - 1) + 1):
-        r = (len(z) - p_len - n - 1) // q + 1
-        if is_representation(z, w, q, p_len, r, len(z) - p_len - n - (r - 1) * q):
-            out.append(_representation(z, n, q, p_len, r))
-    return out
+    d = z.data
+    return [
+        _representation(z, len(w), q, p_len, r)
+        for p_len, r, ext in _layouts(w, q, len(d))
+        if d[1:-1] == ext[1:-1] and d[0] != ext[0] and d[-1] != ext[-1]
+    ]
 
 
 @dataclass(frozen=True)
@@ -153,13 +143,11 @@ def enumerate_exit_words(
     (the oracle horizon by default).
 
     Candidates are generated from the circuit structure: an exit word is
-    pinned down by where it enters the periodic circuit (prefix length
-    plus breaking letter), where it leaves (suffix length plus breaking
-    letter) and how often it goes round; only language membership of the
-    assembled word remains to be filtered.  The layouts that build ``z``
-    are exactly its decompositions, in :func:`decompose`'s order: each
-    meets :func:`is_representation` by construction, and each
-    decomposition rebuilds ``z`` within the same cap.
+    pinned down by its length, where it enters the periodic circuit
+    (prefix length plus breaking letter) and the letter it leaves by;
+    only language membership of the assembled word remains to be
+    filtered, one level read per length.  The layouts that build ``z``
+    are exactly its decompositions, in :func:`decompose`'s order.
     """
     n = len(w)
     if not shift_match(w, q):
@@ -169,21 +157,16 @@ def enumerate_exit_words(
     cap = oracle.horizon if cap is None else min(cap, oracle.horizon)
     codes = oracle.alphabet.codes
     layouts: dict[str, list[tuple[int, int]]] = {}  # z data -> [(p_len, r)]
-    for p_len in range(1, q + 1):
-        for s_len in range(1, q + 1):
-            r = 1
-            while (size := p_len + n + (r - 1) * q + s_len) <= cap:
-                # z keeps the extension's inner letters and breaks its ends
-                ext = periodic_stretch(w, q, 1 - p_len, size - p_len)
-                factors = oracle.factor_strings(size)
-                for a in codes:
-                    if a == ext[0]:
-                        continue
-                    for b in codes:
-                        data = a + ext[1:-1] + b
-                        if b != ext[-1] and data in factors:
-                            layouts.setdefault(data, []).append((p_len, r))
-                r += 1
+    for size in range(n + 2, cap + 1):
+        factors = oracle.factor_strings(size)
+        for p_len, r, ext in _layouts(w, q, size):
+            inner = ext[1:-1]
+            for a in codes:
+                if a == ext[0]:
+                    continue
+                for b in codes:
+                    if b != ext[-1] and (data := a + inner + b) in factors:
+                        layouts.setdefault(data, []).append((p_len, r))
     q_min = minimal_step(w, oracle)
     exit_words = []
     for data in sorted(layouts, key=lambda d: (len(d), d)):
@@ -281,8 +264,7 @@ def _classify_run(x: SequencePrefix, w: Word, q: int, j: int) -> tuple[int, int]
     if t > N and j1 > 1:
         raise HorizonExceeded(
             f"periodic match from position {j} runs to the end of the "
-            "prefix; cannot resolve the enclosing exit word",
-            required=N + 1,
+            "prefix; cannot resolve the enclosing exit word"
         )
     return j1, t - n
 

@@ -117,8 +117,7 @@ class LanguageOracle:
     def require_length(self, n: int, what: str = "query") -> None:
         if n > self.horizon:
             raise HorizonExceeded(
-                f"{what} needs factors of length {n}, horizon is {self.horizon}",
-                required=n,
+                f"{what} needs factors of length {n}, horizon is {self.horizon}"
             )
         if n < 1:
             raise ValueError("length must be >= 1")
@@ -350,10 +349,10 @@ def growth_profile(oracle: LanguageOracle) -> GrowthProfile:
     ``sum(|ext| - 1)`` of the length-``n`` words on either side (tests
     assert it against a naive reference).
 
-    Computed once per oracle; every call returns the same report.
+    Needs length 3, so at least two differences.  Computed once per
+    oracle; every call returns the same report.
     """
-    if oracle.horizon < 3:
-        raise PreconditionFailure("growth profile needs horizon >= 3")
+    oracle.require_length(3, "growth profile")
     return oracle.derived(("growth",), lambda: _growth_profile(oracle))
 
 
@@ -438,6 +437,7 @@ def _rbc_report(oracle: LanguageOracle, n_min: int, top: int) -> RbcReport:
     tokens = lambda codes: sorted(map(oracle.alphabet.token, codes))
     reasons: dict[tuple[tuple[str, ...], ...], str] = {}  # one per witness pattern
     violations: list[tuple[Word, str]] = []
+    n0_estimate = n_min
     for n in range(n_min, top + 1):
         for data, (b, a) in oracle.bispecials(n).items():
             if len(b) != 1 or len(a) != 1:
@@ -445,9 +445,7 @@ def _rbc_report(oracle: LanguageOracle, n_min: int, top: int) -> RbcReport:
                 if key not in reasons:
                     reasons[key] = _irregularity(tokens(b), tokens(a))
                 violations.append((Word(oracle.alphabet, data), reasons[key]))
-    n0_estimate = n_min
-    if violations:
-        n0_estimate = 1 + max(len(w) for w, _ in violations)
+                n0_estimate = n + 1
     return RbcReport(
         not violations, violations, n0_estimate, n_min, top, oracle.horizon
     )
@@ -495,15 +493,13 @@ def _detect_period(oracle: LanguageOracle) -> int:
 
 
 def analysis_report(oracle: LanguageOracle, n_min: int = 1) -> dict:
-    """Combined growth / RBC / periodicity JSON-ready report."""
-    profile = growth_profile(oracle)
-    per = periodicity_check(oracle)
-    report = {
+    """Combined growth / RBC / periodicity JSON-ready report.  Its
+    bispecial scan from ``n_min`` reads length ``n_min + 3``."""
+    oracle.require_length(n_min + 3, "bispecial scan")
+    return {
         "source": oracle.source_label,
         "alphabet": list(oracle.alphabet.symbols),
-        "growth": profile.to_json(),
-        "periodicity": per.to_json(),
+        "growth": growth_profile(oracle).to_json(),
+        "periodicity": periodicity_check(oracle).to_json(),
+        "rbc": check_rbc(oracle, n_min).to_json(),
     }
-    if oracle.horizon - 3 >= n_min:
-        report["rbc"] = check_rbc(oracle, n_min).to_json()
-    return report

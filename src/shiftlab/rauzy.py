@@ -114,8 +114,7 @@ def _skeleton(oracle: LanguageOracle, n: int) -> SpecialRauzyGraph:
                 if len(path) + 1 > oracle.horizon:
                     raise HorizonExceeded(
                         f"branchless path from {w!r} escapes horizon "
-                        f"{oracle.horizon}; graph would be partial",
-                        required=len(path) + 1,
+                        f"{oracle.horizon}; graph would be partial"
                     )
                 path += next(b for b in codes if cur + b in longer)
                 cur = path[len(path) - n :]
@@ -241,8 +240,7 @@ def evolve(oracle: LanguageOracle, n: int) -> EvolutionStep:
     else:
         raise HorizonExceeded(
             f"start length {n} needs horizon {n + 3}" if n > top
-            else f"no bispecial word of length in [{n}, {top}]",
-            required=max(oracle.horizon + 1, n + 3),
+            else f"no bispecial word of length in [{n}, {top}]"
         )
     n_prime = n_tilde + 1  # at most horizon - 2, so the target graph fits
     # the identification below lies inside this one checked range

@@ -94,10 +94,7 @@ class Alphabet:
             seq: Iterable[str] = tokens
         else:
             seq = tokens
-        data = "".join(self.code(tok) for tok in seq)
-        if not data:
-            raise ValueError("the empty word is excluded")
-        return Word(self, data)
+        return Word(self, "".join(self.code(tok) for tok in seq))
 
     def word_from_codes(self, data: str) -> Word:
         return Word(self, data)
@@ -178,8 +175,14 @@ def periodic_stretch(w: Word, q: int, lo: int, hi: int) -> str:
     return (w.data[:q] * (stop // q + 1))[start:stop]
 
 
-def require_power(w: Word, q: int, r: int) -> None:
-    """Raise unless ``periodic_power(w, q, r)`` is defined."""
+def periodic_power(w: Word, q: int, r: int) -> Word:
+    """The word of length ``n + (r-1)q`` in which ``w`` starts at
+    positions ``1, q+1, ..., (r-1)q + 1``.
+
+    Defined whenever the shift-match equation holds for ``(w, q)``;
+    shorter overlaps (``q <= n/2``) are what step certificates require,
+    but the construction itself is valid for any ``1 <= q <= n-1``.
+    """
     n = len(w)
     if r < 1:
         raise ValueError("repetition count must be >= 1")
@@ -189,18 +192,7 @@ def require_power(w: Word, q: int, r: int) -> None:
         raise InvalidStep(f"step too large: q={q} for |w|={n}")
     if not shift_match(w, q):
         raise InvalidStep(f"invalid step: q={q} does not satisfy the shift match for {w}")
-
-
-def periodic_power(w: Word, q: int, r: int) -> Word:
-    """The word of length ``n + (r-1)q`` in which ``w`` starts at
-    positions ``1, q+1, ..., (r-1)q + 1``.
-
-    Defined whenever the shift-match equation holds for ``(w, q)``;
-    shorter overlaps (``q <= n/2``) are what step certificates require,
-    but the construction itself is valid for any ``1 <= q <= n-1``.
-    """
-    require_power(w, q, r)
-    return Word(w.alphabet, periodic_stretch(w, q, 1, len(w) + (r - 1) * q))
+    return Word(w.alphabet, periodic_stretch(w, q, 1, n + (r - 1) * q))
 
 
 @dataclass(frozen=True)

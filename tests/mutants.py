@@ -620,6 +620,20 @@ MUTANTS = (
         ("tests/test_language.py::TestRbc::test_reasons_match_reference",),
     ),
     Mutant(
+        "RBC: n0_estimate the last irregular length, not one past it",
+        LANGUAGE,
+        "                n0_estimate = n + 1\n",
+        "                n0_estimate = n\n",
+        ("tests/test_code_strings.py::TestCheckRbc::test_matches_reference_for_every_n_min",),
+    ),
+    Mutant(
+        "analysis report: a short horizon leaves the RBC scan unchecked",
+        LANGUAGE,
+        '    oracle.require_length(n_min + 3, "bispecial scan")\n',
+        "",
+        ("tests/test_cli.py::TestAnalyze::test_short_horizon_exits_two",),
+    ),
+    Mutant(
         "bispecials: length 0 reaches the full-level rule",
         LANGUAGE,
         '        self.require_length(n, "bispecial query")\n',
@@ -660,9 +674,30 @@ MUTANTS = (
     Mutant(
         "exit-word enumeration: the entering letter may continue the circuit",
         EXITWORDS,
-        "                    if a == ext[0]:\n                        continue\n",
+        "                if a == ext[0]:\n                    continue\n",
         "",
         (f"{LAYOUTS}::test_enumeration_matches_reference",),
+    ),
+    Mutant(
+        "exit-word layouts: the repetition count one short",
+        EXITWORDS,
+        "        r = (size - p_len - n - 1) // q + 1\n",
+        "        r = (size - p_len - n - 1) // q\n",
+        (f"{LAYOUTS}::test_enumeration_matches_reference",),
+    ),
+    Mutant(
+        "exit-word layouts: a prefix length up to size - n",
+        EXITWORDS,
+        "range(1, min(q, size - n - 1) + 1)",
+        "range(1, min(q, size - n) + 1)",
+        (f"{LAYOUTS}::test_enumeration_matches_reference",),
+    ),
+    Mutant(
+        "decompose: the last letter may continue the circuit",
+        EXITWORDS,
+        " and d[-1] != ext[-1]\n",
+        "\n",
+        (f"{LAYOUTS}::test_decompose_matches_reference",),
     ),
     Mutant(
         "run scan: the left step compares the letter one period and one further",
@@ -746,10 +781,10 @@ MUTANTS = (
         ("tests/test_cli.py::TestDensity::test_special_floor_beyond_the_horizon_exits_two",),
     ),
     Mutant(
-        "decompose: the repetition count without the - 1",
+        "exit-word layouts: the repetition count without the - 1",
         EXITWORDS,
-        "r = (len(z) - p_len - n - 1) // q + 1",
-        "r = (len(z) - p_len - n) // q + 1",
+        "r = (size - p_len - n - 1) // q + 1",
+        "r = (size - p_len - n) // q + 1",
         (f"{LAYOUTS}::test_decompose_matches_reference",),
     ),
     Mutant(

@@ -339,6 +339,15 @@ class TestAnalyze:
                 f"error: --n {n} needs factors of length {int(n) + 3}, horizon is 10\n"
             )
 
+    @pytest.mark.parametrize("horizon", ["2", "3"])
+    def test_short_horizon_exits_two(self, capsys, fib_spec, horizon):
+        # the scan from length 1 reads length 4; no section is left out
+        got = main(["analyze", "--substitution", fib_spec, "--horizon", horizon])
+        assert got == 2
+        assert capsys.readouterr() == (
+            "", f"error: bispecial scan needs factors of length 4, horizon is {horizon}\n"
+        )
+
 
 class TestRauzy:
     def test_dot_output(self, capsys, fib_spec):

@@ -1,12 +1,12 @@
 """The exit-word layer against letter-by-letter references.
 
-``enumerate_exit_words`` records each word's decompositions as it builds
-the word, ``decompose`` derives the repetition count from the prefix
-length, ``is_representation`` compares one stretch of the periodic
-extension, and ``_classify_run`` grows the longest stretch with period
-``q``.  The references below build every periodic letter one at a time,
-search every repetition count, and check each built word against the
-predicate; on the corpus every field and every exception must agree.
+``enumerate_exit_words`` and ``decompose`` take their layouts from one
+rule, each a prefix length with the repetition count it fixes and one
+stretch of the periodic extension to compare, and ``_classify_run``
+grows the longest stretch with period ``q``.  The references below (and
+those in ``exitword_reference.py``) build every periodic letter one at a
+time, search every repetition count, and check each built word against
+the predicate; on the corpus every field and every exception must agree.
 The checks the fast bodies dropped are kept here as properties.
 """
 
@@ -18,13 +18,9 @@ from unittest import mock
 
 import pytest
 
+from exitword_reference import ref_is_representation, ref_letter, ref_power
 from shiftlab import exitwords
-from shiftlab.errors import (
-    HorizonExceeded,
-    InvalidStep,
-    InvariantViolation,
-    PreconditionFailure,
-)
+from shiftlab.errors import HorizonExceeded, InvariantViolation, PreconditionFailure
 from shiftlab.exitwords import (
     ExitWord,
     EnumerationReport,
@@ -33,7 +29,6 @@ from shiftlab.exitwords import (
     classify_occurrence,
     decompose,
     enumerate_exit_words,
-    is_representation,
 )
 from shiftlab.generators import (
     SequencePrefix,
@@ -56,48 +51,6 @@ BLOCK_TXT = Path(__file__).resolve().parents[1] / "bench" / "inputs" / "block.tx
 
 
 # -- references ----------------------------------------------------------------
-
-
-def ref_letter(w: Word, q: int, position: int) -> str:
-    return w.data[(position - 1) % q]
-
-
-def ref_power(w: Word, q: int, r: int) -> Word:
-    n = len(w)
-    if r < 1:
-        raise ValueError("repetition count must be >= 1")
-    if q < 1:
-        raise InvalidStep("step must be positive")
-    if q >= n:
-        raise InvalidStep(f"step too large: q={q} for |w|={n}")
-    if not shift_match(w, q):
-        raise InvalidStep(f"invalid step: q={q} does not satisfy the shift match for {w}")
-    total = n + (r - 1) * q
-    return Word(w.alphabet, (w.data[:q] * (total // q + 1))[:total])
-
-
-def ref_is_representation(z, w, q, p_len, r, s_len):
-    n = len(w)
-    mid = n + (r - 1) * q
-    if p_len + mid + s_len != len(z) or not (0 <= p_len <= q and 0 <= s_len <= q):
-        return False
-    if z.data[p_len : p_len + mid] != ref_power(w, q, r).data:
-        return False
-    if p_len == 0:
-        return False
-    for k in range(2, p_len + 1):
-        if z.data[k - 1] != ref_letter(w, q, k - p_len):
-            return False
-    if z.data[0] == ref_letter(w, q, 1 - p_len):
-        return False
-    if s_len == 0:
-        return False
-    for k in range(1, s_len):
-        if z.data[p_len + mid + k - 1] != ref_letter(w, q, mid + k):
-            return False
-    if z.data[-1] == ref_letter(w, q, mid + s_len):
-        return False
-    return True
 
 
 def ref_decompose(z, w, q, oracle=None):
@@ -185,8 +138,7 @@ def ref_classify_run(x, w, q, j):
     if t > len(x.data):
         raise HorizonExceeded(
             f"periodic match from position {j} runs to the end of the "
-            "prefix; cannot resolve the enclosing exit word",
-            required=len(x.data) + 1,
+            "prefix; cannot resolve the enclosing exit word"
         )
     j2 = t - n
     z = x.sub(j1 - 1, j2 + n)
@@ -204,11 +156,11 @@ def reference_scan():
 
 
 def outcome(fn, *args):
-    """A call's value, or its exception's type, message and horizon."""
+    """A call's value, or its exception's type and message."""
     try:
         return "value", fn(*args)
     except Exception as exc:  # the exception is the behaviour compared
-        return "raised", type(exc), str(exc), getattr(exc, "required", None)
+        return "raised", type(exc), str(exc)
 
 
 # -- corpus --------------------------------------------------------------------
@@ -305,7 +257,7 @@ def test_enumerated_layouts_are_the_decompositions(enumerations):
             continue
         for e in report.exit_words:
             for rep in e.representations:
-                assert is_representation(e.z, w, q, len(rep.p), rep.r, len(rep.s))
+                assert ref_is_representation(e.z, w, q, len(rep.p), rep.r, len(rep.s))
             assert list(e.representations) == decompose(e.z, w, q)
             checked += 1
     assert checked > 2000
@@ -329,37 +281,6 @@ def test_decompose_matches_reference(corpus, enumerations):
                     assert outcome(decompose, z, w, q2, orc) == expected, (str(z), str(w), q2)
                     cases += 1
     assert cases > 10000
-
-
-def test_is_representation_matches_reference(enumerations):
-    """Every layout near each exit word, including the refused arguments:
-    ``r < 1``, ``q >= n`` and a ``q`` that fails the shift match."""
-    cases = 0
-    raised = set()
-    for _, w, q, cap, (kind, report, *_) in enumerations[::7]:
-        if cap is not None or kind != "value":
-            continue
-        n = len(w)
-        # w itself has the layout of a step 0 with empty sides
-        for z in [*(e.z for e in report.exit_words[:3]), w]:
-            for q2 in range(0, n + 1):
-                for p_len in range(-1, q2 + 2):
-                    for r in range(-1, 4):
-                        s0 = len(z) - p_len - n - (r - 1) * q2
-                        for s_len in (s0 - 1, s0, s0 + 1):
-                            args = (z, w, q2, p_len, r, s_len)
-                            expected = outcome(ref_is_representation, *args)
-                            assert outcome(is_representation, *args) == expected, args
-                            if expected[0] == "raised":
-                                raised.add(expected[2].split(":")[0])
-                            cases += 1
-    assert cases > 20000
-    assert {
-        "repetition count must be >= 1",
-        "step must be positive",
-        "step too large",
-        "invalid step",
-    } <= raised
 
 
 def test_periodic_power_matches_reference(corpus):
@@ -430,6 +351,6 @@ def test_classified_runs_meet_their_claims(corpus):
                 powers += 1
             else:
                 z, (rep,) = cls.exit_word.z, cls.exit_word.representations
-                assert is_representation(z, w, q, len(rep.p), rep.r, len(rep.s))
+                assert ref_is_representation(z, w, q, len(rep.p), rep.r, len(rep.s))
                 enclosing += 1
     assert enclosing > 1000 and powers > 50

@@ -6,6 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from exitword_reference import ref_is_representation
 from shiftlab import exitwords
 
 from shiftlab.errors import HorizonExceeded, PreconditionFailure
@@ -16,7 +17,6 @@ from shiftlab.exitwords import (
     classify_occurrence,
     decompose,
     enumerate_exit_words,
-    is_representation,
 )
 from shiftlab.generators import (
     SequencePrefix,
@@ -86,21 +86,24 @@ class TestDecompose:
 
 
 class TestPredicate:
+    """The decomposition conditions, each seen through ``decompose``."""
+
     def test_all_items_hold_on_valid(self, ones_exit, ones_word):
-        assert is_representation(ones_exit, ones_word, 3, 1, 4, 3)
+        assert ("0", 4, "110") in [r.as_tuple() for r in decompose(ones_exit, ones_word, 3)]
 
     def test_interior_mismatch(self, ones_word):
         z = ZO.word("0" + "1" * 7 + "0" + "1" * 7 + "0")
-        assert not is_representation(z, ones_word, 3, 1, 4, 3)
+        assert decompose(z, ones_word, 3) == []
 
     def test_boundary_must_break(self, ones_word):
         # prefix letter equals the periodic continuation: not an exit word
         z = ZO.word("1" * 16 + "0")
-        assert not is_representation(z, ones_word, 3, 1, 4, 3)
+        assert decompose(z, ones_word, 3) == []
 
     def test_empty_sides_rejected(self, ones_word):
+        # the bare power is a prefix of a longer one, not an exit word
         z = ZO.word("1" * 14 + "0")
-        assert not is_representation(z, ones_word, 3, 0, 4, 2)
+        assert decompose(z, ones_word, 3) == []
 
 
 class TestEnumerate:
@@ -115,7 +118,7 @@ class TestEnumerate:
         report = enumerate_exit_words(ones_word, 2, shift20)
         for x in report.exit_words:
             for rep in x.representations:
-                assert is_representation(
+                assert ref_is_representation(
                     x.z, ones_word, 2, len(rep.p), rep.r, len(rep.s)
                 )
 

@@ -89,7 +89,7 @@ def test_horizon_one_too_small_reports_the_horizon_needed(zo, query):
     # each query needs horizon 9 and the oracle has 8
     with pytest.raises(HorizonExceeded) as err:
         query(LanguageOracle.full_shift(zo, 8))
-    assert err.value.required == 9
+    assert str(err.value).endswith("needs factors of length 9, horizon is 8")
 
 
 @pytest.mark.parametrize("side", SIDES)
@@ -99,7 +99,9 @@ def test_extension_queries_report_the_longer_length_needed(zo, query, side):
     for n in (8, 9, 13):
         with pytest.raises(HorizonExceeded) as err:
             getattr(oracle, query)(n, side)
-        assert err.value.required == n + 1
+        assert str(err.value) == (
+            f"{side} extensions needs factors of length {n + 1}, horizon is 8"
+        )
 
 
 def test_bispecial_table_needs_two_longer_lengths(zo, periodic01_oracle):
@@ -109,7 +111,6 @@ def test_bispecial_table_needs_two_longer_lengths(zo, periodic01_oracle):
     for oracle in (full, periodic01_oracle):
         with pytest.raises(HorizonExceeded) as err:
             oracle.bispecials(7)
-        assert err.value.required == 9
         assert str(err.value) == "bispecial query needs factors of length 9, horizon is 8"
 
 
@@ -231,6 +232,11 @@ class TestGrowth:
         profile = growth_profile(iet3_oracle)
         assert profile.K == 2
         assert all(d == 2 for d in profile.differences.values())
+
+    def test_horizon_two_exceeded(self, zo):
+        with pytest.raises(HorizonExceeded) as err:
+            growth_profile(LanguageOracle.full_shift(zo, 2))
+        assert str(err.value) == "growth profile needs factors of length 3, horizon is 2"
 
 
 class TestRbc:
@@ -403,6 +409,17 @@ def test_report_shape(fib_oracle):
     assert report["rbc"]["holds_within_horizon"] is True
     assert report["periodicity"]["periodic_within_horizon"] is False
     assert len(report["growth"]["p"]) == fib_oracle.horizon
+
+
+@pytest.mark.parametrize("horizon,n_min", [(3, 1), (10, 8)])
+def test_report_refuses_a_scan_past_the_horizon(zo, horizon, n_min):
+    from shiftlab.language import analysis_report
+
+    with pytest.raises(HorizonExceeded) as err:
+        analysis_report(LanguageOracle.full_shift(zo, horizon), n_min)
+    assert str(err.value) == (
+        f"bispecial scan needs factors of length {n_min + 3}, horizon is {horizon}"
+    )
 
 
 # -- computed full-shift levels against stored ones ----------------------

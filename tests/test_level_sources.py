@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from shiftlab.errors import HorizonExceeded
+from shiftlab.exitwords import enumerate_exit_words
 from shiftlab.generators import fibonacci_prefix, thue_morse_prefix
 from shiftlab.language import (
     SIDES,
@@ -13,7 +14,7 @@ from shiftlab.language import (
     StoredLevels,
     growth_profile,
 )
-from shiftlab.words import CODE_CHARS, Alphabet, Word, minimal_step
+from shiftlab.words import CODE_CHARS, Alphabet, Word, minimal_step, shift_match
 
 
 class CountingSource:
@@ -113,6 +114,25 @@ class TestLevelTraffic:
                 assert not source.counts_asked
                 scanned += bool(matched)
         assert scanned
+
+    def test_exit_word_enumeration_reads_each_level_once(self, counted):
+        # a first run stores the minimal step, growth profile and RBC
+        # report; a second one reads the base word's level and then each
+        # exit-word length up to the cap, once, whatever the step
+        oracle, source = counted
+        several = 0
+        for n in range(2, 6):
+            for data in sorted(source.stored.level(n)):
+                w = Word(oracle.alphabet, data)
+                for q in [q for q in range(1, n) if shift_match(w, q)]:
+                    for cap in (H, n + 4):
+                        enumerate_exit_words(w, q, oracle, cap)
+                        source.reset()
+                        enumerate_exit_words(w, q, oracle, cap)
+                        assert source.levels_read == Counter([n, *range(n + 2, cap + 1)])
+                        assert not source.counts_asked
+                        several += q > 1
+        assert several
 
 
 class TestStoredLevels:
