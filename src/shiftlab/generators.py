@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import PreconditionFailure
-from .language import LanguageOracle, StoredLevels
+from .language import LanguageOracle, StoredLevels, _AllWords
 from .words import Alphabet, Word
 
 
@@ -331,7 +331,10 @@ def oracle_from_prefix(x: SequencePrefix, horizon: int) -> LanguageOracle:
     longer starting at the same place, except the final one, so level
     ``n`` is derived from level ``n + 1`` plus ``data[N - n:]``.  Both
     truncations of a window are windows, so the levels are factor-closed
-    by construction.
+    by construction.  The derivation stops at the first full level, one
+    holding all ``|A|**n`` words: by factor closure every shorter level
+    is full too, so that level and those below it are computed, not
+    stored.  Level 1 is full, as every symbol occurs.
 
     The prefix must hold every alphabet symbol, and each window of length
     ``m = horizon - 2`` or less must occur with a letter on each side.
@@ -351,7 +354,8 @@ def oracle_from_prefix(x: SequencePrefix, horizon: int) -> LanguageOracle:
     data = x.data
     N = len(data)
     label = f"prefix N={N} H={horizon} of [{x.provenance}]"
-    for code in x.alphabet.codes:
+    codes = x.alphabet.codes
+    for code in codes:
         if code not in data:
             raise PreconditionFailure(
                 f"{label}: symbol {x.alphabet.token(code)!r} never occurs"
@@ -365,12 +369,16 @@ def oracle_from_prefix(x: SequencePrefix, horizon: int) -> LanguageOracle:
                     f"on each side, so length {m} is not extendable; use a "
                     "longer prefix or a smaller horizon"
                 )
-    levels = {horizon: _windows(data, horizon)}
     truncate = itemgetter(slice(None, -1))
-    for n in range(horizon - 1, 0, -1):
-        level = set(map(truncate, levels[n + 1]))
-        level.add(data[N - n :])
-        levels[n] = frozenset(level)
+    level, levels = _windows(data, horizon), {}
+    for n in range(horizon, 0, -1):
+        if len(level) == len(codes) ** n:
+            levels.update((m, _AllWords(codes, m)) for m in range(1, n + 1))
+            break
+        levels[n] = level
+        level = set(map(truncate, level))
+        level.add(data[N - n + 1 :])
+        level = frozenset(level)
     return LanguageOracle(x.alphabet, StoredLevels(levels), label)
 
 

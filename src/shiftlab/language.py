@@ -49,7 +49,9 @@ class _AllWords(Set):
 
 class StoredLevels:
     """A level source that holds one set of code strings per length
-    ``1..horizon``; its horizon is the number of levels."""
+    ``1..horizon``; its horizon is the number of levels.  A full level may
+    be held as a computed ``_AllWords``, counted as ``|A|**n`` exactly,
+    also past a machine word, where ``len`` overflows."""
 
     def __init__(self, levels: Mapping[int, AbstractSet[str]]):
         self._levels, self.horizon = levels, len(levels)
@@ -60,14 +62,11 @@ class StoredLevels:
         return self._levels[n]
 
     def p(self, n: int) -> int:
-        return len(self._levels[n])
-
-
-class _FullShift(StoredLevels):
-    """The full shift's computed levels, counted as ``|A|**n``."""
-
-    def p(self, n: int) -> int:
-        return len(self.level(n).codes) ** n
+        level = self._levels[n]
+        try:
+            return len(level)
+        except OverflowError:  # a computed level past a machine word
+            return len(level.codes) ** n
 
 
 class LanguageOracle:
@@ -102,13 +101,13 @@ class LanguageOracle:
         """The language of all words over the alphabet, up to the horizon.
 
         Levels are computed, not stored: membership is an O(n) code check and
-        ``p(n) = |A|**n``.  Bulk queries (extensions, specials, Rauzy graphs)
-        still enumerate ``|A|**(n+1)`` words; the RBC sorts the ``|A|**n``
-        words of each level, as every level is full.
+        ``p(n) = |A|**n``.  Every level is full, so special sets and the RBC
+        enumerate the ``|A|**n`` words of their own level; Rauzy graphs
+        still enumerate the ``|A|**(n+1)`` words of the level above.
         """
         return cls(
             alphabet,
-            _FullShift({n: _AllWords(alphabet.codes, n) for n in range(1, horizon + 1)}),
+            StoredLevels({n: _AllWords(alphabet.codes, n) for n in range(1, horizon + 1)}),
             f"full shift on {','.join(alphabet.symbols)}",
         )
 
@@ -164,9 +163,14 @@ class LanguageOracle:
         letter shorter is already memoized and small (``|S(n-1)| |A|^2 <
         p(n+1)``) the set is walked from it: the candidates ``a + w``
         (right) or ``w + a`` (left), kept when at least two letters extend
-        them at length ``n + 1``.  Otherwise it counts the one-letter
-        truncations of the factors of length ``n + 1`` and keeps those at
-        least two of them share.
+        them at length ``n + 1``.  Otherwise, when level ``n + 1`` is full
+        (``p(n+1) == |A|**(n+1)``), so is level ``n`` by factor closure,
+        and every word of it has all ``|A|`` extensions on each side: over
+        at least two letters the set is every word of length ``n``.  (A
+        full level never takes the walk: ``S(n-1)`` is then all of level
+        ``n - 1``, so ``|S(n-1)| |A|^2 == p(n+1)``.)  Otherwise it counts
+        the one-letter truncations of the factors of length ``n + 1`` and
+        keeps those at least two of them share.
         """
         self.require_length(n + 1, f"{side} extensions")
         self.require_length(n, f"{side} extensions")
@@ -175,8 +179,9 @@ class LanguageOracle:
     def _specials(self, n: int, side: Side) -> frozenset[str]:
         longer = self.source.level(n + 1)
         codes = self.alphabet.codes
+        size, count = len(codes), self.source.p(n + 1)
         below = self._derived.get(("special", n - 1, side))
-        if below is not None and len(below) * len(codes) ** 2 < self.source.p(n + 1):
+        if below is not None and len(below) * size**2 < count:
             right = side == "right"
             found = []
             for w in below:
@@ -185,6 +190,8 @@ class LanguageOracle:
                     if sum([(v + b if right else b + v) in longer for b in codes]) >= 2:
                         found.append(v)
             return frozenset(found)
+        if size >= 2 and count == size ** (n + 1):
+            return frozenset(_AllWords(codes, n))
         cut = slice(1, None) if side == "left" else slice(None, -1)
         counts = Counter(map(itemgetter(cut), longer))
         return frozenset(compress(counts, map((2).__le__, counts.values())))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import AlphabetMismatch, InvalidStep
+from .errors import AlphabetMismatch
 
 if TYPE_CHECKING:  # pragma: no cover
     from .language import LanguageOracle
@@ -157,8 +157,9 @@ def occurrences(haystack: Word, needle: Word) -> tuple[int, list[int]]:
 def shift_match(w: Word, q: int) -> bool:
     """Whether the length ``n-q`` suffix of ``w`` equals its prefix.
 
-    This is the self-overlap equation that makes the periodic power
-    ``periodic_power(w, q, r)`` well defined.  Requires ``1 <= q < n``.
+    This is the self-overlap equation that makes the periodic power of
+    ``w`` with step ``q`` (``w`` starting at positions ``1, q+1, ...``)
+    well defined.  Requires ``1 <= q < n``.
     """
     n = len(w)
     if not 1 <= q < n:
@@ -173,26 +174,6 @@ def periodic_stretch(w: Word, q: int, lo: int, hi: int) -> str:
     start = (lo - 1) % q
     stop = start + hi - lo + 1
     return (w.data[:q] * (stop // q + 1))[start:stop]
-
-
-def periodic_power(w: Word, q: int, r: int) -> Word:
-    """The word of length ``n + (r-1)q`` in which ``w`` starts at
-    positions ``1, q+1, ..., (r-1)q + 1``.
-
-    Defined whenever the shift-match equation holds for ``(w, q)``;
-    shorter overlaps (``q <= n/2``) are what step certificates require,
-    but the construction itself is valid for any ``1 <= q <= n-1``.
-    """
-    n = len(w)
-    if r < 1:
-        raise ValueError("repetition count must be >= 1")
-    if q < 1:
-        raise InvalidStep("step must be positive")
-    if q >= n:
-        raise InvalidStep(f"step too large: q={q} for |w|={n}")
-    if not shift_match(w, q):
-        raise InvalidStep(f"invalid step: q={q} does not satisfy the shift match for {w}")
-    return Word(w.alphabet, periodic_stretch(w, q, 1, n + (r - 1) * q))
 
 
 @dataclass(frozen=True)
@@ -221,7 +202,7 @@ def _step_scan(w: Word, oracle: "LanguageOracle") -> list[StepCertificate]:
     for q in range(1, n // 2 + 1):
         if d[q:] != d[: n - q]:
             continue
-        # the doubled power periodic_power(w, q, 2), built on the code string
+        # the doubled power, w starting at positions 1 and q + 1
         if periodic_stretch(w, q, 1, n + q) in oracle.source.level(n + q):
             out.append(StepCertificate(w, q))
     return out

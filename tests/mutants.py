@@ -56,6 +56,7 @@ EXACT_COUNTS = "tests/test_level_sources.py::TestExactFullShiftCounts"
 GROWTH_RULE = "tests/test_growth_rule.py"
 SPECIAL_WALK = "tests/test_factor_engine.py::TestSpecialWalk"
 BISPECIAL_TABLE = "tests/test_factor_engine.py::TestBispecialTable"
+FULL_LEVELS = "tests/test_factor_engine.py::TestFullLevels"
 RAUZY = "shiftlab/rauzy.py"
 EVOLVE_REFERENCE = "tests/test_rauzy.py::TestEvolveMatchesReference"
 EXITWORDS = "shiftlab/exitwords.py"
@@ -253,16 +254,66 @@ MUTANTS = (
     Mutant(
         "full-shift source: p(n) one power short",
         LANGUAGE,
-        "        return len(self.level(n).codes) ** n\n",
-        "        return len(self.level(n).codes) ** (n - 1)\n",
+        "            return len(level.codes) ** n\n",
+        "            return len(level.codes) ** (n - 1)\n",
         (EXACT_COUNTS,),
     ),
     Mutant(
         "stored source: p(n) counts level n + 1",
         LANGUAGE,
-        "        return len(self._levels[n])\n",
-        "        return len(self._levels[n + 1])\n",
+        "        level = self._levels[n]\n",
+        "        level = self._levels[n + 1]\n",
         (f"{TRAFFIC}::test_p_asks_the_source_once_and_reads_no_level",),
+    ),
+    Mutant(
+        "stored source: a computed level past a machine word counted by len",
+        LANGUAGE,
+        "        except OverflowError:  # a computed level past a machine word\n"
+        "            return len(level.codes) ** n\n",
+        "        except OverflowError:  # a computed level past a machine word\n"
+        "            raise\n",
+        (EXACT_COUNTS,),
+    ),
+    Mutant(
+        "prefix cascade: a level taken as full one power short",
+        PREFIX,
+        "if len(level) == len(codes) ** n:",
+        "if len(level) == len(codes) ** (n - 1):",
+        (FULL_LEVELS, *WINDOWS),
+    ),
+    Mutant(
+        "prefix cascade: fullness compared by >=",
+        PREFIX,
+        "if len(level) == len(codes) ** n:",
+        "if len(level) >= len(codes) ** n:",
+        (FULL_LEVELS, *WINDOWS),
+        expect="equivalent",
+        reason="a level of length n holds at most |A|^n words, so >= holds "
+        "exactly when == does",
+    ),
+    Mutant(
+        "full-level specials: one letter taken as full",
+        LANGUAGE,
+        "if size >= 2 and count == size ** (n + 1):",
+        "if count == size ** (n + 1):",
+        (f"{FULL_LEVELS}::test_one_letter",),
+    ),
+    Mutant(
+        "full-level specials: level n + 1 taken as full at |A|**n words",
+        LANGUAGE,
+        "if size >= 2 and count == size ** (n + 1):",
+        "if size >= 2 and count == size**n:",
+        (FULL_LEVELS,),
+    ),
+    Mutant(
+        "full-level specials: fullness compared by >=",
+        LANGUAGE,
+        "if size >= 2 and count == size ** (n + 1):",
+        "if size >= 2 and count >= size ** (n + 1):",
+        (FULL_LEVELS, SPECIAL_WALK),
+        expect="equivalent",
+        reason="a level of length n + 1 holds at most |A|^(n+1) words, so >= "
+        "holds exactly when == does",
     ),
     Mutant(
         "step scan: the doubled power looked up one length short",
@@ -669,7 +720,8 @@ MUTANTS = (
         WORDS,
         "    start = (lo - 1) % q\n",
         "    start = lo % q\n",
-        (f"{LAYOUTS}::test_periodic_power_matches_reference",),
+        (f"{LAYOUTS}::test_periodic_stretch_matches_reference",
+         f"{LAYOUTS}::test_enumeration_matches_reference"),
     ),
     Mutant(
         "exit-word enumeration: the entering letter may continue the circuit",

@@ -35,9 +35,10 @@ from shiftlab.language import (
     growth_profile,
 )
 from shiftlab.rauzy import build_special_rauzy, evolve
-from shiftlab.words import Alphabet, minimal_step, occurrences, periodic_power, valid_steps
+from shiftlab.words import Alphabet, minimal_step, occurrences, valid_steps
 
 from conftest import IET3_SPEC, IET4_SPEC
+from exitword_reference import ref_power
 
 
 def criterion(number, description, budget_seconds):
@@ -141,7 +142,7 @@ def test_criterion_4_lemma_suites():
                     assert gcd(q1, q2) in steps
             if steps:
                 q0 = steps[0]
-                power = periodic_power(w, q0, 2)
+                power = ref_power(w, q0, 2)
                 windows = {power.data[i : i + n] for i in range(q0)}
                 assert len(windows) == q0
 

@@ -6,7 +6,7 @@ longer, ``valid_steps`` tests steps on the code string, ``Word`` checks
 and renders through tables cached on its ``Alphabet``, and
 ``BlockDensity.estimate`` compares averages by cross-multiplication.  The
 references below are the earlier bodies: one ``is_regular_bispecial`` per
-bispecial, one ``periodic_power`` and ``contains`` per step, one token
+bispecial, one ``ref_power`` and ``contains`` per step, one token
 lookup per letter, one ``Fraction`` per block.
 """
 
@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import IET4_SPEC
+from exitword_reference import ref_power
 from regular_bispecial import is_regular_bispecial
 
 from shiftlab.density import BlockDensity
@@ -35,7 +36,6 @@ from shiftlab.words import (
     Alphabet,
     StepCertificate,
     Word,
-    periodic_power,
     shift_match,
     valid_steps,
 )
@@ -70,7 +70,7 @@ def reference_check_rbc(
 def reference_valid_steps(w: Word, oracle: LanguageOracle) -> list[StepCertificate]:
     out = []
     for q in range(1, len(w) // 2 + 1):
-        if shift_match(w, q) and oracle.contains(periodic_power(w, q, 2)):
+        if shift_match(w, q) and oracle.contains(ref_power(w, q, 2)):
             out.append(StepCertificate(w, q))
     return out
 

@@ -43,7 +43,7 @@ from shiftlab.words import (
     Word,
     minimal_step,
     occurrences,
-    periodic_power,
+    periodic_stretch,
     shift_match,
 )
 
@@ -283,12 +283,21 @@ def test_decompose_matches_reference(corpus, enumerations):
     assert cases > 10000
 
 
-def test_periodic_power_matches_reference(corpus):
+def test_periodic_stretch_matches_reference(corpus):
+    """Every stretch, on either side of position 1, is the periodic
+    letters one at a time; from position 1 it is the reference power."""
     for _, _, oracle in corpus:
         for w in base_words(oracle, 6):
-            for q in range(0, len(w) + 1):
-                for r in range(-1, 5):
-                    assert outcome(periodic_power, w, q, r) == outcome(ref_power, w, q, r)
+            n = len(w)
+            for q in range(1, n + 1):
+                for lo in range(-q, 2 * q + 1):
+                    for hi in range(lo, lo + 2 * n + 1):
+                        expected = "".join(ref_letter(w, q, k) for k in range(lo, hi + 1))
+                        assert periodic_stretch(w, q, lo, hi) == expected, (str(w), q, lo, hi)
+                if q < n and shift_match(w, q):
+                    for r in range(1, 5):
+                        got = periodic_stretch(w, q, 1, n + (r - 1) * q)
+                        assert got == ref_power(w, q, r).data
 
 
 def _scan_cases(corpus):
@@ -346,7 +355,7 @@ def test_classified_runs_meet_their_claims(corpus):
             except HorizonExceeded:
                 continue
             if cls.case == "suffix-of-power":
-                power = periodic_power(w, q, cls.r)
+                power = ref_power(w, q, cls.r)
                 assert power.data.endswith(x.data[: j + len(w) - 1])
                 powers += 1
             else:

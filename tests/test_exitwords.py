@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from exitword_reference import ref_is_representation
+from exitword_reference import ref_is_representation, ref_power
 from shiftlab import exitwords
 
 from shiftlab.errors import HorizonExceeded, PreconditionFailure
@@ -30,7 +30,6 @@ from shiftlab.words import (
     Word,
     minimal_step,
     occurrences,
-    periodic_power,
     shift_match,
 )
 
@@ -187,14 +186,14 @@ def test_window_repeat_forces_valid_step(shift20):
             w = ZO.word(data)
             steps = [c.q for c in valid_steps(w, oracle)]
             for q in steps:
-                power = periodic_power(w, q, 2)
+                power = ref_power(w, q, 2)
                 for i in range(1, q + 1):
                     for j in range(i + 1, q + 1):
                         if power.data[i - 1 : i - 1 + n] == power.data[j - 1 : j - 1 + n]:
                             assert shift_match(w, j - i)
             if steps:
                 q0 = minimal_step(w, oracle)
-                power = periodic_power(w, q0, 2)
+                power = ref_power(w, q0, 2)
                 windows = {power.data[i : i + n] for i in range(q0)}
                 assert len(windows) == q0
 

@@ -1,11 +1,12 @@
 """The factor-set engine against a naive reference.
 
 ``oracle_from_prefix`` slices windows only at the horizon and derives the
-shorter levels, and decides extendability with two string searches;
-``special_strings`` counts the truncations of the level above or walks
-the memoized special set one letter shorter, and ``bispecials`` reads
-the special sets one letter longer, or a full level off two counts.
-The growth-sum
+shorter levels down to the first full one, computing those below, and
+decides extendability with two string searches; ``special_strings``
+takes every word below a full level, counts the truncations of the level
+above or walks the memoized special set one letter shorter, and
+``bispecials`` reads the special sets one letter longer, or a full level
+off two counts.  The growth-sum
 identity ``sum(|ext| - 1) == p(n+1) - p(n)`` is asserted here on the
 reference counts, so ``growth_profile`` does not check it at run time.
 The reference here slices every window at every length, reads extension
@@ -19,7 +20,7 @@ import tracemalloc
 from dataclasses import replace
 
 import pytest
-from hypothesis import event, example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from factor_language import check_factor_language
 from shiftlab import rauzy
@@ -271,6 +272,111 @@ class TestSpecialWalk:
         assert_walk_matches_count(
             lambda: LanguageOracle.full_shift(Alphabet(("0", "1", "2")), 7)
         )
+
+
+def de_bruijn(codes: str, m: int) -> str:
+    """A cyclic word of length ``|codes|**m`` in which every word of
+    length ``m`` over ``codes`` starts exactly once: the Lyndon words whose
+    lengths divide ``m``, in lexicographic order."""
+    k, a, out = len(codes), [0] * (len(codes) * m + 1), []
+
+    def extend(t: int, period: int) -> None:
+        if t > m:
+            if m % period == 0:
+                out.extend(a[1 : period + 1])
+            return
+        a[t] = a[t - period]
+        extend(t + 1, period)
+        for j in range(a[t - period] + 1, k):
+            a[t] = j
+            extend(t + 1, t)
+
+    extend(1, 1)
+    return "".join(codes[i] for i in out)
+
+
+@st.composite
+def full_level_prefixes(draw):
+    """Two or more periods of a de Bruijn cycle of order ``m``, with its
+    letters permuted and rotated and up to two letters changed: levels
+    ``1..m`` are full and longer ones are not, as a periodic word has at
+    most a period's worth of factors of each length.  ``m`` runs from 1 to
+    past the horizon, so the top level is full, only lower ones are, or
+    only level 1."""
+    symbols = draw(st.sampled_from(["01", "012"]))
+    horizon = draw(st.integers(2, 7 if symbols == "01" else 5))
+    m = draw(st.integers(1, min(horizon + 1, 7 if symbols == "01" else 4)))
+    order = draw(st.permutations(symbols))
+    cycle = de_bruijn("".join(order), m)
+    turn = draw(st.integers(0, len(cycle) - 1))
+    cycle = cycle[turn:] + cycle[:turn]
+    length = max(4 * horizon, 2 * len(cycle) + horizon) + draw(st.integers(0, len(cycle)))
+    data = list(cycle * (length // len(cycle) + 1))[:length]
+    for _ in range(draw(st.integers(0, 2))):
+        data[draw(st.integers(0, length - 1))] = draw(st.sampled_from(symbols))
+    return SequencePrefix.from_tokens(Alphabet(tuple(symbols)), "".join(data), "de Bruijn"), horizon
+
+
+def assert_full_levels_match_naive(x: SequencePrefix, horizon: int) -> str | None:
+    """Every count, level, special set and bispecial table of
+    ``oracle_from_prefix`` equals the windows' own, asked in ascending
+    order (so special sets may be walked) and in descending order.
+    Returns which levels are full, or ``None`` when the reference refuses
+    the windows (``TestPrefixRefusal`` covers refusals)."""
+    levels = naive_levels(x.data, horizon)
+    ref = LanguageOracle(x.alphabet, StoredLevels(levels), "reference")
+    try:
+        check_factor_language(ref)
+    except InvariantViolation:
+        return None
+    size = len(x.alphabet.codes)
+    full = [n for n in levels if len(levels[n]) == size**n]
+    specials = {
+        (n, side): {d for d, c in naive_counts(ref, n, side).items() if c >= 2}
+        for n in range(1, horizon)
+        for side in SIDES
+    }
+    for lengths in (range(1, horizon + 1), range(horizon, 0, -1)):
+        oracle = oracle_from_prefix(x, horizon)
+        for n in lengths:
+            assert oracle.p(n) == len(levels[n]), n
+            assert oracle.factor_strings(n) == levels[n], n
+            if n < horizon:
+                for side in SIDES:
+                    assert oracle.special_strings(n, side) == specials[n, side], (n, side)
+            if n < horizon - 1:
+                got = {w: (sorted(b), sorted(a)) for w, (b, a) in oracle.bispecials(n).items()}
+                assert list(got) == sorted(got)
+                assert got == naive_bispecials(ref, levels, n), n
+    if horizon in full:
+        return "the top level full"
+    return "a level from 2 full, not the top" if len(full) > 1 else "only level 1 full"
+
+
+class TestFullLevels:
+    """A full level is known by its count: the prefix cascade stops at the
+    first one, and special sets below one take every word, on at least
+    two letters."""
+
+    @given(st.one_of(full_level_prefixes(), raw_prefixes()))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_naive_reference(self, case):
+        full = assert_full_levels_match_naive(*case)
+        assume(full is not None)
+        event(full)
+
+    @pytest.mark.parametrize("horizon", [1, 2, 3, 6])
+    def test_one_letter(self, horizon):
+        # every level holds all 1**n words, and no word is special
+        x = SequencePrefix.from_tokens(Alphabet(("0",)), "0" * (4 * horizon + 3), "one letter")
+        assert assert_full_levels_match_naive(x, horizon) == "the top level full"
+
+    @pytest.mark.parametrize("symbols, m", [("01", 1), ("01", 5), ("012", 2), ("012", 3)])
+    def test_de_bruijn_cycle(self, symbols, m):
+        cycle = de_bruijn(symbols, m)
+        assert len(cycle) == len(symbols) ** m
+        doubled = cycle + cycle[: m - 1]
+        assert len({doubled[i : i + m] for i in range(len(cycle))}) == len(cycle)
 
 
 @st.composite
