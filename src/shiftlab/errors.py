@@ -17,10 +17,6 @@ class NotAFactor(ShiftlabError):
     """The queried word is not in the language."""
 
 
-class InvalidStep(ShiftlabError):
-    """A periodic-power step does not satisfy the shift-match equation."""
-
-
 class PreconditionFailure(ShiftlabError):
     """A documented operation precondition does not hold for the input."""
 

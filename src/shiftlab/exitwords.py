@@ -12,6 +12,7 @@ the repetition count.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import ceil
@@ -215,10 +216,11 @@ def classify_occurrence(
     Needs the minimal step of ``w`` to exist and enough sequence on both
     sides of ``j`` to find the periodicity breaks; running off either end
     raises (insufficient context, including the eventually periodic case).
+    A ``j`` outside ``1 .. len(x) - len(w) + 1`` is refused.
     """
     if x.alphabet != w.alphabet:
         raise PreconditionFailure("sequence and word alphabets differ")
-    if x.data[j - 1 : j - 1 + len(w)] != w.data:
+    if j < 1 or not x.data.startswith(w.data, j - 1):
         raise PreconditionFailure(f"{w} does not occur at position {j}")
     q = minimal_step(w, oracle)
     if q is None:
@@ -244,10 +246,10 @@ def _classify_run(x: SequencePrefix, w: Word, q: int, j: int) -> tuple[int, int]
     largest ``k`` with ``x[j .. k+n-1]`` inside it.  With ``j1 == 1`` the
     run is a suffix of the power, wherever it ends.  Otherwise the letters
     just outside the run break the periodicity, so with them it is the
-    enclosing exit word ``x[j1 - 1 .. j2 + n]``.  Every start of the run on
-    ``j``'s grid has the same ``j1`` and ``j2``.  A run with ``j1 > 1``
-    reaching the end of the prefix raises :class:`HorizonExceeded`, as does
-    every later start on its grid.
+    enclosing exit word ``x[j1 - 1 .. j2 + n]``.  A run with ``j1 > 1``
+    reaching the end of the prefix raises :class:`HorizonExceeded`.  The
+    walk reads only the run, cheaper for one occurrence than the scan of
+    the whole prefix by which :func:`check_overlap_bound` finds every run.
     """
     n = len(w)
     data = x.data
@@ -294,45 +296,46 @@ def check_overlap_bound(
     """Scan a sequence for consecutive exit-word occurrences and verify
     the separation and occurrence-count bounds between neighbours.
 
-    One occurrence per periodic run and grid is classified; the later
-    starts on its grid inherit its exit word (none when the run starts at
-    position 1, a skip when it starts later and reaches the end of the
-    prefix).  Each exit word is kept as its start, length and repetition
-    count.  The bounds hold for every sequence, so a violation record would
-    falsify the implementation, not the input.
+    Each maximal run of period ``q`` that can hold ``w`` is a run
+    ``[a, b)`` of at least ``n - q`` zero bytes in ``d``, where ``d[i]`` is
+    ``x[i] ^ x[i + q]`` (0-based); it spans ``x[a + 1 .. b + q]``.  The runs
+    come in ascending order, and each gives at most one exit word: none
+    when it holds no occurrence or starts at position 1, a skip of its
+    starts when it starts later and reaches the end of the prefix.  Each
+    exit word is kept as its start, length and repetition count.  This
+    one scan finds every run; :func:`classify_occurrence`, for one
+    occurrence, keeps the local walk of :func:`_classify_run`.  The bounds
+    hold for every sequence, so a violation record would falsify the
+    implementation, not the input.
     """
     q_min = minimal_step(w, oracle)
     if q_min != q:
         raise PreconditionFailure(f"q={q} is not the minimal step ({q_min})")
     n = len(w)
+    data = x.data
+    N = len(data)
     _, starts = occurrences(x, w)
-    occ_exits: dict[int, tuple[int, int]] = {}  # exit start -> (|z|, r)
-    # the last start on the grid of the run classified last, and whether
-    # its starts are skipped
-    last, skip = 0, False
-    skipped = []
-    # No grid test: a start up to ``last`` at phase d != 0 in the q-periodic
-    # run would give w the smaller valid step gcd(d, q).  No left part
-    # ``(j - j1) // q`` in r: the classified start lies < q letters after j1.
-    for j in starts:
-        if j > last:
-            try:
-                j1, j2 = _classify_run(x, w, q, j)
-            except HorizonExceeded:
-                # every later start on its grid lies in the run as well
-                last, skip = j + (len(x.data) - j) // q * q, True
-            else:
-                last, skip = j + (j2 - j) // q * q, False
-                if j1 > 1:
-                    r = (j2 - j) // q + 1
-                    occ_exits.setdefault(j1 - 1, (j2 + n - j1 + 2, r))
-        if skip:
-            skipped.append(j)
-    ordered = sorted(occ_exits)
+    raw = data.encode("ascii")
+    m = max(N - q, 0)
+    d = (int.from_bytes(raw[:m], "big") ^ int.from_bytes(raw[q:], "big")).to_bytes(m, "big")
+    exits = []  # (exit start, |z|, r), ascending
+    skipped: tuple[int, ...] = ()
+    # No grid test: every start in a run has the run's j1 and j2, so the
+    # first start j stands for all.  No left part ``(j - j1) // q`` in r: j lies
+    # < q letters after j1, or the run would hold w q letters earlier.
+    for run in re.finditer(b"\0{%d,}" % (n - q), d):
+        a, b = run.span()
+        j = data.find(w.data, a, b + q) + 1
+        if a == 0 or not j:  # a suffix of the power, or no occurrence
+            continue
+        j1, j2 = a + 1, b + q + 1 - n
+        if b + q == N:
+            skipped = tuple(starts[bisect_left(starts, j) :])
+        else:
+            exits.append((j1 - 1, j2 + n - j1 + 2, (j2 - j) // q + 1))
     pairs = []
     ok = True
-    for i, i2 in zip(ordered, ordered[1:]):
-        (z1_len, r1), (z2_len, r2) = occ_exits[i], occ_exits[i2]
+    for (i, z1_len, r1), (i2, z2_len, r2) in zip(exits, exits[1:]):
         gap_ok = i2 >= i + z1_len - n
         # occurrences of w inside the union x[i .. end]
         end = i2 + z2_len - 1
@@ -343,4 +346,4 @@ def check_overlap_bound(
         pairs.append(
             OverlapRecord(i, i2, z1_len, gap_ok, count, required, count_ok)
         )
-    return OverlapReport(w, q, tuple(pairs), ok, tuple(skipped))
+    return OverlapReport(w, q, tuple(pairs), ok, skipped)

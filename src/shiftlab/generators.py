@@ -292,8 +292,8 @@ def rotation_coding(
 # -- prefix -> oracle -------------------------------------------------------
 
 
-# windows per struct record in _windows: a fixed count keeps the compiled
-# format a few kilobytes long, however long the prefix
+# windows per struct record in _windows: formats of at most this many
+# fields keep struct's cache a few kilobytes, however long the prefix
 _RECORD = 64
 
 
@@ -303,9 +303,9 @@ def _windows(data: str, n: int) -> frozenset[str]:
 
     For each start offset ``s < n`` the windows at ``s, s + n, s + 2n,
     ...`` tile the encoded data, so a struct of ``_RECORD`` fields of
-    ``n`` bytes unpacks them in C, one record at a time; the fewer than
-    ``_RECORD`` left over after the last whole record are sliced.  Each
-    distinct window is decoded once.
+    ``n`` bytes unpacks them in C, one record at a time, and one format of
+    the fewer than ``_RECORD`` left over unpacks the rest in one call.
+    Each distinct window is decoded once.
     """
     raw = data.encode("ascii")
     view = memoryview(raw)
@@ -315,7 +315,7 @@ def _windows(data: str, n: int) -> frozenset[str]:
         count = (len(raw) - s) // n
         end = s + count // _RECORD * record.size
         found.update(chain.from_iterable(record.iter_unpack(view[s:end])))
-        found.update([raw[i : i + n] for i in range(end, s + count * n, n)])
+        found.update(struct.unpack_from(f"{n}s" * (count % _RECORD), raw, end))
     return frozenset(map(bytes.decode, found))
 
 

@@ -88,6 +88,18 @@ SELF_LOOP = "tests/test_rbs_admissibility.py::test_untouched_self_loop_not_blame
 # - "overlap scan: no grid test before reusing a run" (equivalent): the grid
 #   test is deleted, as no start up to ``last`` lies off the run's grid.
 #   Both proofs are a comment in check_overlap_bound.
+# - The per-start texts of "overlap scan: the exit word one letter short",
+#   "... the repetition count one short", "... the exit word starts at j1"
+#   and "... later starts of an end-reaching run not skipped", and the
+#   sliced remainder of "prefix windows: the windows after the last whole
+#   record dropped" and "... one format string per offset": the overlap
+#   scan now reads the runs off one shift-mismatch string and _windows
+#   unpacks the remainder in one call, so these rows plant the same faults
+#   in the new text.  The per-start scan is tests/exitword_reference.py's
+#   ref_overlap_per_start.  "run scan: a run from position 1 not searched
+#   to the right" was killed by check_overlap_bound reclassifying every
+#   start of such a run; it is equivalent now that no src caller reads
+#   that j2.
 
 MUTANTS = (
     Mutant(
@@ -375,8 +387,15 @@ MUTANTS = (
     Mutant(
         "prefix windows: the windows after the last whole record dropped",
         PREFIX,
-        "        found.update([raw[i : i + n] for i in range(end, s + count * n, n)])\n",
+        '        found.update(struct.unpack_from(f"{n}s" * (count % _RECORD), raw, end))\n',
         "",
+        WINDOWS,
+    ),
+    Mutant(
+        "prefix windows: the remainder unpacked one window late",
+        PREFIX,
+        "(count % _RECORD), raw, end))",
+        "(count % _RECORD), raw, end + n))",
         WINDOWS,
     ),
     Mutant(
@@ -391,7 +410,7 @@ MUTANTS = (
         PREFIX,
         "        end = s + count // _RECORD * record.size\n"
         "        found.update(chain.from_iterable(record.iter_unpack(view[s:end])))\n"
-        "        found.update([raw[i : i + n] for i in range(end, s + count * n, n)])\n",
+        '        found.update(struct.unpack_from(f"{n}s" * (count % _RECORD), raw, end))\n',
         "        found.update(struct.unpack(f\"{n}s\" * count, view[s : s + count * n]))\n",
         (WINDOWS_MEMORY,),
     ),
@@ -771,6 +790,10 @@ MUTANTS = (
         "    # extend rightward: find the first break after the occurrence\n",
         "    if j1 == 1:\n        return 1, j\n",
         (f"{OVERLAP_NAIVE}::test_run_from_position_one_classified_once",),
+        expect="equivalent",
+        reason="no caller reads j2 of a run from position 1: classify_occurrence "
+        "returns the suffix-of-power case from j1 alone, and check_overlap_bound "
+        "finds its runs without _classify_run",
     ),
     Mutant(
         "block hits: the block index read one letter late",
@@ -842,22 +865,22 @@ MUTANTS = (
     Mutant(
         "overlap scan: the exit word one letter short",
         EXITWORDS,
-        "(j2 + n - j1 + 2, r)",
-        "(j2 + n - j1 + 1, r)",
+        "j2 + n - j1 + 2, ",
+        "j2 + n - j1 + 1, ",
         (OVERLAP_NAIVE,),
     ),
     Mutant(
         "overlap scan: the repetition count one short",
         EXITWORDS,
-        "                    r = (j2 - j) // q + 1\n",
-        "                    r = (j2 - j) // q\n",
+        "(j2 - j) // q + 1))",
+        "(j2 - j) // q))",
         (OVERLAP_NAIVE,),
     ),
     Mutant(
         "overlap scan: the exit word starts at j1",
         EXITWORDS,
-        "occ_exits.setdefault(j1 - 1, ",
-        "occ_exits.setdefault(j1, ",
+        "exits.append((j1 - 1, ",
+        "exits.append((j1, ",
         (OVERLAP_NAIVE,),
     ),
     Mutant(
@@ -870,9 +893,29 @@ MUTANTS = (
     Mutant(
         "overlap scan: later starts of an end-reaching run not skipped",
         EXITWORDS,
-        "                last, skip = j + (len(x.data) - j) // q * q, True\n",
-        "                last, skip = j + (len(x.data) - j) // q * q, False\n"
-        "                skipped.append(j)\n",
+        "skipped = tuple(starts[bisect_left(starts, j) :])",
+        "skipped = (j,)",
+        (OVERLAP_NAIVE,),
+    ),
+    Mutant(
+        "overlap scan: the zero-run minimum is n - q + 1",
+        EXITWORDS,
+        r'b"\0{%d,}" % (n - q)',
+        r'b"\0{%d,}" % (n - q + 1)',
+        (OVERLAP_NAIVE,),
+    ),
+    Mutant(
+        "overlap scan: the end test is b + q >= N - 1",
+        EXITWORDS,
+        "        if b + q == N:\n",
+        "        if b + q >= N - 1:\n",
+        (OVERLAP_NAIVE,),
+    ),
+    Mutant(
+        "overlap scan: the shift string not clamped at length 0",
+        EXITWORDS,
+        "    m = max(N - q, 0)\n",
+        "    m = N - q\n",
         (OVERLAP_NAIVE,),
     ),
     *(

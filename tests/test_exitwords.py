@@ -6,7 +6,11 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from exitword_reference import ref_is_representation, ref_power
+from exitword_reference import (
+    ref_is_representation,
+    ref_overlap_per_start,
+    ref_power,
+)
 from shiftlab import exitwords
 
 from shiftlab.errors import HorizonExceeded, PreconditionFailure
@@ -257,6 +261,16 @@ class TestClassification:
         with pytest.raises(PreconditionFailure):
             classify_occurrence(fib_prefix, w, 2, fib_oracle)
 
+    @pytest.mark.parametrize("j", [0, -9, 3996])
+    def test_position_outside_the_prefix_rejected(self, fib_prefix, fib_oracle, j):
+        # 3996 is one past the last start; -9 reads the occurrence at 3991
+        # through a wrapping slice
+        x = SequencePrefix(fib_prefix.alphabet, fib_prefix.data[:4000], "fib")
+        w = fib_oracle.alphabet.word("abaaba")
+        assert x.data[-10:-4] == w.data
+        with pytest.raises(PreconditionFailure):
+            classify_occurrence(x, w, j, fib_oracle)
+
     def test_periodic_tail_raises(self, shift20, ones_word):
         x = SequencePrefix(ZO, "00" + "1" * 40, "run to the end")
         with pytest.raises(HorizonExceeded):
@@ -378,9 +392,9 @@ class TestOverlapScanMatchesNaive:
         x = SequencePrefix(ZO, data, "runs")
         w = ZO.word(w_data)
         q = minimal_step(w, shift20)
-        assert check_overlap_bound(x, w, q, shift20) == naive_overlap(
-            x, w, q, shift20
-        )
+        report = check_overlap_bound(x, w, q, shift20)
+        assert report == naive_overlap(x, w, q, shift20)
+        assert report == ref_overlap_per_start(x, w, q, shift20)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -401,9 +415,27 @@ class TestOverlapScanMatchesNaive:
         assume(candidates)
         w, q = candidates[pick % len(candidates)]
         x = SequencePrefix(prefix.alphabet, prefix.data[:length], "prefix")
-        assert check_overlap_bound(x, w, q, oracle) == naive_overlap(
-            x, w, q, oracle
-        )
+        report = check_overlap_bound(x, w, q, oracle)
+        assert report == naive_overlap(x, w, q, oracle)
+        assert report == ref_overlap_per_start(x, w, q, oracle)
+
+    @pytest.mark.parametrize(
+        "data, w_data",
+        [
+            ("001", "001001"),  # prefixes no longer than q
+            ("00", "001001"),
+            ("01" * 20, "0101"),  # one run from position 1 to the end
+            ("11" + "01" * 10, "0101"),  # a run to the end, with j1 > 1
+            ("1" + "0" * 12 + "1", "0101"),  # a run that does not hold w
+            ("0011" * 10, "0101"),  # no run at all
+        ],
+    )
+    def test_edge_cases(self, shift20, data, w_data):
+        x, w = SequencePrefix(ZO, data, "edge"), ZO.word(w_data)
+        q = minimal_step(w, shift20)
+        report = check_overlap_bound(x, w, q, shift20)
+        assert report == naive_overlap(x, w, q, shift20)
+        assert report == ref_overlap_per_start(x, w, q, shift20)
 
     @pytest.mark.parametrize("m", [1, 10, 100, 1000])
     def test_run_from_position_one(self, shift20, m):
@@ -411,7 +443,8 @@ class TestOverlapScanMatchesNaive:
         assert check_overlap_bound(x, w, 2, shift20) == naive_overlap(x, w, 2, shift20)
 
     def test_run_from_position_one_classified_once(self, shift20):
-        # the run from position 1 is classified once, not once per start
+        # the run from position 1 is found by the one scan of the prefix,
+        # without a walk per start
         w = ZO.word("0101")
         calls = []
         for m in (500, 4000):
@@ -420,7 +453,7 @@ class TestOverlapScanMatchesNaive:
             ) as spy:
                 check_overlap_bound(run_from_start(m), w, 2, shift20)
             calls.append(spy.call_count)
-        assert calls[0] == calls[1] <= 3
+        assert calls == [0, 0]
 
     def test_every_stepped_factor(
         self, fib_prefix, fib_oracle, iet3_prefix, iet3_oracle,

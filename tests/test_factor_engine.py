@@ -405,6 +405,17 @@ class TestWindows:
         data, n = case
         assert _windows(data, n) == naive_levels(data, n)[n]
 
+    @pytest.mark.parametrize("records", [0, 2])
+    @pytest.mark.parametrize("left", [0, 1, _RECORD - 1])
+    @pytest.mark.parametrize("n", [11, 32, 64])
+    def test_remainder_sizes(self, n, left, records):
+        # every start offset holds ``records`` whole records and ``left``
+        # windows after them
+        count = records * _RECORD + left
+        rng = random.Random(count * 100 + n)
+        data = "".join(rng.choices("012", k=(count + 1) * n - 1))
+        assert _windows(data, n) == naive_levels(data, n)[n]
+
     def test_compiled_format_not_retained(self):
         # a format of one field per window would be compiled and kept by
         # struct's cache, megabytes for a long prefix at a small horizon

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from exitword_reference import ref_power
-from shiftlab.errors import AlphabetMismatch, HorizonExceeded, InvalidStep
+from exitword_reference import InvalidStep, ref_power
+from shiftlab.errors import AlphabetMismatch, HorizonExceeded
 from shiftlab.generators import oracle_from_prefix
 from shiftlab.language import LanguageOracle
 from shiftlab.words import (
