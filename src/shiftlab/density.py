@@ -16,7 +16,7 @@ from itertools import accumulate, chain
 from operator import itemgetter, sub
 from typing import Mapping, Sequence
 
-from .errors import PreconditionFailure
+from .errors import AlphabetMismatch, PreconditionFailure
 from .generators import SequencePrefix
 from .language import SIDES, LanguageOracle, Side, growth_profile, periodicity_check
 from .words import Word, _require_same_alphabet, occurrences
@@ -187,6 +187,8 @@ def special_window_check(
     fit a window passes; only otherwise are its starts listed and every
     gap read.
     """
+    if x.alphabet != oracle.alphabet:
+        raise AlphabetMismatch("sequence and oracle use different alphabets")
     width = (K + 2) * n - 1
     total = len(x) - width + 1
     if total < 1:

@@ -13,10 +13,6 @@ class HorizonExceeded(ShiftlabError):
     """A query needs factor data beyond the oracle's horizon."""
 
 
-class NotAFactor(ShiftlabError):
-    """The queried word is not in the language."""
-
-
 class PreconditionFailure(ShiftlabError):
     """A documented operation precondition does not hold for the input."""
 

@@ -23,6 +23,7 @@ from .generators import SequencePrefix
 from .language import LanguageOracle, check_rbc, growth_profile
 from .words import (
     Word,
+    _require_same_alphabet,
     minimal_step,
     occurrences,
     periodic_stretch,
@@ -102,6 +103,7 @@ def decompose(
     ``oracle`` is unused; it stays in the signature for positional
     callers until the benchmark stops passing it.
     """
+    _require_same_alphabet(z, w)
     if not shift_match(w, q):
         raise PreconditionFailure(f"q={q} is not a step for {w}")
     d = z.data
@@ -213,62 +215,53 @@ def classify_occurrence(
 ) -> OccurrenceClassification:
     """Classify the occurrence of ``w`` at position ``j`` of ``x``.
 
-    Needs the minimal step of ``w`` to exist and enough sequence on both
-    sides of ``j`` to find the periodicity breaks; running off either end
-    raises (insufficient context, including the eventually periodic case).
-    A ``j`` outside ``1 .. len(x) - len(w) + 1`` is refused.
+    Needs the minimal step ``q`` of ``w`` to exist.  The run around the
+    occurrence is the longest stretch of ``x`` with period ``q`` that
+    holds it; it starts at ``j1``, and ``j2`` is the largest ``k`` with
+    ``x[j .. k+n-1]`` inside it.  The left walk comes first: with ``j1 ==
+    1`` the run is a suffix of the power, wherever it ends, and nothing
+    right of the occurrence is read.  Otherwise the letters just outside
+    the run break the periodicity, so with them it is the enclosing exit
+    word ``x[j1 - 1 .. j2 + n]``, and a run that reaches the end of the
+    prefix raises :class:`HorizonExceeded` (insufficient context,
+    including the eventually periodic case).  The walk reads only the
+    run, cheaper for one occurrence than the scan of the whole prefix by
+    which :func:`check_overlap_bound` finds every run.  A ``j`` outside
+    ``1 .. len(x) - len(w) + 1`` is refused.
     """
-    if x.alphabet != w.alphabet:
-        raise PreconditionFailure("sequence and word alphabets differ")
+    _require_same_alphabet(x, w)
     if j < 1 or not x.data.startswith(w.data, j - 1):
         raise PreconditionFailure(f"{w} does not occur at position {j}")
     q = minimal_step(w, oracle)
     if q is None:
         raise PreconditionFailure(f"{w} has no valid step")
-    j1, j2 = _classify_run(x, w, q, j)
+    n = len(w)
+    data = x.data
+    # extend the run leftward; the letter compared lies inside the run,
+    # since q <= n/2
+    j1 = j
+    while j1 > 1 and data[j1 - 2] == data[j1 - 2 + q]:
+        j1 -= 1
     if j1 == 1:
         return OccurrenceClassification(j, "suffix-of-power", r=ceil((j - 1) / q) + 1)
-    n = len(w)
-    z = Word(w.alphabet, x.data[j1 - 2 : j2 + n])
+    # extend rightward: find the first break after the occurrence
+    N = len(data)
+    t = j + n  # next position to test, 1-based
+    while t <= N and data[t - 1] == data[t - 1 - q]:
+        t += 1
+    if t > N:
+        raise HorizonExceeded(
+            f"periodic match from position {j} runs to the end of the "
+            "prefix; cannot resolve the enclosing exit word"
+        )
+    j2 = t - n
+    z = Word(w.alphabet, data[j1 - 2 : j2 + n])
     r = (j2 - j) // q + (j - j1) // q + 1
     rep = _representation(z, n, q, (j - j1) % q + 1, r)
     exit_word = ExitWord(z, w, q, (rep,), canonical=True)
     return OccurrenceClassification(
         j, "inside-exit-word", exit_word=exit_word, exit_start=j1 - 1
     )
-
-
-def _classify_run(x: SequencePrefix, w: Word, q: int, j: int) -> tuple[int, int]:
-    """The run around the occurrence of ``w`` at ``j`` with minimal step
-    ``q``: the longest stretch of ``x`` with period ``q`` that holds it.
-
-    Returns ``(j1, j2)``: the run starts at ``j1``, and ``j2`` is the
-    largest ``k`` with ``x[j .. k+n-1]`` inside it.  With ``j1 == 1`` the
-    run is a suffix of the power, wherever it ends.  Otherwise the letters
-    just outside the run break the periodicity, so with them it is the
-    enclosing exit word ``x[j1 - 1 .. j2 + n]``.  A run with ``j1 > 1``
-    reaching the end of the prefix raises :class:`HorizonExceeded`.  The
-    walk reads only the run, cheaper for one occurrence than the scan of
-    the whole prefix by which :func:`check_overlap_bound` finds every run.
-    """
-    n = len(w)
-    data = x.data
-    N = len(data)
-    # extend the run leftward; the letter compared lies inside the run,
-    # since q <= n/2
-    j1 = j
-    while j1 > 1 and data[j1 - 2] == data[j1 - 2 + q]:
-        j1 -= 1
-    # extend rightward: find the first break after the occurrence
-    t = j + n  # next position to test, 1-based
-    while t <= N and data[t - 1] == data[t - 1 - q]:
-        t += 1
-    if t > N and j1 > 1:
-        raise HorizonExceeded(
-            f"periodic match from position {j} runs to the end of the "
-            "prefix; cannot resolve the enclosing exit word"
-        )
-    return j1, t - n
 
 
 class OverlapRecord(NamedTuple):
@@ -304,9 +297,9 @@ def check_overlap_bound(
     starts when it starts later and reaches the end of the prefix.  Each
     exit word is kept as its start, length and repetition count.  This
     one scan finds every run; :func:`classify_occurrence`, for one
-    occurrence, keeps the local walk of :func:`_classify_run`.  The bounds
-    hold for every sequence, so a violation record would falsify the
-    implementation, not the input.
+    occurrence, keeps a local walk.  The bounds hold for every sequence,
+    so a violation record would falsify the implementation, not the
+    input.
     """
     q_min = minimal_step(w, oracle)
     if q_min != q:

@@ -33,15 +33,6 @@ class SequencePrefix(Word):
     provenance: str
     recurrent: bool | None = None  # read by nothing
 
-    @classmethod
-    def from_tokens(
-        cls,
-        alphabet: Alphabet,
-        tokens: str | Sequence[str],
-        provenance: str = "tokens",
-    ) -> "SequencePrefix":
-        return cls(alphabet, alphabet.word(tokens).data, provenance)
-
 
 # -- interval exchange transformations -----------------------------------
 
@@ -248,13 +239,6 @@ def fibonacci_prefix(length: int) -> SequencePrefix:
     """Fixed point of a -> ab, b -> a."""
     ab = Alphabet(("a", "b"))
     spec = SubstitutionSpec(ab, {"a": ("a", "b"), "b": ("a",)}, "a")
-    return substitution_fixed_point(spec, length)
-
-
-def thue_morse_prefix(length: int) -> SequencePrefix:
-    """Fixed point of 0 -> 01, 1 -> 10."""
-    zo = Alphabet(("0", "1"))
-    spec = SubstitutionSpec(zo, {"0": ("0", "1"), "1": ("1", "0")}, "0")
     return substitution_fixed_point(spec, length)
 
 

@@ -15,13 +15,7 @@ from itertools import compress, product
 from operator import itemgetter
 from typing import AbstractSet, Callable, Iterator, Literal, Mapping, TypeVar
 
-from ._graphutil import is_weakly_connected
-from .errors import (
-    AlphabetMismatch,
-    HorizonExceeded,
-    NotAFactor,
-    PreconditionFailure,
-)
+from .errors import AlphabetMismatch, HorizonExceeded, PreconditionFailure
 from .words import Alphabet, Word
 
 Side = Literal["left", "right"]
@@ -207,13 +201,16 @@ class LanguageOracle:
         has bispecials.  Memoized per length; the table is shared, and no
         caller mutates it.
 
-        A full level is read off two counts.  By factor closure every
-        factor of length ``n + 2`` is ``a + w + b`` with ``w`` a factor of
-        length ``n``, so ``p(n+2) <= |A|**2 p(n)``, with equality iff every
-        ``w`` has all ``|A|**2`` two-sided extensions.  Then every ``wb``
-        is left special and every ``aw`` right special (for ``|A| >= 2``),
-        so every factor of length ``n`` is bispecial with every code in
-        both witness groups, and no special set is needed.
+        A full level is read off one count: when level ``n + 2`` is full
+        (``p(n+2) == |A|**(n+2)``), every factor ``w`` of length ``n`` has
+        all ``|A|**2`` two-sided extensions.  Then every ``wb`` is left
+        special and every ``aw`` right special (for ``|A| >= 2``), so every
+        factor of length ``n`` is bispecial with every code in both
+        witness groups, and no special set is needed.  For a factor-closed
+        source the rule is the same as ``p(n+2) == |A|**2 p(n)``, each
+        ``w`` with all ``|A|**2`` extensions: then every ``(wb)[1:]`` is a
+        factor, so level ``n`` is closed under shifting in a letter, so it
+        is full, and so is level ``n + 2``.
         """
         self.require_length(n + 2, "bispecial query")
         self.require_length(n, "bispecial query")
@@ -222,7 +219,7 @@ class LanguageOracle:
     def _bispecials(self, n: int) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
         codes = self.alphabet.codes
         size = len(codes)
-        if size >= 2 and self.source.p(n + 2) == size**2 * self.source.p(n):
+        if size >= 2 and self.source.p(n + 2) == size ** (n + 2):
             every = tuple(codes)
             return dict.fromkeys(sorted(self.source.level(n)), (every, every))
         left_up = self.special_strings(n + 1, "left")
@@ -235,72 +232,6 @@ class LanguageOracle:
             )
             for w in sorted(both)
         }
-
-
-# -- per-word extension analysis ---------------------------------------
-
-
-@dataclass(frozen=True)
-class ExtensionRecord:
-    """One- and two-sided extensions of a factor, with multiplicity."""
-
-    word: Word
-    left: frozenset[str]  # symbol tokens
-    right: frozenset[str]
-    both: frozenset[tuple[str, str]]
-
-    @property
-    def multiplicity(self) -> int:
-        return len(self.both) - len(self.left) - len(self.right) + 1
-
-    @property
-    def is_bispecial(self) -> bool:
-        return len(self.left) >= 2 and len(self.right) >= 2
-
-    @property
-    def is_dendric(self) -> bool:
-        """The bipartite graph on the left and right extensions, with an
-        edge per two-sided extension, is a tree."""
-        verts = [("L", a) for a in sorted(self.left)]
-        verts += [("R", b) for b in sorted(self.right)]
-        edges = ((("L", a), ("R", b)) for a, b in self.both)
-        return (
-            is_weakly_connected(verts, edges)
-            and len(self.both) == len(verts) - 1
-        )
-
-
-def extensions(oracle: LanguageOracle, w: Word) -> ExtensionRecord:
-    """Exact extension sets of ``w``, read off the stored factor sets."""
-    n = len(w)
-    oracle.require_length(n + 2, "extension query")
-    if not oracle.contains(w):
-        raise NotAFactor(f"not a factor: {w}")
-    lvl1 = oracle.factor_strings(n + 1)
-    lvl2 = oracle.factor_strings(n + 2)
-    tok = oracle.alphabet.token
-    codes = oracle.alphabet.codes
-    left = frozenset(tok(a) for a in codes if a + w.data in lvl1)
-    right = frozenset(tok(b) for b in codes if w.data + b in lvl1)
-    both = frozenset(
-        (tok(a), tok(b))
-        for a in codes
-        for b in codes
-        if a + w.data + b in lvl2
-    )
-    return ExtensionRecord(w, left, right, both)
-
-
-def special_words(
-    oracle: LanguageOracle, n: int, side: Literal["left", "right", "bi"]
-) -> set[Word]:
-    """Factors of length ``n`` with at least two extensions on the side."""
-    oracle.require_length(n + 2, "special-word query")
-    if side == "bi":
-        strs = oracle.bispecials(n)
-    else:
-        strs = oracle.special_strings(n, side)
-    return {Word(oracle.alphabet, d) for d in strs}
 
 
 def _irregularity(good_b: list[str], good_a: list[str]) -> str:

@@ -1,4 +1,6 @@
-"""Shared fixtures: language oracles and sequence prefixes built once."""
+"""Shared fixtures: language oracles and sequence prefixes built once,
+the substitution and interval-exchange data they come from, and
+:func:`token_prefix`."""
 
 from fractions import Fraction
 
@@ -6,14 +8,26 @@ import pytest
 
 from shiftlab.generators import (
     IETSpec,
+    SequencePrefix,
+    SubstitutionSpec,
     fibonacci_prefix,
     iet_encode,
     oracle_from_prefix,
-    thue_morse_prefix,
+    substitution_fixed_point,
 )
 from shiftlab.language import LanguageOracle
 from shiftlab.words import Alphabet
 
+
+def token_prefix(alphabet, tokens, provenance="tokens"):
+    """A sequence prefix spelled by ``tokens``, a string of one-letter
+    symbols or a sequence of symbols."""
+    return SequencePrefix(alphabet, alphabet.word(tokens).data, provenance)
+
+
+THUE_MORSE = SubstitutionSpec(
+    Alphabet(("0", "1")), {"0": ("0", "1"), "1": ("1", "0")}, "0"
+)
 
 IET3_SPEC = IETSpec(
     (Fraction(169, 408), Fraction(233, 610), Fraction(25363, 124440)),
@@ -60,7 +74,7 @@ def fib_oracle_wide(fib_prefix):
 
 @pytest.fixture(scope="session")
 def tm_oracle():
-    return oracle_from_prefix(thue_morse_prefix(20000), 24)
+    return oracle_from_prefix(substitution_fixed_point(THUE_MORSE, 20000), 24)
 
 
 @pytest.fixture(scope="session")
@@ -82,7 +96,5 @@ def iet3_oracle(iet3_prefix):
 
 @pytest.fixture(scope="session")
 def periodic01_oracle(zo):
-    from shiftlab.generators import SequencePrefix
-
-    x = SequencePrefix.from_tokens(zo, "01" * 40, "(01)^inf prefix")
+    x = token_prefix(zo, "01" * 40, "(01)^inf prefix")
     return oracle_from_prefix(x, 8)

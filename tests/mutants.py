@@ -77,6 +77,25 @@ GENERATORS = "tests/test_generators.py::TestGeneratorsMatchReference"
 REPLAY = "tests/test_itinerary_replay.py"
 ITINERARY = "tests/test_abstract_graphs.py::TestItinerary"
 SELF_LOOP = "tests/test_rbs_admissibility.py::test_untouched_self_loop_not_blamed"
+# the three parts of classify_occurrence's run walk after the left walk
+RUN_RETURN = (
+    "    if j1 == 1:\n"
+    '        return OccurrenceClassification(j, "suffix-of-power", r=ceil((j - 1) / q) + 1)\n'
+)
+RUN_RIGHT_WALK = (
+    "    # extend rightward: find the first break after the occurrence\n"
+    "    N = len(data)\n"
+    "    t = j + n  # next position to test, 1-based\n"
+    "    while t <= N and data[t - 1] == data[t - 1 - q]:\n"
+    "        t += 1\n"
+)
+RUN_RAISE = (
+    "    if t > N:\n"
+    "        raise HorizonExceeded(\n"
+    '            f"periodic match from position {j} runs to the end of the "\n'
+    '            "prefix; cannot resolve the enclosing exit word"\n'
+    "        )\n"
+)
 
 # Retired rows, whose text is gone from src/:
 # - "checked families: a key without labels", "checked families: a key
@@ -96,10 +115,17 @@ SELF_LOOP = "tests/test_rbs_admissibility.py::test_untouched_self_loop_not_blame
 #   scan now reads the runs off one shift-mismatch string and _windows
 #   unpacks the remainder in one call, so these rows plant the same faults
 #   in the new text.  The per-start scan is tests/exitword_reference.py's
-#   ref_overlap_per_start.  "run scan: a run from position 1 not searched
-#   to the right" was killed by check_overlap_bound reclassifying every
-#   start of such a run; it is equivalent now that no src caller reads
-#   that j2.
+#   ref_overlap_per_start.
+# - "run scan: a run from position 1 not searched to the right"
+#   (equivalent): _classify_run is folded into classify_occurrence, which
+#   now returns the suffix-of-power case before its right walk, so the
+#   mutant's text is the code.  "run scan: a run from position 1 that
+#   reaches the end raises" plants its fault in the new text as the raise
+#   moved before that return, and "run scan: the right walk before the
+#   suffix-of-power return" keeps the old order as an equivalent row.
+# - "is_dendric: as many edges as vertices": extensions and ExtensionRecord
+#   moved to tests/factor_language.py as the per-word reference, and this
+#   runner copies only src/, so a fault in the reference is out of its reach.
 
 MUTANTS = (
     Mutant(
@@ -661,8 +687,8 @@ MUTANTS = (
     Mutant(
         "full-level table: |A| two-sided extensions per word in place of |A|^2",
         LANGUAGE,
-        "self.source.p(n + 2) == size**2 * self.source.p(n)",
-        "self.source.p(n + 2) == size * self.source.p(n)",
+        "self.source.p(n + 2) == size ** (n + 2)",
+        "self.source.p(n + 2) == size ** (n + 1)",
         (BISPECIAL_TABLE, "tests/test_language.py::TestRbc::test_fibonacci_holds"),
     ),
     Mutant(
@@ -675,12 +701,12 @@ MUTANTS = (
     Mutant(
         "full-level table: counts compared by >=",
         LANGUAGE,
-        "self.source.p(n + 2) == size**2",
-        "self.source.p(n + 2) >= size**2",
+        "self.source.p(n + 2) == size ** (n + 2)",
+        "self.source.p(n + 2) >= size ** (n + 2)",
         (BISPECIAL_TABLE,),
         expect="equivalent",
-        reason="by factor closure p(n+2) <= |A|^2 p(n) always holds, so >= "
-        "holds exactly when == does",
+        reason="level n + 2 holds at most every word, p(n+2) <= |A|^(n+2), "
+        "so >= holds exactly when == does",
     ),
     Mutant(
         "RBC reasons: the memo keyed on the left-special group alone",
@@ -716,13 +742,6 @@ MUTANTS = (
         "    for n_tilde in range(n, top + 1):\n",
         "    for n_tilde in range(n + 1, top + 1):\n",
         (EVOLVE_REFERENCE,),
-    ),
-    Mutant(
-        "is_dendric: as many edges as vertices",
-        LANGUAGE,
-        "len(self.both) == len(verts) - 1",
-        "len(self.both) == len(verts)",
-        ("tests/test_language.py::TestExtensionGraph",),
     ),
     Mutant(
         "special graph: the walk probes codes in reverse order",
@@ -780,20 +799,34 @@ MUTANTS = (
     Mutant(
         "run scan: a run from position 1 that reaches the end raises",
         EXITWORDS,
-        "    if t > N and j1 > 1:\n",
-        "    if t > N:\n",
+        RUN_RETURN + RUN_RIGHT_WALK + RUN_RAISE,
+        RUN_RIGHT_WALK + RUN_RAISE + RUN_RETURN,
         (f"{LAYOUTS}::test_classification_matches_reference",),
     ),
     Mutant(
-        "run scan: a run from position 1 not searched to the right",
+        "run scan: the right walk before the suffix-of-power return",
         EXITWORDS,
-        "    # extend rightward: find the first break after the occurrence\n",
-        "    if j1 == 1:\n        return 1, j\n",
-        (f"{OVERLAP_NAIVE}::test_run_from_position_one_classified_once",),
+        RUN_RETURN + RUN_RIGHT_WALK,
+        RUN_RIGHT_WALK + RUN_RETURN,
+        (f"{LAYOUTS}::test_classification_matches_reference",),
         expect="equivalent",
-        reason="no caller reads j2 of a run from position 1: classify_occurrence "
-        "returns the suffix-of-power case from j1 alone, and check_overlap_bound "
-        "finds its runs without _classify_run",
+        reason="the walk reads letters and sets t, which the suffix-of-power "
+        "return does not read: only the cost changes",
+    ),
+    Mutant(
+        "decompose: words over different alphabets accepted",
+        EXITWORDS,
+        "    _require_same_alphabet(z, w)\n",
+        "",
+        ("tests/test_exitwords.py::TestDecompose::test_words_over_another_alphabet_refused",),
+    ),
+    Mutant(
+        "classification: a sequence over another alphabet accepted",
+        EXITWORDS,
+        "    _require_same_alphabet(x, w)\n",
+        "",
+        ("tests/test_exitwords.py::TestClassification::"
+         "test_sequence_over_another_alphabet_refused",),
     ),
     Mutant(
         "block hits: the block index read one letter late",
@@ -808,6 +841,14 @@ MUTANTS = (
         "k = data.find(needle, (j + 1) * size)",
         "k = data.find(needle, (j + 2) * size)",
         (BLOCK_HITS,),
+    ),
+    Mutant(
+        "window check: a sequence over another alphabet accepted",
+        DENSITY,
+        "    if x.alphabet != oracle.alphabet:\n"
+        '        raise AlphabetMismatch("sequence and oracle use different alphabets")\n',
+        "",
+        ("tests/test_density.py::TestWindowCheck::test_sequence_over_another_alphabet_refused",),
     ),
     Mutant(
         "window check: a gap of exactly one window's starts fails",

@@ -5,8 +5,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from factor_language import extensions
 from shiftlab.errors import PreconditionFailure
-from shiftlab.language import LanguageOracle, _irregularity, extensions
+from shiftlab.language import LanguageOracle, _irregularity
 from shiftlab.words import Word
 
 

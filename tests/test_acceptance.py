@@ -31,7 +31,6 @@ from shiftlab.generators import (
 from shiftlab.language import (
     LanguageOracle,
     check_rbc,
-    extensions,
     growth_profile,
 )
 from shiftlab.rauzy import build_special_rauzy, evolve
@@ -39,6 +38,7 @@ from shiftlab.words import Alphabet, minimal_step, occurrences, valid_steps
 
 from conftest import IET3_SPEC, IET4_SPEC
 from exitword_reference import ref_power
+from factor_language import extensions
 
 
 def criterion(number, description, budget_seconds):

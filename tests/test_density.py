@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import IET4_SPEC
+from conftest import IET4_SPEC, token_prefix
 
 from shiftlab import density
 from shiftlab.density import (
@@ -32,7 +32,7 @@ AB = Alphabet(("a", "b"))
 
 @pytest.fixture(scope="module")
 def alternating():
-    return SequencePrefix.from_tokens(AB, "ab" * 64, "(ab)^inf prefix")
+    return token_prefix(AB, "ab" * 64, "(ab)^inf prefix")
 
 
 def block_flags(w, x, K):
@@ -50,12 +50,12 @@ class TestBlockIndicator:
         assert set(block_flags(AB.word("aa"), alternating, 1)) == {0}
 
     def test_offset_start(self):
-        x = SequencePrefix.from_tokens(AB, "bb" + "ab" * 30, "offset")
+        x = token_prefix(AB, "bb" + "ab" * 30, "offset")
         assert block_flags(AB.word("ab"), x, 1)[0] == 1
 
     def test_out_of_range(self):
         # "ab" starts only at 17, past the 4 complete blocks of starts 1..16
-        x = SequencePrefix.from_tokens(AB, "a" * 17 + "b", "late")
+        x = token_prefix(AB, "a" * 17 + "b", "late")
         assert block_count(x, 2, 1) == 4
         assert block_flags(AB.word("ab"), x, 1) == [0, 0, 0, 0]
 
@@ -189,7 +189,7 @@ class TestDensityEstimate:
         assert all(0 <= a <= 1 for a in bd.averages)
 
     def test_too_short(self):
-        x = SequencePrefix.from_tokens(AB, "ab" * 4, "short")
+        x = token_prefix(AB, "ab" * 4, "short")
         with pytest.raises(PreconditionFailure):
             density_estimate(AB.word("ab"), x, 1)
 
@@ -241,6 +241,14 @@ class TestWindowCheck:
     def test_iet3(self, iet3_oracle, iet3_prefix):
         for n in (5, 10, 20):
             assert special_window_check(iet3_oracle, iet3_prefix, n, 2).ok
+
+    def test_sequence_over_another_alphabet_refused(self, fib_oracle, fib_prefix):
+        # Fibonacci's codes spelled over 0,1: every window holds a special
+        # word, so the check would pass without listing a start
+        zo = Alphabet(("0", "1"))
+        x = SequencePrefix(zo, fib_prefix.data[:5000], "fibonacci over 0,1")
+        with pytest.raises(AlphabetMismatch):
+            special_window_check(fib_oracle, x, 8, 1)
 
     def test_failure_is_located(self):
         # the dichotomy: a periodic language has no special factors at
@@ -365,7 +373,7 @@ class TestColorEstimate:
             Word(fib_oracle.alphabet, sorted(fib_oracle.special_strings(n, "left"))[0])
             for n in (6, 8)
         ]
-        other = SequencePrefix.from_tokens(AB, "b" * 4000, "constant")
+        other = token_prefix(AB, "b" * 4000, "constant")
         assert color_estimate(ladder, {"nu1": other}, 1).color == 0
 
     def test_duplicates_are_ambiguous(self, fib_prefix, fib_oracle):

@@ -2,24 +2,30 @@
 
 ``enumerate_exit_words`` and ``decompose`` take their layouts from one
 rule, each a prefix length with the repetition count it fixes and one
-stretch of the periodic extension to compare, and ``_classify_run``
-grows the longest stretch with period ``q``.  The references below (and
-those in ``exitword_reference.py``) build every periodic letter one at a
-time, search every repetition count, and check each built word against
-the predicate; on the corpus every field and every exception must agree.
+stretch of the periodic extension to compare; ``classify_occurrence``
+grows the longest stretch with period ``q`` around one occurrence, and
+``check_overlap_bound`` reads every such stretch off one scan.  The
+references below (and those in ``exitword_reference.py``) build every
+periodic letter one at a time, search every repetition count, and check
+each built word against the predicate; on the corpus every field and
+every exception must agree.
 The checks the fast bodies dropped are kept here as properties.
 """
 
 from itertools import product
-from math import ceil
 from pathlib import Path
 from random import Random
-from unittest import mock
 
 import pytest
 
-from exitword_reference import ref_is_representation, ref_letter, ref_power
-from shiftlab import exitwords
+from conftest import THUE_MORSE
+from exitword_reference import (
+    ref_classify_occurrence,
+    ref_is_representation,
+    ref_letter,
+    ref_overlap_per_start,
+    ref_power,
+)
 from shiftlab.errors import HorizonExceeded, InvariantViolation, PreconditionFailure
 from shiftlab.exitwords import (
     ExitWord,
@@ -35,7 +41,7 @@ from shiftlab.generators import (
     oracle_from_prefix,
     read_sequence_file,
     rotation_coding,
-    thue_morse_prefix,
+    substitution_fixed_point,
 )
 from shiftlab.language import LanguageOracle, check_rbc, growth_profile
 from shiftlab.words import (
@@ -122,39 +128,6 @@ def ref_enumerate(w, q, oracle, cap=None):
     return EnumerationReport(w, q, cap, tuple(exit_words), partial, limit, within)
 
 
-def ref_classify_run(x, w, q, j):
-    n = len(w)
-    j1 = j
-    while j1 > 1 and x.data[j1 - 2] == ref_letter(w, q, j1 - j):
-        j1 -= 1
-    if j1 == 1:
-        r = ceil((j - 1) / q) + 1
-        if not ref_power(w, q, r).data.endswith(x.data[: j + n - 1]):
-            raise InvariantViolation("suffix-of-power case failed verification")
-        return 1, j
-    t = j + n
-    while t <= len(x.data) and x.data[t - 1] == ref_letter(w, q, t - j + 1):
-        t += 1
-    if t > len(x.data):
-        raise HorizonExceeded(
-            f"periodic match from position {j} runs to the end of the "
-            "prefix; cannot resolve the enclosing exit word"
-        )
-    j2 = t - n
-    z = x.sub(j1 - 1, j2 + n)
-    p_len = j - ((j - j1) // q) * q - j1 + 1
-    r = (j2 - j) // q + (j - j1) // q + 1
-    if not ref_is_representation(z, w, q, p_len, r, len(z) - p_len - n - (r - 1) * q):
-        raise InvariantViolation("enclosing exit word fails the predicate")
-    return j1, j2
-
-
-def reference_scan():
-    """``classify_occurrence`` and ``check_overlap_bound`` on the
-    reference run classifier."""
-    return mock.patch.object(exitwords, "_classify_run", ref_classify_run)
-
-
 def outcome(fn, *args):
     """A call's value, or its exception's type and message."""
     try:
@@ -175,7 +148,7 @@ def corpus(fib_prefix, iet3_prefix):
     rng = Random(1515)
     prefixes = [
         ("fibonacci", fib_prefix, 30),
-        ("thue-morse", thue_morse_prefix(20000), 24),
+        ("thue-morse", substitution_fixed_point(THUE_MORSE, 20000), 24),
         ("iet3", iet3_prefix, 30),
         ("block", read_sequence_file(BLOCK_TXT), 20),
         ("periodic", SequencePrefix(zo, "001" * 1000, "(001)^1000"), 20),
@@ -321,8 +294,7 @@ def test_classification_matches_reference(corpus):
         # the occurrences of a word with a step, one occurrence of any
         # other word (a refusal), and a position where w does not occur
         for j in starts[: 25 if q else 1] + [len(x) - 1]:
-            with reference_scan():
-                expected = outcome(classify_occurrence, x, w, j, oracle)
+            expected = outcome(ref_classify_occurrence, x, w, j, oracle)
             assert outcome(classify_occurrence, x, w, j, oracle) == expected, (str(w), j)
             seen.add(expected[1].case if expected[0] == "value" else expected[1])
             cases += 1
@@ -335,8 +307,7 @@ def test_overlap_scan_matches_reference(corpus):
     for x, oracle, w, q in _scan_cases(corpus):
         if q is None:
             continue
-        with reference_scan():
-            expected = outcome(check_overlap_bound, x, w, q, oracle)
+        expected = outcome(ref_overlap_per_start, x, w, q, oracle)
         assert outcome(check_overlap_bound, x, w, q, oracle) == expected, str(w)
         reports += 1
     assert reports > 100

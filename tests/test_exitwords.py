@@ -11,9 +11,7 @@ from exitword_reference import (
     ref_overlap_per_start,
     ref_power,
 )
-from shiftlab import exitwords
-
-from shiftlab.errors import HorizonExceeded, PreconditionFailure
+from shiftlab.errors import AlphabetMismatch, HorizonExceeded, PreconditionFailure
 from shiftlab.exitwords import (
     OverlapRecord,
     OverlapReport,
@@ -86,6 +84,12 @@ class TestDecompose:
         # one entry letter, one circuit pass, one leaving letter
         reps = decompose(ZO.word("0110"), ZO.word("11"), 1, shift20)
         assert [r.as_tuple() for r in reps] == [("0", 1, "0")]
+
+    def test_words_over_another_alphabet_refused(self, ones_word, shift20):
+        # ones_exit's codes spelled over a,b: every layout would match
+        ab = Alphabet(("a", "b"))
+        with pytest.raises(AlphabetMismatch):
+            decompose(ab.word("a" + "b" * 15 + "a"), ones_word, 3, shift20)
 
 
 class TestPredicate:
@@ -276,6 +280,12 @@ class TestClassification:
         with pytest.raises(HorizonExceeded):
             classify_occurrence(x, ones_word, 10, shift20)
 
+    def test_sequence_over_another_alphabet_refused(self, shift20, ones_word):
+        # the codes of an exit word of 1111, spelled over a,b
+        x = SequencePrefix(Alphabet(("a", "b")), "00" + "1" * 20 + "00", "over a,b")
+        with pytest.raises(AlphabetMismatch):
+            classify_occurrence(x, ones_word, 5, shift20)
+
 
 class TestOverlap:
     def test_adjacent_copies(self, shift20, ones_word):
@@ -441,19 +451,6 @@ class TestOverlapScanMatchesNaive:
     def test_run_from_position_one(self, shift20, m):
         x, w = run_from_start(m), ZO.word("0101")
         assert check_overlap_bound(x, w, 2, shift20) == naive_overlap(x, w, 2, shift20)
-
-    def test_run_from_position_one_classified_once(self, shift20):
-        # the run from position 1 is found by the one scan of the prefix,
-        # without a walk per start
-        w = ZO.word("0101")
-        calls = []
-        for m in (500, 4000):
-            with mock.patch.object(
-                exitwords, "_classify_run", wraps=exitwords._classify_run
-            ) as spy:
-                check_overlap_bound(run_from_start(m), w, 2, shift20)
-            calls.append(spy.call_count)
-        assert calls == [0, 0]
 
     def test_every_stepped_factor(
         self, fib_prefix, fib_oracle, iet3_prefix, iet3_oracle,

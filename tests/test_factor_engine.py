@@ -10,9 +10,10 @@ off two counts.  The growth-sum
 identity ``sum(|ext| - 1) == p(n+1) - p(n)`` is asserted here on the
 reference counts, so ``growth_profile`` does not check it at run time.
 The reference here slices every window at every length, reads extension
-counts off ``extensions`` (and, at the top length, where ``extensions``
-needs a longer horizon, off direct membership), and refuses the windows
-by the check in ``factor_language``.
+counts off the per-word ``extensions`` of ``factor_language`` (and, at
+the top length, where ``extensions`` needs a longer horizon, off direct
+membership), and refuses the windows by ``check_factor_language``, its
+factor-language check.
 """
 
 import random
@@ -22,7 +23,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 
-from factor_language import check_factor_language
+from conftest import token_prefix
+from factor_language import check_factor_language, extensions
 from shiftlab import rauzy
 from shiftlab.errors import InvariantViolation, PreconditionFailure
 from shiftlab.generators import (
@@ -35,7 +37,7 @@ from shiftlab.generators import (
     rotation_coding,
     substitution_fixed_point,
 )
-from shiftlab.language import SIDES, LanguageOracle, StoredLevels, extensions, growth_profile
+from shiftlab.language import SIDES, LanguageOracle, StoredLevels, growth_profile
 from shiftlab.words import CODE_CHARS, Alphabet, Word
 
 
@@ -131,7 +133,7 @@ def raw_prefixes(draw):
     horizon, length = draw(horizon_and_length(max_horizon=6))
     symbols = draw(st.sampled_from(["01", "012"]))
     tokens = draw(st.text(alphabet=symbols, min_size=length, max_size=length))
-    return SequencePrefix.from_tokens(Alphabet(tuple(symbols)), tokens, "raw"), horizon
+    return token_prefix(Alphabet(tuple(symbols)), tokens, "raw"), horizon
 
 
 @st.composite
@@ -263,7 +265,7 @@ class TestSpecialWalk:
 
     def test_matches_count_on_bernoulli_prefix(self):
         rng = random.Random(5)
-        x = SequencePrefix.from_tokens(
+        x = token_prefix(
             Alphabet(("0", "1")), "".join(rng.choices("01", k=20_000)), "bernoulli"
         )
         assert_walk_matches_count(lambda: oracle_from_prefix(x, 11))
@@ -314,7 +316,7 @@ def full_level_prefixes(draw):
     data = list(cycle * (length // len(cycle) + 1))[:length]
     for _ in range(draw(st.integers(0, 2))):
         data[draw(st.integers(0, length - 1))] = draw(st.sampled_from(symbols))
-    return SequencePrefix.from_tokens(Alphabet(tuple(symbols)), "".join(data), "de Bruijn"), horizon
+    return token_prefix(Alphabet(tuple(symbols)), "".join(data), "de Bruijn"), horizon
 
 
 def assert_full_levels_match_naive(x: SequencePrefix, horizon: int) -> str | None:
@@ -368,7 +370,7 @@ class TestFullLevels:
     @pytest.mark.parametrize("horizon", [1, 2, 3, 6])
     def test_one_letter(self, horizon):
         # every level holds all 1**n words, and no word is special
-        x = SequencePrefix.from_tokens(Alphabet(("0",)), "0" * (4 * horizon + 3), "one letter")
+        x = token_prefix(Alphabet(("0",)), "0" * (4 * horizon + 3), "one letter")
         assert assert_full_levels_match_naive(x, horizon) == "the top level full"
 
     @pytest.mark.parametrize("symbols, m", [("01", 1), ("01", 5), ("012", 2), ("012", 3)])
@@ -439,11 +441,11 @@ def short_prefixes(draw):
     length = draw(st.integers(4 * horizon, 4 * horizon + 6))
     symbols = draw(st.sampled_from(["01", "012"]))
     tokens = draw(st.text(alphabet=symbols, min_size=length, max_size=length))
-    return SequencePrefix.from_tokens(Alphabet(tuple(symbols)), tokens, "raw"), horizon
+    return token_prefix(Alphabet(tuple(symbols)), tokens, "raw"), horizon
 
 
 def zo_prefix(tokens: str) -> SequencePrefix:
-    return SequencePrefix.from_tokens(Alphabet(("0", "1")), tokens)
+    return token_prefix(Alphabet(("0", "1")), tokens)
 
 
 class TestPrefixRefusal:

@@ -21,12 +21,11 @@ from shiftlab.generators import (
     read_substitution_file,
     rotation_coding,
     substitution_fixed_point,
-    thue_morse_prefix,
 )
 from shiftlab.language import growth_profile, periodicity_check
 from shiftlab.words import Alphabet
 
-from conftest import IET3_SPEC
+from conftest import THUE_MORSE, token_prefix
 
 
 # -- references: one Python step per letter -----------------------------------
@@ -251,7 +250,7 @@ class TestSubstitution:
         assert "".join(fibonacci_prefix(13).tokens()) == "abaababaabaab"
 
     def test_thue_morse_prefix(self):
-        assert "".join(thue_morse_prefix(8).tokens()) == "01101001"
+        assert "".join(substitution_fixed_point(THUE_MORSE, 8).tokens()) == "01101001"
 
     def test_doubling_constant(self):
         a = Alphabet(("a",))
@@ -309,7 +308,7 @@ class TestRotation:
 
 class TestOracleFromPrefix:
     def test_window_sets(self, ab):
-        x = SequencePrefix.from_tokens(ab, "abaababaabaab", "fib13")
+        x = token_prefix(ab, "abaababaabaab", "fib13")
         oracle = oracle_from_prefix(x, 3)
         # exact window contents, re-derived by hand scanning
         expected = {x.data[i : i + 3] for i in range(len(x.data) - 2)}
@@ -320,7 +319,7 @@ class TestOracleFromPrefix:
         assert all(periodic01_oracle.p(n) == 2 for n in range(1, 5))
 
     def test_margin_enforced(self, ab):
-        x = SequencePrefix.from_tokens(ab, "ab" * 10, "short")
+        x = token_prefix(ab, "ab" * 10, "short")
         with pytest.raises(PreconditionFailure, match="too large"):
             oracle_from_prefix(x, 6)
 

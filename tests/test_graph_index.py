@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from conftest import token_prefix
 from shiftlab._graphutil import is_weakly_connected, weak_components
 from shiftlab.abstract_graphs import (
     AbstractGraph,
@@ -20,7 +21,7 @@ from shiftlab.abstract_graphs import (
     random_graph_with_loops,
     random_twist_shrink_log,
 )
-from shiftlab.generators import SequencePrefix, oracle_from_prefix
+from shiftlab.generators import oracle_from_prefix
 from shiftlab.rauzy import build_special_rauzy
 from shiftlab.words import Alphabet
 
@@ -95,7 +96,7 @@ class TestAbstractGraph:
 def random_binary_oracle(seed, length=3000, horizon=10):
     rng = random.Random(seed)
     tokens = "".join(rng.choice("01") for _ in range(length))
-    return oracle_from_prefix(SequencePrefix.from_tokens(Alphabet(("0", "1")), tokens), horizon)
+    return oracle_from_prefix(token_prefix(Alphabet(("0", "1")), tokens), horizon)
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab.generators import oracle_from_prefix, thue_morse_prefix
+from conftest import THUE_MORSE
+from shiftlab.generators import oracle_from_prefix, substitution_fixed_point
 from shiftlab.language import _constant_tail, growth_profile
 
 
@@ -65,7 +66,7 @@ class TestRule:
 
 class TestThueMorse:
     def test_closed_form_matches_stored_levels(self):
-        profile = growth_profile(oracle_from_prefix(thue_morse_prefix(20_000), 200))
+        profile = growth_profile(oracle_from_prefix(substitution_fixed_point(THUE_MORSE, 20_000), 200))
         assert profile.differences == {n: thue_morse_difference(n) for n in range(1, 200)}
         assert profile.verdict == "not constant within horizon"
 
@@ -90,5 +91,5 @@ class TestThueMorse:
 
     @pytest.mark.parametrize("horizon", [24, 100, 400])
     def test_stored_prefix_verdicts(self, horizon):
-        oracle = oracle_from_prefix(thue_morse_prefix(max(4 * horizon, 20_000)), horizon)
+        oracle = oracle_from_prefix(substitution_fixed_point(THUE_MORSE, max(4 * horizon, 20_000)), horizon)
         assert growth_profile(oracle).verdict == "not constant within horizon"

@@ -1,23 +1,22 @@
-"""Language oracle analyses: extensions, specials, regularity, growth,
-periodicity, unique special extensions."""
+"""Language oracle analyses: specials, regularity, growth, periodicity,
+unique special extensions, and the per-word extension reference in
+``factor_language``."""
 
 import random
 from itertools import product
 
 import pytest
 
-from conftest import IET4_SPEC
-from factor_language import check_factor_language
+from conftest import IET4_SPEC, token_prefix
+from factor_language import NotAFactor, check_factor_language, extensions
 from regular_bispecial import is_regular_bispecial
 from shiftlab.errors import (
     AlphabetMismatch,
     HorizonExceeded,
     InvariantViolation,
-    NotAFactor,
     PreconditionFailure,
 )
 from shiftlab.generators import (
-    SequencePrefix,
     iet_encode,
     oracle_from_prefix,
     rotation_coding,
@@ -28,10 +27,8 @@ from shiftlab.language import (
     LanguageOracle,
     StoredLevels,
     check_rbc,
-    extensions,
     growth_profile,
     periodicity_check,
-    special_words,
 )
 from shiftlab.rauzy import _identification, build_rauzy, build_special_rauzy
 from shiftlab.words import CODE_CHARS, Alphabet, Word, valid_steps
@@ -54,7 +51,7 @@ class TestOracleInvariants:
             explicit_oracle(ab, factors)
 
     def test_missing_alphabet_letter(self, ab):
-        x = SequencePrefix.from_tokens(ab, "a" * 40, "constant")
+        x = token_prefix(ab, "a" * 40, "constant")
         with pytest.raises(PreconditionFailure) as err:
             oracle_from_prefix(x, 4)
         assert str(err.value) == "prefix N=40 H=4 of [constant]: symbol 'b' never occurs"
@@ -76,13 +73,13 @@ class TestOracleInvariants:
     "query",
     [
         lambda o: extensions(o, o.alphabet.word("0" * 7)),
-        lambda o: special_words(o, 7, "left"),
+        lambda o: o.bispecials(7),
         lambda o: is_regular_bispecial(o, o.alphabet.word("0" * 6)),
         lambda o: build_rauzy(o, 7),
         lambda o: build_special_rauzy(o, 7),
         lambda o: valid_steps(o.alphabet.word("0" * 6), o),
     ],
-    ids=["extensions", "special_words", "is_regular_bispecial", "build_rauzy",
+    ids=["extensions", "bispecials", "is_regular_bispecial", "build_rauzy",
          "build_special_rauzy", "valid_steps"],
 )
 def test_horizon_one_too_small_reports_the_horizon_needed(zo, query):
@@ -138,20 +135,24 @@ class TestExtensions:
 
 
 class TestSpecialWords:
-    def test_fibonacci_unique_left_special(self, fib_oracle):
-        got = special_words(fib_oracle, 3, "left")
-        assert {str(w) for w in got} == {"aba"}
+    def test_fibonacci_unique_left_special(self, fib_oracle, ab):
+        assert fib_oracle.special_strings(3, "left") == {ab.word("aba").data}
 
-    def test_fibonacci_bispecial(self, fib_oracle):
-        assert {str(w) for w in special_words(fib_oracle, 3, "bi")} == {"aba"}
+    def test_fibonacci_bispecial(self, fib_oracle, ab):
+        assert list(fib_oracle.bispecials(3)) == [ab.word("aba").data]
 
     def test_full_shift_all_bispecial(self, full_shift_2):
-        assert len(special_words(full_shift_2, 2, "bi")) == 4
+        assert len(full_shift_2.bispecials(2)) == 4
 
     @pytest.mark.parametrize("side", ["left", "right", "bi"])
-    def test_length_zero_refused(self, fib_oracle, side):
-        with pytest.raises(ValueError, match="length must be >= 1"):
-            special_words(fib_oracle, 0, side)
+    def test_length_zero_refused(self, fib_oracle, full_shift_2, side):
+        # the full shift's level 2 is full, so its table takes the full-level rule
+        for oracle in (fib_oracle, full_shift_2):
+            with pytest.raises(ValueError, match="length must be >= 1"):
+                if side == "bi":
+                    oracle.bispecials(0)
+                else:
+                    oracle.special_strings(0, side)
 
     @pytest.mark.parametrize("query", ["special_strings"])
     def test_extension_queries_refuse_length_zero(self, fib_oracle, query):
@@ -166,7 +167,8 @@ class TestSpecialWords:
                 for w in fib_oracle.words(n)
                 if len(extensions(fib_oracle, w).left) >= 2
             }
-            assert {str(w) for w in special_words(fib_oracle, n, "left")} == expect
+            assert {str(Word(fib_oracle.alphabet, d))
+                    for d in fib_oracle.special_strings(n, "left")} == expect
 
 
 class TestRegularBispecial:
@@ -189,8 +191,9 @@ class TestRegularBispecial:
 
 
 class TestExtensionGraph:
-    """The bipartite extension graph of ``extensions(oracle, w)``: one
-    vertex per left and per right extension, one edge per two-sided one."""
+    """The bipartite extension graph of the reference
+    ``extensions(oracle, w)``: one vertex per left and per right
+    extension, one edge per two-sided one."""
 
     def test_fibonacci_tree(self, fib_oracle, ab):
         rec = extensions(fib_oracle, ab.word("a"))
@@ -266,7 +269,7 @@ class TestRbc:
         # the random prefix has many witness patterns, several sharing the
         # left-special group and differing in the right-special one
         rng = random.Random(1)
-        x = SequencePrefix.from_tokens(
+        x = token_prefix(
             Alphabet(("0", "1", "2")), "".join(rng.choices("012", k=3000)), "random"
         )
         for oracle, patterns in ((tm_oracle, 2), (oracle_from_prefix(x, 8), 28)):
@@ -278,8 +281,8 @@ class TestRbc:
     def test_regular_iff_dendric_on_bispecials(self, fib_oracle, tm_oracle, iet3_oracle):
         for oracle in (fib_oracle, tm_oracle, iet3_oracle):
             for n in range(1, oracle.horizon - 2):
-                bis = special_words(oracle, n, "bi")
-                for w in bis:
+                for d in oracle.bispecials(n):
+                    w = Word(oracle.alphabet, d)
                     assert (
                         is_regular_bispecial(oracle, w).regular
                         == extensions(oracle, w).is_dendric

@@ -5,9 +5,10 @@ from collections import Counter
 
 import pytest
 
+from conftest import THUE_MORSE
 from shiftlab.errors import HorizonExceeded
 from shiftlab.exitwords import enumerate_exit_words
-from shiftlab.generators import fibonacci_prefix, thue_morse_prefix
+from shiftlab.generators import fibonacci_prefix, substitution_fixed_point
 from shiftlab.language import (
     SIDES,
     LanguageOracle,
@@ -57,7 +58,10 @@ def counted(request):
         alphabet = full.alphabet
         levels = {n: frozenset(full.factor_strings(n)) for n in range(1, H + 1)}
     else:
-        x = (fibonacci_prefix if request.param == "fibonacci" else thue_morse_prefix)(3000)
+        if request.param == "fibonacci":
+            x = fibonacci_prefix(3000)
+        else:
+            x = substitution_fixed_point(THUE_MORSE, 3000)
         alphabet, levels = x.alphabet, window_levels(x.data, H)
     source = CountingSource(levels)
     return LanguageOracle(alphabet, source, request.param), source

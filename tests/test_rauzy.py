@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from conftest import IET3_SPEC, IET4_SPEC
-from factor_language import check_factor_language
+from conftest import IET3_SPEC, IET4_SPEC, THUE_MORSE, token_prefix
+from factor_language import check_factor_language, extensions
 from regular_bispecial import is_regular_bispecial
 from shiftlab import rauzy
 from shiftlab._graphutil import is_strongly_connected, is_weakly_connected
@@ -25,13 +25,12 @@ from shiftlab.generators import (
     iet_encode,
     oracle_from_prefix,
     rotation_coding,
-    thue_morse_prefix,
+    substitution_fixed_point,
 )
 from shiftlab.language import (
     LanguageOracle,
     StoredLevels,
     check_rbc,
-    extensions,
     growth_profile,
 )
 from shiftlab.rauzy import (
@@ -187,7 +186,7 @@ class TestConnectivity:
 
     def test_weak_only(self, zo):
         # factors of 1...10...0: 0 cannot reach 1
-        x = SequencePrefix.from_tokens(zo, "1" * 20 + "0" * 60, "step")
+        x = token_prefix(zo, "1" * 20 + "0" * 60, "step")
         g = build_rauzy(oracle_from_prefix(x, 4), 1)
         assert connectivity(g) == (False, True)
 
@@ -205,7 +204,7 @@ def test_escaping_walk_raises_on_every_request():
     # blocks 06 and 0123456: the walk from R:0 by 1 needs length 7
     rng = random.Random(3)
     tokens = "".join(rng.choice(["06", "0123456"]) for _ in range(60))
-    x = SequencePrefix.from_tokens(Alphabet(tuple("0123456")), tokens, "blocks")
+    x = token_prefix(Alphabet(tuple("0123456")), tokens, "blocks")
     oracle = oracle_from_prefix(x, 5)
     for _ in range(2):
         with pytest.raises(HorizonExceeded, match="escapes horizon 5"):
@@ -538,7 +537,7 @@ def _quotients(rng):
 
 SEQUENCES = {
     "fibonacci": lambda: fibonacci_prefix(4000),
-    "thue-morse": lambda: thue_morse_prefix(4000),
+    "thue-morse": lambda: substitution_fixed_point(THUE_MORSE, 4000),
     "iet3": lambda: iet_encode(IET3_SPEC, 4000)[0],
     "iet4": lambda: iet_encode(IET4_SPEC, 4000)[0],
     **{
@@ -586,7 +585,7 @@ class TestEvolveMatchesReference:
 
 
 def binary_prefix(tokens: str, provenance: str) -> SequencePrefix:
-    return SequencePrefix.from_tokens(Alphabet(("0", "1")), tokens, provenance)
+    return token_prefix(Alphabet(("0", "1")), tokens, provenance)
 
 
 @st.composite
