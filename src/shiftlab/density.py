@@ -128,6 +128,8 @@ def special_density_floor(
 ) -> FloorReport:
     """Check that some side-special word of length ``n`` has block
     density estimate at least ``1/K`` (minus the stated tolerance)."""
+    if x.alphabet != oracle.alphabet:
+        raise AlphabetMismatch("sequence and oracle use different alphabets")
     if n < 1:
         raise ValueError("length must be >= 1")
     if periodicity_check(oracle).periodic_within_horizon:

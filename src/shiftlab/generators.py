@@ -342,7 +342,7 @@ def oracle_from_prefix(x: SequencePrefix, horizon: int) -> LanguageOracle:
     for code in codes:
         if code not in data:
             raise PreconditionFailure(
-                f"{label}: symbol {x.alphabet.token(code)!r} never occurs"
+                f"{label}: symbol {x.alphabet.render(code)!r} never occurs"
             )
     m = horizon - 2
     if m > 0:

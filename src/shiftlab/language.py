@@ -166,8 +166,9 @@ class LanguageOracle:
         the one-letter truncations of the factors of length ``n + 1`` and
         keeps those at least two of them share.
         """
-        self.require_length(n + 1, f"{side} extensions")
-        self.require_length(n, f"{side} extensions")
+        if not 0 < n < self.horizon:
+            self.require_length(n + 1, f"{side} extensions")
+            self.require_length(n, f"{side} extensions")
         return self.derived(("special", n, side), lambda: self._specials(n, side))
 
     def _specials(self, n: int, side: Side) -> frozenset[str]:
@@ -326,14 +327,19 @@ def _constant_tail(differences: list[int]) -> tuple[int, int] | None:
 
 @dataclass(frozen=True)
 class RbcReport:
+    """``violations`` holds each irregular bispecial as a code string, with
+    its reason; ``alphabet.render`` spells it in tokens, as ``to_json`` does."""
+
     holds_within_horizon: bool
-    violations: list[tuple[Word, str]]
+    violations: list[tuple[str, str]]
     n0_estimate: int
     n_min: int
     max_length_checked: int
     horizon: int
+    alphabet: Alphabet
 
     def to_json(self) -> dict:
+        render = self.alphabet.render
         return {
             "horizon": self.horizon,
             "holds_within_horizon": self.holds_within_horizon,
@@ -341,7 +347,7 @@ class RbcReport:
             "max_length_checked": self.max_length_checked,
             "n0_estimate": self.n0_estimate,
             "violations": [
-                {"word": str(w), "reason": r} for w, r in self.violations
+                {"word": render(d), "reason": r} for d, r in self.violations
             ],
         }
 
@@ -372,9 +378,9 @@ def check_rbc(
 
 
 def _rbc_report(oracle: LanguageOracle, n_min: int, top: int) -> RbcReport:
-    tokens = lambda codes: sorted(map(oracle.alphabet.token, codes))
+    tokens = lambda codes: sorted(map(oracle.alphabet.render, codes))
     reasons: dict[tuple[tuple[str, ...], ...], str] = {}  # one per witness pattern
-    violations: list[tuple[Word, str]] = []
+    violations: list[tuple[str, str]] = []
     n0_estimate = n_min
     for n in range(n_min, top + 1):
         for data, (b, a) in oracle.bispecials(n).items():
@@ -382,10 +388,10 @@ def _rbc_report(oracle: LanguageOracle, n_min: int, top: int) -> RbcReport:
                 key = b, a
                 if key not in reasons:
                     reasons[key] = _irregularity(tokens(b), tokens(a))
-                violations.append((Word(oracle.alphabet, data), reasons[key]))
+                violations.append((data, reasons[key]))
                 n0_estimate = n + 1
     return RbcReport(
-        not violations, violations, n0_estimate, n_min, top, oracle.horizon
+        not violations, violations, n0_estimate, n_min, top, oracle.horizon, oracle.alphabet
     )
 
 

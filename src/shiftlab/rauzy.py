@@ -247,7 +247,7 @@ def evolve(oracle: LanguageOracle, n: int) -> EvolutionStep:
     rbc = check_rbc(oracle, n_min=n, n_max=min(n_prime, oracle.horizon - 3))
     if not rbc.holds_within_horizon:
         raise PreconditionFailure(
-            f"irregular bispecial in range: {rbc.violations[0][0]}"
+            f"irregular bispecial in range: {rbc.alphabet.render(rbc.violations[0][0])}"
         )
     before = build_special_rauzy(oracle, n)
     after = build_special_rauzy(oracle, n_prime)

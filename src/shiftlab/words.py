@@ -66,9 +66,9 @@ class Alphabet:
         return all(len(tok) == 1 for tok in self.symbols)
 
     @cached_property
-    def _render_table(self) -> dict[int, int]:
-        """``str.translate`` table from codes to single-character tokens."""
-        return str.maketrans(self.codes, "".join(self.symbols))
+    def _render_table(self) -> dict[int, str]:
+        """``str.translate`` table from codes to tokens."""
+        return str.maketrans(self._code_to_token)
 
     def code(self, token: str) -> str:
         try:
@@ -76,8 +76,12 @@ class Alphabet:
         except KeyError:
             raise ValueError(f"unknown symbol {token!r}") from None
 
-    def token(self, code: str) -> str:
-        return self._code_to_token[code]
+    def render(self, data: str) -> str:
+        """The tokens of a code string: concatenated when every symbol is
+        one character, joined by spaces otherwise."""
+        if self._single_char_tokens:
+            return data.translate(self._render_table)
+        return " ".join(map(self._code_to_token.__getitem__, data))
 
     def word(self, tokens: str | Sequence[str]) -> Word:
         """Build a word from a token string or a sequence of tokens.
@@ -117,15 +121,13 @@ class Word:
         return len(self.data)
 
     def __str__(self) -> str:
-        if self.alphabet._single_char_tokens:
-            return self.data.translate(self.alphabet._render_table)
-        return " ".join(self.tokens())
+        return self.alphabet.render(self.data)
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r})"
 
     def tokens(self) -> tuple[str, ...]:
-        return tuple(map(self.alphabet.token, self.data))
+        return tuple(map(self.alphabet.render, self.data))
 
     def sub(self, i: int, j: int) -> Word:
         """The subword at 1-based inclusive positions ``[i, j]``."""

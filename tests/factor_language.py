@@ -34,7 +34,7 @@ def check_factor_language(oracle: LanguageOracle) -> LanguageOracle:
     for code in oracle.alphabet.codes:
         if code not in levels[1]:
             raise InvariantViolation(
-                f"alphabet symbol {oracle.alphabet.token(code)!r} never occurs "
+                f"alphabet symbol {oracle.alphabet.render(code)!r} never occurs "
                 "as a factor"
             )
     for n in range(2, oracle.horizon + 1):
@@ -91,7 +91,7 @@ def extensions(oracle: LanguageOracle, w: Word) -> ExtensionRecord:
         raise NotAFactor(f"not a factor: {w}")
     lvl1 = oracle.factor_strings(n + 1)
     lvl2 = oracle.factor_strings(n + 2)
-    tok = oracle.alphabet.token
+    tok = oracle.alphabet.render
     codes = oracle.alphabet.codes
     left = frozenset(tok(a) for a in codes if a + w.data in lvl1)
     right = frozenset(tok(b) for b in codes if w.data + b in lvl1)

@@ -59,6 +59,8 @@ BISPECIAL_TABLE = "tests/test_factor_engine.py::TestBispecialTable"
 FULL_LEVELS = "tests/test_factor_engine.py::TestFullLevels"
 RAUZY = "shiftlab/rauzy.py"
 EVOLVE_REFERENCE = "tests/test_rauzy.py::TestEvolveMatchesReference"
+RENDERING = "tests/test_code_strings.py::TestWordRendering"
+PINNED_ANALYZE = "tests/test_cli.py::TestAnalyze::test_reports_with_violations_are_pinned"
 EXITWORDS = "shiftlab/exitwords.py"
 LAYOUTS = "tests/test_exitword_layouts.py"
 OVERLAP_NAIVE = "tests/test_exitwords.py::TestOverlapScanMatchesNaive"
@@ -737,6 +739,28 @@ MUTANTS = (
         ("tests/test_language.py::TestSpecialWords::test_length_zero_refused",),
     ),
     Mutant(
+        "render: multi-character tokens through the translate table",
+        WORDS,
+        "        if self._single_char_tokens:\n"
+        "            return data.translate(self._render_table)\n",
+        "        return data.translate(self._render_table)\n",
+        (RENDERING, PINNED_ANALYZE),
+    ),
+    Mutant(
+        "render: multi-character tokens joined without the space",
+        WORDS,
+        'return " ".join(map(self._code_to_token.__getitem__, data))',
+        'return "".join(map(self._code_to_token.__getitem__, data))',
+        (RENDERING, PINNED_ANALYZE),
+    ),
+    Mutant(
+        "evolve: the refusal prints the raw code string",
+        RAUZY,
+        "in range: {rbc.alphabet.render(rbc.violations[0][0])}",
+        "in range: {rbc.violations[0][0]}",
+        ("tests/test_rauzy.py::TestEvolve::test_refusal_spells_the_bispecial_in_tokens",),
+    ),
+    Mutant(
         "evolve: the bispecial scan starts one length late",
         RAUZY,
         "    for n_tilde in range(n, top + 1):\n",
@@ -846,8 +870,9 @@ MUTANTS = (
         "window check: a sequence over another alphabet accepted",
         DENSITY,
         "    if x.alphabet != oracle.alphabet:\n"
-        '        raise AlphabetMismatch("sequence and oracle use different alphabets")\n',
-        "",
+        '        raise AlphabetMismatch("sequence and oracle use different alphabets")\n'
+        "    width = (K + 2) * n - 1\n",
+        "    width = (K + 2) * n - 1\n",
         ("tests/test_density.py::TestWindowCheck::test_sequence_over_another_alphabet_refused",),
     ),
     Mutant(
@@ -895,6 +920,39 @@ MUTANTS = (
         '        raise PreconditionFailure("prefix too short: need at least 32 blocks")\n'
         "    specials = sorted(oracle.special_strings(n, side))\n",
         ("tests/test_cli.py::TestDensity::test_special_floor_beyond_the_horizon_exits_two",),
+    ),
+    Mutant(
+        "density floor: the alphabet checked after the growth test",
+        DENSITY,
+        "    if x.alphabet != oracle.alphabet:\n"
+        '        raise AlphabetMismatch("sequence and oracle use different alphabets")\n'
+        "    if n < 1:\n"
+        '        raise ValueError("length must be >= 1")\n'
+        "    if periodicity_check(oracle).periodic_within_horizon:\n"
+        "        raise PreconditionFailure(\n"
+        '            "periodic language: the branching constant is undefined"\n'
+        "        )\n"
+        "    profile = growth_profile(oracle)\n"
+        "    if profile.K != K or not profile.constant_at(n):\n"
+        "        raise PreconditionFailure(\n"
+        '            f"growth is not constant {K} at length {n} "\n'
+        '            f"(profile: {profile.verdict})"\n'
+        "        )\n",
+        '    if n < 1:\n'
+        '        raise ValueError("length must be >= 1")\n'
+        "    if periodicity_check(oracle).periodic_within_horizon:\n"
+        "        raise PreconditionFailure(\n"
+        '            "periodic language: the branching constant is undefined"\n'
+        "        )\n"
+        "    profile = growth_profile(oracle)\n"
+        "    if profile.K != K or not profile.constant_at(n):\n"
+        "        raise PreconditionFailure(\n"
+        '            f"growth is not constant {K} at length {n} "\n'
+        '            f"(profile: {profile.verdict})"\n'
+        "        )\n"
+        "    if x.alphabet != oracle.alphabet:\n"
+        '        raise AlphabetMismatch("sequence and oracle use different alphabets")\n',
+        ("tests/test_density.py::TestSpecialFloor::test_sequence_over_another_alphabet_refused_first",),
     ),
     Mutant(
         "exit-word layouts: the repetition count without the - 1",

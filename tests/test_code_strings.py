@@ -2,15 +2,18 @@
 references.
 
 ``check_rbc`` decides each length at once from the special sets one letter
-longer, ``valid_steps`` tests steps on the code string, ``Word`` checks
-and renders through tables cached on its ``Alphabet``, and
+longer and keeps each irregular bispecial as its code string,
+``valid_steps`` tests steps on the code string, ``Word`` checks and
+renders through tables cached on its ``Alphabet``, and
 ``BlockDensity.estimate`` compares averages by cross-multiplication.  The
-references below are the earlier bodies: one ``is_regular_bispecial`` per
-bispecial, one ``ref_power`` and ``contains`` per step, one token
-lookup per letter, one ``Fraction`` per block.
+references below are the earlier bodies: one ``is_regular_bispecial`` and
+one ``Word`` per bispecial, each rendered by ``str``, one ``ref_power``
+and ``contains`` per step, one token lookup per letter, one ``Fraction``
+per block.
 """
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -26,11 +29,7 @@ from shiftlab.generators import (
     iet_encode,
     oracle_from_prefix,
 )
-from shiftlab.language import (
-    LanguageOracle,
-    RbcReport,
-    check_rbc,
-)
+from shiftlab.language import LanguageOracle, analysis_report, check_rbc
 from shiftlab.words import (
     CODE_CHARS,
     Alphabet,
@@ -43,9 +42,33 @@ from shiftlab.words import (
 ZO = Alphabet(("0", "1"))
 
 
+@dataclass(frozen=True)
+class WordRbcReport:
+    """The RBC report with one ``Word`` per irregular bispecial."""
+
+    holds_within_horizon: bool
+    violations: list[tuple[Word, str]]
+    n0_estimate: int
+    n_min: int
+    max_length_checked: int
+    horizon: int
+
+    def to_json(self) -> dict:
+        return {
+            "horizon": self.horizon,
+            "holds_within_horizon": self.holds_within_horizon,
+            "n_min": self.n_min,
+            "max_length_checked": self.max_length_checked,
+            "n0_estimate": self.n0_estimate,
+            "violations": [
+                {"word": str(w), "reason": r} for w, r in self.violations
+            ],
+        }
+
+
 def reference_check_rbc(
     oracle: LanguageOracle, n_min: int = 1, n_max: int | None = None
-) -> RbcReport:
+) -> WordRbcReport:
     top = oracle.horizon - 3
     if n_max is not None:
         top = min(top, n_max)
@@ -62,7 +85,7 @@ def reference_check_rbc(
     n0_estimate = n_min
     if violations:
         n0_estimate = 1 + max(len(w) for w, _ in violations)
-    return RbcReport(
+    return WordRbcReport(
         not violations, violations, n0_estimate, n_min, top, oracle.horizon
     )
 
@@ -110,7 +133,8 @@ class TestCheckRbc:
             got = check_rbc(oracle, n_min)
             ref = reference_check_rbc(oracle, n_min)
             assert got.to_json() == ref.to_json()
-            assert got.violations == ref.violations
+            assert got.violations == [(w.data, r) for w, r in ref.violations]
+            assert got.alphabet is oracle.alphabet
 
     def test_n_max_matches_reference(self):
         oracle = RBC_SOURCES["bernoulli-1"]()
@@ -124,6 +148,19 @@ class TestCheckRbc:
         for source in ("bernoulli-reversed", "multi-character"):
             report = check_rbc(RBC_SOURCES[source]())
             assert report.violations
+
+    def test_no_word_per_violation(self, monkeypatch):
+        built = []
+        post_init = Word.__post_init__
+        monkeypatch.setattr(Word, "__post_init__", lambda w: built.append(w) or post_init(w))
+        counts = []
+        for horizon in (8, 9):
+            oracle = bernoulli_oracle(1, ZO, 3000, horizon)
+            built.clear()
+            report = analysis_report(oracle)
+            counts.append((len(built), len(report["rbc"]["violations"])))
+        (built_8, violations_8), (built_9, violations_9) = counts
+        assert violations_8 < violations_9 and built_8 == built_9
 
     def test_reasons_sort_tokens_not_codes(self):
         report = check_rbc(RBC_SOURCES["bernoulli-reversed"]())
@@ -175,8 +212,8 @@ class TestWordRendering:
             )
             tokens, text = per_token(w)
             assert w.tokens() == tokens
-            assert str(w) == text
-            assert all(alphabet.token(c) == t for c, t in zip(w.data, tokens))
+            assert str(w) == alphabet.render(w.data) == text
+            assert all(alphabet.render(c) == t for c, t in zip(w.data, tokens))
 
     def test_rejects_code_past_alphabet_size(self):
         with pytest.raises(ValueError, match="outside its alphabet"):

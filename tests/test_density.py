@@ -216,6 +216,23 @@ class TestSpecialFloor:
         with pytest.raises(PreconditionFailure, match="constant"):
             special_density_floor(fib_oracle, fib_prefix, 4, "left", 2)
 
+    def test_sequence_over_another_alphabet_refused_first(self, monkeypatch):
+        # Fibonacci's codes spelled over 0,1: every test before the block
+        # estimates would pass, so the refusal comes before any of them
+        x = fibonacci_prefix(5000)
+        oracle = oracle_from_prefix(x, 24)
+        y = SequencePrefix(Alphabet(("0", "1")), x.data, "fibonacci over 0,1")
+        calls = []
+        estimate, p = density.density_estimate, oracle.p
+        monkeypatch.setattr(
+            density, "density_estimate", lambda *a: calls.append(a) or estimate(*a)
+        )
+        monkeypatch.setattr(oracle, "p", lambda n: calls.append(n) or p(n))
+        with pytest.raises(AlphabetMismatch) as err:
+            special_density_floor(oracle, y, 4, "left", 1)
+        assert str(err.value) == "sequence and oracle use different alphabets"
+        assert calls == []
+
     def test_periodicity_scanned_once_per_oracle(self, monkeypatch, fib_prefix):
         # a fresh oracle, so that no earlier test has filled its memo
         oracle = oracle_from_prefix(fib_prefix, 30)

@@ -253,16 +253,18 @@ class TestRbc:
         assert not report.holds_within_horizon
         # every word of every checked length is an irregular bispecial
         by_len = {}
-        for w, _ in report.violations:
-            by_len.setdefault(len(w), 0)
-            by_len[len(w)] += 1
+        for data, _ in report.violations:
+            by_len.setdefault(len(data), 0)
+            by_len[len(data)] += 1
         assert by_len == {n: 2**n for n in range(1, full_shift_2.horizon - 2)}
 
     def test_thue_morse_violations(self, tm_oracle):
         report = check_rbc(tm_oracle, 1)
         assert not report.holds_within_horizon
-        assert min(len(w) for w, _ in report.violations) == 2
-        words2 = {str(w) for w, _ in report.violations if len(w) == 2}
+        assert min(len(data) for data, _ in report.violations) == 2
+        words2 = {
+            report.alphabet.render(data) for data, _ in report.violations if len(data) == 2
+        }
         assert words2 == {"01", "10"}
 
     def test_reasons_match_reference(self, tm_oracle):
@@ -274,7 +276,8 @@ class TestRbc:
         )
         for oracle, patterns in ((tm_oracle, 2), (oracle_from_prefix(x, 8), 28)):
             report = check_rbc(oracle, 1)
-            for w, reason in report.violations:
+            for data, reason in report.violations:
+                w = Word(oracle.alphabet, data)
                 assert reason == is_regular_bispecial(oracle, w).reason, w
             assert len({r for _, r in report.violations}) == patterns
 

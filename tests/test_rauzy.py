@@ -74,7 +74,7 @@ def split_union_oracle():
     for n in range(1, H + 1):
         words = {alphabet.word("0" * n).data}
         for d in {fib.data[i : i + n] for i in range(len(fib.data) - n + 1)}:
-            words.add(alphabet.word([fib.alphabet.token(c) for c in d]).data)
+            words.add(alphabet.word([fib.alphabet.render(c) for c in d]).data)
         levels[n] = frozenset(words)
     return check_factor_language(LanguageOracle(alphabet, StoredLevels(levels), "0^inf + fibonacci"))
 
@@ -309,8 +309,26 @@ class TestEvolve:
         )
 
     def test_refuses_on_irregular(self, tm_oracle):
-        with pytest.raises(PreconditionFailure):
+        with pytest.raises(PreconditionFailure) as err:
             evolve(tm_oracle, 2)
+        assert str(err.value) == "irregular bispecial in range: 01"
+
+    @pytest.mark.parametrize(
+        "symbols,expected",
+        [(("b", "a"), ["b", "bb"]), (("zz", "y1", "x22"), ["zz", "zz zz"])],
+        ids=["reversed", "multi-character"],
+    )
+    def test_refusal_spells_the_bispecial_in_tokens(self, symbols, expected):
+        # Bernoulli prefixes: the first irregular bispecial is the first
+        # code string of the start length, spelled in tokens
+        alphabet = Alphabet(symbols)
+        rng = random.Random(len(symbols))
+        data = "".join(rng.choice(alphabet.codes) for _ in range(3000))
+        oracle = oracle_from_prefix(SequencePrefix(alphabet, data, "bernoulli"), 7)
+        for n, word in enumerate(expected, 1):
+            with pytest.raises(PreconditionFailure) as err:
+                evolve(oracle, n)
+            assert str(err.value) == f"irregular bispecial in range: {word}"
 
 
 def test_dot_outputs_are_deterministic(fib_oracle):
@@ -438,8 +456,9 @@ def reference_evolve(oracle, n):
     n_prime = n_tilde + 1
     rbc = check_rbc(oracle, n_min=n, n_max=min(n_prime, oracle.horizon - 3))
     if not rbc.holds_within_horizon:
+        data, _ = rbc.violations[0]
         raise PreconditionFailure(
-            f"irregular bispecial in range: {rbc.violations[0][0]}"
+            f"irregular bispecial in range: {Word(oracle.alphabet, data)}"
         )
     before = reference_special_rauzy(oracle, n)
     after = reference_special_rauzy(oracle, n_prime)
